@@ -10,6 +10,9 @@ Config files are flat ``key = value`` text ('#' starts a comment):
     cap.vv-paraproduct = 1.0
     out = reports
 
+Each key appears at most once, and a bad value is rejected at parse time
+with the key or field named.
+
 Identical config + seed reproduce byte-identical reports: all randomness is
 Philox counter-based, trials execute in a fixed order (parallel workers only
 change wall time, never ordering), and floats are serialized with repr.
@@ -48,9 +51,18 @@ class ExperimentConfig:
         unknown = [t for t in self.targets if t not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown targets: {unknown}")
+        unknown = sorted(t for t in self.caps if t not in REGISTRY)
+        if unknown:
+            raise ValueError(f"caps for unknown targets: {unknown}")
         n = self.grid_size
         if n < 8 or n & (n - 1):
             raise ValueError("grid_size must be a power of two >= 8")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.trials is not None and self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if not self.eps_values:
+            raise ValueError("eps_values must not be empty")
 
     def to_dict(self) -> dict:
         return {
@@ -64,6 +76,22 @@ class ExperimentConfig:
         }
 
 
+def _number(key: str, val: str, kind):
+    try:
+        return kind(val)
+    except ValueError:
+        raise ValueError(
+            f"config key {key!r}: cannot read {val!r} as {kind.__name__}"
+        ) from None
+
+
+def _items(key: str, val: str) -> list[str]:
+    items = [t.strip() for t in val.split(",")]
+    if not all(items):
+        raise ValueError(f"config key {key!r}: empty item in {val!r}")
+    return items
+
+
 def parse_config(text: str) -> ExperimentConfig:
     fields: dict[str, str] = {}
     for raw in text.splitlines():
@@ -73,30 +101,26 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
         key, val = line.split("=", 1)
-        fields[key.strip()] = val.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"config key {key!r} given twice")
+        fields[key] = val.strip()
 
-    kwargs: dict = {}
-    caps: dict = {}
+    kwargs: dict = {"caps": {}}
     for key, val in fields.items():
-        if key == "seed":
-            kwargs["seed"] = int(val)
-        elif key == "grid_size":
-            kwargs["grid_size"] = int(val)
-        elif key == "trials":
-            kwargs["trials"] = int(val)
+        if key in ("seed", "grid_size", "trials"):
+            kwargs[key] = _number(key, val, int)
         elif key == "targets":
-            kwargs["targets"] = tuple(t.strip() for t in val.split(",") if t.strip())
+            kwargs["targets"] = tuple(_items(key, val))
         elif key == "eps_values":
-            kwargs["eps_values"] = tuple(float(t) for t in val.split(","))
+            kwargs["eps_values"] = tuple(_number(key, t, float) for t in _items(key, val))
         elif key == "out":
             kwargs["out"] = val
         elif key.startswith("cap."):
-            caps[key[4:]] = float(val)
+            kwargs["caps"][key[4:]] = _number(key, val, float)
         else:
             raise ValueError(f"unknown config key {key!r}")
-    cfg = ExperimentConfig(**kwargs)
-    cfg.caps.update(caps)
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 @dataclass
@@ -107,18 +131,6 @@ class CampaignReport:
     @property
     def passed(self) -> bool:
         return all(r.passed and r.error is None for r in self.results)
-
-    def aggregates(self) -> dict:
-        return {
-            r.name: {
-                "passed": r.passed,
-                "error": r.error,
-                "rows": len(r.rows),
-                "seconds": round(r.seconds, 3),
-                **r.aggregates,
-            }
-            for r in self.results
-        }
 
 
 def _thread_count() -> int:

@@ -22,7 +22,7 @@ from ..operators import bht_range_membership, format_range_query, parse_range_qu
 from .campaign import parse_config, run_campaign
 from .generate import generate_trial
 from .report import emit_report
-from .targets import REGISTRY
+from .targets import REGISTRY, _subfamily
 
 
 def _cmd_run(args) -> int:
@@ -67,14 +67,7 @@ def _cmd_decompose_demo(args) -> int:
     grid = SampleGrid(args.size, 4.0)
     root = dyadic.DyadicInterval(0, 0)
     rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 1], dtype=np.uint64)))
-    family = [root]
-    level = [root]
-    for _ in range(3):
-        nxt = []
-        for iv in level:
-            nxt.extend(iv.children())
-        level = nxt
-        family.extend(iv for iv in level if rng.random() < 0.8)
+    family = _subfamily(rng, grid, root, 3, keep=0.8)
     cell = grid.spacing
     count = grid.sample_count // int(grid.period_length) // 8
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -107,43 +108,23 @@ def _subfamily(rng, grid, root: dyadic.DyadicInterval, depth: int, keep: float =
 # Individual targets
 # ---------------------------------------------------------------------------
 
-def _run_telescope_1d(ctx: RunContext, name: str, statement: str) -> TargetResult:
-    n = 4096
-    grid = SampleGrid(n, 1.0)
+def _run_telescope(ctx: RunContext, name: str, statement: str, *, dims: int,
+                   n: int, tol: float, seed_index: int,
+                   default_trials: int) -> TargetResult:
+    grid = SampleGrid(n, 1.0, dimension=dims)
     rows = []
-    for t, seed in enumerate(ctx.seeds(1, ctx.trials(3))):
+    for t, seed in enumerate(ctx.seeds(seed_index, ctx.trials(default_trials))):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 8})
         g = generate_trial("band_limited", seed + 501, {"grid": grid, "band": n // 8})
-        parts = operators.telescoping_decomposition(f, g, dims=1)
+        parts = operators.telescoping_decomposition(f, g, dims=dims)
         total = parts[0]
         for p in parts[1:]:
             total = total + p
         product = GridFunction(grid, f.samples * g.samples)
         resid = (total - product).norm2() / product.norm2()
-        rows.append(TrialRow(name, t, seed, resid, 1e-10, resid / 1e-10,
-                             {"n": n}))
+        rows.append(TrialRow(name, t, seed, resid, tol, resid / tol, {"n": n}))
     passed = all(r.ratio <= 1.0 for r in rows)
-    agg = {"max_residual": max(r.lhs for r in rows), "tolerance": 1e-10}
-    return TargetResult(name, statement, rows, agg, passed)
-
-
-def _run_telescope_2d(ctx: RunContext, name: str, statement: str) -> TargetResult:
-    n = 256
-    grid = SampleGrid(n, 1.0, dimension=2)
-    rows = []
-    for t, seed in enumerate(ctx.seeds(2, ctx.trials(2))):
-        f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 8})
-        g = generate_trial("band_limited", seed + 501, {"grid": grid, "band": n // 8})
-        parts = operators.telescoping_decomposition(f, g, dims=2)
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        product = GridFunction(grid, f.samples * g.samples)
-        resid = (total - product).norm2() / product.norm2()
-        rows.append(TrialRow(name, t, seed, resid, 1e-9, resid / 1e-9,
-                             {"n": n}))
-    passed = all(r.ratio <= 1.0 for r in rows)
-    agg = {"max_residual": max(r.lhs for r in rows), "tolerance": 1e-9}
+    agg = {"max_residual": max(r.lhs for r in rows), "tolerance": tol}
     return TargetResult(name, statement, rows, agg, passed)
 
 
@@ -913,10 +894,12 @@ REGISTRY: dict[str, InequalityTarget] = {}
 for _t in (
     _entry("telescope-1d",
            "f*g = sum_k [Q_k f P_k g + P_k f Q_k g + Q_k f Q_k g] + coarse block",
-           _run_telescope_1d, 1.0),
+           partial(_run_telescope, dims=1, n=4096, tol=1e-10, seed_index=1,
+                   default_trials=3), 1.0),
     _entry("telescope-2d",
            "f*g equals the nine bi-parameter terms plus the coarse remainder",
-           _run_telescope_2d, 1.0),
+           partial(_run_telescope, dims=2, n=256, tol=1e-9, seed_index=2,
+                   default_trials=2), 1.0),
     _entry("weak-dualization",
            "||f||_{p,inf} ~ sup_E inf_{major E~} ||f 1_E~||_r / |E|^(1/r-1/p)",
            _run_weak_dualization, 4.0),

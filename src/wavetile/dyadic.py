@@ -15,7 +15,6 @@ inside ``[1/|I|, 2/|I|]`` (cycles per unit), a non-lacunary packet inside
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -51,10 +50,6 @@ class DyadicInterval:
     @property
     def length(self) -> float:
         return 2.0 ** (-self.scale)
-
-    @property
-    def length_exact(self) -> Fraction:
-        return Fraction(1, 2 ** self.scale) if self.scale >= 0 else Fraction(2 ** -self.scale)
 
     @property
     def left(self) -> float:
@@ -280,7 +275,7 @@ def min_packet_scale(grid: SampleGrid) -> int:
     return 1 - grid.log2_period()
 
 
-def _packet_window(flavor: str, scale: int, period: float, margin: float):
+def _packet_window(flavor: str, scale: int, period: float) -> tuple[float, float]:
     """Frequency window (in integer index units) for a packet flavor."""
     per_unit = 2.0 ** scale  # 1/|I| in cycles per unit
     if per_unit * period < 2.0:
@@ -293,7 +288,62 @@ def _packet_window(flavor: str, scale: int, period: float, margin: float):
         lo, hi = 0.0, per_unit
     else:
         raise ValueError(f"unknown packet flavor {flavor!r}")
-    return lo * period, hi * period, margin
+    return lo * period, hi * period
+
+
+def _window_packet(grid: SampleGrid, scale: int, lo: float, hi: float, margin: float):
+    """L2-normalized position-0 packet of one scale, centered at |I|/2.
+
+    Its spectrum is the cosine-power window on [lo, hi] (index units) with
+    the half-width scaled by ``margin``.
+    """
+    grid.log2_period()  # packets tile the torus only for a power-of-two period
+    m = grid.frequencies()
+    center_f = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo) * margin
+    prof = packet_profile((m - center_f) / half).astype(complex)
+    center = 0.5 * 2.0 ** (-scale)
+    prof *= np.exp(-2j * np.pi * m * center / grid.period_length)
+    samples = np.fft.ifft(prof)
+    nrm = np.sqrt(np.sum(np.abs(samples) ** 2) * grid.spacing)
+    samples = samples / nrm
+    samples.flags.writeable = False
+    return samples
+
+
+def _stride(grid: SampleGrid, scale: int) -> int:
+    """Samples per interval at ``scale``: the step between packet translates."""
+    return round(2.0 ** (-scale) / grid.spacing)
+
+
+def _correlate(
+    grid: SampleGrid, f: GridFunction, base: np.ndarray, scale: int, shift_n: int = 0
+) -> np.ndarray:
+    """<f, base translated to position p + shift_n> for every position p.
+
+    One circular correlation, sampled every stride.
+    """
+    corr = np.fft.ifft(np.fft.fft(f.samples) * np.conj(np.fft.fft(base)))
+    corr *= grid.spacing
+    n = grid.sample_count
+    stride = _stride(grid, scale)
+    return corr[((np.arange(n // stride) + shift_n) * stride) % n]
+
+
+def _synthesize(grid: SampleGrid, layers) -> GridFunction:
+    """sum over (weights, base) layers of sum_p weights[p] * base translated
+    to position p.
+
+    Each layer scatters its weights at the stride and costs one convolution;
+    the layers share a single inverse FFT.
+    """
+    n = grid.sample_count
+    out_spec = np.zeros(n, dtype=complex)
+    for weights, base in layers:
+        arr = np.zeros(n, dtype=complex)
+        arr[:: n // len(weights)] = weights
+        out_spec += np.fft.fft(arr) * np.fft.fft(base)
+    return GridFunction(grid, np.fft.ifft(out_spec))
 
 
 @lru_cache(maxsize=2048)
@@ -302,25 +352,16 @@ def _base_packet(n, period, scale, flavor, margin):
     grid = SampleGrid(n, period)
     if scale > max_scale(grid):
         raise ScaleBudgetError(f"packet scale {scale} exceeds budget {max_scale(grid)}")
-    lo, hi, marg = _packet_window(flavor, scale, period, margin)
-    m = grid.frequencies()
-    center_f = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * marg
-    prof = packet_profile((m - center_f) / half).astype(complex)
-    center = 0.5 * 2.0 ** (-scale)
-    prof *= np.exp(-2j * np.pi * m * center / period)
-    samples = np.fft.ifft(prof)
-    nrm = np.sqrt(np.sum(np.abs(samples) ** 2) * grid.spacing)
-    samples = samples / nrm
-    samples.flags.writeable = False
-    return samples
+    lo, hi = _packet_window(flavor, scale, period)
+    return _window_packet(grid, scale, lo, hi, margin)
 
 
 class WavePacketFamily:
     """L2-normalized packets indexed by a family of dyadic intervals.
 
     Packets at one scale are exact translates of each other, so coefficient
-    extraction for a full scale is a single circular correlation.
+    extraction for a full scale is a single circular correlation, and its
+    adjoint, synthesis from per-position weights, a single convolution.
     """
 
     def __init__(
@@ -338,30 +379,22 @@ class WavePacketFamily:
         self.margin = margin
         grid.log2_period()
 
-    def packet(self, interval: DyadicInterval, shift_n: int = 0) -> GridFunction:
-        base = _base_packet(
+    def _base(self, scale: int) -> np.ndarray:
+        return _base_packet(
             self.grid.sample_count, self.grid.period_length,
-            interval.scale, self.flavor, self.margin,
+            scale, self.flavor, self.margin,
         )
-        stride = round(interval.length / self.grid.spacing)
-        shift = (interval.position + shift_n) * stride
+
+    def packet(self, interval: DyadicInterval, shift_n: int = 0) -> GridFunction:
+        base = self._base(interval.scale)
+        shift = (interval.position + shift_n) * _stride(self.grid, interval.scale)
         return GridFunction(self.grid, np.roll(base, shift % self.grid.sample_count))
 
     def scale_coefficients(
         self, f: GridFunction, scale: int, shift_n: int = 0
     ) -> np.ndarray:
         """<f, packet(I)> for every position at one scale, via correlation."""
-        base = _base_packet(
-            self.grid.sample_count, self.grid.period_length,
-            scale, self.flavor, self.margin,
-        )
-        corr = np.fft.ifft(np.fft.fft(f.samples) * np.conj(np.fft.fft(base)))
-        corr *= self.grid.spacing
-        stride = round(2.0 ** (-scale) / self.grid.spacing)
-        kappa = self.grid.log2_period()
-        positions = 2 ** (scale + kappa)
-        idx = ((np.arange(positions) + shift_n) * stride) % self.grid.sample_count
-        return corr[idx]
+        return _correlate(self.grid, f, self._base(scale), scale, shift_n)
 
     def coefficients(self, f: GridFunction, shift_n: int = 0) -> np.ndarray:
         """<f, packet(I)> aligned with the interval list."""
@@ -373,6 +406,32 @@ class WavePacketFamily:
                 by_scale[iv.scale] = self.scale_coefficients(f, iv.scale, shift_n)
             out[i] = by_scale[iv.scale][iv.position % (2 ** (iv.scale + kappa))]
         return out
+
+    def scale_synthesize(self, weights: dict[int, np.ndarray]) -> GridFunction:
+        """sum over scales j and positions p of weights[j][p] * packet((j, p)).
+
+        The adjoint of :meth:`scale_coefficients`: ``weights[j]`` has one
+        entry per position at scale j.
+        """
+        return _synthesize(
+            self.grid, ((w, self._base(j)) for j, w in weights.items())
+        )
+
+    def synthesize(self, weights: np.ndarray) -> GridFunction:
+        """sum_I w_I packet(I) over the interval list.
+
+        The adjoint of :meth:`coefficients`; repeated intervals add up, in
+        list order.
+        """
+        kappa = self.grid.log2_period()
+        by_scale: dict[int, np.ndarray] = {}
+        for iv, w in zip(self.intervals, weights):
+            arr = by_scale.get(iv.scale)
+            if arr is None:
+                arr = np.zeros(2 ** (iv.scale + kappa), dtype=complex)
+                by_scale[iv.scale] = arr
+            arr[iv.position % len(arr)] += w
+        return self.scale_synthesize(by_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +493,8 @@ def tile_packet(
         grid.sample_count, grid.period_length, tile.spatial.scale,
         tile.freq_index, slot, margin,
     )
-    stride = round(tile.spatial.length / grid.spacing)
-    return GridFunction(
-        grid, np.roll(base, (tile.spatial.position * stride) % grid.sample_count)
-    )
+    shift = tile.spatial.position * _stride(grid, tile.spatial.scale)
+    return GridFunction(grid, np.roll(base, shift % grid.sample_count))
 
 
 @lru_cache(maxsize=4096)
@@ -450,17 +507,7 @@ def _tile_base_packet(n, period, scale, freq_index, slot, margin):
         )
     lo = (freq_index + slot - 1) * step * period
     hi = (freq_index + slot) * step * period
-    m = grid.frequencies()
-    center_f = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * margin
-    prof = packet_profile((m - center_f) / half).astype(complex)
-    center = 0.5 * 2.0 ** (-scale)
-    prof *= np.exp(-2j * np.pi * m * center / period)
-    samples = np.fft.ifft(prof)
-    nrm = np.sqrt(np.sum(np.abs(samples) ** 2) * grid.spacing)
-    samples = samples / nrm
-    samples.flags.writeable = False
-    return samples
+    return _window_packet(grid, scale, lo, hi, margin)
 
 
 def tile_scale_coefficients(
@@ -471,9 +518,20 @@ def tile_scale_coefficients(
     base = _tile_base_packet(
         grid.sample_count, grid.period_length, scale, freq_index, slot, margin
     )
-    corr = np.fft.ifft(np.fft.fft(f.samples) * np.conj(np.fft.fft(base)))
-    corr *= grid.spacing
-    stride = round(2.0 ** (-scale) / grid.spacing)
-    kappa = grid.log2_period()
-    positions = 2 ** (scale + kappa)
-    return corr[(np.arange(positions) * stride) % grid.sample_count]
+    return _correlate(grid, f, base, scale)
+
+
+def tile_scale_synthesize(
+    grid: SampleGrid, weights: dict[tuple[int, int], np.ndarray], slot: int,
+    margin: float = 1.0,
+) -> GridFunction:
+    """sum over layers (j, l) and positions p of weights[(j, l)][p] times the
+    slot packet of the tile over (j, p) with frequency index l.
+
+    The adjoint of :func:`tile_scale_coefficients`, one layer per key.
+    """
+    n, period = grid.sample_count, grid.period_length
+    return _synthesize(grid, (
+        (w, _tile_base_packet(n, period, j, l, slot, margin))
+        for (j, l), w in weights.items()
+    ))

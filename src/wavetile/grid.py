@@ -34,7 +34,6 @@ __all__ = [
     "SpectralMultiplier",
     "low_pass_profile",
     "band_profile",
-    "window_profile",
     "fourier_transform",
     "littlewood_paley",
     "fractional_derivative",
@@ -151,10 +150,6 @@ class GridFunction:
         )
 
 
-def zeros(grid: SampleGrid, vector_shape: tuple[int, ...] = ()) -> GridFunction:
-    return GridFunction(grid, np.zeros(grid.spatial_shape + vector_shape, dtype=complex))
-
-
 def from_callable(grid: SampleGrid, fn) -> GridFunction:
     """Sample a callable of the coordinate(s)."""
     if grid.dimension == 1:
@@ -190,16 +185,6 @@ def band_profile(u) -> np.ndarray:
     """Annulus bump: low_pass(u/2) - low_pass(u), supported in 1/2 <= |u| <= 2."""
     u = np.asarray(u, dtype=float)
     return low_pass_profile(u / 2.0) - low_pass_profile(u)
-
-
-def window_profile(u, lo: float, hi: float, margin: float = 1.0) -> np.ndarray:
-    """Smooth bump supported in the sub-window of [lo, hi] shrunk by ``margin``.
-
-    Equals 1 on the middle half of the (shrunk) window.
-    """
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * margin
-    return low_pass_profile((np.asarray(u, dtype=float) - center) / half)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +236,6 @@ class SpectralMultiplier:
         self.values = np.asarray(self.values)
         if self.values.shape != (self.grid.sample_count,):
             raise ShapeError("multiplier length must equal sample_count")
-
-    @classmethod
-    def from_function(cls, grid: SampleGrid, fn) -> "SpectralMultiplier":
-        return cls(grid, np.asarray(fn(grid.frequencies())))
 
     def apply(self, f: GridFunction, axis: int = 0) -> GridFunction:
         if axis >= f.grid.dimension:

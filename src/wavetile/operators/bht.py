@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dyadic import Tritile, _tile_base_packet, tile_scale_coefficients
+from ..dyadic import Tritile, tile_scale_coefficients, tile_scale_synthesize
 from ..errors import AliasingError
 from ..grid import GridFunction, SampleGrid
 
@@ -97,25 +97,19 @@ class BHTModelSpec:
 def bht_model(spec: BHTModelSpec, f: GridFunction, g: GridFunction) -> GridFunction:
     """Rank-one model sum, grouped by (scale, frequency index) layers."""
     grid = spec.grid
-    n = grid.sample_count
-    kappa = grid.log2_period()
     layers: dict[tuple[int, int], list[int]] = {}
     for tile in spec.tiles:
         layers.setdefault((tile.spatial.scale, tile.freq_index), []).append(
             tile.spatial.position
         )
-    out_spec = np.zeros(n, dtype=complex)
+    weights: dict[tuple[int, int], np.ndarray] = {}
     for (j, l), positions in layers.items():
         a = tile_scale_coefficients(grid, f, j, l, 1, spec.margin)
         b = tile_scale_coefficients(grid, g, j, l, 2, spec.margin)
         length = 2.0 ** (-j)
-        w = np.zeros(2 ** (j + kappa), dtype=complex)
+        w = np.zeros(len(a), dtype=complex)
         for pos in positions:
             p = pos % len(w)
             w[p] += a[p] * b[p] / np.sqrt(length)
-        arr = np.zeros(n, dtype=complex)
-        stride = n // len(w)
-        arr[(np.arange(len(w)) * stride) % n] = w
-        base = _tile_base_packet(n, grid.period_length, j, l, 3, spec.margin)
-        out_spec += np.fft.fft(arr) * np.fft.fft(base)
-    return GridFunction(grid, np.fft.ifft(out_spec))
+        weights[(j, l)] = w
+    return tile_scale_synthesize(grid, weights, 3, spec.margin)

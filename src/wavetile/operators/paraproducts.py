@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dyadic import DyadicInterval, WavePacketFamily, _base_packet
+from ..dyadic import DyadicInterval, WavePacketFamily, min_packet_scale
 from ..errors import TruncationError
 from ..grid import (
     GridFunction,
@@ -121,31 +121,6 @@ def _slot_weights(spec: ParaproductSpec, f: GridFunction, g: GridFunction):
     return spec.coefficients * a * b / np.sqrt(lengths)
 
 
-def _synthesize(
-    grid: SampleGrid,
-    family: list[DyadicInterval],
-    weights: np.ndarray,
-    flavor: str,
-    margin: float,
-) -> GridFunction:
-    """sum_I w_I * packet_I via one convolution per scale."""
-    n = grid.sample_count
-    kappa = grid.log2_period()
-    out_spec = np.zeros(n, dtype=complex)
-    by_scale: dict[int, np.ndarray] = {}
-    for iv, w in zip(family, weights):
-        arr = by_scale.get(iv.scale)
-        if arr is None:
-            arr = np.zeros(n, dtype=complex)
-            by_scale[iv.scale] = arr
-        stride = n // (2 ** (iv.scale + kappa))
-        arr[(iv.position * stride) % n] += w
-    for j, arr in by_scale.items():
-        base = _base_packet(n, grid.period_length, j, flavor, margin)
-        out_spec += np.fft.fft(arr) * np.fft.fft(base)
-    return GridFunction(grid, np.fft.ifft(out_spec))
-
-
 def discretized_paraproduct(
     spec: ParaproductSpec, f: GridFunction, g: GridFunction
 ) -> GridFunction:
@@ -153,7 +128,8 @@ def discretized_paraproduct(
     if not spec.family:
         return GridFunction(spec.grid, np.zeros(spec.grid.sample_count, dtype=complex))
     weights = _slot_weights(spec, f, g)
-    return _synthesize(spec.grid, spec.family, weights, spec.slot_flavors[2], spec.margin)
+    fam3 = WavePacketFamily(spec.grid, spec.family, spec.slot_flavors[2], spec.margin)
+    return fam3.synthesize(weights)
 
 
 def trilinear_form(
@@ -327,24 +303,16 @@ def shifted_paraproduct(
     margin: float = 1.0,
 ) -> GridFunction:
     """sum_I |I|^(-1) <f, psi(I_n)> <g, psi(I_n)> phi_I over the budget."""
-    from ..dyadic import min_packet_scale
-
     grid = f.grid
     if scales is None:
         scales = range(min_packet_scale(grid), max_scale(grid) + 1)
     fam = WavePacketFamily(grid, [], "lacunary", margin)
-    out_spec = np.zeros(grid.sample_count, dtype=complex)
-    nn = grid.sample_count
+    weights: dict[int, np.ndarray] = {}
     for j in scales:
         a = fam.scale_coefficients(f, j, shift_n=n)
         b = fam.scale_coefficients(g, j, shift_n=n)
-        w = a * b / 2.0 ** (-j)
-        arr = np.zeros(nn, dtype=complex)
-        stride = nn // len(w)
-        arr[(np.arange(len(w)) * stride) % nn] = w
-        base = _base_packet(nn, grid.period_length, j, "non-lacunary", margin)
-        out_spec += np.fft.fft(arr) * np.fft.fft(base)
-    return GridFunction(grid, np.fft.ifft(out_spec))
+        weights[j] = a * b / 2.0 ** (-j)
+    return WavePacketFamily(grid, [], "non-lacunary", margin).scale_synthesize(weights)
 
 
 # ---------------------------------------------------------------------------

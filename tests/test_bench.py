@@ -76,6 +76,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(targets=("nope",))
 
+    @pytest.mark.parametrize("text, reason", [
+        ("seed = -3", "seed must be non-negative"),
+        ("cap.vv-paraprodcut = 0.5", "caps for unknown targets"),
+        ("targets = ,", "'targets': empty item"),
+        ("trials = 0", "trials must be at least 1"),
+        ("seed = 7\nseed = 8", "'seed' given twice"),
+        ("eps_values = 0.01,, 0.1", "'eps_values': empty item"),
+        ("eps_values = 0.01, x", "cannot read 'x' as float"),
+    ])
+    def test_bad_config_rejected_at_parse_time(self, text, reason):
+        with pytest.raises(ValueError, match=reason):
+            parse_config(text)
+
 
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
 

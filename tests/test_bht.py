@@ -110,12 +110,18 @@ class TestModelOperator:
         rng = np.random.default_rng(0)
         f = GridFunction(g, rng.normal(size=512) + 1j * rng.normal(size=512))
         h = GridFunction(g, rng.normal(size=512) + 1j * rng.normal(size=512))
-        tiles = build_rank_one_tiles(g, range(3, 4), range(2, 3))
-        tile = tiles[3]
-        out = bht_model(BHTModelSpec(g, [tile]), f, h)
-        p1, p2, p3 = (tile_packet(g, tile, s) for s in (1, 2, 3))
-        want = tile.spatial.length ** -0.5 * f.inner(p1) * h.inner(p2) * p3.samples
-        assert np.abs(out.samples - want).max() <= 1e-12
+        layer_a = build_rank_one_tiles(g, range(3, 4), range(2, 3))
+        layer_b = build_rank_one_tiles(g, range(4, 5), range(1, 2))
+        # one tile, then two (scale, freq) layers with a repeated tile
+        for tiles in ([layer_a[3]], [layer_a[3], layer_b[5], layer_a[3], layer_a[6]]):
+            out = bht_model(BHTModelSpec(g, tiles), f, h)
+            want = 0
+            for tile in tiles:
+                p1, p2, p3 = (tile_packet(g, tile, s) for s in (1, 2, 3))
+                want = want + (
+                    tile.spatial.length ** -0.5 * f.inner(p1) * h.inner(p2) * p3.samples
+                )
+            assert np.abs(out.samples - want).max() <= 1e-12
 
     def test_local_l2_sample_bound(self):
         g = SampleGrid(1024, 1.0)

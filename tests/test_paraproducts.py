@@ -60,19 +60,27 @@ class TestDiscretizedParaproduct:
         assert out.norm2() == 0.0
 
     def test_single_interval_matches_inner_products(self):
-        iv = DyadicInterval(3, 2)
-        c = 0.7 + 0.2j
-        spec = ParaproductSpec(GRID, [iv], np.array([c]))
         f, g = band_limited(GRID, 3, 60), band_limited(GRID, 4, 60)
-        out = discretized_paraproduct(spec, f, g)
-        fam1 = WavePacketFamily(GRID, [iv], "non-lacunary")
-        fam2 = WavePacketFamily(GRID, [iv], "lacunary")
-        expected = (
-            c * iv.length ** -0.5
-            * f.inner(fam1.packet(iv)) * g.inner(fam2.packet(iv))
-            * fam2.packet(iv).samples
-        )
-        assert np.abs(out.samples - expected).max() < 1e-12
+        fam1 = WavePacketFamily(GRID, [], "non-lacunary")
+        fam2 = WavePacketFamily(GRID, [], "lacunary")
+        # one interval; then two scales, a repeated interval, and position
+        # 9 >= 2**3 that wraps onto position 1 of the torus
+        cases = [
+            ([DyadicInterval(3, 2)], [0.7 + 0.2j]),
+            ([DyadicInterval(3, 2), DyadicInterval(5, 7), DyadicInterval(3, 2),
+              DyadicInterval(3, 9)],
+             [0.7 + 0.2j, -0.4 + 0.9j, 0.3 - 0.5j, 1.1 + 0.1j]),
+        ]
+        for family, coeffs in cases:
+            spec = ParaproductSpec(GRID, family, np.array(coeffs))
+            out = discretized_paraproduct(spec, f, g)
+            expected = sum(
+                c * iv.length ** -0.5
+                * f.inner(fam1.packet(iv)) * g.inner(fam2.packet(iv))
+                * fam2.packet(iv).samples
+                for iv, c in zip(family, coeffs)
+            )
+            assert np.abs(out.samples - expected).max() < 1e-12
 
     def test_bilinearity(self):
         spec = default_spec()
@@ -201,6 +209,20 @@ class TestShiftedParaproduct:
         want = discretized_paraproduct(spec, f, g)
         assert (got - want).norm2() <= 1e-12 * want.norm2()
         assert spec.coefficient_bound > 1.0  # recorded, not clamped
+
+    def test_matches_direct_sum_when_shifted(self):
+        n, scales = 3, range(2, 5)
+        f, g = band_limited(GRID, 22, 60), band_limited(GRID, 23, 60)
+        got = shifted_paraproduct(n, f, g, scales=scales)
+        psi = WavePacketFamily(GRID, [], "lacunary")
+        phi = WavePacketFamily(GRID, [], "non-lacunary")
+        want = sum(
+            iv.length ** -1.0
+            * f.inner(psi.packet(iv, shift_n=n)) * g.inner(psi.packet(iv, shift_n=n))
+            * phi.packet(iv).samples
+            for iv in grid_dyadic_family(GRID, scales)
+        )
+        assert np.abs(got.samples - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_shift_wraps_on_torus(self):
         f, g = band_limited(GRID, 20, 60), band_limited(GRID, 21, 60)
