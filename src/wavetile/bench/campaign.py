@@ -28,7 +28,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .targets import REGISTRY, RunContext, TargetResult
+from .targets import MAX_SEED, REGISTRY, RunContext, TargetResult
 
 __all__ = ["ExperimentConfig", "CampaignReport", "run_campaign", "parse_config"]
 
@@ -59,6 +59,11 @@ class ExperimentConfig:
             raise ValueError("grid_size must be a power of two >= 8")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.seed > MAX_SEED:
+            raise ValueError(
+                f"seed must be at most 2**46 - 1 so trial seeds stay below 2**63, "
+                f"got {self.seed}"
+            )
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not self.eps_values:

@@ -22,7 +22,19 @@ from ..operators import bht_range_membership, format_range_query, parse_range_qu
 from .campaign import parse_config, run_campaign
 from .generate import generate_trial
 from .report import emit_report
-from .targets import REGISTRY, _subfamily
+from .targets import MAX_SEED, REGISTRY, _subfamily
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if not 0 <= seed <= MAX_SEED:
+        raise argparse.ArgumentTypeError(
+            f"seed must be between 0 and 2**46 - 1, got {seed}"
+        )
+    return seed
 
 
 def _cmd_run(args) -> int:
@@ -110,7 +122,7 @@ def main(argv=None) -> int:
 
     p_demo = sub.add_parser("decompose-demo", help="print a stopping forest")
     p_demo.add_argument("--size", type=int, default=512)
-    p_demo.add_argument("--seed", type=int, default=7)
+    p_demo.add_argument("--seed", type=_seed, default=7)
     p_demo.set_defaults(fn=_cmd_decompose_demo)
 
     args = parser.parse_args(argv)

@@ -58,6 +58,13 @@ class SampleGrid:
             raise ValueError("period_length must be positive")
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
+        # computed once: the dyadic layers ask for it on every packet sweep
+        kappa = None
+        if np.isfinite(self.period_length):
+            k = round(np.log2(self.period_length))
+            if np.isclose(self.period_length, 2.0 ** k):
+                kappa = int(k)
+        object.__setattr__(self, "_log2_period", kappa)
 
     @property
     def spacing(self) -> float:
@@ -81,13 +88,12 @@ class SampleGrid:
 
     def log2_period(self) -> int:
         """Exponent kappa with period = 2**kappa; error if not a power of two."""
-        kappa = round(np.log2(self.period_length))
-        if not np.isclose(self.period_length, 2.0 ** kappa):
+        if self._log2_period is None:
             raise ValueError(
                 "dyadic machinery requires a power-of-two period, "
                 f"got {self.period_length}"
             )
-        return int(kappa)
+        return self._log2_period
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .ranges import (
     literal_case_member,
     literal_disagreement_levels,
     parse_range_query,
+    range_grid_mismatches,
     scalar_range_member,
 )
 from .vector import vector_valued_apply
@@ -52,6 +53,7 @@ __all__ = [
     "literal_disagreement_levels",
     "localized_paraproduct",
     "parse_range_query",
+    "range_grid_mismatches",
     "scalar_range_member",
     "shifted_paraproduct",
     "telescoping_decomposition",

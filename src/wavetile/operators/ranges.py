@@ -19,6 +19,11 @@ inequalities remain available through ``literal_case_member`` and
 ``literal_disagreement_levels`` for flagging queries where the two readings
 differ.
 
+On a rational grid whose coordinates share one denominator both routes are
+integer inequalities over that denominator; ``range_grid_mismatches``
+evaluates them as numpy arrays, the two routes written separately, one
+1/r1 numerator at a time.  The scalar routes remain the reference for them.
+
 Depth-n queries intersect the per-level regions and additionally check the
 cascade condition: each level's inner tuple must belong to the region of the
 next level.
@@ -28,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from ..errors import RangeConsistencyError
 from ..norms import INF, Exponent, recip
@@ -39,6 +46,7 @@ __all__ = [
     "scalar_range_member",
     "literal_case_member",
     "literal_disagreement_levels",
+    "range_grid_mismatches",
     "parse_range_query",
     "format_range_query",
 ]
@@ -176,6 +184,82 @@ def _case_member(rho, outer, repaired: bool = True) -> tuple[bool, str]:
 def literal_case_member(rho, outer) -> tuple[bool, str]:
     """The case table exactly as printed (no (ii)/(iii) repair)."""
     return _case_member(rho, outer, repaired=False)
+
+
+# ---------------------------------------------------------------------------
+# Both routes on a grid with a common denominator
+# ---------------------------------------------------------------------------
+#
+# ``rho`` and ``outer`` are triples of broadcastable integer arrays, the
+# numerators over ``den`` of (1/r1, 1/r2, 1/r') and (1/p, 1/q, 1/s').  Every
+# bound x < y of the scalar routes becomes 2x < 2y in numerators, so the
+# halves and three-halves are multiples of den.  The two functions share
+# nothing but their inputs, so each stays an independent check of the other.
+
+def _theta_feasible_grid(rho, outer, den):
+    """Verdict of :func:`_theta_feasible` at every point."""
+    lows = 0
+    for r, o in zip(rho, outer):
+        lows = lows + np.maximum(0, 2 * np.maximum(r, o) - den)
+    return lows < den
+
+
+def _case_member_grid(rho, outer, den, repaired: bool = True):
+    """Verdict of :func:`_case_member` at every point."""
+    r1, r2, r3 = rho
+    o1, o2, o3 = outer
+    rr = r1 + r2
+    big1, big2 = 2 * r1 > den, 2 * r2 > den
+    # the printed table waives the dual-side bound in cases (ii)/(iii)
+    waive = (r3 >= 0) & (not repaired)
+    side1 = 2 * o2 < 3 * den - 2 * r1
+    side2 = 2 * o1 < 3 * den - 2 * r2
+    dual1 = 2 * o3 < 3 * den - 2 * r1
+    dual2 = 2 * o3 < 3 * den - 2 * r2
+    ok = np.select(
+        [big1 & big2, big1, big2, 2 * r3 > den],
+        [
+            side2 & side1 & (o3 < 2 * den - rr),                   # (vii)
+            side1 & (dual1 | waive),                               # (ii), (v)
+            side2 & (dual2 | waive),                               # (iii), (vi)
+            (2 * o1 < den + 2 * rr) & (2 * o2 < den + 2 * rr) & (o3 > -rr),  # (iv)
+        ],
+        default=True,                                              # (i)
+    )
+    in_range = (o1 < den) & (o2 < den) & (-den < 2 * o3) & (o3 < den)
+    return in_range & ok
+
+
+def _grid_chunks(step: int):
+    """The step grid, one 1/r1 numerator at a time, as (rho, outer) numerators.
+
+    Level tuples (1/r1, 1/r2) = (a, b)/step with 0 < a + b < 3 step/2, outer
+    pairs (1/p, 1/q) = (c, d)/step with c + d > 0, all numerators in
+    [0, step); the third entries are 1/r' = 1 - 1/r1 - 1/r2 and
+    1/s' = 1 - 1/p - 1/q.  Chunks hold at most step**3 points.
+    """
+    k = np.arange(step)
+    c, d = (x.ravel() for x in np.meshgrid(k, k, indexing="ij"))
+    keep = c + d > 0
+    c, d = c[keep], d[keep]
+    outer = (c, d, step - c - d)
+    for a in range(step):
+        b = k[(a + k > 0) & (2 * (a + k) < 3 * step)][:, None]
+        yield (np.full_like(b, a), b, step - a - b), outer
+
+
+def range_grid_mismatches(step: int, repaired: bool = True) -> tuple[int, int]:
+    """(points checked, points where the two routes disagree) on the step grid.
+
+    With ``repaired=False`` the case route is the printed table.
+    """
+    checked = mismatches = 0
+    for rho, outer in _grid_chunks(step):
+        feasible = _theta_feasible_grid(rho, outer, step)
+        table = _case_member_grid(rho, outer, step, repaired)
+        checked += feasible.size
+        mismatches += int(np.count_nonzero(feasible != table))
+    return checked, mismatches
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,7 @@ class TestConfig:
         ("seed = 7\nseed = 8", "'seed' given twice"),
         ("eps_values = 0.01,, 0.1", "'eps_values': empty item"),
         ("eps_values = 0.01, x", "cannot read 'x' as float"),
+        ("seed = 1125899906842624", "seed must be at most 2\\*\\*46 - 1"),
     ])
     def test_bad_config_rejected_at_parse_time(self, text, reason):
         with pytest.raises(ValueError, match=reason):
@@ -171,6 +172,15 @@ class TestCli:
         assert out.returncode == 0
         doc = json.loads(out.stdout)
         assert "cells" in doc and doc["cells"]
+
+    @pytest.mark.parametrize("seed", ["-1", "70368744177664", "seven"])
+    def test_bad_seed_rejected_by_argparse(self, seed, capsys):
+        from wavetile.bench.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decompose-demo", "--size", "64", "--seed", seed])
+        assert exit_info.value.code == 2
+        assert "argument --seed: seed must be" in capsys.readouterr().err
 
     def test_run_subcommand(self, tmp_path):
         cfg = tmp_path / "smoke.cfg"

@@ -105,6 +105,13 @@ class TestModelOperator:
         f = GridFunction(g, np.ones(512, dtype=complex))
         assert bht_model(spec, f, f).norm2() == 0.0
 
+    def test_non_dyadic_period_rejected(self):
+        tiles = build_rank_one_tiles(SampleGrid(256, 1.0), range(2, 3), range(0, 1))
+        g = SampleGrid(256, 3.0)
+        f = GridFunction(g, np.ones(256, dtype=complex))
+        with pytest.raises(ValueError, match="power-of-two period, got 3.0"):
+            bht_model(BHTModelSpec(g, tiles), f, f)
+
     def test_single_tile_rank_one(self):
         g = SampleGrid(512, 1.0)
         rng = np.random.default_rng(0)

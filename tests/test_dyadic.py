@@ -181,6 +181,12 @@ class TestWavePackets:
         with pytest.raises(ScaleBudgetError):
             fam.packet(DyadicInterval(0, 0))
 
+    def test_non_dyadic_period_rejected(self):
+        g = SampleGrid(256, 3.0)
+        with pytest.raises(ValueError, match="power-of-two period, got 3.0"):
+            WavePacketFamily(g, [DyadicInterval(2, 0)], "lacunary")
+        assert SampleGrid(256, 0.25).log2_period() == -2
+
 
 class TestTritiles:
     def test_count_and_invariants(self):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wavetile.norms import INF
@@ -12,9 +13,16 @@ from wavetile.operators import (
     literal_case_member,
     literal_disagreement_levels,
     parse_range_query,
+    range_grid_mismatches,
     scalar_range_member,
 )
-from wavetile.operators.ranges import _case_member, _theta_feasible
+from wavetile.operators.ranges import (
+    _case_member,
+    _case_member_grid,
+    _grid_chunks,
+    _theta_feasible,
+    _theta_feasible_grid,
+)
 
 
 class TestWorkedExamples:
@@ -79,6 +87,55 @@ class TestDualRouteAgreement:
         assert literal_disagreement_levels(q) == [0]
         clean = parse_range_query("p=2 q=2 s=1 r1=2 r2=2 r=1")
         assert literal_disagreement_levels(clean) == []
+
+
+def fraction_grid(step):
+    """The step grid as exact (rho, outer) triples, built with Fraction."""
+    fr = [Fraction(i, step) for i in range(step)]
+    points = []
+    for a in range(step):
+        for b in range(step):
+            rr = fr[a] + fr[b]
+            if not 0 < rr < Fraction(3, 2):
+                continue
+            for c in range(step):
+                for d in range(step):
+                    if c + d:
+                        points.append(((fr[a], fr[b], 1 - rr),
+                                       (fr[c], fr[d], 1 - fr[c] - fr[d])))
+    return points
+
+
+class TestGridRoutes:
+    def test_vector_routes_match_scalar_routes_pointwise(self):
+        step = 8
+        got = []
+        for rho, outer in _grid_chunks(step):
+            verdicts = (
+                _theta_feasible_grid(rho, outer, step),
+                _case_member_grid(rho, outer, step),
+                _case_member_grid(rho, outer, step, repaired=False),
+            )
+            arrays = np.broadcast_arrays(*rho, *outer, *verdicts)
+            for vals in zip(*(x.ravel().tolist() for x in arrays)):
+                point = tuple(Fraction(v, step) for v in vals[:6])
+                got.append(((point[:3], point[3:]), vals[6:]))
+        assert [p for p, _ in got] == fraction_grid(step)
+        for (rho, outer), (feasible, table, literal) in got:
+            assert feasible == _theta_feasible(rho, outer)[0]
+            assert table == _case_member(rho, outer, repaired=True)[0]
+            assert literal == _case_member(rho, outer, repaired=False)[0]
+
+    def test_literal_table_fails_the_grid_check(self):
+        assert range_grid_mismatches(24) == (292675, 0)
+        assert range_grid_mismatches(24, repaired=False) == (292675, 3278)
+
+    def test_runner_aggregates(self):
+        from wavetile.bench.targets import REGISTRY, RunContext
+
+        result = REGISTRY["range-consistency"].runner(RunContext(seed=7))
+        assert result.aggregates == {"grid_points": 292675, "mismatches": 0}
+        assert result.passed
 
 
 class TestDepthN:
