@@ -148,21 +148,58 @@ def size_single(
     raise ValueError(f"unknown size flavor {flavor!r}")
 
 
+def _square_terms(
+    f: GridFunction, family: list[DyadicInterval], margin: float
+) -> list[float]:
+    """|<f, psi_I>|^2 / |I| for each I in the family (lacunary packets)."""
+    coefs = WavePacketFamily(f.grid, family, "lacunary", margin).coefficients(f)
+    return [abs(c) ** 2 / iv.length for iv, c in zip(family, coefs)]
+
+
+def _root_square_function(
+    grid: SampleGrid,
+    family: list[DyadicInterval],
+    cells: list[np.ndarray],
+    terms: list[float],
+    root: DyadicInterval,
+) -> GridFunction:
+    """sqrt(sum over I in family, I <= root of terms[I] * 1_I), members
+    accumulated in family order; ``cells[I]`` are the sample indices of I."""
+    acc = np.zeros(grid.sample_count)
+    for iv, cell, term in zip(family, cells, terms):
+        if root.contains(iv):
+            acc[cell] += term
+    return GridFunction(grid, np.sqrt(acc).astype(complex))
+
+
 def _local_square_function(
     f: GridFunction,
     family: list[DyadicInterval],
     root: DyadicInterval,
     margin: float = 1.0,
 ) -> GridFunction:
-    """sqrt(sum over I in family, I <= root of |<f, psi_I>|^2 / |I| * 1_I)."""
+    """sqrt(sum over I in family, I <= root of |<f, psi_I>|^2 / |I| * 1_I).
+
+    Transforms f for this root alone; :func:`size` and :func:`energy` share
+    one set of coefficients across all roots instead.
+    """
     grid = f.grid
     members = [iv for iv in family if root.contains(iv)]
-    acc = np.zeros(grid.sample_count)
-    fam = WavePacketFamily(grid, members, "lacunary", margin)
-    coefs = fam.coefficients(f)
-    for iv, c in zip(members, coefs):
-        acc[interval_indices(grid, iv)] += abs(c) ** 2 / iv.length
-    return GridFunction(grid, np.sqrt(acc).astype(complex))
+    cells = [interval_indices(grid, iv) for iv in members]
+    return _root_square_function(grid, members, cells, _square_terms(f, members, margin), root)
+
+
+def _lacunary_weak_norms(
+    f: GridFunction, family: list[DyadicInterval], margin: float
+) -> list[float]:
+    """||local square function of I||_(L^1,inf) for every root I in the family."""
+    grid = f.grid
+    terms = _square_terms(f, family, margin)
+    cells = [interval_indices(grid, iv) for iv in family]
+    return [
+        weak_lp_norm(_root_square_function(grid, family, cells, terms, root), 1)
+        for root in family
+    ]
 
 
 def size(
@@ -184,10 +221,8 @@ def size(
         coefs = fam.coefficients(f)
         vals = [abs(c) / math.sqrt(iv.length) for iv, c in zip(family, coefs)]
     elif flavor == "lacunary":
-        vals = [
-            size_single(f, iv, "lacunary", family=family, margin=margin)
-            for iv in family
-        ]
+        norms = _lacunary_weak_norms(f, family, margin)
+        vals = [nrm / iv.length for iv, nrm in zip(family, norms)]
     else:
         raise ValueError(f"unknown size flavor {flavor!r}")
     best = int(np.argmax(vals))
@@ -263,11 +298,8 @@ def energy(
         weights = np.array([math.sqrt(iv.length) for iv in family])
         cvals = coefs / weights
     elif flavor == "lacunary":
-        cvals = np.array([
-            weak_lp_norm(_local_square_function(f, family, iv, margin), 1)
-            / math.sqrt(iv.length)
-            for iv in family
-        ])
+        norms = _lacunary_weak_norms(f, family, margin)
+        cvals = np.array([nrm / math.sqrt(iv.length) for iv, nrm in zip(family, norms)])
     else:
         raise ValueError(f"unknown energy flavor {flavor!r}")
     positive = cvals > 0
@@ -331,8 +363,7 @@ def shifted_square(
         scales = range(min_packet_scale(grid), max_scale(grid) + 1)
     acc = np.zeros(grid.sample_count)
     fam = WavePacketFamily(grid, [], "lacunary", margin)
-    for j in scales:
-        coefs = fam.scale_coefficients(f, j, shift_n)
+    for j, coefs in fam.scale_coefficients(f, scales, shift_n).items():
         stride = grid.sample_count // len(coefs)
         acc += np.repeat(np.abs(coefs) ** 2 / 2.0 ** (-j), stride)
     return GridFunction(grid, np.sqrt(acc).astype(complex))

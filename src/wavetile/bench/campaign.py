@@ -141,13 +141,17 @@ class CampaignReport:
 def _thread_count() -> int:
     raw = os.environ.get("WAVETILE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"WAVETILE_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
     """Execute every configured target; errors abort the target only."""
+    workers = _thread_count()
     ctx = RunContext(
         seed=cfg.seed,
         trials=cfg.trials,
@@ -169,7 +173,6 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
         result.seconds = time.time() - t0
         return result
 
-    workers = _thread_count()
     if workers == 1:
         results = [run_one(name) for name in cfg.targets]
     else:

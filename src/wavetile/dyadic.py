@@ -14,8 +14,9 @@ inside ``[1/|I|, 2/|I|]`` (cycles per unit), a non-lacunary packet inside
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -275,8 +276,15 @@ def min_packet_scale(grid: SampleGrid) -> int:
     return 1 - grid.log2_period()
 
 
-def _packet_window(flavor: str, scale: int, period: float) -> tuple[float, float]:
-    """Frequency window (in integer index units) for a packet flavor."""
+def _packet_window(grid: SampleGrid, scale: int, flavor: str) -> tuple[float, float]:
+    """Frequency window (in integer index units) for a packet flavor.
+
+    Out-of-budget scales raise: finer than ``max_scale``, or so coarse that
+    the window spans fewer than two frequencies.
+    """
+    if scale > max_scale(grid):
+        raise ScaleBudgetError(f"packet scale {scale} exceeds budget {max_scale(grid)}")
+    period = grid.period_length
     per_unit = 2.0 ** scale  # 1/|I| in cycles per unit
     if per_unit * period < 2.0:
         raise ScaleBudgetError(
@@ -311,49 +319,59 @@ def _window_packet(grid: SampleGrid, scale: int, lo: float, hi: float, margin: f
     return samples
 
 
+def _read_only_fft(samples: np.ndarray) -> np.ndarray:
+    """``np.fft.fft(samples)``, frozen for the packet caches."""
+    spectrum = np.fft.fft(samples)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _stride(grid: SampleGrid, scale: int) -> int:
     """Samples per interval at ``scale``: the step between packet translates."""
     return round(2.0 ** (-scale) / grid.spacing)
 
 
+def _translate(grid: SampleGrid, base: np.ndarray, scale: int, position: int) -> GridFunction:
+    """The position-0 packet ``base`` moved to ``position`` at ``scale``."""
+    shift = position * _stride(grid, scale)
+    return GridFunction(grid, np.roll(base, shift % grid.sample_count))
+
+
 def _correlate(
-    grid: SampleGrid, f: GridFunction, base: np.ndarray, scale: int, shift_n: int = 0
+    grid: SampleGrid, f_hat: np.ndarray, base_hat: np.ndarray, scale: int, shift_n: int = 0
 ) -> np.ndarray:
     """<f, base translated to position p + shift_n> for every position p.
 
-    One circular correlation, sampled every stride.
+    ``f_hat`` and ``base_hat`` are the ``np.fft.fft`` spectra of f and of the
+    position-0 packet: one circular correlation, sampled every stride.
     """
-    corr = np.fft.ifft(np.fft.fft(f.samples) * np.conj(np.fft.fft(base)))
-    corr *= grid.spacing
-    n = grid.sample_count
-    stride = _stride(grid, scale)
-    return corr[((np.arange(n // stride) + shift_n) * stride) % n]
+    corr = np.fft.ifft(f_hat * np.conj(base_hat))
+    coefs = corr[:: _stride(grid, scale)] * grid.spacing
+    return np.roll(coefs, -shift_n) if shift_n else coefs
 
 
 def _synthesize(grid: SampleGrid, layers) -> GridFunction:
-    """sum over (weights, base) layers of sum_p weights[p] * base translated
-    to position p.
+    """sum over (weights, base_hat) layers of sum_p weights[p] * base
+    translated to position p, where ``base_hat`` is the base packet's spectrum.
 
     Each layer scatters its weights at the stride and costs one convolution;
     the layers share a single inverse FFT.
     """
     n = grid.sample_count
     out_spec = np.zeros(n, dtype=complex)
-    for weights, base in layers:
+    for weights, base_hat in layers:
         arr = np.zeros(n, dtype=complex)
         arr[:: n // len(weights)] = weights
-        out_spec += np.fft.fft(arr) * np.fft.fft(base)
+        out_spec += np.fft.fft(arr) * base_hat
     return GridFunction(grid, np.fft.ifft(out_spec))
 
 
 @lru_cache(maxsize=2048)
 def _base_packet(n, period, scale, flavor, margin):
-    """Packet for position 0 of the given scale, centered at |I|/2."""
+    """Spectrum of the packet for position 0 of the given scale."""
     grid = SampleGrid(n, period)
-    if scale > max_scale(grid):
-        raise ScaleBudgetError(f"packet scale {scale} exceeds budget {max_scale(grid)}")
-    lo, hi = _packet_window(flavor, scale, period)
-    return _window_packet(grid, scale, lo, hi, margin)
+    lo, hi = _packet_window(grid, scale, flavor)
+    return _read_only_fft(_window_packet(grid, scale, lo, hi, margin))
 
 
 class WavePacketFamily:
@@ -385,26 +403,43 @@ class WavePacketFamily:
             scale, self.flavor, self.margin,
         )
 
+    @cached_property
+    def _layout(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(scale, list indices, positions) per scale of the interval list,
+        scales in order of first appearance, indices in list order."""
+        kappa = self.grid.log2_period()
+        scales = np.array([iv.scale for iv in self.intervals], dtype=np.int64)
+        positions = np.array([iv.position for iv in self.intervals], dtype=np.int64)
+        uniq, first = np.unique(scales, return_index=True)
+        layout = []
+        for j in uniq[np.argsort(first)].tolist():
+            idx = np.flatnonzero(scales == j)
+            layout.append((j, idx, positions[idx] % (2 ** (j + kappa))))
+        return layout
+
     def packet(self, interval: DyadicInterval, shift_n: int = 0) -> GridFunction:
-        base = self._base(interval.scale)
-        shift = (interval.position + shift_n) * _stride(self.grid, interval.scale)
-        return GridFunction(self.grid, np.roll(base, shift % self.grid.sample_count))
+        """The packet of I + shift_n |I|, built directly (no packet cache)."""
+        lo, hi = _packet_window(self.grid, interval.scale, self.flavor)
+        base = _window_packet(self.grid, interval.scale, lo, hi, self.margin)
+        return _translate(self.grid, base, interval.scale, interval.position + shift_n)
 
     def scale_coefficients(
-        self, f: GridFunction, scale: int, shift_n: int = 0
-    ) -> np.ndarray:
-        """<f, packet(I)> for every position at one scale, via correlation."""
-        return _correlate(self.grid, f, self._base(scale), scale, shift_n)
+        self, f: GridFunction, scales: Iterable[int], shift_n: int = 0
+    ) -> dict[int, np.ndarray]:
+        """{j: <f, packet((j, p + shift_n))> for every position p} over the
+        given scales; f is transformed once for all of them."""
+        f_hat = np.fft.fft(f.samples)
+        return {
+            j: _correlate(self.grid, f_hat, self._base(j), j, shift_n) for j in scales
+        }
 
     def coefficients(self, f: GridFunction, shift_n: int = 0) -> np.ndarray:
         """<f, packet(I)> aligned with the interval list."""
-        by_scale: dict[int, np.ndarray] = {}
-        kappa = self.grid.log2_period()
+        layout = self._layout
+        by_scale = self.scale_coefficients(f, [j for j, _, _ in layout], shift_n)
         out = np.empty(len(self.intervals), dtype=complex)
-        for i, iv in enumerate(self.intervals):
-            if iv.scale not in by_scale:
-                by_scale[iv.scale] = self.scale_coefficients(f, iv.scale, shift_n)
-            out[i] = by_scale[iv.scale][iv.position % (2 ** (iv.scale + kappa))]
+        for j, idx, pos in layout:
+            out[idx] = by_scale[j][pos]
         return out
 
     def scale_synthesize(self, weights: dict[int, np.ndarray]) -> GridFunction:
@@ -424,13 +459,12 @@ class WavePacketFamily:
         list order.
         """
         kappa = self.grid.log2_period()
+        weights = np.asarray(weights)
         by_scale: dict[int, np.ndarray] = {}
-        for iv, w in zip(self.intervals, weights):
-            arr = by_scale.get(iv.scale)
-            if arr is None:
-                arr = np.zeros(2 ** (iv.scale + kappa), dtype=complex)
-                by_scale[iv.scale] = arr
-            arr[iv.position % len(arr)] += w
+        for j, idx, pos in self._layout:
+            arr = np.zeros(2 ** (j + kappa), dtype=complex)
+            np.add.at(arr, pos, weights[idx])  # unbuffered: in list order
+            by_scale[j] = arr
         return self.scale_synthesize(by_scale)
 
 
@@ -485,40 +519,49 @@ def build_rank_one_tiles(
     return tiles
 
 
-def tile_packet(
-    grid: SampleGrid, tile: Tritile, slot: int, margin: float = 1.0
-) -> GridFunction:
-    """L2-normalized wave packet adapted to one tile slot."""
-    base = _tile_base_packet(
-        grid.sample_count, grid.period_length, tile.spatial.scale,
-        tile.freq_index, slot, margin,
-    )
-    shift = tile.spatial.position * _stride(grid, tile.spatial.scale)
-    return GridFunction(grid, np.roll(base, shift % grid.sample_count))
-
-
-@lru_cache(maxsize=4096)
-def _tile_base_packet(n, period, scale, freq_index, slot, margin):
-    grid = SampleGrid(n, period)
+def _tile_window(grid: SampleGrid, scale: int, freq_index: int, slot: int) -> tuple[float, float]:
+    """Frequency window (index units) of one tile slot; raises when it spans
+    fewer than two frequencies."""
+    period = grid.period_length
     step = 2.0 ** scale
     if step * period < 2.0:
         raise ScaleBudgetError(
             f"tile window at scale {scale} spans fewer than two frequencies"
         )
-    lo = (freq_index + slot - 1) * step * period
-    hi = (freq_index + slot) * step * period
-    return _window_packet(grid, scale, lo, hi, margin)
+    return (freq_index + slot - 1) * step * period, (freq_index + slot) * step * period
+
+
+def tile_packet(
+    grid: SampleGrid, tile: Tritile, slot: int, margin: float = 1.0
+) -> GridFunction:
+    """L2-normalized wave packet adapted to one tile slot, built directly
+    (no packet cache)."""
+    scale = tile.spatial.scale
+    lo, hi = _tile_window(grid, scale, tile.freq_index, slot)
+    base = _window_packet(grid, scale, lo, hi, margin)
+    return _translate(grid, base, scale, tile.spatial.position)
+
+
+@lru_cache(maxsize=4096)
+def _tile_base_packet(n, period, scale, freq_index, slot, margin):
+    """Spectrum of the position-0 packet of one (scale, freq_index) slot."""
+    grid = SampleGrid(n, period)
+    lo, hi = _tile_window(grid, scale, freq_index, slot)
+    return _read_only_fft(_window_packet(grid, scale, lo, hi, margin))
 
 
 def tile_scale_coefficients(
-    grid: SampleGrid, f: GridFunction, scale: int, freq_index: int, slot: int,
+    grid: SampleGrid, f: GridFunction, layers: Iterable[tuple[int, int]], slot: int,
     margin: float = 1.0,
-) -> np.ndarray:
-    """<f, packet> for all spatial positions of one (scale, freq) layer."""
-    base = _tile_base_packet(
-        grid.sample_count, grid.period_length, scale, freq_index, slot, margin
-    )
-    return _correlate(grid, f, base, scale)
+) -> dict[tuple[int, int], np.ndarray]:
+    """{(j, l): <f, packet> for all spatial positions of that layer} over the
+    given (scale, freq_index) layers; f is transformed once for all of them."""
+    n, period = grid.sample_count, grid.period_length
+    f_hat = np.fft.fft(f.samples)
+    return {
+        (j, l): _correlate(grid, f_hat, _tile_base_packet(n, period, j, l, slot, margin), j)
+        for j, l in layers
+    }
 
 
 def tile_scale_synthesize(

@@ -102,10 +102,11 @@ def bht_model(spec: BHTModelSpec, f: GridFunction, g: GridFunction) -> GridFunct
         layers.setdefault((tile.spatial.scale, tile.freq_index), []).append(
             tile.spatial.position
         )
+    coef_f = tile_scale_coefficients(grid, f, layers, 1, spec.margin)
+    coef_g = tile_scale_coefficients(grid, g, layers, 2, spec.margin)
     weights: dict[tuple[int, int], np.ndarray] = {}
     for (j, l), positions in layers.items():
-        a = tile_scale_coefficients(grid, f, j, l, 1, spec.margin)
-        b = tile_scale_coefficients(grid, g, j, l, 2, spec.margin)
+        a, b = coef_f[(j, l)], coef_g[(j, l)]
         length = 2.0 ** (-j)
         w = np.zeros(len(a), dtype=complex)
         for pos in positions:

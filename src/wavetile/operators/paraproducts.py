@@ -12,6 +12,7 @@ the whole sum costs a few FFTs per scale irrespective of the family size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,15 @@ class ParaproductSpec:
         return cls(grid, family, np.full(len(family), value, dtype=complex),
                    slot_flavors, margin)
 
+    @cached_property
+    def _slot_families(self) -> tuple[WavePacketFamily, ...]:
+        """The packet family of each slot, built once per spec so that every
+        application shares their index arrays."""
+        return tuple(
+            WavePacketFamily(self.grid, self.family, flavor, self.margin)
+            for flavor in self.slot_flavors
+        )
+
     def restricted(self, I0: DyadicInterval) -> "ParaproductSpec":
         keep = [i for i, iv in enumerate(self.family) if I0.contains(iv)]
         return ParaproductSpec(
@@ -113,8 +123,7 @@ class LocalizationSpec:
 
 def _slot_weights(spec: ParaproductSpec, f: GridFunction, g: GridFunction):
     """Per-interval weights c_I |I|^(-1/2) <f, phi1> <g, phi2>."""
-    fam1 = WavePacketFamily(spec.grid, spec.family, spec.slot_flavors[0], spec.margin)
-    fam2 = WavePacketFamily(spec.grid, spec.family, spec.slot_flavors[1], spec.margin)
+    fam1, fam2, _ = spec._slot_families
     a = fam1.coefficients(f)
     b = fam2.coefficients(g)
     lengths = np.array([iv.length for iv in spec.family])
@@ -128,8 +137,7 @@ def discretized_paraproduct(
     if not spec.family:
         return GridFunction(spec.grid, np.zeros(spec.grid.sample_count, dtype=complex))
     weights = _slot_weights(spec, f, g)
-    fam3 = WavePacketFamily(spec.grid, spec.family, spec.slot_flavors[2], spec.margin)
-    return fam3.synthesize(weights)
+    return spec._slot_families[2].synthesize(weights)
 
 
 def trilinear_form(
@@ -143,8 +151,7 @@ def trilinear_form(
     if not spec.family:
         return 0.0 + 0.0j
     weights = _slot_weights(spec, f, g)
-    fam3 = WavePacketFamily(spec.grid, spec.family, spec.slot_flavors[2], spec.margin)
-    c3 = np.conj(fam3.coefficients(h))
+    c3 = np.conj(spec._slot_families[2].coefficients(h))
     return complex(np.sum(weights * c3))
 
 
@@ -307,11 +314,9 @@ def shifted_paraproduct(
     if scales is None:
         scales = range(min_packet_scale(grid), max_scale(grid) + 1)
     fam = WavePacketFamily(grid, [], "lacunary", margin)
-    weights: dict[int, np.ndarray] = {}
-    for j in scales:
-        a = fam.scale_coefficients(f, j, shift_n=n)
-        b = fam.scale_coefficients(g, j, shift_n=n)
-        weights[j] = a * b / 2.0 ** (-j)
+    a = fam.scale_coefficients(f, scales, shift_n=n)
+    b = fam.scale_coefficients(g, scales, shift_n=n)
+    weights = {j: a[j] * b[j] / 2.0 ** (-j) for j in a}
     return WavePacketFamily(grid, [], "non-lacunary", margin).scale_synthesize(weights)
 
 

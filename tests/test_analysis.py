@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from wavetile import analysis
 from wavetile.analysis import (
     _greedy_disjoint,
+    _local_square_function,
     average_single,
     energy,
     exceptional_set,
@@ -17,7 +19,7 @@ from wavetile.analysis import (
 from wavetile.dyadic import DyadicInterval, grid_dyadic_family, torus_bump_samples
 from wavetile.errors import MajorSubsetError
 from wavetile.grid import GridFunction, SampleGrid, from_callable, max_scale
-from wavetile.norms import MeasurableSet, lp_norm
+from wavetile.norms import MeasurableSet, lp_norm, weak_lp_norm
 
 
 def subtree(root, depth):
@@ -27,6 +29,12 @@ def subtree(root, depth):
         level = [c for iv in level for c in iv.children()]
         out.extend(level)
     return out
+
+
+def pruned_subtree(root, depth, seed):
+    """Random subtree below root (root kept): roots select different members."""
+    rng = np.random.default_rng(seed)
+    return [iv for iv in subtree(root, depth) if iv == root or rng.random() < 0.7]
 
 
 def band_limited(grid, seed, band):
@@ -87,6 +95,36 @@ class TestSize:
         f = band_limited(g, 8, 10)
         with pytest.raises(ValueError):
             size(f, [], "modified")
+
+
+class TestLacunarySharedCoefficients:
+    """size and energy share one set of lacunary coefficients across roots;
+    both must equal the per-root recomputation bit for bit."""
+
+    GRID = SampleGrid(512, 4.0)
+
+    def test_size_equals_per_root_oracle(self):
+        for seed in (1, 2, 3):
+            family = pruned_subtree(DyadicInterval(0, 0), 4, seed)
+            f = band_limited(self.GRID, 20 + seed, 40)
+            brute = max(size_single(f, iv, "lacunary", family=family) for iv in family)
+            assert size(f, family, "lacunary").value == brute
+
+    def test_energy_equals_per_root_recomputation(self, monkeypatch):
+        def per_root(f, family, margin):
+            return [
+                weak_lp_norm(_local_square_function(f, family, root, margin), 1)
+                for root in family
+            ]
+
+        for seed in (1, 2, 3):
+            family = pruned_subtree(DyadicInterval(0, 0), 4, seed)
+            f = band_limited(self.GRID, 30 + seed, 40)
+            shared = energy(f, family, "lacunary")
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_lacunary_weak_norms", per_root)
+                recomputed = energy(f, family, "lacunary")
+            assert shared == recomputed
 
 
 class TestSizeTilde:

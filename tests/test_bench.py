@@ -148,6 +148,20 @@ class TestCampaign:
         assert by_name["weak-dualization"].error is None
         assert not report.passed
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+    def test_bad_thread_count_rejected_before_any_target(self, raw, monkeypatch):
+        from wavetile.bench import targets as targets_mod
+
+        ran = []
+        spy = targets_mod.InequalityTarget(
+            "telescope-1d", "spy", lambda ctx: ran.append(ctx), 1.0
+        )
+        monkeypatch.setitem(targets_mod.REGISTRY, "telescope-1d", spy)
+        monkeypatch.setenv("WAVETILE_THREADS", raw)
+        with pytest.raises(ValueError, match=f"WAVETILE_THREADS .* got '{raw}'"):
+            run_campaign(ExperimentConfig(targets=("telescope-1d",)))
+        assert ran == []
+
 
 class TestCli:
     def run_cli(self, *args):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavetile import dyadic
 from wavetile.dyadic import (
     AdaptedBump,
     DyadicInterval,
@@ -17,10 +18,12 @@ from wavetile.dyadic import (
     grid_dyadic_family,
     localize_collection,
     min_packet_scale,
+    tile_packet,
+    tile_scale_coefficients,
     translate_interval,
 )
 from wavetile.errors import ScaleBudgetError
-from wavetile.grid import SampleGrid
+from wavetile.grid import GridFunction, SampleGrid
 
 
 def full_tree(root, depth):
@@ -165,8 +168,6 @@ class TestWavePackets:
     def test_coefficients_match_direct_inner_products(self):
         g = SampleGrid(256, 1.0)
         rng = np.random.default_rng(3)
-        from wavetile.grid import GridFunction
-
         f = GridFunction(g, rng.normal(size=256) + 1j * rng.normal(size=256))
         family = [DyadicInterval(3, m) for m in range(8)] + [DyadicInterval(4, 5)]
         fam = WavePacketFamily(g, family, "lacunary")
@@ -186,6 +187,93 @@ class TestWavePackets:
         with pytest.raises(ValueError, match="power-of-two period, got 3.0"):
             WavePacketFamily(g, [DyadicInterval(2, 0)], "lacunary")
         assert SampleGrid(256, 0.25).log2_period() == -2
+
+
+class TestSharedSpectrumPath:
+    """Sweeps take one FFT of the input and the cached packet spectra; the
+    interval-aligned routes must give the per-scale values bit for bit."""
+
+    GRID = SampleGrid(256, 2.0)
+    # three scales, a repeated interval and positions that wrap (>= 2**(j+1))
+    FAMILY = [
+        DyadicInterval(3, 1), DyadicInterval(2, 7), DyadicInterval(3, 1),
+        DyadicInterval(4, 40), DyadicInterval(2, 0), DyadicInterval(3, 17),
+        DyadicInterval(3, 1),
+    ]
+
+    def _input(self, seed):
+        rng = np.random.default_rng(seed)
+        return GridFunction(self.GRID, rng.normal(size=256) + 1j * rng.normal(size=256))
+
+    @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
+    @pytest.mark.parametrize("shift_n", [0, 3])
+    def test_coefficients_gather_per_scale_sweeps(self, flavor, shift_n):
+        fam = WavePacketFamily(self.GRID, self.FAMILY, flavor)
+        f = self._input(11)
+        coefs = fam.coefficients(f, shift_n)
+        kappa = self.GRID.log2_period()
+        want = np.array([
+            fam.scale_coefficients(f, [iv.scale], shift_n)[iv.scale][
+                iv.position % 2 ** (iv.scale + kappa)
+            ]
+            for iv in self.FAMILY
+        ])
+        assert np.array_equal(coefs, want)
+
+    def test_synthesize_accumulates_repeats_in_list_order(self):
+        fam = WavePacketFamily(self.GRID, self.FAMILY, "non-lacunary")
+        # (3, 1) three times and (3, 17), which wraps onto it: in list order
+        # ((1 + 1e16) - 1e16) + 0.5 == 0.5, in reverse order the sum is 1
+        w = self._input(12).samples[: len(self.FAMILY)].copy()
+        w[0], w[2], w[5], w[6] = 1.0, 1e16, -1e16, 0.5
+        kappa = self.GRID.log2_period()
+        by_scale = {}
+        for iv, wi in zip(self.FAMILY, w):
+            arr = by_scale.setdefault(
+                iv.scale, np.zeros(2 ** (iv.scale + kappa), dtype=complex)
+            )
+            arr[iv.position % len(arr)] += wi
+        assert by_scale[3][1] == 0.5
+        got = fam.synthesize(w)
+        assert np.array_equal(got.samples, fam.scale_synthesize(by_scale).samples)
+
+    @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
+    def test_direct_packet_matches_cached_spectrum(self, flavor):
+        g = self.GRID
+        fam = WavePacketFamily(g, [], flavor, margin=0.9)
+        for iv in (DyadicInterval(2, 3), DyadicInterval(4, 37), DyadicInterval(5, 0)):
+            spectrum = dyadic._base_packet(
+                g.sample_count, g.period_length, iv.scale, flavor, 0.9
+            )
+            assert not spectrum.flags.writeable
+            shift = iv.position * dyadic._stride(g, iv.scale)
+            want = np.roll(np.fft.ifft(spectrum), shift % g.sample_count)
+            assert np.abs(fam.packet(iv).samples - want).max() <= 1e-12
+
+    def test_direct_tile_packet_matches_cached_spectrum(self):
+        g = self.GRID
+        tile = Tritile(DyadicInterval(3, 5), 2)
+        for slot in (1, 2, 3):
+            spectrum = dyadic._tile_base_packet(g.sample_count, g.period_length, 3, 2, slot, 1.0)
+            assert not spectrum.flags.writeable
+            want = np.roll(np.fft.ifft(spectrum), 5 * dyadic._stride(g, 3))
+            assert np.abs(tile_packet(g, tile, slot).samples - want).max() <= 1e-12
+
+    def test_budget_checks_on_both_routes(self):
+        g = SampleGrid(256, 1.0)
+        f = GridFunction(g, np.ones(256, dtype=complex))
+        fam = WavePacketFamily(g, [], "lacunary")
+        top = dyadic.max_scale(g)
+        with pytest.raises(ScaleBudgetError, match="exceeds budget"):
+            fam.packet(DyadicInterval(top + 1, 0))
+        with pytest.raises(ScaleBudgetError, match="exceeds budget"):
+            fam.scale_coefficients(f, [top + 1])
+        # scale 0 on a unit period: the window [0, 1] holds no interior frequency
+        coarse = Tritile(DyadicInterval(0, 0), 1)
+        with pytest.raises(ScaleBudgetError, match="fewer than two frequencies"):
+            tile_packet(g, coarse, 2)
+        with pytest.raises(ScaleBudgetError, match="fewer than two frequencies"):
+            tile_scale_coefficients(g, f, [(0, 1)], 2)
 
 
 class TestTritiles:
