@@ -131,28 +131,25 @@ def size_single(
     family: list[DyadicInterval] | None = None,
     M: int = 10,
     shift_n: int = 0,
-    margin: float = 1.0,
 ) -> float:
     """The quantity whose supremum over the collection defines the size."""
     if flavor in _CHI_FLAVORS:
         return average_single(f, interval, M, shift_n)
     if flavor == "non-lacunary":
-        fam = WavePacketFamily(f.grid, [interval], "non-lacunary", margin)
+        fam = WavePacketFamily(f.grid, [interval], "non-lacunary")
         coef = fam.coefficients(f)[0]
         return abs(coef) / math.sqrt(interval.length)
     if flavor == "lacunary":
         if family is None:
             raise ValueError("lacunary size needs the ambient family")
-        sq = _local_square_function(f, family, interval, margin)
+        sq = _local_square_function(f, family, interval)
         return weak_lp_norm(sq, 1) / interval.length
     raise ValueError(f"unknown size flavor {flavor!r}")
 
 
-def _square_terms(
-    f: GridFunction, family: list[DyadicInterval], margin: float
-) -> list[float]:
+def _square_terms(f: GridFunction, family: list[DyadicInterval]) -> list[float]:
     """|<f, psi_I>|^2 / |I| for each I in the family (lacunary packets)."""
-    coefs = WavePacketFamily(f.grid, family, "lacunary", margin).coefficients(f)
+    coefs = WavePacketFamily(f.grid, family, "lacunary").coefficients(f)
     return [abs(c) ** 2 / iv.length for iv, c in zip(family, coefs)]
 
 
@@ -176,7 +173,6 @@ def _local_square_function(
     f: GridFunction,
     family: list[DyadicInterval],
     root: DyadicInterval,
-    margin: float = 1.0,
 ) -> GridFunction:
     """sqrt(sum over I in family, I <= root of |<f, psi_I>|^2 / |I| * 1_I).
 
@@ -186,15 +182,13 @@ def _local_square_function(
     grid = f.grid
     members = [iv for iv in family if root.contains(iv)]
     cells = [interval_indices(grid, iv) for iv in members]
-    return _root_square_function(grid, members, cells, _square_terms(f, members, margin), root)
+    return _root_square_function(grid, members, cells, _square_terms(f, members), root)
 
 
-def _lacunary_weak_norms(
-    f: GridFunction, family: list[DyadicInterval], margin: float
-) -> list[float]:
+def _lacunary_weak_norms(f: GridFunction, family: list[DyadicInterval]) -> list[float]:
     """||local square function of I||_(L^1,inf) for every root I in the family."""
     grid = f.grid
-    terms = _square_terms(f, family, margin)
+    terms = _square_terms(f, family)
     cells = [interval_indices(grid, iv) for iv in family]
     return [
         weak_lp_norm(_root_square_function(grid, family, cells, terms, root), 1)
@@ -208,7 +202,6 @@ def size(
     flavor: str,
     M: int = 10,
     shift_n: int = 0,
-    margin: float = 1.0,
 ) -> SizeReport:
     """Supremum of the per-interval size quantity over the family."""
     if not family:
@@ -217,11 +210,11 @@ def size(
         cache = _AverageCache(f, M, shift_n)
         vals = [cache(iv) for iv in family]
     elif flavor == "non-lacunary":
-        fam = WavePacketFamily(f.grid, family, "non-lacunary", margin)
+        fam = WavePacketFamily(f.grid, family, "non-lacunary")
         coefs = fam.coefficients(f)
         vals = [abs(c) / math.sqrt(iv.length) for iv, c in zip(family, coefs)]
     elif flavor == "lacunary":
-        norms = _lacunary_weak_norms(f, family, margin)
+        norms = _lacunary_weak_norms(f, family)
         vals = [nrm / iv.length for iv, nrm in zip(family, norms)]
     else:
         raise ValueError(f"unknown size flavor {flavor!r}")
@@ -282,7 +275,6 @@ def energy(
     family: list[DyadicInterval],
     flavor: str = "non-lacunary",
     M: int = 10,
-    margin: float = 1.0,
 ) -> EnergyReport:
     """sup over levels n and disjoint subfamilies D of 2^n sum |I|.
 
@@ -293,12 +285,12 @@ def energy(
     if not family:
         raise ValueError("energy of an empty family is undefined")
     if flavor == "non-lacunary":
-        fam = WavePacketFamily(f.grid, family, "non-lacunary", margin)
+        fam = WavePacketFamily(f.grid, family, "non-lacunary")
         coefs = np.abs(fam.coefficients(f))
         weights = np.array([math.sqrt(iv.length) for iv in family])
         cvals = coefs / weights
     elif flavor == "lacunary":
-        norms = _lacunary_weak_norms(f, family, margin)
+        norms = _lacunary_weak_norms(f, family)
         cvals = np.array([nrm / math.sqrt(iv.length) for iv, nrm in zip(family, norms)])
     else:
         raise ValueError(f"unknown energy flavor {flavor!r}")
@@ -349,7 +341,6 @@ def shifted_square(
     f: GridFunction,
     shift_n: int = 0,
     scales: range | None = None,
-    margin: float = 1.0,
 ) -> GridFunction:
     """(sum over I of |<f, psi(I_n)>|^2 / |I| * 1_I)^(1/2), over the budget.
 
@@ -362,7 +353,7 @@ def shifted_square(
     if scales is None:
         scales = range(min_packet_scale(grid), max_scale(grid) + 1)
     acc = np.zeros(grid.sample_count)
-    fam = WavePacketFamily(grid, [], "lacunary", margin)
+    fam = WavePacketFamily(grid, [], "lacunary")
     for j, coefs in fam.scale_coefficients(f, scales, shift_n).items():
         stride = grid.sample_count // len(coefs)
         acc += np.repeat(np.abs(coefs) ** 2 / 2.0 ** (-j), stride)

@@ -11,7 +11,8 @@ Config files are flat ``key = value`` text ('#' starts a comment):
     out = reports
 
 Each key appears at most once, and a bad value is rejected at parse time
-with the key or field named.
+with the key or field named.  ``cap.<target>`` is accepted only for targets
+whose verdict reads a cap, and only with a finite value > 0.
 
 Identical config + seed reproduce byte-identical reports: all randomness is
 Philox counter-based, trials execute in a fixed order (parallel workers only
@@ -22,6 +23,7 @@ variable.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import traceback
@@ -54,6 +56,11 @@ class ExperimentConfig:
         unknown = sorted(t for t in self.caps if t not in REGISTRY)
         if unknown:
             raise ValueError(f"caps for unknown targets: {unknown}")
+        for name, cap in sorted(self.caps.items()):
+            if REGISTRY[name].default_cap is None:
+                raise ValueError(f"cap.{name}: target {name!r} reads no cap, got {cap!r}")
+            if not (math.isfinite(cap) and cap > 0):
+                raise ValueError(f"cap.{name} must be finite and > 0, got {cap!r}")
         n = self.grid_size
         if n < 8 or n & (n - 1):
             raise ValueError("grid_size must be a power of two >= 8")

@@ -56,7 +56,8 @@ def _cmd_run(args) -> int:
 def _cmd_list_targets(_args) -> int:
     width = max(len(name) for name in REGISTRY)
     for name, target in REGISTRY.items():
-        print(f"{name:<{width}}  [cap {target.default_cap:g}]  {target.statement}")
+        cap = "no cap" if target.default_cap is None else f"cap {target.default_cap:g}"
+        print(f"{name:<{width}}  [{cap}]  {target.statement}")
     return 0
 
 

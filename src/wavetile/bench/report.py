@@ -72,29 +72,23 @@ def render_json(report: CampaignReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n"
 
 
-def emit_report(report: CampaignReport, out_dir: str | Path,
-                formats: tuple[str, ...] = ("csv", "json", "plotdata")) -> list[Path]:
+def emit_report(report: CampaignReport, out_dir: str | Path) -> list[Path]:
+    """Write ``campaign.csv``, ``campaign.json`` and ``plotdata/<target>.dat``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if "csv" in formats:
-        path = out / "campaign.csv"
-        path.write_text(render_csv(report))
+    csv_path, json_path = out / "campaign.csv", out / "campaign.json"
+    csv_path.write_text(render_csv(report))
+    json_path.write_text(render_json(report))
+    written = [csv_path, json_path]
+    pdir = out / "plotdata"
+    pdir.mkdir(exist_ok=True)
+    for result in report.results:
+        path = pdir / f"{result.name}.dat"
+        lines = ["# trial ratio lhs rhs"]
+        for row in result.rows:
+            lines.append(
+                f"{row.trial} {_fmt(row.ratio)} {_fmt(row.lhs)} {_fmt(row.rhs)}"
+            )
+        path.write_text("\n".join(lines) + "\n")
         written.append(path)
-    if "json" in formats:
-        path = out / "campaign.json"
-        path.write_text(render_json(report))
-        written.append(path)
-    if "plotdata" in formats:
-        pdir = out / "plotdata"
-        pdir.mkdir(exist_ok=True)
-        for result in report.results:
-            path = pdir / f"{result.name}.dat"
-            lines = ["# trial ratio lhs rhs"]
-            for row in result.rows:
-                lines.append(
-                    f"{row.trial} {_fmt(row.ratio)} {_fmt(row.lhs)} {_fmt(row.rhs)}"
-                )
-            path.write_text("\n".join(lines) + "\n")
-            written.append(path)
     return written

@@ -1,10 +1,11 @@
 """Registry of inequality targets driven by the campaign runner.
 
 Each target measures both sides of one inequality over seeded trials and
-applies its acceptance policy: a ratio cap (config-overridable; defaults
-documented here) and, where the statement is uniformity over a structural
-parameter, a no-growth check across that parameter.  Caps encode measured
-headroom, not proven constants.
+applies its acceptance policy: a ratio cap (config-overridable; the default
+is the registry entry's ``default_cap``, ``None`` for the targets whose
+verdict reads no cap) and, where the statement is uniformity over a
+structural parameter, a no-growth check across that parameter.  Caps encode
+measured headroom, not proven constants.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class InequalityTarget:
     name: str
     statement: str
     runner: Callable
-    default_cap: float
+    default_cap: float | None
 
 
 # Largest campaign seed: seed*100003 stays below 2**63 with room to spare for
@@ -79,12 +80,32 @@ class RunContext:
             return default
         return max(1, min(default, self.trials_override))
 
-    def cap(self, target: str, default: float) -> float:
-        return float(self.caps.get(target, default))
+    def cap(self, target: str) -> float:
+        return float(self.caps.get(target, REGISTRY[target].default_cap))
 
     def seeds(self, target_index: int, count: int) -> list[int]:
         base = self.seed * 100003 + target_index * 1009
         return [base + t for t in range(count)]
+
+
+def _trial_rows(ctx: RunContext, name: str, seed_index: int, default_trials: int,
+                trial: Callable) -> list[TrialRow]:
+    """Rows of one seed ladder: ``trial(t, seed)`` returns the trial's
+    ``(lhs, rhs, params)`` triples, none for a degenerate trial."""
+    return [
+        TrialRow(name, t, seed, lhs, rhs, lhs / rhs, params)
+        for t, seed in enumerate(ctx.seeds(seed_index, ctx.trials(default_trials)))
+        for lhs, rhs, params in trial(t, seed)
+    ]
+
+
+def _capped(name: str, statement: str, rows: list[TrialRow], cap: float,
+            gate: bool = True, **extra) -> TargetResult:
+    """Ratio-cap verdict: pass iff every row's ratio is at most ``cap`` and
+    ``gate`` (the target's further check) holds."""
+    max_ratio = max(r.ratio for r in rows)
+    agg = {"max_ratio": max_ratio, "cap": cap, **extra}
+    return TargetResult(name, statement, rows, agg, max_ratio <= cap and gate)
 
 
 def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -118,8 +139,8 @@ def _run_telescope(ctx: RunContext, name: str, statement: str, *, dims: int,
                    n: int, tol: float, seed_index: int,
                    default_trials: int) -> TargetResult:
     grid = SampleGrid(n, 1.0, dimension=dims)
-    rows = []
-    for t, seed in enumerate(ctx.seeds(seed_index, ctx.trials(default_trials))):
+
+    def trial(t, seed):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 8})
         g = generate_trial("band_limited", seed + 501, {"grid": grid, "band": n // 8})
         parts = operators.telescoping_decomposition(f, g, dims=dims)
@@ -127,8 +148,9 @@ def _run_telescope(ctx: RunContext, name: str, statement: str, *, dims: int,
         for p in parts[1:]:
             total = total + p
         product = GridFunction(grid, f.samples * g.samples)
-        resid = (total - product).norm2() / product.norm2()
-        rows.append(TrialRow(name, t, seed, resid, tol, resid / tol, {"n": n}))
+        return [((total - product).norm2() / product.norm2(), tol, {"n": n})]
+
+    rows = _trial_rows(ctx, name, seed_index, default_trials, trial)
     passed = all(r.ratio <= 1.0 for r in rows)
     agg = {"max_residual": max(r.lhs for r in rows), "tolerance": tol}
     return TargetResult(name, statement, rows, agg, passed)
@@ -207,7 +229,7 @@ def _random_stopping_config(seed: int, grid: SampleGrid, depth: int):
 
 def _run_stopping(ctx, name, statement) -> TargetResult:
     grid = SampleGrid(512, 4.0)
-    cap = ctx.cap(name, 8.0)
+    cap = ctx.cap(name)
     rows = []
     ok = True
     trials = ctx.trials(100)
@@ -276,33 +298,27 @@ def _stopping_checks(forest, family, E1, E2) -> dict:
 
 def _run_size_energy(ctx, name, statement) -> TargetResult:
     grid = SampleGrid(512, 4.0)
-    cap = ctx.cap(name, 4.0)
     root = dyadic.DyadicInterval(0, 0)
-    rows = []
-    trials = ctx.trials(100)
-    for t, seed in enumerate(ctx.seeds(5, trials)):
+    kinds = (("step", "depth", 4), ("bump_train", "count", 3), ("band_limited", "band", 24))
+
+    def trial(t, seed):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5], dtype=np.uint64)))
         family = _subfamily(rng, grid, root, 4)
-        kind = ("step", "bump_train", "band_limited")[t % 3]
-        params = {"grid": grid}
-        if kind == "step":
-            params["depth"] = 4
-        elif kind == "bump_train":
-            params["count"] = 3
-        else:
-            params["band"] = 24
-        f = generate_trial(kind, seed, params)
+        kind, key, value = kinds[t % 3]
+        f = generate_trial(kind, seed, {"grid": grid, key: value})
         sup_avg = analysis.size(f, family, "modified", M=4).value
         l1 = lp_norm(f, 1)
         if sup_avg == 0 or l1 == 0:
-            continue
+            return []
+        out = []
         for flavor in ("non-lacunary", "lacunary"):
-            sz = analysis.size(f, family, flavor).value
-            rows.append(TrialRow(name, t, seed, sz, sup_avg, sz / sup_avg,
-                                 {"check": f"size-{flavor}"}))
-            en = analysis.energy(f, family, flavor).value
-            rows.append(TrialRow(name, t, seed, en, l1, en / l1,
-                                 {"check": f"energy-{flavor}"}))
+            out.append((analysis.size(f, family, flavor).value, sup_avg,
+                        {"check": f"size-{flavor}"}))
+            out.append((analysis.energy(f, family, flavor).value, l1,
+                        {"check": f"energy-{flavor}"}))
+        return out
+
+    rows = _trial_rows(ctx, name, 5, 100, trial)
     # far-support decay sweep (period large enough that no torus wrap helps)
     decay_grid = SampleGrid(4096, 64.0)
     ks = [1, 2, 3, 4, 5]
@@ -318,11 +334,8 @@ def _run_size_energy(ctx, name, statement) -> TargetResult:
         decay_vals[i + 1] <= decay_vals[i] * (1 + 1e-9) or decay_vals[i + 1] < 1e-12
         for i in range(len(ks) - 1)
     )
-    ratios = [r.ratio for r in rows]
-    passed = max(ratios) <= cap and monotone
-    agg = {"max_ratio": max(ratios), "cap": cap,
-           "far_support_energy": decay_vals, "monotone_decay": monotone}
-    return TargetResult(name, statement, rows, agg, passed)
+    return _capped(name, statement, rows, ctx.cap(name), monotone,
+                   far_support_energy=decay_vals, monotone_decay=monotone)
 
 
 def _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band):
@@ -353,35 +366,31 @@ def _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band):
 
 def _run_vv_paraproduct(ctx, name, statement) -> TargetResult:
     grid = SampleGrid(ctx.grid_size, 1.0)
-    cap = ctx.cap(name, 1.0)
     r1, r2, r = Fraction(3, 2), Fraction(3, 2), Fraction(3, 4)
     p, q, s = 4, 4, 2
     Ks = [1, 2, 4, 8, 16]
-    per_k = ctx.trials(40)
     rows = []
     maxima = []
     for K in Ks:
-        vals = []
-        for t, seed in enumerate(ctx.seeds(6 + K, per_k)):
+        def trial(t, seed):
             ratio = _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band=grid.sample_count // 8)
-            if ratio is None:
-                continue
-            vals.append(ratio)
-            rows.append(TrialRow(name, t, seed, ratio, 1.0, ratio, {"K": K}))
-        maxima.append(float(np.max(vals)))
+            return [] if ratio is None else [(ratio, 1.0, {"K": K})]
+
+        group = _trial_rows(ctx, name, 6 + K, 40, trial)
+        maxima.append(float(np.max([row.ratio for row in group])))
+        rows.extend(group)
     slope = _slope(np.log([float(k) for k in Ks]), np.log(maxima))
-    max_ratio = max(r_.ratio for r_ in rows)
     # the growth fit needs a stable empirical sup; below 10 seeds per K the
     # slope is reported but not gated on
-    slope_gated = per_k >= 10
-    passed = max_ratio <= cap and (abs(slope) <= 0.1 or not slope_gated)
-    agg = {"max_ratio": max_ratio, "cap": cap, "maxima_by_K": maxima,
-           "log_slope": slope, "slope_window": 0.1, "slope_gated": slope_gated}
-    return TargetResult(name, statement, rows, agg, passed)
+    slope_gated = ctx.trials(40) >= 10
+    return _capped(name, statement, rows, ctx.cap(name),
+                   abs(slope) <= 0.1 or not slope_gated,
+                   maxima_by_K=maxima, log_slope=slope, slope_window=0.1,
+                   slope_gated=slope_gated)
 
 
 def _run_alpha_coefficients(ctx, name, statement) -> TargetResult:
-    cap = ctx.cap(name, 4.0)
+    cap = ctx.cap(name)
     rows = []
     passed = True
     bounds = {}
@@ -417,7 +426,7 @@ def _estimate_norm(op, grid, seeds, band, p_in=2.0, p_out=2.0):
 
 def _run_shifted_growth(ctx, name, statement) -> TargetResult:
     grid = SampleGrid(512, 1.0)
-    kappa_cap = ctx.cap(name, 2.5)
+    kappa_cap = ctx.cap(name)
     ns = [1, 2, 4, 8, 16, 32, 64]
     per_n = ctx.trials(10)
     rows = []
@@ -499,37 +508,32 @@ def _run_bht_multiplier(ctx, name, statement) -> TargetResult:
 
 def _run_bht_local_l2(ctx, name, statement) -> TargetResult:
     grid = SampleGrid(1024, 1.0)
-    cap = ctx.cap(name, 2.0)
     tiers = [1, 4, 16]  # tile count quadruples tier to tier
-    per_tier = ctx.trials(34)
     rows = []
     medians = []
     for tier_idx, freqs in enumerate(tiers):
         tiles = dyadic.build_rank_one_tiles(grid, range(2, 5), range(0, freqs))
         spec = operators.BHTModelSpec(grid, tiles)
-        vals = []
-        for t, seed in enumerate(ctx.seeds(40 + tier_idx, per_tier)):
+
+        def trial(t, seed):
             f = generate_trial("band_limited", seed, {"grid": grid, "band": 12})
             g = generate_trial("band_limited", seed + 3, {"grid": grid, "band": 12})
             denom = lp_norm(f, 2) * lp_norm(g, 2)
             if denom == 0:
-                continue
-            out = operators.bht_model(spec, f, g)
-            ratio = lp_norm(out, 1) / denom
-            vals.append(ratio)
-            rows.append(TrialRow(name, t, seed, ratio, 1.0, ratio,
-                                 {"tiles": len(tiles)}))
-        medians.append(float(np.median(vals)))
+                return []
+            ratio = lp_norm(operators.bht_model(spec, f, g), 1) / denom
+            return [(ratio, 1.0, {"tiles": len(tiles)})]
+
+        group = _trial_rows(ctx, name, 40 + tier_idx, 34, trial)
+        medians.append(float(np.median([row.ratio for row in group])))
+        rows.extend(group)
     growth_ok = all(
         medians[i + 1] <= medians[i] * 1.25 + 1e-12 for i in range(len(medians) - 1)
     )
-    growth_gated = per_tier >= 10
-    max_ratio = max(r.ratio for r in rows)
-    passed = max_ratio <= cap and (growth_ok or not growth_gated)
-    agg = {"max_ratio": max_ratio, "cap": cap, "medians_by_tier": medians,
-           "tile_tiers": tiers, "no_growth": growth_ok,
-           "growth_gated": growth_gated}
-    return TargetResult(name, statement, rows, agg, passed)
+    growth_gated = ctx.trials(34) >= 10
+    return _capped(name, statement, rows, ctx.cap(name), growth_ok or not growth_gated,
+                   medians_by_tier=medians, tile_tiers=tiers, no_growth=growth_ok,
+                   growth_gated=growth_gated)
 
 
 def _run_range_consistency(ctx, name, statement) -> TargetResult:
@@ -595,22 +599,21 @@ def _dilate_x(f: GridFunction, factor: int) -> GridFunction:
 def _run_leibniz(ctx, name, statement) -> TargetResult:
     n = 256
     grid = SampleGrid(n, 1.0, dimension=2)
-    cap = ctx.cap(name, 1.0)
+    cap = ctx.cap(name)
     alpha = beta = 1.0
     exps = operators.LeibnizExponents.symmetric(2, 2)
-    rows = []
-    ratios = []
-    for t, seed in enumerate(ctx.seeds(60, ctx.trials(20))):
+
+    def trial(t, seed):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 32})
         g = generate_trial("band_limited", seed + 77, {"grid": grid, "band": n // 32})
         lhs, terms = operators.leibniz_sides(alpha, beta, exps, f, g)
-        rhs = sum(terms)
-        ratio = lhs / rhs
-        ratios.append(ratio)
-        rows.append(TrialRow(name, t, seed, lhs, rhs, ratio, {}))
+        return [(lhs, sum(terms), {})]
+
+    rows = _trial_rows(ctx, name, 60, 20, trial)
+    max_ratio = max(r.ratio for r in rows)  # over the ratio rows, not the drift rows
     # dilation stability on a few pairs
     drifts = []
-    for t, seed in enumerate(ctx.seeds(61, min(3, ctx.trials(3)))):
+    for t, seed in enumerate(ctx.seeds(61, ctx.trials(3))):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 64})
         g = generate_trial("band_limited", seed + 77, {"grid": grid, "band": n // 64})
         lhs, terms = operators.leibniz_sides(alpha, beta, exps, f, g)
@@ -622,8 +625,8 @@ def _run_leibniz(ctx, name, statement) -> TargetResult:
             drifts.append(drift)
             rows.append(TrialRow(name, 100 + t * 10 + dil, seed, drift, 0.25,
                                  drift / 0.25, {"dilation": dil}))
-    passed = max(ratios) <= cap and all(d <= 0.25 for d in drifts)
-    agg = {"max_ratio": max(ratios), "cap": cap,
+    passed = max_ratio <= cap and all(d <= 0.25 for d in drifts)
+    agg = {"max_ratio": max_ratio, "cap": cap,
            "max_dilation_drift": max(drifts), "drift_cap": 0.25}
     return TargetResult(name, statement, rows, agg, passed)
 
@@ -635,10 +638,9 @@ def _size_energy_family(seed, grid, root, depth=4):
 
 def _run_trilinear_size_energy(ctx, name, statement) -> TargetResult:
     grid = SampleGrid(512, 4.0)
-    cap = ctx.cap(name, 8.0)
     root = dyadic.DyadicInterval(0, 0)
-    rows = []
-    for t, seed in enumerate(ctx.seeds(70, ctx.trials(100))):
+
+    def trial(t, seed):
         family = _size_energy_family(seed, grid, root)
         spec = operators.ParaproductSpec.constant(grid, family)
         f = generate_trial("band_limited", seed, {"grid": grid, "band": 40})
@@ -650,22 +652,18 @@ def _run_trilinear_size_energy(ctx, name, statement) -> TargetResult:
             s = analysis.size(func, family, flavor).value
             e = analysis.energy(func, family, flavor).value
             rhs *= s ** (2.0 / 3.0) * e ** (1.0 / 3.0)
-        if rhs == 0:
-            continue
-        rows.append(TrialRow(name, t, seed, lam, rhs, lam / rhs, {}))
-    max_ratio = max(r.ratio for r in rows)
-    passed = max_ratio <= cap
-    agg = {"max_ratio": max_ratio, "cap": cap, "theta": [1 / 3, 1 / 3, 1 / 3]}
-    return TargetResult(name, statement, rows, agg, passed)
+        return [] if rhs == 0 else [(lam, rhs, {})]
+
+    rows = _trial_rows(ctx, name, 70, 100, trial)
+    return _capped(name, statement, rows, ctx.cap(name), theta=[1 / 3, 1 / 3, 1 / 3])
 
 
 def _run_localized_trilinear(ctx, name, statement) -> TargetResult:
     grid = SampleGrid(512, 4.0)
-    cap = ctx.cap(name, 8.0)
     root = dyadic.DyadicInterval(1, 1)  # [1/2, 1)
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
-    rows = []
-    for t, seed in enumerate(ctx.seeds(71, ctx.trials(100))):
+
+    def trial(t, seed):
         family = _size_energy_family(seed, grid, root, depth=3)
         spec = operators.ParaproductSpec.constant(grid, family)
         f = generate_trial("bump_train", seed, {"grid": grid, "count": 3})
@@ -677,21 +675,16 @@ def _run_localized_trilinear(ctx, name, statement) -> TargetResult:
             st = analysis.size_tilde(func, family, I0=root, M=4).value
             l1 = lp_norm(func, 1, weight=bump)
             rhs *= st ** (2.0 / 3.0) * l1 ** (1.0 / 3.0)
-        if rhs == 0:
-            continue
-        rows.append(TrialRow(name, t, seed, lam, rhs, lam / rhs, {}))
-    max_ratio = max(r.ratio for r in rows)
-    passed = max_ratio <= cap
-    agg = {"max_ratio": max_ratio, "cap": cap}
-    return TargetResult(name, statement, rows, agg, passed)
+        return [] if rhs == 0 else [(lam, rhs, {})]
+
+    return _capped(name, statement, _trial_rows(ctx, name, 71, 100, trial), ctx.cap(name))
 
 
 def _run_local_l1(ctx, name, statement) -> TargetResult:
     grid = SampleGrid(512, 4.0)
-    cap = ctx.cap(name, 4.0)
     root = dyadic.DyadicInterval(1, 1)
-    rows = []
-    for t, seed in enumerate(ctx.seeds(72, ctx.trials(100))):
+
+    def trial(t, seed):
         family = _size_energy_family(seed, grid, root, depth=3)
         spec = operators.ParaproductSpec.constant(grid, family)
         f = generate_trial("bump_train", seed, {"grid": grid, "count": 2})
@@ -705,23 +698,19 @@ def _run_local_l1(ctx, name, statement) -> TargetResult:
             * analysis.size_tilde(Et.indicator, family, I0=root, M=4).value
             * root.length
         )
-        if rhs == 0:
-            continue
-        rows.append(TrialRow(name, t, seed, lhs, rhs, lhs / rhs, {}))
-    max_ratio = max(r.ratio for r in rows)
-    passed = max_ratio <= cap
-    agg = {"max_ratio": max_ratio, "cap": cap}
-    return TargetResult(name, statement, rows, agg, passed)
+        return [] if rhs == 0 else [(lhs, rhs, {})]
+
+    return _capped(name, statement, _trial_rows(ctx, name, 72, 100, trial), ctx.cap(name))
 
 
-def _localized_operator_rows(ctx, name, r1, r2, r, eps, seed_base, trials,
+def _localized_operator_rows(ctx, name, r1, r2, r, eps, seed_index, default_trials,
                              vector_K=None):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
-    rows = []
     dual = lambda e: 1.0 - 1.0 / e  # noqa: E731
-    for t, seed in enumerate(ctx.seeds(seed_base, trials)):
+
+    def trial(t, seed):
         family = _size_energy_family(seed, grid, root, depth=3)
         spec = operators.ParaproductSpec.constant(grid, family)
         F = generate_trial("dyadic_union", seed + 5, {"grid": grid, "measure": 1.0})
@@ -761,41 +750,25 @@ def _localized_operator_rows(ctx, name, r1, r2, r, eps, seed_base, trials,
             * sE ** max(1.0 / float(r) - eps, 0.0)
             * nf * ng
         )
-        if rhs == 0:
-            continue
-        rows.append(TrialRow(name, t, seed, lhs, rhs, lhs / rhs, {"eps": eps}))
-    return rows
+        return [] if rhs == 0 else [(lhs, rhs, {"eps": eps})]
+
+    return _trial_rows(ctx, name, seed_index, default_trials, trial)
 
 
 def _run_localized_operator(ctx, name, statement) -> TargetResult:
-    cap = ctx.cap(name, 4.0)
-    r1, r2, r = 1.5, 1.5, 0.75
     rows = []
-    per_eps = ctx.trials(34)
     for i, eps in enumerate(ctx.eps_values):
-        rows.extend(
-            _localized_operator_rows(ctx, name, r1, r2, r, eps, 73 + i, per_eps)
-        )
-    max_ratio = max(r_.ratio for r_ in rows)
-    passed = max_ratio <= cap
-    agg = {"max_ratio": max_ratio, "cap": cap, "eps_values": list(ctx.eps_values)}
-    return TargetResult(name, statement, rows, agg, passed)
+        rows.extend(_localized_operator_rows(ctx, name, 1.5, 1.5, 0.75, eps, 73 + i, 34))
+    return _capped(name, statement, rows, ctx.cap(name), eps_values=list(ctx.eps_values))
 
 
 def _run_vv_localized(ctx, name, statement) -> TargetResult:
-    cap = ctx.cap(name, 4.0)
-    rows = _localized_operator_rows(
-        ctx, name, 1.5, 1.5, 0.75, 0.05, 80, ctx.trials(30), vector_K=4
-    )
-    max_ratio = max(r.ratio for r in rows)
-    passed = max_ratio <= cap
-    agg = {"max_ratio": max_ratio, "cap": cap, "K": 4}
-    return TargetResult(name, statement, rows, agg, passed)
+    rows = _localized_operator_rows(ctx, name, 1.5, 1.5, 0.75, 0.05, 80, 30, vector_K=4)
+    return _capped(name, statement, rows, ctx.cap(name), K=4)
 
 
 def _run_bht_localized(ctx, name, statement) -> TargetResult:
     grid = SampleGrid(512, 1.0)
-    cap = ctx.cap(name, 4.0)
     root = dyadic.DyadicInterval(1, 1)
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
     theta = 1.0 / 3.0
@@ -803,8 +776,8 @@ def _run_bht_localized(ctx, name, statement) -> TargetResult:
     r = 1.0
     expo1 = (1 + theta) / 2 - 1 / r1  # exponents of the local sizes
     expo3 = (1 + theta) / 2 - 0.0  # 1/r' = 0 at r = 1
-    rows = []
-    for t, seed in enumerate(ctx.seeds(85, ctx.trials(50))):
+
+    def trial(t, seed):
         tiles = dyadic.build_rank_one_tiles(grid, range(3, 6), range(0, 4))
         tiles = [tt for tt in tiles if root.contains(tt.spatial)]
         spec = operators.BHTModelSpec(grid, tiles)
@@ -825,48 +798,39 @@ def _run_bht_localized(ctx, name, statement) -> TargetResult:
             sF ** expo1 * sG ** expo1 * sE ** expo3
             * lp_norm(f, r1, weight=bump) * lp_norm(g, r2, weight=bump)
         )
-        if rhs == 0:
-            continue
-        rows.append(TrialRow(name, t, seed, lhs, rhs, lhs / rhs, {}))
-    max_ratio = max(r_.ratio for r_ in rows)
-    passed = max_ratio <= cap
-    agg = {"max_ratio": max_ratio, "cap": cap, "theta": theta}
-    return TargetResult(name, statement, rows, agg, passed)
+        return [] if rhs == 0 else [(lhs, rhs, {})]
+
+    rows = _trial_rows(ctx, name, 85, 50, trial)
+    return _capped(name, statement, rows, ctx.cap(name), theta=theta)
 
 
 def _run_tensor_mixed_norm(ctx, name, statement) -> TargetResult:
     n = 128
     grid = SampleGrid(n, 1.0, dimension=2)
-    cap = ctx.cap(name, 1.0)
-    rows = []
-    for t, seed in enumerate(ctx.seeds(90, ctx.trials(50))):
+
+    def trial(t, seed):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 16})
         g = generate_trial("band_limited", seed + 13, {"grid": grid, "band": n // 16})
         out = operators.tensor_paraproduct(f, g)
         lhs = mixed_norm(out, MixedNormSpec((2, 2)))
         rhs = mixed_norm(f, MixedNormSpec((4, 4))) * mixed_norm(g, MixedNormSpec((4, 4)))
-        if rhs == 0:
-            continue
-        rows.append(TrialRow(name, t, seed, lhs, rhs, lhs / rhs, {}))
-    max_ratio = max(r.ratio for r in rows)
-    passed = max_ratio <= cap
-    agg = {"max_ratio": max_ratio, "cap": cap,
-           "exponents": {"p": [4, 4], "q": [4, 4], "s": [2, 2]}}
-    return TargetResult(name, statement, rows, agg, passed)
+        return [] if rhs == 0 else [(lhs, rhs, {})]
+
+    rows = _trial_rows(ctx, name, 90, 50, trial)
+    return _capped(name, statement, rows, ctx.cap(name),
+                   exponents={"p": [4, 4], "q": [4, 4], "s": [2, 2]})
 
 
 def _run_depth2_vv(ctx, name, statement) -> TargetResult:
     grid = SampleGrid(512, 1.0)
-    cap = ctx.cap(name, 1.0)
     K1 = K2 = 3
-    rows = []
     fam = dyadic.grid_dyadic_family(grid, range(1, 6))
     spec = operators.ParaproductSpec.constant(grid, fam)
 
     def op(fc, gc):
         return operators.discretized_paraproduct(spec, fc, gc)
 
-    for t, seed in enumerate(ctx.seeds(95, ctx.trials(10))):
+    def trial(t, seed):
         fs = generate_trial("band_limited", seed,
                             {"grid": grid, "band": 48, "vector_shape": (K1, K2)})
         gs = generate_trial("band_limited", seed + 3,
@@ -878,15 +842,12 @@ def _run_depth2_vv(ctx, name, statement) -> TargetResult:
             MixedNormSpec((2, 2, 2)),
         )
         if n_f == 0 or n_g == 0:
-            continue
-        ratio = n_out / (n_f * n_g)
-        rows.append(TrialRow(name, t, seed, n_out, n_f * n_g, ratio,
-                             {"K": [K1, K2]}))
-    max_ratio = max(r.ratio for r in rows)
-    passed = max_ratio <= cap
-    agg = {"max_ratio": max_ratio, "cap": cap,
-           "inner_tuples": {"R1": ["inf", 2], "R2": [2, "inf"], "R": [2, 2]}}
-    return TargetResult(name, statement, rows, agg, passed)
+            return []
+        return [(n_out, n_f * n_g, {"K": [K1, K2]})]
+
+    rows = _trial_rows(ctx, name, 95, 10, trial)
+    return _capped(name, statement, rows, ctx.cap(name),
+                   inner_tuples={"R1": ["inf", 2], "R2": [2, "inf"], "R": [2, 2]})
 
 
 # ---------------------------------------------------------------------------
@@ -905,14 +866,14 @@ for _t in (
     _entry("telescope-1d",
            "f*g = sum_k [Q_k f P_k g + P_k f Q_k g + Q_k f Q_k g] + coarse block",
            partial(_run_telescope, dims=1, n=4096, tol=1e-10, seed_index=1,
-                   default_trials=3), 1.0),
+                   default_trials=3), None),
     _entry("telescope-2d",
            "f*g equals the nine bi-parameter terms plus the coarse remainder",
            partial(_run_telescope, dims=2, n=256, tol=1e-9, seed_index=2,
-                   default_trials=2), 1.0),
+                   default_trials=2), None),
     _entry("weak-dualization",
            "||f||_{p,inf} ~ sup_E inf_{major E~} ||f 1_E~||_r / |E|^(1/r-1/p)",
-           _run_weak_dualization, 4.0),
+           _run_weak_dualization, None),
     _entry("stopping-invariants",
            "triple stopping time: exact partition, per-level disjointness, "
            "sum |I| <= C 2^n ||1_E chi||_1",
@@ -933,14 +894,14 @@ for _t in (
            _run_shifted_growth, 2.5),
     _entry("bht-multiplier",
            "p.v. integral f(x-t)g(x+t) dt/t acts as -i pi sgn(xi-eta)",
-           _run_bht_multiplier, 1.0),
+           _run_bht_multiplier, None),
     _entry("bht-local-l2",
            "||BHT_P(f,g)||_1 <= C ||f||_2 ||g||_2, uniform as tiles quadruple",
            _run_bht_local_l2, 2.0),
     _entry("range-consistency",
            "case table for the admissible exponent region agrees with exact "
            "theta-feasibility on the step-1/24 rational grid",
-           _run_range_consistency, 1.0),
+           _run_range_consistency, None),
     _entry("leibniz-mixed",
            "||D1^a D2^b (fg)||_{s1,s2} <= C sum of four derivative-norm "
            "products; ratio stable under dyadic dilation",

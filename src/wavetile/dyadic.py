@@ -299,16 +299,15 @@ def _packet_window(grid: SampleGrid, scale: int, flavor: str) -> tuple[float, fl
     return lo * period, hi * period
 
 
-def _window_packet(grid: SampleGrid, scale: int, lo: float, hi: float, margin: float):
+def _window_packet(grid: SampleGrid, scale: int, lo: float, hi: float):
     """L2-normalized position-0 packet of one scale, centered at |I|/2.
 
-    Its spectrum is the cosine-power window on [lo, hi] (index units) with
-    the half-width scaled by ``margin``.
+    Its spectrum is the cosine-power window on [lo, hi] (index units).
     """
     grid.log2_period()  # packets tile the torus only for a power-of-two period
     m = grid.frequencies()
     center_f = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * margin
+    half = 0.5 * (hi - lo)
     prof = packet_profile((m - center_f) / half).astype(complex)
     center = 0.5 * 2.0 ** (-scale)
     prof *= np.exp(-2j * np.pi * m * center / grid.period_length)
@@ -367,11 +366,11 @@ def _synthesize(grid: SampleGrid, layers) -> GridFunction:
 
 
 @lru_cache(maxsize=2048)
-def _base_packet(n, period, scale, flavor, margin):
+def _base_packet(n, period, scale, flavor):
     """Spectrum of the packet for position 0 of the given scale."""
     grid = SampleGrid(n, period)
     lo, hi = _packet_window(grid, scale, flavor)
-    return _read_only_fft(_window_packet(grid, scale, lo, hi, margin))
+    return _read_only_fft(_window_packet(grid, scale, lo, hi))
 
 
 class WavePacketFamily:
@@ -382,25 +381,17 @@ class WavePacketFamily:
     adjoint, synthesis from per-position weights, a single convolution.
     """
 
-    def __init__(
-        self,
-        grid: SampleGrid,
-        intervals: list[DyadicInterval],
-        flavor: str,
-        margin: float = 1.0,
-    ):
+    def __init__(self, grid: SampleGrid, intervals: list[DyadicInterval], flavor: str):
         if flavor not in ("lacunary", "non-lacunary"):
             raise ValueError(f"unknown packet flavor {flavor!r}")
         self.grid = grid
         self.intervals = list(intervals)
         self.flavor = flavor
-        self.margin = margin
         grid.log2_period()
 
     def _base(self, scale: int) -> np.ndarray:
         return _base_packet(
-            self.grid.sample_count, self.grid.period_length,
-            scale, self.flavor, self.margin,
+            self.grid.sample_count, self.grid.period_length, scale, self.flavor
         )
 
     @cached_property
@@ -420,7 +411,7 @@ class WavePacketFamily:
     def packet(self, interval: DyadicInterval, shift_n: int = 0) -> GridFunction:
         """The packet of I + shift_n |I|, built directly (no packet cache)."""
         lo, hi = _packet_window(self.grid, interval.scale, self.flavor)
-        base = _window_packet(self.grid, interval.scale, lo, hi, self.margin)
+        base = _window_packet(self.grid, interval.scale, lo, hi)
         return _translate(self.grid, base, interval.scale, interval.position + shift_n)
 
     def scale_coefficients(
@@ -531,42 +522,38 @@ def _tile_window(grid: SampleGrid, scale: int, freq_index: int, slot: int) -> tu
     return (freq_index + slot - 1) * step * period, (freq_index + slot) * step * period
 
 
-def tile_packet(
-    grid: SampleGrid, tile: Tritile, slot: int, margin: float = 1.0
-) -> GridFunction:
+def tile_packet(grid: SampleGrid, tile: Tritile, slot: int) -> GridFunction:
     """L2-normalized wave packet adapted to one tile slot, built directly
     (no packet cache)."""
     scale = tile.spatial.scale
     lo, hi = _tile_window(grid, scale, tile.freq_index, slot)
-    base = _window_packet(grid, scale, lo, hi, margin)
+    base = _window_packet(grid, scale, lo, hi)
     return _translate(grid, base, scale, tile.spatial.position)
 
 
 @lru_cache(maxsize=4096)
-def _tile_base_packet(n, period, scale, freq_index, slot, margin):
+def _tile_base_packet(n, period, scale, freq_index, slot):
     """Spectrum of the position-0 packet of one (scale, freq_index) slot."""
     grid = SampleGrid(n, period)
     lo, hi = _tile_window(grid, scale, freq_index, slot)
-    return _read_only_fft(_window_packet(grid, scale, lo, hi, margin))
+    return _read_only_fft(_window_packet(grid, scale, lo, hi))
 
 
 def tile_scale_coefficients(
-    grid: SampleGrid, f: GridFunction, layers: Iterable[tuple[int, int]], slot: int,
-    margin: float = 1.0,
+    grid: SampleGrid, f: GridFunction, layers: Iterable[tuple[int, int]], slot: int
 ) -> dict[tuple[int, int], np.ndarray]:
     """{(j, l): <f, packet> for all spatial positions of that layer} over the
     given (scale, freq_index) layers; f is transformed once for all of them."""
     n, period = grid.sample_count, grid.period_length
     f_hat = np.fft.fft(f.samples)
     return {
-        (j, l): _correlate(grid, f_hat, _tile_base_packet(n, period, j, l, slot, margin), j)
+        (j, l): _correlate(grid, f_hat, _tile_base_packet(n, period, j, l, slot), j)
         for j, l in layers
     }
 
 
 def tile_scale_synthesize(
-    grid: SampleGrid, weights: dict[tuple[int, int], np.ndarray], slot: int,
-    margin: float = 1.0,
+    grid: SampleGrid, weights: dict[tuple[int, int], np.ndarray], slot: int
 ) -> GridFunction:
     """sum over layers (j, l) and positions p of weights[(j, l)][p] times the
     slot packet of the tile over (j, p) with frequency index l.
@@ -575,6 +562,6 @@ def tile_scale_synthesize(
     """
     n, period = grid.sample_count, grid.period_length
     return _synthesize(grid, (
-        (w, _tile_base_packet(n, period, j, l, slot, margin))
+        (w, _tile_base_packet(n, period, j, l, slot))
         for (j, l), w in weights.items()
     ))

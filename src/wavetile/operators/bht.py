@@ -87,11 +87,10 @@ def _bht_spectral(f: GridFunction, g: GridFunction) -> GridFunction:
 
 @dataclass
 class BHTModelSpec:
-    """Tile collection plus packet construction parameters."""
+    """Tile collection of a rank-one model on one grid."""
 
     grid: SampleGrid
     tiles: list[Tritile]
-    margin: float = 1.0
 
 
 def bht_model(spec: BHTModelSpec, f: GridFunction, g: GridFunction) -> GridFunction:
@@ -102,8 +101,8 @@ def bht_model(spec: BHTModelSpec, f: GridFunction, g: GridFunction) -> GridFunct
         layers.setdefault((tile.spatial.scale, tile.freq_index), []).append(
             tile.spatial.position
         )
-    coef_f = tile_scale_coefficients(grid, f, layers, 1, spec.margin)
-    coef_g = tile_scale_coefficients(grid, g, layers, 2, spec.margin)
+    coef_f = tile_scale_coefficients(grid, f, layers, 1)
+    coef_g = tile_scale_coefficients(grid, g, layers, 2)
     weights: dict[tuple[int, int], np.ndarray] = {}
     for (j, l), positions in layers.items():
         a, b = coef_f[(j, l)], coef_g[(j, l)]
@@ -113,4 +112,4 @@ def bht_model(spec: BHTModelSpec, f: GridFunction, g: GridFunction) -> GridFunct
             p = pos % len(w)
             w[p] += a[p] * b[p] / np.sqrt(length)
         weights[(j, l)] = w
-    return tile_scale_synthesize(grid, weights, 3, spec.margin)
+    return tile_scale_synthesize(grid, weights, 3)

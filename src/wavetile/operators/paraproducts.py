@@ -56,7 +56,6 @@ class ParaproductSpec:
     family: list[DyadicInterval]
     coefficients: np.ndarray
     slot_flavors: tuple[str, str, str] = _DEFAULT_SLOTS
-    margin: float = 1.0
     coefficient_bound: float = field(init=False)
 
     def __post_init__(self):
@@ -81,17 +80,15 @@ class ParaproductSpec:
         family: list[DyadicInterval],
         value: complex = 1.0,
         slot_flavors: tuple[str, str, str] = _DEFAULT_SLOTS,
-        margin: float = 1.0,
     ) -> "ParaproductSpec":
-        return cls(grid, family, np.full(len(family), value, dtype=complex),
-                   slot_flavors, margin)
+        return cls(grid, family, np.full(len(family), value, dtype=complex), slot_flavors)
 
     @cached_property
     def _slot_families(self) -> tuple[WavePacketFamily, ...]:
         """The packet family of each slot, built once per spec so that every
         application shares their index arrays."""
         return tuple(
-            WavePacketFamily(self.grid, self.family, flavor, self.margin)
+            WavePacketFamily(self.grid, self.family, flavor)
             for flavor in self.slot_flavors
         )
 
@@ -102,7 +99,6 @@ class ParaproductSpec:
             [self.family[i] for i in keep],
             self.coefficients[keep],
             self.slot_flavors,
-            self.margin,
         )
 
 
@@ -307,28 +303,28 @@ def shifted_paraproduct(
     f: GridFunction,
     g: GridFunction,
     scales: range | None = None,
-    margin: float = 1.0,
 ) -> GridFunction:
     """sum_I |I|^(-1) <f, psi(I_n)> <g, psi(I_n)> phi_I over the budget."""
     grid = f.grid
     if scales is None:
         scales = range(min_packet_scale(grid), max_scale(grid) + 1)
-    fam = WavePacketFamily(grid, [], "lacunary", margin)
+    fam = WavePacketFamily(grid, [], "lacunary")
     a = fam.scale_coefficients(f, scales, shift_n=n)
     b = fam.scale_coefficients(g, scales, shift_n=n)
     weights = {j: a[j] * b[j] / 2.0 ** (-j) for j in a}
-    return WavePacketFamily(grid, [], "non-lacunary", margin).scale_synthesize(weights)
+    return WavePacketFamily(grid, [], "non-lacunary").scale_synthesize(weights)
 
 
 # ---------------------------------------------------------------------------
 # Finite-decay (fractional-derivative) paraproduct
 # ---------------------------------------------------------------------------
 
+# Quadrature nodes of the symbol on its window [-4, 4).
+_QUAD_POINTS = 1 << 17
+
+
 def alpha_symbol_coefficients(
-    alpha: float,
-    n_limit: int,
-    scale: int | None = None,
-    quad_points: int = 1 << 17,
+    alpha: float, n_limit: int, scale: int | None = None
 ) -> np.ndarray:
     """Fourier coefficients c_n, |n| <= n_limit, of the normalized symbol.
 
@@ -340,7 +336,7 @@ def alpha_symbol_coefficients(
 
     Returns the array [c_-n_limit, ..., c_0, ..., c_n_limit].
     """
-    nq = quad_points
+    nq = _QUAD_POINTS
     u = -4.0 + 8.0 * np.arange(nq) / nq
     if scale is None:
         vals = np.abs(u) ** alpha * low_pass_profile(u)
@@ -353,23 +349,22 @@ def alpha_symbol_coefficients(
     return sign * coefs[ns % nq]
 
 
-def default_alpha_n_max(
-    alpha: float, rel_tail: float = 1e-3, cap: int = 1 << 15, quad_points: int = 1 << 17
-) -> int:
-    """Smallest n_max whose tail is below rel_tail of the head, capped.
+def default_alpha_n_max(alpha: float) -> int:
+    """Smallest power-of-two n_max whose tail is below 1e-3 of the head,
+    capped at a quarter of the quadrature nodes (2**15).
 
-    For small alpha the slow (1+|n|)^-(1+alpha) decay cannot reach the
-    requested relative tail within the cap; the cap is returned then and the
-    honest tail is reported by :func:`alpha_paraproduct`.
+    For small alpha the slow (1+|n|)^-(1+alpha) decay cannot reach that
+    relative tail within the cap; the cap is returned then and the honest
+    tail is reported by :func:`alpha_paraproduct`.
     """
-    limit = min(cap, quad_points // 4)
-    table = np.abs(alpha_symbol_coefficients(alpha, limit, quad_points=quad_points))
+    limit = _QUAD_POINTS // 4
+    table = np.abs(alpha_symbol_coefficients(alpha, limit))
     head = table.sum()
     center = len(table) // 2
     n = 1
     while n < limit:
         tail = table[: center - n].sum() + table[center + n + 1:].sum()
-        if tail < rel_tail * head:
+        if tail < 1e-3 * head:
             return n
         n *= 2
     return limit
@@ -391,7 +386,6 @@ def alpha_paraproduct(
     g: GridFunction,
     n_max: int | None = None,
     tol: float | None = None,
-    quad_points: int = 1 << 17,
 ) -> AlphaParaproductResult:
     """Derivative-absorbed finite-decay paraproduct, as a truncated series.
 
@@ -407,12 +401,12 @@ def alpha_paraproduct(
     if grid.period_length != 1.0:
         raise ValueError("the finite-decay paraproduct assumes a unit period")
     if n_max is None:
-        n_max = default_alpha_n_max(alpha, quad_points=quad_points)
-    if n_max >= quad_points // 2:
+        n_max = default_alpha_n_max(alpha)
+    if n_max >= _QUAD_POINTS // 2:
         raise ValueError("n_max must be below the quadrature resolution")
 
-    full_limit = quad_points // 4
-    table = np.abs(alpha_symbol_coefficients(alpha, full_limit, quad_points=quad_points))
+    full_limit = _QUAD_POINTS // 4
+    table = np.abs(alpha_symbol_coefficients(alpha, full_limit))
     center = full_limit
     head = float(table.sum())
     tail = float(table[: center - n_max].sum() + table[center + n_max + 1:].sum())
@@ -427,12 +421,12 @@ def alpha_paraproduct(
             n_max=n_max,
         )
 
-    coefs = alpha_symbol_coefficients(alpha, n_max, quad_points=quad_points)
+    coefs = alpha_symbol_coefficients(alpha, n_max)
 
     # The truncated series evaluated at xi = m / 2**k is a band-limited
     # filtering of the sampled symbol; grid frequencies land exactly on
     # quadrature nodes, so one filtered table serves every scale.
-    nq = quad_points
+    nq = _QUAD_POINTS
     v = 8.0 * np.arange(nq) / nq  # v = u + 4 on [0, 8)
     rho = np.abs(v - 4.0) ** alpha * low_pass_profile(v - 4.0)
     spec_rho = np.fft.fft(rho)

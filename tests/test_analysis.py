@@ -111,9 +111,9 @@ class TestLacunarySharedCoefficients:
             assert size(f, family, "lacunary").value == brute
 
     def test_energy_equals_per_root_recomputation(self, monkeypatch):
-        def per_root(f, family, margin):
+        def per_root(f, family):
             return [
-                weak_lp_norm(_local_square_function(f, family, root, margin), 1)
+                weak_lp_norm(_local_square_function(f, family, root), 1)
                 for root in family
             ]
 

@@ -85,6 +85,16 @@ class TestConfig:
         ("eps_values = 0.01,, 0.1", "'eps_values': empty item"),
         ("eps_values = 0.01, x", "cannot read 'x' as float"),
         ("seed = 1125899906842624", "seed must be at most 2\\*\\*46 - 1"),
+        ("cap.stopping-invariants = 0", "cap.stopping-invariants must be finite and > 0, got 0.0"),
+        ("cap.alpha-coefficients = 0", "cap.alpha-coefficients must be finite and > 0, got 0.0"),
+        ("cap.size-energy = -1", "cap.size-energy must be finite and > 0, got -1.0"),
+        ("cap.size-energy = nan", "cap.size-energy must be finite and > 0, got nan"),
+        ("cap.depth2-vv = inf", "cap.depth2-vv must be finite and > 0, got inf"),
+        ("cap.telescope-1d = 1", "cap.telescope-1d: target 'telescope-1d' reads no cap"),
+        ("cap.telescope-2d = 1", "cap.telescope-2d: target 'telescope-2d' reads no cap"),
+        ("cap.weak-dualization = 4", "target 'weak-dualization' reads no cap, got 4.0"),
+        ("cap.bht-multiplier = 0", "target 'bht-multiplier' reads no cap, got 0.0"),
+        ("cap.range-consistency = 1", "target 'range-consistency' reads no cap"),
     ])
     def test_bad_config_rejected_at_parse_time(self, text, reason):
         with pytest.raises(ValueError, match=reason):
@@ -213,6 +223,19 @@ class TestCampaignContracts:
         from wavetile.bench import ExperimentConfig, run_campaign
         report = run_campaign(ExperimentConfig(targets=()))
         assert report.results == [] and report.passed
+
+    def test_every_cap_can_fail(self):
+        capped = tuple(name for name, t in REGISTRY.items() if t.default_cap is not None)
+        assert len(capped) == 15
+        tiny = 1e-12
+        report = run_campaign(ExperimentConfig(
+            seed=7, trials=1, targets=capped, caps=dict.fromkeys(capped, tiny)
+        ))
+        for result in report.results:
+            assert result.error is None, result.error
+            assert not result.passed, result.name
+            cap = result.aggregates.get("cap", result.aggregates.get("kappa_cap"))
+            assert cap == tiny, result.name
 
     def test_registry_smoke_one_trial_under_budget(self):
         import time

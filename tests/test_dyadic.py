@@ -155,16 +155,6 @@ class TestWavePackets:
             outside = spec[(m < lo) | (m > hi)]
             assert outside.max() <= 1e-12 * spec.max()
 
-    def test_margin_shrinks_support(self):
-        g = SampleGrid(512, 1.0)
-        fam = WavePacketFamily(g, [], "lacunary", margin=0.9)
-        pk = fam.packet(DyadicInterval(4, 0))
-        spec = np.abs(np.fft.fft(pk.samples))
-        m = g.frequencies()
-        # window [16, 32] shrunk by 0.9 about its center 24
-        outside = spec[(m < 24 - 8 * 0.9 - 1e-9) | (m > 24 + 8 * 0.9 + 1e-9)]
-        assert outside.max() <= 1e-12 * spec.max()
-
     def test_coefficients_match_direct_inner_products(self):
         g = SampleGrid(256, 1.0)
         rng = np.random.default_rng(3)
@@ -240,11 +230,9 @@ class TestSharedSpectrumPath:
     @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
     def test_direct_packet_matches_cached_spectrum(self, flavor):
         g = self.GRID
-        fam = WavePacketFamily(g, [], flavor, margin=0.9)
+        fam = WavePacketFamily(g, [], flavor)
         for iv in (DyadicInterval(2, 3), DyadicInterval(4, 37), DyadicInterval(5, 0)):
-            spectrum = dyadic._base_packet(
-                g.sample_count, g.period_length, iv.scale, flavor, 0.9
-            )
+            spectrum = dyadic._base_packet(g.sample_count, g.period_length, iv.scale, flavor)
             assert not spectrum.flags.writeable
             shift = iv.position * dyadic._stride(g, iv.scale)
             want = np.roll(np.fft.ifft(spectrum), shift % g.sample_count)
@@ -254,7 +242,7 @@ class TestSharedSpectrumPath:
         g = self.GRID
         tile = Tritile(DyadicInterval(3, 5), 2)
         for slot in (1, 2, 3):
-            spectrum = dyadic._tile_base_packet(g.sample_count, g.period_length, 3, 2, slot, 1.0)
+            spectrum = dyadic._tile_base_packet(g.sample_count, g.period_length, 3, 2, slot)
             assert not spectrum.flags.writeable
             want = np.roll(np.fft.ifft(spectrum), 5 * dyadic._stride(g, 3))
             assert np.abs(tile_packet(g, tile, slot).samples - want).max() <= 1e-12
