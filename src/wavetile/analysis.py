@@ -25,7 +25,7 @@ from .dyadic import (
     torus_bump_samples,
 )
 from .errors import MajorSubsetError, ShapeError
-from .grid import GridFunction, SampleGrid, max_scale
+from .grid import GridFunction, SampleGrid, max_scale, scale_range
 from .norms import MeasurableSet, lp_norm, weak_lp_norm
 
 __all__ = [
@@ -225,16 +225,14 @@ def size(
 def size_tilde(
     f: GridFunction,
     family: list[DyadicInterval],
-    I0: DyadicInterval | None = None,
+    I0: DyadicInterval,
     M: int = 10,
-    min_scale: int | None = None,
 ) -> SizeReport:
-    """Modified size: chi-averages over the enlarged collection family+."""
+    """Modified size: chi-averages over the enlarged collection family+
+    inside 3*I0."""
     if not family:
         raise ValueError("size of an empty family is undefined")
-    if I0 is None and min_scale is None:
-        min_scale = -f.grid.log2_period()
-    plus = collection_plus(family, I0, min_scale=min_scale)
+    plus = collection_plus(family, I0)
     if not plus:
         raise ValueError("no enlarged intervals: family lies outside 3*I0")
     cache = _AverageCache(f, M)
@@ -274,7 +272,6 @@ def energy(
     f: GridFunction,
     family: list[DyadicInterval],
     flavor: str = "non-lacunary",
-    M: int = 10,
 ) -> EnergyReport:
     """sup over levels n and disjoint subfamilies D of 2^n sum |I|.
 
@@ -313,24 +310,17 @@ def energy(
 # Maximal and square operators
 # ---------------------------------------------------------------------------
 
-def _analysis_scales(grid: SampleGrid, scales: range | None) -> range:
-    if scales is not None:
-        return scales
-    return range(-grid.log2_period(), max_scale(grid) + 1)
-
-
 def maximal(
     f: GridFunction,
     shift_n: int = 0,
     M: int = 10,
-    scales: range | None = None,
 ) -> GridFunction:
     """Shifted dyadic maximal function: at x, the sup over budgeted dyadic
     I containing x of the chi-weighted average of |f| on I + shift_n |I|."""
     _require_1d(f)
     grid = f.grid
     out = np.zeros(grid.sample_count)
-    for j in _analysis_scales(grid, scales):
+    for j in scale_range(grid):
         avgs = scale_averages(f, j, M, shift_n)
         stride = grid.sample_count // len(avgs)
         np.maximum(out, np.repeat(avgs, stride), out=out)

@@ -143,7 +143,7 @@ def _run_telescope(ctx: RunContext, name: str, statement: str, *, dims: int,
     def trial(t, seed):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 8})
         g = generate_trial("band_limited", seed + 501, {"grid": grid, "band": n // 8})
-        parts = operators.telescoping_decomposition(f, g, dims=dims)
+        parts = operators.telescoping_decomposition(f, g)
         total = parts[0]
         for p in parts[1:]:
             total = total + p

@@ -118,36 +118,20 @@ def _tripled_contains(i0: DyadicInterval, j: DyadicInterval) -> bool:
 
 
 def collection_plus(
-    family: list[DyadicInterval],
-    bound: DyadicInterval | None = None,
-    min_scale: int | None = None,
+    family: list[DyadicInterval], bound: DyadicInterval
 ) -> list[DyadicInterval]:
-    """All dyadic J containing at least one member.
+    """All dyadic J inside the tripled interval 3*bound that contain at
+    least one member, each member's ancestors in turn (finest first).
 
-    With ``bound`` given, J additionally has to lie inside the tripled
-    interval 3*bound (and no ``min_scale`` is needed: the ancestor chain
-    stops once it escapes).  Without a bound, ``min_scale`` caps how coarse
-    the ancestors may get.
+    A chain stops at the first ancestor already collected, since every
+    ancestor above it is collected too.
     """
-    if bound is None and min_scale is None:
-        raise ValueError("unbounded collection_plus needs min_scale")
     seen: dict[DyadicInterval, None] = {}
     for iv in family:
         j = iv
-        while True:
-            if bound is not None:
-                if not _tripled_contains(bound, j):
-                    break
-            elif j.scale < min_scale:
-                break
-            if j not in seen:
-                seen[j] = None
-            if bound is None and j.scale == min_scale:
-                break
-            nxt = j.parent()
-            if bound is not None and not _tripled_contains(bound, nxt):
-                break
-            j = nxt
+        while j not in seen and _tripled_contains(bound, j):
+            seen[j] = None
+            j = j.parent()
     return list(seen)
 
 
@@ -219,8 +203,13 @@ def torus_bump_samples(
 ) -> np.ndarray:
     """Samples of the periodized adapted bump of I + shift_n*|I| on the torus.
 
-    Distance is measured on the torus by summing the line bump over enough
-    period wraps that the dropped tail is below 1e-16.
+    Distance is measured on the torus by summing the line bump over w
+    period wraps on each side, with w the fewest that put the first dropped
+    term below 1e-16, and at most 64.  That bounds one term, not the dropped
+    tail, and not relative to the bump's small values far from I: against a
+    20,000-wrap sum on 512 points the relative error reaches 1.7e-6 at
+    M = 4 (the whole torus, where the 64-wrap cap binds) and 2.4e-9 at
+    M = 10 (fine intervals, 1/64 of the period long).
     """
     return _torus_bump_cached(
         grid.sample_count, grid.period_length, interval.scale,
@@ -235,7 +224,8 @@ def _torus_bump_cached(n, period, scale, position, decay_exponent):
     length = 2.0 ** (-scale)
     left = (position * length) % period
     ratio = period / length
-    # wraps needed: ((w-1) * period / length) ** -M < 1e-16
+    # wraps with ((w-1) * period / length) ** -M < 1e-16, capped at 64: this
+    # bounds the first dropped term, not the dropped tail
     w = int(np.ceil((1e16) ** (1.0 / decay_exponent) / max(ratio, 1e-300))) + 2
     w = min(max(w, 1), 64)
     total = np.zeros_like(x)

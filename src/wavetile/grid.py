@@ -78,8 +78,8 @@ class SampleGrid:
     def spatial_shape(self) -> tuple[int, ...]:
         return (self.sample_count,) * self.dimension
 
-    def points(self, axis: int = 0) -> np.ndarray:
-        """Sample coordinates along one axis."""
+    def points(self) -> np.ndarray:
+        """Sample coordinates, the same along every axis."""
         return np.arange(self.sample_count) * self.spacing
 
     def frequencies(self) -> np.ndarray:

@@ -12,7 +12,8 @@ the whole sum costs a few FFTs per scale irrespective of the family size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import product
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from ..errors import TruncationError
 from ..grid import (
     GridFunction,
     SampleGrid,
+    _projection_values,
     littlewood_paley,
     low_pass_profile,
     max_scale,
@@ -170,98 +172,52 @@ def localized_paraproduct(
 # Telescoping product decomposition
 # ---------------------------------------------------------------------------
 
-def telescoping_decomposition(
-    f: GridFunction, g: GridFunction, dims: int = 1
-) -> list[GridFunction]:
+def telescoping_decomposition(f: GridFunction, g: GridFunction) -> list[GridFunction]:
     """Exact frequency decomposition of the pointwise product.
 
-    1d: returns [T1, T2, T3, R] with
-        T1 = sum_k Q_k f P_k g,  T2 = sum_k P_k f Q_k g,
-        T3 = sum_k Q_k f Q_k g,  R = P_min f P_min g,
-    summing over the full scale budget; T1 + T2 + T3 + R = f g to round-off
-    for inputs band-limited to |m| <= N/4.
+    Along each axis the product telescopes into three pairings summed over
+    the full scale budget, Q_k . P_k, P_k . Q_k and Q_k . Q_k, plus the
+    coarse block P_k0 . P_k0 at the first scale.  On a d-dimensional grid
+    the terms are the tensor products of one piece per axis.  Returns the
+    3**d pairing terms (first axis major, pairings in the order above) and
+    then one remainder that sums every term with a coarse factor; in 1d
+    that is [T1, T2, T3, R] with R = P_k0 f P_k0 g.  The parts add up to
+    f g to round-off for inputs band-limited to |m| <= N/4.
 
-    2d: returns the nine double-sum terms (x-type major, y-type minor) plus
-    one lumped remainder carrying every coarsest-scale cross term.
+    Both inputs are transformed once; each projection is one inverse
+    transform of the spectrum times the outer product of per-axis profiles.
     """
     grid = f.grid
     limit = grid.sample_count // 4
     require_band_limited(f, limit)
     require_band_limited(g, limit)
-    if dims == 1:
-        return _telescope_1d(f, g)
-    if dims == 2:
-        return _telescope_2d(f, g)
-    raise ValueError("dims must be 1 or 2")
-
-
-def _telescope_1d(f: GridFunction, g: GridFunction) -> list[GridFunction]:
-    grid = f.grid
+    dim = grid.dimension
+    f_hat = np.fft.fftn(f.samples)
+    g_hat = np.fft.fftn(g.samples)
     ks = scale_range(grid)
-    t = [np.zeros_like(f.samples) for _ in range(3)]
-    for k in ks:
-        pf = littlewood_paley(f, k, "P").samples
-        qf = littlewood_paley(f, k, "Q").samples
-        pg = littlewood_paley(g, k, "P").samples
-        qg = littlewood_paley(g, k, "Q").samples
-        t[0] += qf * pg
-        t[1] += pf * qg
-        t[2] += qf * qg
-    k0 = ks.start
-    r = littlewood_paley(f, k0, "P").samples * littlewood_paley(g, k0, "P").samples
-    return [GridFunction(grid, a) for a in (*t, r)]
-
-
-_PAIRINGS = (("Q", "P"), ("P", "Q"), ("Q", "Q"))
-
-
-def _telescope_2d(f: GridFunction, g: GridFunction) -> list[GridFunction]:
-    grid = f.grid
-    ks = list(scale_range(grid))
-    k0 = ks[0]
-
-    def proj(h, k, fl, axis):
-        return littlewood_paley(h, k, fl, axis=axis)
-
-    # cache x-projections of f and g for every (k, flavor)
-    fx = {(k, fl): proj(f, k, fl, 0) for k in ks for fl in "PQ"}
-    gx = {(k, fl): proj(g, k, fl, 0) for k in ks for fl in "PQ"}
-
-    terms = []
-    for ax, bx in _PAIRINGS:
-        for ay, by in _PAIRINGS:
-            acc = np.zeros_like(f.samples)
-            for k in ks:
-                fxa = fx[(k, ax)]
-                gxb = gx[(k, bx)]
-                for l in ks:
-                    acc += (
-                        proj(fxa, l, ay, 1).samples * proj(gxb, l, by, 1).samples
-                    )
-            terms.append(GridFunction(grid, acc))
-
-    # remainder: x-telescoping against the y-coarse block, y-telescoping
-    # against the x-coarse block, and the doubly coarse block
-    rem = np.zeros_like(f.samples)
-    f_ycoarse = proj(f, k0, "P", 1)
-    g_ycoarse = proj(g, k0, "P", 1)
-    for ax, bx in _PAIRINGS:
-        for k in ks:
-            rem += (
-                proj(f_ycoarse, k, ax, 0).samples * proj(g_ycoarse, k, bx, 0).samples
-            )
-    f_xcoarse = proj(f, k0, "P", 0)
-    g_xcoarse = proj(g, k0, "P", 0)
-    for ay, by in _PAIRINGS:
-        for l in ks:
-            rem += (
-                proj(f_xcoarse, l, ay, 1).samples * proj(g_xcoarse, l, by, 1).samples
-            )
-    rem += (
-        proj(f_ycoarse, k0, "P", 0).samples * proj(g_ycoarse, k0, "P", 0).samples
-    )
-    terms.append(GridFunction(grid, rem))
-    return terms
+    # flavors of f and g in each piece along one axis; "PP" is the coarse
+    # block, present at the first scale only
+    pieces = ("QP", "PQ", "QQ", "PP")
+    terms = [np.zeros_like(f.samples) for _ in range(3 ** dim + 1)]
+    for scales in product(ks, repeat=dim):
+        proj_f, proj_g = {}, {}
+        for flavors in product("PQ", repeat=dim):
+            m = reduce(np.multiply.outer, [
+                _projection_values(grid.sample_count, grid.period_length, k, fl)
+                for k, fl in zip(scales, flavors)
+            ])
+            proj_f[flavors] = np.fft.ifftn(f_hat * m)
+            proj_g[flavors] = np.fft.ifftn(g_hat * m)
+        choices = [range(4) if k == ks.start else range(3) for k in scales]
+        for combo in product(*choices):
+            if 3 in combo:
+                index = 3 ** dim
+            else:
+                index = int(np.ravel_multi_index(combo, (3,) * dim))
+            fa = tuple(pieces[i][0] for i in combo)
+            gb = tuple(pieces[i][1] for i in combo)
+            terms[index] += proj_f[fa] * proj_g[gb]
+    return [GridFunction(grid, t) for t in terms]
 
 
 def classical_paraproduct(

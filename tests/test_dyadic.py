@@ -88,14 +88,21 @@ class TestLocalize:
         assert got == want
 
 
+def tripled_oracle(i0, j):
+    # J inside 3*I0, from exact rational endpoints
+    lo, hi = endpoints(i0)
+    jl, jr = endpoints(j)
+    return lo - (hi - lo) <= jl and jr <= hi + (hi - lo)
+
+
 class TestCollectionPlus:
     def test_single_interval_ancestors(self):
-        got = collection_plus([DyadicInterval(2, 0)], min_scale=-2)
-        want = {DyadicInterval(j, 0) for j in range(-2, 3)}
-        assert set(got) == want
+        # 3*[0,1) = [-1,2) holds [0,1/4), [0,1/2), [0,1) and [0,2), not [0,4)
+        got = collection_plus([DyadicInterval(2, 0)], DyadicInterval(0, 0))
+        assert got == [DyadicInterval(j, 0) for j in (2, 1, 0, -1)]
 
     def test_empty_family(self):
-        assert collection_plus([], min_scale=0) == []
+        assert collection_plus([], DyadicInterval(0, 0)) == []
 
     def test_bounded_outputs_inside_tripled_root(self):
         root = DyadicInterval(0, 0)
@@ -108,16 +115,17 @@ class TestCollectionPlus:
         rng = np.random.default_rng(11)
         pool = full_tree(DyadicInterval(0, 0), 4)
         family = [iv for iv in pool if rng.random() < 0.3] or [pool[-1]]
-        got = set(collection_plus(family, min_scale=-1))
-        want = set()
-        for iv in family:
-            j = iv
-            while j.scale >= -1:
-                want.add(j)
-                if j.scale == -1:
-                    break
-                j = j.parent()
-        assert got == want
+        for bound in (DyadicInterval(0, 0), DyadicInterval(1, 1), DyadicInterval(2, 1)):
+            got = collection_plus(family, bound)
+            want = set()
+            for iv in family:
+                j = iv
+                while j.scale >= -3:
+                    if tripled_oracle(bound, j):
+                        want.add(j)
+                    j = j.parent()
+            assert len(got) == len(set(got))
+            assert set(got) == want
 
 
 class TestAdaptedBump:

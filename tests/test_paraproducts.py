@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,11 +129,40 @@ class TestTrilinearForm:
             assert abs(lam - pairing) <= 1e-10 * max(abs(pairing), 1e-20)
 
 
+def telescope_route(f, h):
+    """The telescoping terms summed projection by projection: the
+    Littlewood-Paley projection along the first axis, then along the second.
+
+    Returns the 3**d pairing terms (first axis major) and the sum of every
+    term with a coarse-block factor.
+    """
+    dim = f.grid.dimension
+    ks = scale_range(f.grid)
+    pairings = [(("Q", "P"), ks), (("P", "Q"), ks), (("Q", "Q"), ks)]
+    coarse = (("P", "P"), [ks.start])
+
+    def term(axis_pieces):
+        acc = np.zeros_like(f.samples)
+        for scales in itertools.product(*(s for _, s in axis_pieces)):
+            u, v = f, h
+            for axis, (((a, b), _), k) in enumerate(zip(axis_pieces, scales)):
+                u = littlewood_paley(u, k, a, axis=axis)
+                v = littlewood_paley(v, k, b, axis=axis)
+            acc += u.samples * v.samples
+        return acc
+
+    terms = [term(c) for c in itertools.product(pairings, repeat=dim)]
+    remainder = sum(
+        term(c) for c in itertools.product(pairings + [coarse], repeat=dim) if coarse in c
+    )
+    return terms + [remainder]
+
+
 class TestTelescoping:
     def test_1d_identity(self):
         g = SampleGrid(4096, 1.0)
         f, h = band_limited(g, 1, 512), band_limited(g, 2, 512)
-        parts = telescoping_decomposition(f, h, 1)
+        parts = telescoping_decomposition(f, h)
         assert len(parts) == 4
         total = parts[0] + parts[1] + parts[2] + parts[3]
         product = GridFunction(g, f.samples * h.samples)
@@ -140,14 +172,14 @@ class TestTelescoping:
         g = SampleGrid(1024, 1.0)
         one = GridFunction(g, np.ones(1024, dtype=complex))
         h = band_limited(g, 3, 100)
-        t1, t2, t3, rem = telescoping_decomposition(one, h, 1)
+        t1, t2, t3, rem = telescoping_decomposition(one, h)
         assert t1.norm2() == 0.0 and t3.norm2() == 0.0
         assert (t2 + rem - h).norm2() <= 1e-10 * h.norm2()
 
     def test_2d_identity(self):
         g = SampleGrid(256, 1.0, dimension=2)
         f, h = band_limited(g, 4, 32), band_limited(g, 5, 32)
-        parts = telescoping_decomposition(f, h, 2)
+        parts = telescoping_decomposition(f, h)
         assert len(parts) == 10
         total = parts[0]
         for p in parts[1:]:
@@ -155,11 +187,34 @@ class TestTelescoping:
         product = GridFunction(g, f.samples * h.samples)
         assert (total - product).norm2() <= 1e-9 * product.norm2()
 
+    @pytest.mark.parametrize("grid", [SampleGrid(512, 1.0), SampleGrid(64, 1.0, dimension=2)])
+    def test_each_term_matches_projection_route(self, grid):
+        band = grid.sample_count // 5
+        f, h = band_limited(grid, 9, band), band_limited(grid, 10, band)
+        parts = telescoping_decomposition(f, h)
+        want = telescope_route(f, h)
+        assert len(parts) == len(want) == 3 ** grid.dimension + 1
+        for got, ref in zip(parts, want):
+            assert np.linalg.norm(got.samples - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_memory_peak_bounded(self):
+        # one spectrum per input and one set of projections per scale pair;
+        # caching every projection of both inputs would exceed the bound
+        g = SampleGrid(256, 1.0, dimension=2)
+        f, h = band_limited(g, 4, 32), band_limited(g, 5, 32)
+        tracemalloc.start()
+        try:
+            telescoping_decomposition(f, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
     def test_band_limit_enforced(self):
         g = SampleGrid(256, 1.0)
         wide = band_limited(g, 6, 100)  # beyond N/4
         with pytest.raises(AliasingError):
-            telescoping_decomposition(wide, wide, 1)
+            telescoping_decomposition(wide, wide)
 
     def test_fattened_projection_reproduces_summands(self):
         g = SampleGrid(512, 1.0)
