@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from ..dyadic import DyadicInterval, WavePacketFamily, min_packet_scale
-from ..errors import TruncationError
+from ..errors import ShapeError, TruncationError
 from ..grid import (
     GridFunction,
     SampleGrid,
@@ -187,6 +187,8 @@ def telescoping_decomposition(f: GridFunction, g: GridFunction) -> list[GridFunc
     Both inputs are transformed once; each projection is one inverse
     transform of the spectrum times the outer product of per-axis profiles.
     """
+    if f.vector_shape or g.vector_shape:
+        raise ShapeError("the telescoping decomposition takes scalar functions")
     grid = f.grid
     limit = grid.sample_count // 4
     require_band_limited(f, limit)

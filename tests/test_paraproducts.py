@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavetile.dyadic import DyadicInterval, WavePacketFamily, grid_dyadic_family
-from wavetile.errors import AliasingError, TruncationError
+from wavetile.errors import AliasingError, ShapeError, TruncationError
 from wavetile.grid import (
     GridFunction,
     SampleGrid,
@@ -215,6 +215,13 @@ class TestTelescoping:
         wide = band_limited(g, 6, 100)  # beyond N/4
         with pytest.raises(AliasingError):
             telescoping_decomposition(wide, wide)
+
+    def test_vector_valued_inputs_rejected(self):
+        g = SampleGrid(64, 1.0)
+        f = band_limited(g, 11, 8)
+        stacked = GridFunction(g, np.stack([f.samples] * 64, axis=1))
+        with pytest.raises(ShapeError):
+            telescoping_decomposition(stacked, stacked)
 
     def test_fattened_projection_reproduces_summands(self):
         g = SampleGrid(512, 1.0)
