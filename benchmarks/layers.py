@@ -1,0 +1,146 @@
+"""Layer micro-benchmark: packet coefficient sweeps and packet synthesis.
+
+    PYTHONPATH=src python3 benchmarks/layers.py [--repeats 9] [--json FILE]
+
+Times the two packet layers the campaign targets are built from, on a
+unit-period grid at n = 512, 1024 and 4096:
+
+* ``sweep``: the coefficients of one input at every position of every
+  layer, ``WavePacketFamily.scale_coefficients`` over all packet scales
+  (lacunary and non-lacunary) and ``tile_scale_coefficients`` over
+  (scale, frequency index) layers, slot 1;
+* ``synth``: the adjoint, ``WavePacketFamily.scale_synthesize`` and
+  ``tile_scale_synthesize`` (slot 3), of weights with those shapes.
+
+Each is timed for a scalar input and for K = 16 components.  A package whose
+packet engine takes trailing vector axes gets one call on an ``(n, 16)``
+input; one that does not gets 16 scalar calls, which is how it evaluates a
+16-component operator.  The route taken is printed as ``vector_route``.
+
+Every timing is a median (with quartiles) over ``--repeats`` calls after one
+warm-up call, so the packet caches are full and only the sweep is timed.
+One JSON line per case goes to stdout, and ``--json`` writes them all with
+the Python, numpy and CPU figures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+
+from wavetile.dyadic import (
+    WavePacketFamily,
+    min_packet_scale,
+    tile_scale_coefficients,
+    tile_scale_synthesize,
+)
+from wavetile.grid import GridFunction, SampleGrid, max_scale
+
+SIZES = (512, 1024, 4096)
+K = 16
+
+
+def _input(grid: SampleGrid, vector_shape: tuple[int, ...], seed: int) -> GridFunction:
+    rng = np.random.default_rng(seed)
+    shape = (grid.sample_count,) + vector_shape
+    return GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def _tile_layers(grid: SampleGrid) -> list[tuple[int, int]]:
+    """Scales from 3 up to where slot 3 of frequency index 3 stays below
+    Nyquist, four frequency indices each."""
+    top = int(np.log2(grid.sample_count / 12))
+    return [(j, l) for j in range(3, top + 1) for l in range(4)]
+
+
+def _cases(grid: SampleGrid):
+    """(layer, flavor, sweep(f), synth(weights), weights for f) per case."""
+    scales = range(min_packet_scale(grid), max_scale(grid) + 1)
+    for flavor in ("lacunary", "non-lacunary"):
+        fam = WavePacketFamily(grid, [], flavor)
+        yield (flavor,
+               lambda f, fam=fam: fam.scale_coefficients(f, scales),
+               fam.scale_synthesize)
+    layers = _tile_layers(grid)
+    yield ("tile",
+           lambda f: tile_scale_coefficients(grid, f, layers, 1),
+           lambda w: tile_scale_synthesize(grid, w, 3))
+
+
+def _batched(sweep, grid: SampleGrid) -> bool:
+    """Whether the engine takes trailing vector axes (one call per input)."""
+    probe = _input(grid, (2,), 0)
+    try:
+        coefs = sweep(probe)
+    except ValueError:
+        return False
+    return all(c.shape[1:] == (2,) for c in coefs.values())
+
+
+def _timed(call, repeats: int) -> dict:
+    call()  # warm-up: fills the packet caches
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - start)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3}
+
+
+def measure(repeats: int) -> list[dict]:
+    rows = []
+    for n in SIZES:
+        grid = SampleGrid(n, 1.0)
+        for name, sweep, synth in _cases(grid):
+            batched = _batched(sweep, grid)
+            for components in (1, K):
+                if components == 1 or batched:
+                    f = _input(grid, () if components == 1 else (K,), 1)
+                    weights = sweep(f)
+                    run_sweep = lambda f=f: sweep(f)  # noqa: E731
+                    run_synth = lambda w=weights: synth(w)  # noqa: E731
+                else:
+                    fs = [_input(grid, (), 1 + k) for k in range(components)]
+                    ws = [sweep(f) for f in fs]
+                    run_sweep = lambda fs=fs: [sweep(f) for f in fs]  # noqa: E731
+                    run_synth = lambda ws=ws: [synth(w) for w in ws]  # noqa: E731
+                for op, call in (("sweep", run_sweep), ("synth", run_synth)):
+                    row = {"layer": f"packet_{op}", "packets": name, "n": n, "K": components,
+                           "vector_route": "batched" if batched else "per-component",
+                           "repeats": repeats, **_timed(call, repeats)}
+                    print(json.dumps(row), flush=True)
+                    rows.append(row)
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=9, help="timed calls per case (>= 2)")
+    parser.add_argument("--json", help="also write every row and the machine figures here")
+    args = parser.parse_args(argv)
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2")
+    rows = measure(args.repeats)
+    if args.json:
+        record = {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": os.cpu_count(),
+            "machine": platform.machine(),
+            "rows": rows,
+        }
+        with open(args.json, "w") as fh:
+            json.dump(record, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -153,47 +153,64 @@ def _square_terms(f: GridFunction, family: list[DyadicInterval]) -> list[float]:
     return [abs(c) ** 2 / iv.length for iv, c in zip(family, coefs)]
 
 
-def _root_square_function(
-    grid: SampleGrid,
-    family: list[DyadicInterval],
-    cells: list[np.ndarray],
-    terms: list[float],
-    root: DyadicInterval,
-) -> GridFunction:
-    """sqrt(sum over I in family, I <= root of terms[I] * 1_I), members
-    accumulated in family order; ``cells[I]`` are the sample indices of I."""
-    acc = np.zeros(grid.sample_count)
-    for iv, cell, term in zip(family, cells, terms):
-        if root.contains(iv):
-            acc[cell] += term
-    return GridFunction(grid, np.sqrt(acc).astype(complex))
-
-
 def _local_square_function(
     f: GridFunction,
     family: list[DyadicInterval],
     root: DyadicInterval,
 ) -> GridFunction:
-    """sqrt(sum over I in family, I <= root of |<f, psi_I>|^2 / |I| * 1_I).
+    """sqrt(sum over I in family, I <= root of |<f, psi_I>|^2 / |I| * 1_I),
+    members accumulated in family order.
 
-    Transforms f for this root alone; :func:`size` and :func:`energy` share
-    one set of coefficients across all roots instead.
+    Transforms f for this root alone; :func:`size` and :func:`energy` take
+    every root at once through :func:`_lacunary_weak_norms` instead.
     """
     grid = f.grid
     members = [iv for iv in family if root.contains(iv)]
-    cells = [interval_indices(grid, iv) for iv in members]
-    return _root_square_function(grid, members, cells, _square_terms(f, members), root)
+    acc = np.zeros(grid.sample_count)
+    for iv, term in zip(members, _square_terms(f, members)):
+        acc[interval_indices(grid, iv)] += term
+    return GridFunction(grid, np.sqrt(acc).astype(complex))
+
+
+def _containment(roots: list[DyadicInterval], members: list[DyadicInterval]) -> np.ndarray:
+    """Boolean matrix of ``root.contains(member)``, roots by members, from
+    the integer scales and positions."""
+    r_scale = np.array([iv.scale for iv in roots], dtype=np.int64)[:, None]
+    r_pos = np.array([iv.position for iv in roots], dtype=np.int64)[:, None]
+    m_scale = np.array([iv.scale for iv in members], dtype=np.int64)[None, :]
+    m_pos = np.array([iv.position for iv in members], dtype=np.int64)[None, :]
+    depth = m_scale - r_scale
+    # int64 shifts past 63 bits are undefined; 63 already gives 0 or -1
+    return (depth >= 0) & ((m_pos >> np.clip(depth, 0, 63)) == r_pos)
 
 
 def _lacunary_weak_norms(f: GridFunction, family: list[DyadicInterval]) -> list[float]:
-    """||local square function of I||_(L^1,inf) for every root I in the family."""
+    """||local square function of I||_(L^1,inf) for every root I in the family.
+
+    All roots at once: each member's term goes into the row of every root
+    containing it, members in family order, so each (root, sample) entry
+    sums exactly as :func:`_local_square_function` does; then each row is
+    sorted once for the weak norm, as :func:`~wavetile.norms.weak_lp_norm`
+    evaluates it at p = 1.
+    """
     grid = f.grid
-    terms = _square_terms(f, family)
+    n = grid.sample_count
+    terms = np.array(_square_terms(f, family))
     cells = [interval_indices(grid, iv) for iv in family]
-    return [
-        weak_lp_norm(_root_square_function(grid, family, cells, terms, root), 1)
-        for root in family
-    ]
+    root, member = np.nonzero(_containment(family, family))
+    widths = np.array([len(cell) for cell in cells])[member]
+    starts = np.array([cell[0] for cell in cells])[member]
+    offsets = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
+    acc = np.zeros((len(family), n))
+    # unbuffered, in index order: each row lists its members in family order
+    np.add.at(
+        acc,
+        (np.repeat(root, widths), (np.repeat(starts, widths) + offsets) % n),
+        np.repeat(terms[member], widths),
+    )
+    vals = np.sort(np.sqrt(acc), axis=1)[:, ::-1]
+    cand = vals * (np.arange(1, n + 1) * grid.cell_measure)
+    return [float(v) for v in cand.max(axis=1)]
 
 
 def size(

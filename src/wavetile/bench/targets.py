@@ -728,13 +728,18 @@ def _localized_operator_rows(ctx, name, r1, r2, r, eps, seed_index, default_tria
             nf = lp_norm(f, r1, weight=bump)
             ng = lp_norm(g, r2, weight=bump)
         else:
-            comps_f, comps_g, outs = [], [], []
-            for k in range(vector_K):
-                fk = generate_trial("bump_train", seed + 10 * k, {"grid": grid, "count": 2})
-                gk = generate_trial("bump_train", seed + 10 * k + 1, {"grid": grid, "count": 2})
-                comps_f.append(fk.samples)
-                comps_g.append(gk.samples)
-                outs.append(operators.localized_paraproduct(spec, loc, fk, gk).samples)
+            comps_f = [
+                generate_trial("bump_train", seed + 10 * k, {"grid": grid, "count": 2}).samples
+                for k in range(vector_K)
+            ]
+            comps_g = [
+                generate_trial("bump_train", seed + 10 * k + 1, {"grid": grid, "count": 2}).samples
+                for k in range(vector_K)
+            ]
+            fs = GridFunction(grid, np.stack(comps_f, axis=-1))
+            gs = GridFunction(grid, np.stack(comps_g, axis=-1))
+            # components first, as the l^r sums below reduce axis 0
+            outs = operators.localized_paraproduct(spec, loc, fs, gs).samples.T
             rf = float(r1)
             stack_f = np.power(np.sum(np.abs(comps_f) ** rf, axis=0), 1 / rf)
             rg = float(r2)

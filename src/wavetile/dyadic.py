@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -308,16 +309,51 @@ def _window_packet(grid: SampleGrid, scale: int, lo: float, hi: float):
     return samples
 
 
-def _read_only_fft(samples: np.ndarray) -> np.ndarray:
-    """``np.fft.fft(samples)``, frozen for the packet caches."""
-    spectrum = np.fft.fft(samples)
-    spectrum.flags.writeable = False
-    return spectrum
+class _Band(NamedTuple):
+    """A position-0 packet's spectrum on its open frequency window.
+
+    ``support`` holds the FFT bins of the integer frequencies strictly inside
+    the window, ``residues`` those bins modulo the number of positions at the
+    packet's scale, and ``values`` the spectrum there.  Outside the open
+    window the clipped profile is cos(pi/2)**order (about 1e-130 of its
+    peak), far below round-off, so those bins are dropped.
+    """
+
+    support: np.ndarray
+    residues: np.ndarray
+    values: np.ndarray
 
 
 def _stride(grid: SampleGrid, scale: int) -> int:
     """Samples per interval at ``scale``: the step between packet translates."""
     return round(2.0 ** (-scale) / grid.spacing)
+
+
+def _window_band(grid: SampleGrid, scale: int, lo: float, hi: float) -> _Band:
+    """The frozen band of the packet :func:`_window_packet` builds.
+
+    Values are the cosine-power profile times the centering phase, divided
+    by the L2 norm that Parseval gives for the inverse transform.  Windows
+    are ``positions`` wide with ends on multiples of it, so the residues of
+    the support are distinct; any other window raises.
+    """
+    grid.log2_period()  # packets tile the torus only for a power-of-two period
+    n = grid.sample_count
+    positions = n // _stride(grid, scale)
+    if hi - lo != positions or lo % positions:
+        raise ValueError(f"window [{lo}, {hi}] does not fold onto {positions} positions")
+    freqs = np.arange(int(lo) + 1, int(hi))
+    freqs = freqs[(-n // 2 <= freqs) & (freqs < n // 2)]
+    center_f = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    values = packet_profile((freqs - center_f) / half).astype(complex)
+    center = 0.5 * 2.0 ** (-scale)
+    values *= np.exp(-2j * np.pi * freqs * center / grid.period_length)
+    values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.spacing / n)
+    band = _Band(freqs % n, freqs % positions, values)
+    for arr in band:
+        arr.flags.writeable = False
+    return band
 
 
 def _translate(grid: SampleGrid, base: np.ndarray, scale: int, position: int) -> GridFunction:
@@ -326,41 +362,55 @@ def _translate(grid: SampleGrid, base: np.ndarray, scale: int, position: int) ->
     return GridFunction(grid, np.roll(base, shift % grid.sample_count))
 
 
+def _column(values: np.ndarray, ndim: int) -> np.ndarray:
+    """``values`` shaped to broadcast along axis 0 of an ``ndim``-array."""
+    return values.reshape(values.shape + (1,) * (ndim - 1))
+
+
 def _correlate(
-    grid: SampleGrid, f_hat: np.ndarray, base_hat: np.ndarray, scale: int, shift_n: int = 0
+    grid: SampleGrid, f_hat: np.ndarray, band: _Band, scale: int, shift_n: int = 0
 ) -> np.ndarray:
     """<f, base translated to position p + shift_n> for every position p.
 
-    ``f_hat`` and ``base_hat`` are the ``np.fft.fft`` spectra of f and of the
-    position-0 packet: one circular correlation, sampled every stride.
+    ``f_hat`` is the ``np.fft.fft`` of f along axis 0 (trailing vector axes
+    pass through) and ``band`` the position-0 packet's.  Sampling the
+    circular correlation every stride folds its spectrum onto the residues
+    mod the position count, and the band's residues are distinct: one short
+    inverse FFT per scale.
     """
-    corr = np.fft.ifft(f_hat * np.conj(base_hat))
-    coefs = corr[:: _stride(grid, scale)] * grid.spacing
-    return np.roll(coefs, -shift_n) if shift_n else coefs
+    stride = _stride(grid, scale)
+    folded = np.zeros((grid.sample_count // stride,) + f_hat.shape[1:], dtype=complex)
+    folded[band.residues] = f_hat[band.support] * _column(np.conj(band.values), f_hat.ndim)
+    coefs = np.fft.ifft(folded, axis=0) * (grid.spacing / stride)
+    return np.roll(coefs, -shift_n, axis=0) if shift_n else coefs
 
 
-def _synthesize(grid: SampleGrid, layers) -> GridFunction:
-    """sum over (weights, base_hat) layers of sum_p weights[p] * base
-    translated to position p, where ``base_hat`` is the base packet's spectrum.
+def _synthesize(grid: SampleGrid, layers, vector_shape: tuple[int, ...]) -> GridFunction:
+    """sum over (weights, band) layers of sum_p weights[p] * base translated
+    to position p, where ``band`` is the base packet's.
 
-    Each layer scatters its weights at the stride and costs one convolution;
-    the layers share a single inverse FFT.
+    ``weights`` has shape ``(positions, *vector_shape)``.  Its short FFT,
+    read at the band's residues, is the spectrum of the strided weights on
+    the band; the layers share a single inverse FFT.
     """
-    n = grid.sample_count
-    out_spec = np.zeros(n, dtype=complex)
-    for weights, base_hat in layers:
-        arr = np.zeros(n, dtype=complex)
-        arr[:: n // len(weights)] = weights
-        out_spec += np.fft.fft(arr) * base_hat
-    return GridFunction(grid, np.fft.ifft(out_spec))
+    out_spec = np.zeros((grid.sample_count,) + vector_shape, dtype=complex)
+    for weights, band in layers:
+        w_hat = np.fft.fft(weights, axis=0)
+        out_spec[band.support] += w_hat[band.residues] * _column(band.values, w_hat.ndim)
+    return GridFunction(grid, np.fft.ifft(out_spec, axis=0))
+
+
+def _vector_shape(weights: dict) -> tuple[int, ...]:
+    """Trailing vector shape of per-layer weights; scalar when there are none."""
+    return next(iter(weights.values())).shape[1:] if weights else ()
 
 
 @lru_cache(maxsize=2048)
 def _base_packet(n, period, scale, flavor):
-    """Spectrum of the packet for position 0 of the given scale."""
+    """Band of the packet for position 0 of the given scale."""
     grid = SampleGrid(n, period)
     lo, hi = _packet_window(grid, scale, flavor)
-    return _read_only_fft(_window_packet(grid, scale, lo, hi))
+    return _window_band(grid, scale, lo, hi)
 
 
 class WavePacketFamily:
@@ -368,7 +418,9 @@ class WavePacketFamily:
 
     Packets at one scale are exact translates of each other, so coefficient
     extraction for a full scale is a single circular correlation, and its
-    adjoint, synthesis from per-position weights, a single convolution.
+    adjoint, synthesis from per-position weights, a single convolution; both
+    run on the packet's band.  Inputs and weights may carry trailing vector
+    axes: transforms run along axis 0 and the rest broadcast.
     """
 
     def __init__(self, grid: SampleGrid, intervals: list[DyadicInterval], flavor: str):
@@ -379,7 +431,7 @@ class WavePacketFamily:
         self.flavor = flavor
         grid.log2_period()
 
-    def _base(self, scale: int) -> np.ndarray:
+    def _base(self, scale: int) -> _Band:
         return _base_packet(
             self.grid.sample_count, self.grid.period_length, scale, self.flavor
         )
@@ -409,16 +461,16 @@ class WavePacketFamily:
     ) -> dict[int, np.ndarray]:
         """{j: <f, packet((j, p + shift_n))> for every position p} over the
         given scales; f is transformed once for all of them."""
-        f_hat = np.fft.fft(f.samples)
+        f_hat = np.fft.fft(f.samples, axis=0)
         return {
             j: _correlate(self.grid, f_hat, self._base(j), j, shift_n) for j in scales
         }
 
     def coefficients(self, f: GridFunction, shift_n: int = 0) -> np.ndarray:
-        """<f, packet(I)> aligned with the interval list."""
+        """<f, packet(I)> aligned with the interval list (axis 0)."""
         layout = self._layout
         by_scale = self.scale_coefficients(f, [j for j, _, _ in layout], shift_n)
-        out = np.empty(len(self.intervals), dtype=complex)
+        out = np.empty((len(self.intervals),) + f.vector_shape, dtype=complex)
         for j, idx, pos in layout:
             out[idx] = by_scale[j][pos]
         return out
@@ -427,26 +479,29 @@ class WavePacketFamily:
         """sum over scales j and positions p of weights[j][p] * packet((j, p)).
 
         The adjoint of :meth:`scale_coefficients`: ``weights[j]`` has one
-        entry per position at scale j.
+        entry per position at scale j along axis 0.
         """
         return _synthesize(
-            self.grid, ((w, self._base(j)) for j, w in weights.items())
+            self.grid,
+            ((w, self._base(j)) for j, w in weights.items()),
+            _vector_shape(weights),
         )
 
     def synthesize(self, weights: np.ndarray) -> GridFunction:
         """sum_I w_I packet(I) over the interval list.
 
         The adjoint of :meth:`coefficients`; repeated intervals add up, in
-        list order.
+        list order.  ``weights`` has shape ``(len(intervals), *vector_shape)``.
         """
         kappa = self.grid.log2_period()
         weights = np.asarray(weights)
-        by_scale: dict[int, np.ndarray] = {}
+        vshape = weights.shape[1:]
+        layers = []
         for j, idx, pos in self._layout:
-            arr = np.zeros(2 ** (j + kappa), dtype=complex)
+            arr = np.zeros((2 ** (j + kappa),) + vshape, dtype=complex)
             np.add.at(arr, pos, weights[idx])  # unbuffered: in list order
-            by_scale[j] = arr
-        return self.scale_synthesize(by_scale)
+            layers.append((arr, self._base(j)))
+        return _synthesize(self.grid, layers, vshape)
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +557,18 @@ def build_rank_one_tiles(
 
 def _tile_window(grid: SampleGrid, scale: int, freq_index: int, slot: int) -> tuple[float, float]:
     """Frequency window (index units) of one tile slot; raises when it spans
-    fewer than two frequencies."""
+    fewer than two frequencies or leaves the grid's frequencies."""
     period = grid.period_length
     step = 2.0 ** scale
     if step * period < 2.0:
         raise ScaleBudgetError(
             f"tile window at scale {scale} spans fewer than two frequencies"
         )
-    return (freq_index + slot - 1) * step * period, (freq_index + slot) * step * period
+    lo, hi = (freq_index + slot - 1) * step * period, (freq_index + slot) * step * period
+    nyq = grid.sample_count // 2
+    if lo < -nyq or hi > nyq:
+        raise ScaleBudgetError(f"tile window [{lo}, {hi}] exceeds Nyquist +-{nyq}")
+    return lo, hi
 
 
 def tile_packet(grid: SampleGrid, tile: Tritile, slot: int) -> GridFunction:
@@ -523,10 +582,10 @@ def tile_packet(grid: SampleGrid, tile: Tritile, slot: int) -> GridFunction:
 
 @lru_cache(maxsize=4096)
 def _tile_base_packet(n, period, scale, freq_index, slot):
-    """Spectrum of the position-0 packet of one (scale, freq_index) slot."""
+    """Band of the position-0 packet of one (scale, freq_index) slot."""
     grid = SampleGrid(n, period)
     lo, hi = _tile_window(grid, scale, freq_index, slot)
-    return _read_only_fft(_window_packet(grid, scale, lo, hi))
+    return _window_band(grid, scale, lo, hi)
 
 
 def tile_scale_coefficients(
@@ -535,7 +594,7 @@ def tile_scale_coefficients(
     """{(j, l): <f, packet> for all spatial positions of that layer} over the
     given (scale, freq_index) layers; f is transformed once for all of them."""
     n, period = grid.sample_count, grid.period_length
-    f_hat = np.fft.fft(f.samples)
+    f_hat = np.fft.fft(f.samples, axis=0)
     return {
         (j, l): _correlate(grid, f_hat, _tile_base_packet(n, period, j, l, slot), j)
         for j, l in layers
@@ -554,4 +613,4 @@ def tile_scale_synthesize(
     return _synthesize(grid, (
         (w, _tile_base_packet(n, period, j, l, slot))
         for (j, l), w in weights.items()
-    ))
+    ), _vector_shape(weights))

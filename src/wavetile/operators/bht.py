@@ -94,8 +94,11 @@ class BHTModelSpec:
 
 
 def bht_model(spec: BHTModelSpec, f: GridFunction, g: GridFunction) -> GridFunction:
-    """Rank-one model sum, grouped by (scale, frequency index) layers."""
+    """Rank-one model sum, grouped by (scale, frequency index) layers, and
+    componentwise over matching trailing vector axes of f and g."""
     grid = spec.grid
+    if not spec.tiles:
+        return GridFunction(grid, np.zeros(f.samples.shape, dtype=complex))
     layers: dict[tuple[int, int], list[int]] = {}
     for tile in spec.tiles:
         layers.setdefault((tile.spatial.scale, tile.freq_index), []).append(
@@ -106,10 +109,9 @@ def bht_model(spec: BHTModelSpec, f: GridFunction, g: GridFunction) -> GridFunct
     weights: dict[tuple[int, int], np.ndarray] = {}
     for (j, l), positions in layers.items():
         a, b = coef_f[(j, l)], coef_g[(j, l)]
-        length = 2.0 ** (-j)
-        w = np.zeros(len(a), dtype=complex)
-        for pos in positions:
-            p = pos % len(w)
-            w[p] += a[p] * b[p] / np.sqrt(length)
+        p = np.array(positions) % len(a)
+        w = np.zeros(a.shape, dtype=complex)
+        # unbuffered, in tile order: a repeated tile adds its term again
+        np.add.at(w, p, a[p] * b[p] / np.sqrt(2.0 ** (-j)))
         weights[(j, l)] = w
     return tile_scale_synthesize(grid, weights, 3)

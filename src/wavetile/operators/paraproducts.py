@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from ..dyadic import DyadicInterval, WavePacketFamily, min_packet_scale
+from ..dyadic import DyadicInterval, WavePacketFamily, _column, min_packet_scale
 from ..errors import ShapeError, TruncationError
 from ..grid import (
     GridFunction,
@@ -94,6 +94,11 @@ class ParaproductSpec:
             for flavor in self.slot_flavors
         )
 
+    @cached_property
+    def _sqrt_lengths(self) -> np.ndarray:
+        """|I|^(1/2) per interval, in family order."""
+        return np.sqrt(np.array([iv.length for iv in self.family]))
+
     def restricted(self, I0: DyadicInterval) -> "ParaproductSpec":
         keep = [i for i, iv in enumerate(self.family) if I0.contains(iv)]
         return ParaproductSpec(
@@ -120,20 +125,21 @@ class LocalizationSpec:
 
 
 def _slot_weights(spec: ParaproductSpec, f: GridFunction, g: GridFunction):
-    """Per-interval weights c_I |I|^(-1/2) <f, phi1> <g, phi2>."""
+    """Per-interval weights c_I |I|^(-1/2) <f, phi1> <g, phi2>, interval
+    axis first and the inputs' vector axes after it."""
     fam1, fam2, _ = spec._slot_families
     a = fam1.coefficients(f)
     b = fam2.coefficients(g)
-    lengths = np.array([iv.length for iv in spec.family])
-    return spec.coefficients * a * b / np.sqrt(lengths)
+    return _column(spec.coefficients, a.ndim) * a * b / _column(spec._sqrt_lengths, a.ndim)
 
 
 def discretized_paraproduct(
     spec: ParaproductSpec, f: GridFunction, g: GridFunction
 ) -> GridFunction:
-    """sum_I c_I |I|^(-1/2) <f, phi1_I> <g, phi2_I> phi3_I."""
+    """sum_I c_I |I|^(-1/2) <f, phi1_I> <g, phi2_I> phi3_I, componentwise
+    over matching trailing vector axes of f and g."""
     if not spec.family:
-        return GridFunction(spec.grid, np.zeros(spec.grid.sample_count, dtype=complex))
+        return GridFunction(spec.grid, np.zeros(f.samples.shape, dtype=complex))
     weights = _slot_weights(spec, f, g)
     return spec._slot_families[2].synthesize(weights)
 
@@ -160,12 +166,14 @@ def localized_paraproduct(
     g: GridFunction,
 ) -> GridFunction:
     """Pi restricted to the family inside I0, applied to the cut-off inputs,
-    then multiplied by the indicator of the third set."""
+    then multiplied by the indicator of the third set; vector axes of f and
+    g are carried componentwise."""
     restricted = spec.restricted(loc.I0)
-    fF = GridFunction(f.grid, f.samples * loc.F.mask)
-    gG = GridFunction(g.grid, g.samples * loc.G.mask)
+    ndim = f.samples.ndim
+    fF = GridFunction(f.grid, f.samples * _column(loc.F.mask, ndim))
+    gG = GridFunction(g.grid, g.samples * _column(loc.G.mask, ndim))
     out = discretized_paraproduct(restricted, fF, gG)
-    return GridFunction(out.grid, out.samples * loc.Etilde.mask)
+    return GridFunction(out.grid, out.samples * _column(loc.Etilde.mask, ndim))
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +270,13 @@ def shifted_paraproduct(
     g: GridFunction,
     scales: range | None = None,
 ) -> GridFunction:
-    """sum_I |I|^(-1) <f, psi(I_n)> <g, psi(I_n)> phi_I over the budget."""
+    """sum_I |I|^(-1) <f, psi(I_n)> <g, psi(I_n)> phi_I over the budget,
+    componentwise over matching trailing vector axes of f and g."""
     grid = f.grid
     if scales is None:
         scales = range(min_packet_scale(grid), max_scale(grid) + 1)
+    if not scales:
+        return GridFunction(grid, np.zeros(f.samples.shape, dtype=complex))
     fam = WavePacketFamily(grid, [], "lacunary")
     a = fam.scale_coefficients(f, scales, shift_n=n)
     b = fam.scale_coefficients(g, scales, shift_n=n)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ShapeError
 from ..grid import GridFunction
 from ..norms import MixedNormSpec, mixed_norm
@@ -19,10 +17,12 @@ def vector_valued_apply(
     spec2: MixedNormSpec,
     spec_out: MixedNormSpec,
 ):
-    """Apply a scalar bilinear operator over matching vector axes.
+    """Apply a componentwise bilinear operator over matching vector axes.
 
-    ``op`` maps two scalar grid functions to one.  The specs are full mixed
-    norms over all axes (spatial outermost, vector innermost) and are
+    ``op`` maps two grid functions to one and acts on every component of
+    their trailing vector axes at once, as the packet operators do; an
+    output whose shape differs from the inputs' raises.  The specs are full
+    mixed norms over all axes (spatial outermost, vector innermost) and are
     evaluated on the inputs and the output; returns
     ``(output, (norm_out, norm_f, norm_g))``.
     """
@@ -30,29 +30,12 @@ def vector_valued_apply(
         raise ShapeError(
             f"vector axes differ: {fs.vector_shape} vs {gs.vector_shape}"
         )
-    grid = fs.grid
-    vshape = fs.vector_shape
-    if not vshape:
-        out = op(fs, gs)
-        return out, (
-            mixed_norm(out, spec_out),
-            mixed_norm(fs, spec1),
-            mixed_norm(gs, spec2),
+    out = op(fs, gs)
+    if out.samples.shape != fs.samples.shape:
+        raise ShapeError(
+            f"operator output shape {out.samples.shape} differs from the input "
+            f"shape {fs.samples.shape}: it does not act componentwise"
         )
-    dim = grid.dimension
-    out_samples = None
-    for idx in np.ndindex(*vshape):
-        sel = (slice(None),) * dim + idx
-        comp = op(
-            GridFunction(grid, fs.samples[sel]),
-            GridFunction(grid, gs.samples[sel]),
-        )
-        if out_samples is None:
-            out_samples = np.zeros(
-                grid.spatial_shape + vshape, dtype=complex
-            )
-        out_samples[sel] = comp.samples
-    out = GridFunction(grid, out_samples)
     return out, (
         mixed_norm(out, spec_out),
         mixed_norm(fs, spec1),

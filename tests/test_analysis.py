@@ -5,7 +5,9 @@ import pytest
 
 from wavetile import analysis
 from wavetile.analysis import (
+    _containment,
     _greedy_disjoint,
+    _lacunary_weak_norms,
     _local_square_function,
     average_single,
     energy,
@@ -125,6 +127,31 @@ class TestLacunarySharedCoefficients:
                 patch.setattr(analysis, "_lacunary_weak_norms", per_root)
                 recomputed = energy(f, family, "lacunary")
             assert shared == recomputed
+
+
+class TestBatchedWeakNorms:
+    """All roots at once must give the per-root weak norms bit for bit."""
+
+    def test_containment_matches_interval_test(self):
+        pool = subtree(DyadicInterval(-1, 0), 3) + subtree(DyadicInterval(-1, -1), 2)
+        pool += [DyadicInterval(2, -5), DyadicInterval(0, 3)]
+        got = _containment(pool, pool)
+        want = np.array([[a.contains(b) for b in pool] for a in pool])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("period", [1.0, 4.0])
+    def test_equals_per_root_weak_norms(self, period):
+        g = SampleGrid(256, period)
+        top = DyadicInterval(1 - g.log2_period(), 0)
+        rng = np.random.default_rng(int(period))
+        for seed in range(6):
+            family = pruned_subtree(top, 3, seed)
+            family += pruned_subtree(DyadicInterval(top.scale, 1), 2, seed + 50)
+            family += [family[i] for i in rng.integers(0, len(family), 3)]  # repeats
+            family = [family[i] for i in rng.permutation(len(family))]
+            f = band_limited(g, 60 + seed, 50)
+            want = [weak_lp_norm(_local_square_function(f, family, root), 1) for root in family]
+            assert _lacunary_weak_norms(f, family) == want
 
 
 class TestSizeTilde:

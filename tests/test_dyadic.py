@@ -20,6 +20,7 @@ from wavetile.dyadic import (
     min_packet_scale,
     tile_packet,
     tile_scale_coefficients,
+    tile_scale_synthesize,
     translate_interval,
 )
 from wavetile.errors import ScaleBudgetError
@@ -188,7 +189,7 @@ class TestWavePackets:
 
 
 class TestSharedSpectrumPath:
-    """Sweeps take one FFT of the input and the cached packet spectra; the
+    """Sweeps take one FFT of the input and the cached packet bands; the
     interval-aligned routes must give the per-scale values bit for bit."""
 
     GRID = SampleGrid(256, 2.0)
@@ -235,13 +236,29 @@ class TestSharedSpectrumPath:
         got = fam.synthesize(w)
         assert np.array_equal(got.samples, fam.scale_synthesize(by_scale).samples)
 
+    @staticmethod
+    def _band_spectrum(g, band, scale, lo, hi):
+        """Check a cached band and scatter it into a full spectrum."""
+        for arr in band:
+            assert not arr.flags.writeable
+        m = g.frequencies()
+        assert np.array_equal(np.sort(band.support), np.flatnonzero((lo < m) & (m < hi)))
+        positions = g.sample_count // dyadic._stride(g, scale)
+        assert len(band.support) == positions - 1
+        assert np.array_equal(band.residues, band.support % positions)
+        assert len(np.unique(band.residues)) == len(band.residues)
+        spectrum = np.zeros(g.sample_count, dtype=complex)
+        spectrum[band.support] = band.values
+        return spectrum
+
     @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
     def test_direct_packet_matches_cached_spectrum(self, flavor):
         g = self.GRID
         fam = WavePacketFamily(g, [], flavor)
         for iv in (DyadicInterval(2, 3), DyadicInterval(4, 37), DyadicInterval(5, 0)):
-            spectrum = dyadic._base_packet(g.sample_count, g.period_length, iv.scale, flavor)
-            assert not spectrum.flags.writeable
+            band = dyadic._base_packet(g.sample_count, g.period_length, iv.scale, flavor)
+            lo, hi = dyadic._packet_window(g, iv.scale, flavor)
+            spectrum = self._band_spectrum(g, band, iv.scale, lo, hi)
             shift = iv.position * dyadic._stride(g, iv.scale)
             want = np.roll(np.fft.ifft(spectrum), shift % g.sample_count)
             assert np.abs(fam.packet(iv).samples - want).max() <= 1e-12
@@ -250,10 +267,19 @@ class TestSharedSpectrumPath:
         g = self.GRID
         tile = Tritile(DyadicInterval(3, 5), 2)
         for slot in (1, 2, 3):
-            spectrum = dyadic._tile_base_packet(g.sample_count, g.period_length, 3, 2, slot)
-            assert not spectrum.flags.writeable
+            band = dyadic._tile_base_packet(g.sample_count, g.period_length, 3, 2, slot)
+            lo, hi = dyadic._tile_window(g, 3, 2, slot)
+            spectrum = self._band_spectrum(g, band, 3, lo, hi)
             want = np.roll(np.fft.ifft(spectrum), 5 * dyadic._stride(g, 3))
             assert np.abs(tile_packet(g, tile, slot).samples - want).max() <= 1e-12
+
+    def test_band_needs_window_on_position_multiples(self):
+        g = self.GRID
+        lo, hi = dyadic._packet_window(g, 3, "lacunary")  # 16 positions at scale 3
+        with pytest.raises(ValueError, match="does not fold"):
+            dyadic._window_band(g, 3, lo + 1, hi + 1)
+        with pytest.raises(ValueError, match="does not fold"):
+            dyadic._window_band(g, 3, lo, hi + 16)
 
     def test_budget_checks_on_both_routes(self):
         g = SampleGrid(256, 1.0)
@@ -270,6 +296,127 @@ class TestSharedSpectrumPath:
             tile_packet(g, coarse, 2)
         with pytest.raises(ScaleBudgetError, match="fewer than two frequencies"):
             tile_scale_coefficients(g, f, [(0, 1)], 2)
+        # slot 3 of frequency index 4 at scale 5 is [192, 224], past Nyquist 128
+        past = Tritile(DyadicInterval(5, 0), 4)
+        with pytest.raises(ScaleBudgetError, match="exceeds Nyquist"):
+            tile_packet(g, past, 3)
+        with pytest.raises(ScaleBudgetError, match="exceeds Nyquist"):
+            tile_scale_coefficients(g, f, [(5, 4)], 3)
+
+
+def _random_function(grid, seed, vector_shape=()):
+    rng = np.random.default_rng(seed)
+    shape = (grid.sample_count,) + vector_shape
+    return GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+class TestFoldedSweeps:
+    """The sweeps fold each packet's band onto its position count; the
+    direct packets, built from samples, are the oracle."""
+
+    @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
+    @pytest.mark.parametrize("period", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("shift_n", [0, 3])
+    def test_coefficients_match_inner_products(self, flavor, period, shift_n):
+        g = SampleGrid(256, period)
+        lo_scale = min_packet_scale(g)
+        family = [
+            DyadicInterval(lo_scale, 0), DyadicInterval(lo_scale + 1, 1),
+            DyadicInterval(lo_scale + 2, 3), DyadicInterval(dyadic.max_scale(g), 5),
+        ]
+        fam = WavePacketFamily(g, family, flavor)
+        f = _random_function(g, 5)
+        coefs = fam.coefficients(f, shift_n)
+        for iv, c in zip(family, coefs):
+            assert abs(c - f.inner(fam.packet(iv, shift_n))) < 1e-12
+
+    @pytest.mark.parametrize("freq_index", [-3, 2])
+    def test_tile_coefficients_match_inner_products(self, freq_index):
+        g = SampleGrid(256, 1.0)
+        f = _random_function(g, 6)
+        for slot in (1, 2, 3):
+            for j in (3, 4):
+                coefs = tile_scale_coefficients(g, f, [(j, freq_index)], slot)[(j, freq_index)]
+                for p in (0, 3, 2 ** j - 1):
+                    pk = tile_packet(g, Tritile(DyadicInterval(j, p), freq_index), slot)
+                    assert abs(coefs[p] - f.inner(pk)) < 1e-12
+
+    @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
+    def test_synthesize_is_adjoint_of_coefficients(self, flavor):
+        g = SampleGrid(256, 2.0)
+        family = grid_dyadic_family(g, range(0, 5)) + [DyadicInterval(2, 3)]
+        fam = WavePacketFamily(g, family, flavor)
+        rng = np.random.default_rng(7)
+        w = rng.normal(size=len(family)) + 1j * rng.normal(size=len(family))
+        h = _random_function(g, 8)
+        lhs = fam.synthesize(w).inner(h)
+        rhs = np.sum(w * np.conj(fam.coefficients(h)))
+        assert abs(lhs - rhs) < 1e-12
+
+    def test_tile_synthesize_is_adjoint_of_tile_coefficients(self):
+        g = SampleGrid(256, 1.0)
+        layers = [(3, -3), (3, 2), (4, 0)]
+        rng = np.random.default_rng(9)
+        h = _random_function(g, 10)
+        for slot in (1, 2, 3):
+            w = {(j, l): rng.normal(size=2 ** j) + 1j * rng.normal(size=2 ** j)
+                 for j, l in layers}
+            lhs = tile_scale_synthesize(g, w, slot).inner(h)
+            coefs = tile_scale_coefficients(g, h, layers, slot)
+            rhs = sum(np.sum(w[key] * np.conj(coefs[key])) for key in layers)
+            assert abs(lhs - rhs) < 1e-12
+
+
+class TestVectorAxes:
+    """Transforms run along axis 0; every component of a vector-valued call
+    equals the scalar call bit for bit."""
+
+    GRID = SampleGrid(256, 2.0)
+    FAMILY = TestSharedSpectrumPath.FAMILY
+
+    @staticmethod
+    def _components(vshape):
+        return list(itertools.product(*map(range, vshape)))
+
+    @pytest.mark.parametrize("vshape", [(3,), (2, 3)])
+    @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
+    def test_coefficients_and_synthesize(self, vshape, flavor):
+        g = self.GRID
+        fam = WavePacketFamily(g, self.FAMILY, flavor)
+        f = _random_function(g, 20, vshape)
+        w = _random_function(SampleGrid(8, 1.0), 21, vshape).samples[: len(self.FAMILY)]
+        coefs = fam.coefficients(f, 3)
+        out = fam.synthesize(w)
+        assert coefs.shape == (len(self.FAMILY),) + vshape
+        assert out.samples.shape == (g.sample_count,) + vshape
+        for k in self._components(vshape):
+            fk = GridFunction(g, f.samples[(slice(None),) + k])
+            assert np.array_equal(coefs[(slice(None),) + k], fam.coefficients(fk, 3))
+            want = fam.synthesize(w[(slice(None),) + k]).samples
+            assert np.array_equal(out.samples[(slice(None),) + k], want)
+
+    @pytest.mark.parametrize("vshape", [(3,), (2, 3)])
+    def test_tile_sweeps(self, vshape):
+        g = self.GRID
+        layers = [(2, -1), (3, 1)]
+        f = _random_function(g, 22, vshape)
+        for slot in (1, 2, 3):
+            coefs = tile_scale_coefficients(g, f, layers, slot)
+            out = tile_scale_synthesize(g, coefs, slot)
+            for k in self._components(vshape):
+                sel = (slice(None),) + k
+                fk = GridFunction(g, f.samples[sel])
+                scalar = tile_scale_coefficients(g, fk, layers, slot)
+                for key in layers:
+                    assert np.array_equal(coefs[key][sel], scalar[key])
+                want = tile_scale_synthesize(g, scalar, slot).samples
+                assert np.array_equal(out.samples[sel], want)
+
+    def test_empty_family_keeps_vector_shape(self):
+        fam = WavePacketFamily(self.GRID, [], "lacunary")
+        out = fam.synthesize(np.zeros((0, 2, 3), dtype=complex))
+        assert out.samples.shape == (self.GRID.sample_count, 2, 3)
+        assert not out.samples.any()
 
 
 class TestTritiles:

@@ -1,17 +1,21 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wavetile.dyadic import grid_dyadic_family
+from wavetile.dyadic import DyadicInterval, build_rank_one_tiles, grid_dyadic_family
 from wavetile.errors import ExponentConstraintError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid
 from wavetile.norms import INF, MixedNormSpec
 from wavetile.operators import (
+    BHTModelSpec,
     LeibnizExponents,
     ParaproductSpec,
+    bht_model,
     discretized_paraproduct,
     leibniz_sides,
+    shifted_paraproduct,
     vector_valued_apply,
 )
 
@@ -91,6 +95,63 @@ class TestVectorValuedApply:
             GridFunction(GRID, g.samples[:, 1, 2]),
         )
         assert np.abs(out.samples[:, 1, 2] - scalar.samples).max() < 1e-14
+
+
+    def test_operator_that_is_not_componentwise_rejected(self):
+        f = band_limited(GRID, 6, 40, (3,))
+        g = band_limited(GRID, 7, 40, (3,))
+
+        def summed(fc, gc):
+            return GridFunction(GRID, (fc.samples * gc.samples).sum(axis=-1))
+
+        with pytest.raises(ShapeError, match="componentwise"):
+            vector_valued_apply(summed, f, g, MixedNormSpec((4, 2)),
+                                MixedNormSpec((4, 2)), MixedNormSpec((2, 1)))
+
+
+# a shuffled family with a repeated interval, spread over four scales
+VECTOR_FAMILY = [FAMILY[i] for i in np.random.default_rng(8).permutation(len(FAMILY))][:40]
+VECTOR_FAMILY += [VECTOR_FAMILY[3], DyadicInterval(3, 13)]
+VECTOR_SPEC = ParaproductSpec(
+    GRID, VECTOR_FAMILY, np.random.default_rng(9).uniform(0.3, 1.0, len(VECTOR_FAMILY))
+)
+VECTOR_TILES = build_rank_one_tiles(GRID, range(3, 5), range(-2, 2))
+VECTOR_TILES += VECTOR_TILES[5:9]
+
+VECTOR_OPS = {
+    "discretized_paraproduct": lambda f, g: discretized_paraproduct(VECTOR_SPEC, f, g),
+    "bht_model": lambda f, g: bht_model(BHTModelSpec(GRID, VECTOR_TILES), f, g),
+    "shifted_paraproduct": lambda f, g: shifted_paraproduct(2, f, g),
+}
+
+
+class TestVectorAxesOperators:
+    """The operators take trailing vector axes; each output component is the
+    scalar call on that component, bit for bit."""
+
+    @pytest.mark.parametrize("vshape", [(4,), (2, 3)])
+    @pytest.mark.parametrize("name", sorted(VECTOR_OPS))
+    def test_components_equal_scalar_calls(self, name, vshape):
+        op = VECTOR_OPS[name]
+        f = band_limited(GRID, 40, 60, vshape)
+        g = band_limited(GRID, 41, 60, vshape)
+        out = op(f, g)
+        assert out.samples.shape == f.samples.shape
+        for k in itertools.product(*map(range, vshape)):
+            sel = (slice(None),) + k
+            scalar = op(GridFunction(GRID, f.samples[sel]), GridFunction(GRID, g.samples[sel]))
+            assert np.array_equal(out.samples[sel], scalar.samples)
+
+    def test_empty_collections_return_zeros_of_input_shape(self):
+        f = band_limited(GRID, 42, 40, (2, 3))
+        empty = ParaproductSpec(GRID, [], np.zeros(0))
+        for out in (
+            bht_model(BHTModelSpec(GRID, []), f, f),
+            discretized_paraproduct(empty, f, f),
+            shifted_paraproduct(0, f, f, scales=range(0)),
+        ):
+            assert out.samples.shape == f.samples.shape
+            assert not out.samples.any()
 
 
 class TestLeibnizSides:
