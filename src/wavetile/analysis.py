@@ -44,7 +44,6 @@ __all__ = [
     "exceptional_set",
     "stopping_decompose",
     "average_single",
-    "scale_averages",
 ]
 
 _LEVEL_CAP = 80  # levels beyond this are lumped (averages below 2**-80)
@@ -70,26 +69,6 @@ def average_single(
     w = torus_bump_samples(f.grid, interval, M, shift_n)
     dx = f.grid.spacing
     return float(np.dot(np.abs(f.samples), w).real * dx / interval.length)
-
-
-def scale_averages(
-    f: GridFunction,
-    scale: int,
-    M: int = 10,
-    shift_n: int = 0,
-) -> np.ndarray:
-    """Averages for every position at one scale, via circular correlation."""
-    _require_1d(f)
-    grid = f.grid
-    base = torus_bump_samples(grid, DyadicInterval(scale, 0), M, shift_n)
-    fa = np.abs(f.samples)
-    corr = np.fft.irfft(np.fft.rfft(fa) * np.conj(np.fft.rfft(base)), n=grid.sample_count)
-    stride = round(2.0 ** (-scale) / grid.spacing)
-    kappa = grid.log2_period()
-    positions = 2 ** (scale + kappa)
-    idx = (np.arange(positions) * stride) % grid.sample_count
-    length = 2.0 ** (-scale)
-    return np.maximum(corr[idx] * grid.spacing / length, 0.0)
 
 
 class _AverageCache:
@@ -121,9 +100,6 @@ class SizeReport:
     shift: int = 0
 
 
-_CHI_FLAVORS = ("modified", "bht", "shifted")
-
-
 def size_single(
     f: GridFunction,
     interval: DyadicInterval,
@@ -133,7 +109,7 @@ def size_single(
     shift_n: int = 0,
 ) -> float:
     """The quantity whose supremum over the collection defines the size."""
-    if flavor in _CHI_FLAVORS:
+    if flavor == "modified":
         return average_single(f, interval, M, shift_n)
     if flavor == "non-lacunary":
         fam = WavePacketFamily(f.grid, [interval], "non-lacunary")
@@ -223,7 +199,7 @@ def size(
     """Supremum of the per-interval size quantity over the family."""
     if not family:
         raise ValueError("size of an empty family is undefined")
-    if flavor in _CHI_FLAVORS:
+    if flavor == "modified":
         cache = _AverageCache(f, M, shift_n)
         vals = [cache(iv) for iv in family]
     elif flavor == "non-lacunary":
@@ -333,13 +309,22 @@ def maximal(
     M: int = 10,
 ) -> GridFunction:
     """Shifted dyadic maximal function: at x, the sup over budgeted dyadic
-    I containing x of the chi-weighted average of |f| on I + shift_n |I|."""
+    I containing x of the chi-weighted average of |f| on I + shift_n |I|.
+
+    |f| is transformed once; each scale correlates it with the position-0
+    bump and reads the correlation every stride.
+    """
     _require_1d(f)
     grid = f.grid
-    out = np.zeros(grid.sample_count)
+    n = grid.sample_count
+    fa_hat = np.fft.rfft(np.abs(f.samples))
+    out = np.zeros(n)
     for j in scale_range(grid):
-        avgs = scale_averages(f, j, M, shift_n)
-        stride = grid.sample_count // len(avgs)
+        base = torus_bump_samples(grid, DyadicInterval(j, 0), M, shift_n)
+        corr = np.fft.irfft(fa_hat * np.conj(np.fft.rfft(base)), n=n)
+        length = 2.0 ** (-j)
+        stride = round(length / grid.spacing)
+        avgs = np.maximum(corr[::stride] * grid.spacing / length, 0.0)
         np.maximum(out, np.repeat(avgs, stride), out=out)
     return GridFunction(grid, out.astype(complex))
 

@@ -14,27 +14,31 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .. import analysis, dyadic
 from ..grid import SampleGrid
 from ..operators import bht_range_membership, format_range_query, parse_range_query
 from .campaign import parse_config, run_campaign
-from .generate import generate_trial
+from .generate import generate_trial, rng_for
 from .report import emit_report
 from .targets import MAX_SEED, REGISTRY, _subfamily
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    if not 0 <= seed <= MAX_SEED:
-        raise argparse.ArgumentTypeError(
-            f"seed must be between 0 and 2**46 - 1, got {seed}"
-        )
-    return seed
+def _bounded_int(name: str, ok, rule: str):
+    """argparse type for an integer ``name`` satisfying ``ok``, described by ``rule``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {value}")
+        return value
+    return parse
+
+
+_seed = _bounded_int("seed", lambda v: 0 <= v <= MAX_SEED, "between 0 and 2**46 - 1")
+# 32 samples is the smallest grid on which the demo's stopping time runs
+_size = _bounded_int("size", lambda v: v >= 32 and not v & (v - 1), "a power of two >= 32")
 
 
 def _cmd_run(args) -> int:
@@ -62,7 +66,11 @@ def _cmd_list_targets(_args) -> int:
 
 
 def _cmd_range(args) -> int:
-    query = parse_range_query(args.query)
+    try:
+        query = parse_range_query(args.query)
+    except ValueError as exc:
+        print(f"wavetile range: {exc}", file=sys.stderr)
+        return 2
     result = bht_range_membership(query)
     print(f"query:  {format_range_query(query)}")
     print(f"member: {result.member}")
@@ -79,7 +87,7 @@ def _cmd_range(args) -> int:
 def _cmd_decompose_demo(args) -> int:
     grid = SampleGrid(args.size, 4.0)
     root = dyadic.DyadicInterval(0, 0)
-    rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 1], dtype=np.uint64)))
+    rng = rng_for(args.seed, 1)
     family = _subfamily(rng, grid, root, 3, keep=0.8)
     cell = grid.spacing
     count = grid.sample_count // int(grid.period_length) // 8
@@ -122,7 +130,7 @@ def main(argv=None) -> int:
     p_range.set_defaults(fn=_cmd_range)
 
     p_demo = sub.add_parser("decompose-demo", help="print a stopping forest")
-    p_demo.add_argument("--size", type=int, default=512)
+    p_demo.add_argument("--size", type=_size, default=512)
     p_demo.add_argument("--seed", type=_seed, default=7)
     p_demo.set_defaults(fn=_cmd_decompose_demo)
 

@@ -59,23 +59,13 @@ def _band_limited(grid, rng, params) -> GridFunction:
     vshape = tuple(params.get("vector_shape", ()))
     if band >= grid.sample_count // 2:
         raise ValueError("band exceeds Nyquist")
-    shape = grid.spatial_shape + vshape
-    spec = np.zeros(shape, dtype=complex)
-    m = grid.frequencies()
-    mask = np.abs(m) <= band
-    if grid.dimension == 1:
-        idx = np.flatnonzero(mask)
-        vals = rng.standard_normal((len(idx),) + vshape) + 1j * rng.standard_normal(
-            (len(idx),) + vshape
-        )
-        spec[idx] = vals
-    else:
-        mask2 = mask[:, None] & mask[None, :]
-        idx = np.argwhere(mask2)
-        vals = rng.standard_normal((len(idx),) + vshape) + 1j * rng.standard_normal(
-            (len(idx),) + vshape
-        )
-        spec[idx[:, 0], idx[:, 1]] = vals
+    spec = np.zeros(grid.spatial_shape + vshape, dtype=complex)
+    mask = np.abs(grid.frequencies()) <= band
+    if grid.dimension == 2:
+        mask = mask[:, None] & mask[None, :]
+    idx = np.nonzero(mask)  # row-major: draw k goes to the k-th frequency in the band
+    count = (len(idx[0]),) + vshape
+    spec[idx] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     samples = np.fft.ifftn(spec, axes=tuple(range(grid.dimension)))
     if real:
         samples = samples.real.astype(complex)

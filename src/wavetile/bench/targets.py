@@ -22,7 +22,7 @@ from .. import analysis, dyadic, norms, operators
 from ..errors import MajorSubsetError
 from ..grid import GridFunction, SampleGrid
 from ..norms import INF, MeasurableSet, MixedNormSpec, lp_norm, mixed_norm, weak_lp_norm
-from .generate import generate_trial
+from .generate import generate_trial, rng_for
 
 __all__ = ["TrialRow", "TargetResult", "InequalityTarget", "REGISTRY", "MAX_SEED",
            "target_names"]
@@ -209,7 +209,7 @@ def _run_weak_dualization(ctx, name, statement) -> TargetResult:
 
 def _random_stopping_config(seed: int, grid: SampleGrid, depth: int):
     root = dyadic.DyadicInterval(0, 0)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 77], dtype=np.uint64)))
+    rng = rng_for(seed, 77)
     family = _subfamily(rng, grid, root, depth)
     cell = grid.spacing
     quarter = grid.sample_count // int(grid.period_length) // 4
@@ -302,7 +302,7 @@ def _run_size_energy(ctx, name, statement) -> TargetResult:
     kinds = (("step", "depth", 4), ("bump_train", "count", 3), ("band_limited", "band", 24))
 
     def trial(t, seed):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5], dtype=np.uint64)))
+        rng = rng_for(seed, 5)
         family = _subfamily(rng, grid, root, 4)
         kind, key, value = kinds[t % 3]
         f = generate_trial(kind, seed, {"grid": grid, key: value})
@@ -346,7 +346,7 @@ def _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band):
     from ..grid import max_scale as _max_scale
 
     fam = dyadic.grid_dyadic_family(grid, range(1, min(8, _max_scale(grid) + 1)))
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 13], dtype=np.uint64)))
+    rng = rng_for(seed, 13)
     keep = rng.random(len(fam)) < 0.8
     family = [iv for iv, k in zip(fam, keep) if k]
     coeffs = rng.uniform(0.3, 1.0, len(family))
@@ -413,15 +413,18 @@ def _run_alpha_coefficients(ctx, name, statement) -> TargetResult:
     return TargetResult(name, statement, rows, agg, passed)
 
 
-def _estimate_norm(op, grid, seeds, band, p_in=2.0, p_out=2.0):
-    vals = []
-    for seed in seeds:
-        f = generate_trial("band_limited", seed, {"grid": grid, "band": band})
-        denom = lp_norm(f, p_in)
-        if denom == 0:
-            continue
-        vals.append(lp_norm(op(f), p_out) / denom)
-    return max(vals), float(np.median(vals))
+def _shifted_ratio(op_name: str, n: int, grid: SampleGrid, seed: int) -> float | None:
+    """One trial of shifted-growth: ||T_n f||_2 / ||f||_2 for the maximal and
+    square operators, ||Pi_n(f, g)||_2 / (||f||_4 ||g||_4) for the
+    paraproduct; None when the denominator vanishes."""
+    f = generate_trial("band_limited", seed, {"grid": grid, "band": 64})
+    if op_name == "paraproduct":
+        g = generate_trial("band_limited", seed + 7, {"grid": grid, "band": 64})
+        denom = lp_norm(f, 4) * lp_norm(g, 4)
+        return lp_norm(operators.shifted_paraproduct(n, f, g), 2) / denom if denom else None
+    op = analysis.maximal if op_name == "maximal" else analysis.shifted_square
+    denom = lp_norm(f, 2)
+    return lp_norm(op(f, n), 2) / denom if denom else None
 
 
 def _run_shifted_growth(ctx, name, statement) -> TargetResult:
@@ -436,21 +439,9 @@ def _run_shifted_growth(ctx, name, statement) -> TargetResult:
         maxima = []
         for i, n in enumerate(ns):
             seeds = ctx.seeds(20 + i, per_n)
-            if op_name == "maximal":
-                mx, med = _estimate_norm(lambda h: analysis.maximal(h, n), grid, seeds, 64)
-            elif op_name == "square":
-                mx, med = _estimate_norm(lambda h: analysis.shifted_square(h, n), grid, seeds, 64)
-            else:
-                vals = []
-                for seed in seeds:
-                    f = generate_trial("band_limited", seed, {"grid": grid, "band": 64})
-                    g = generate_trial("band_limited", seed + 7, {"grid": grid, "band": 64})
-                    denom = lp_norm(f, 4) * lp_norm(g, 4)
-                    if denom == 0:
-                        continue
-                    out = operators.shifted_paraproduct(n, f, g)
-                    vals.append(lp_norm(out, 2) / denom)
-                mx, med = max(vals), float(np.median(vals))
+            vals = [v for v in (_shifted_ratio(op_name, n, grid, s) for s in seeds)
+                    if v is not None]
+            mx, med = max(vals), float(np.median(vals))
             maxima.append(mx)
             rows.append(TrialRow(name, i, seeds[0], mx, med, mx / max(med, 1e-300),
                                  {"op": op_name, "n": n}))
@@ -549,7 +540,7 @@ def _run_range_consistency(ctx, name, statement) -> TargetResult:
 
     # the scalar Fraction routes check the vector ones, route by route, on a
     # seeded sample of the same grid
-    rng = np.random.Generator(np.random.Philox(key=np.array([ctx.seed, 24], dtype=np.uint64)))
+    rng = rng_for(ctx.seed, 24)
     a, b, c, d = rng.integers(0, step, size=(4, 2400))
     keep = (a + b > 0) & (2 * (a + b) < 3 * step) & (c + d > 0)
     a, b, c, d = a[keep], b[keep], c[keep], d[keep]
@@ -631,8 +622,13 @@ def _run_leibniz(ctx, name, statement) -> TargetResult:
     return TargetResult(name, statement, rows, agg, passed)
 
 
+def _local_sizes(funcs, family, root) -> list[float]:
+    """size~ of each function over family+ inside 3*root, at decay M = 4."""
+    return [analysis.size_tilde(h, family, I0=root, M=4).value for h in funcs]
+
+
 def _size_energy_family(seed, grid, root, depth=4):
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 3], dtype=np.uint64)))
+    rng = rng_for(seed, 3)
     return _subfamily(rng, grid, root, depth)
 
 
@@ -692,15 +688,16 @@ def _run_local_l1(ctx, name, statement) -> TargetResult:
         Et = generate_trial("dyadic_union", seed + 2, {"grid": grid, "measure": 0.5})
         out = operators.discretized_paraproduct(spec, f, g)
         lhs = lp_norm(GridFunction(grid, out.samples * Et.mask), 1)
-        rhs = (
-            analysis.size_tilde(f, family, I0=root, M=4).value
-            * analysis.size_tilde(g, family, I0=root, M=4).value
-            * analysis.size_tilde(Et.indicator, family, I0=root, M=4).value
-            * root.length
-        )
+        rhs = math.prod(_local_sizes((f, g, Et.indicator), family, root)) * root.length
         return [] if rhs == 0 else [(lhs, rhs, {})]
 
     return _capped(name, statement, _trial_rows(ctx, name, 72, 100, trial), ctx.cap(name))
+
+
+def _lr_of_lr(grid, comps, e, weight=None) -> float:
+    """||(sum_k |comps[k]|^e)^(1/e)||_(L^e), weighted, over components on axis 0."""
+    stack = np.power(np.sum(np.abs(comps) ** float(e), axis=0), 1 / float(e))
+    return lp_norm(GridFunction(grid, stack.astype(complex)), e, weight=weight)
 
 
 def _localized_operator_rows(ctx, name, r1, r2, r, eps, seed_index, default_trials,
@@ -717,9 +714,7 @@ def _localized_operator_rows(ctx, name, r1, r2, r, eps, seed_index, default_tria
         G = generate_trial("dyadic_union", seed + 6, {"grid": grid, "measure": 1.0})
         Et = generate_trial("dyadic_union", seed + 7, {"grid": grid, "measure": 0.5})
         loc = operators.LocalizationSpec(root, F, G, Et)
-        sF = analysis.size_tilde(F.indicator, family, I0=root, M=4).value
-        sG = analysis.size_tilde(G.indicator, family, I0=root, M=4).value
-        sE = analysis.size_tilde(Et.indicator, family, I0=root, M=4).value
+        sF, sG, sE = _local_sizes((F.indicator, G.indicator, Et.indicator), family, root)
         if vector_K is None:
             f = generate_trial("bump_train", seed, {"grid": grid, "count": 2})
             g = generate_trial("bump_train", seed + 1, {"grid": grid, "count": 2})
@@ -728,27 +723,18 @@ def _localized_operator_rows(ctx, name, r1, r2, r, eps, seed_index, default_tria
             nf = lp_norm(f, r1, weight=bump)
             ng = lp_norm(g, r2, weight=bump)
         else:
-            comps_f = [
-                generate_trial("bump_train", seed + 10 * k, {"grid": grid, "count": 2}).samples
-                for k in range(vector_K)
-            ]
-            comps_g = [
-                generate_trial("bump_train", seed + 10 * k + 1, {"grid": grid, "count": 2}).samples
-                for k in range(vector_K)
-            ]
+            comps_f, comps_g = (
+                [generate_trial("bump_train", seed + 10 * k + role,
+                                {"grid": grid, "count": 2}).samples for k in range(vector_K)]
+                for role in (0, 1)
+            )
             fs = GridFunction(grid, np.stack(comps_f, axis=-1))
             gs = GridFunction(grid, np.stack(comps_g, axis=-1))
-            # components first, as the l^r sums below reduce axis 0
+            # components first, as the l^e sums reduce axis 0
             outs = operators.localized_paraproduct(spec, loc, fs, gs).samples.T
-            rf = float(r1)
-            stack_f = np.power(np.sum(np.abs(comps_f) ** rf, axis=0), 1 / rf)
-            rg = float(r2)
-            stack_g = np.power(np.sum(np.abs(comps_g) ** rg, axis=0), 1 / rg)
-            rr = float(r)
-            stack_o = np.power(np.sum(np.abs(outs) ** rr, axis=0), 1 / rr)
-            lhs = lp_norm(GridFunction(grid, stack_o.astype(complex)), r)
-            nf = lp_norm(GridFunction(grid, stack_f.astype(complex)), r1, weight=bump)
-            ng = lp_norm(GridFunction(grid, stack_g.astype(complex)), r2, weight=bump)
+            lhs = _lr_of_lr(grid, outs, r)
+            nf = _lr_of_lr(grid, comps_f, r1, bump)
+            ng = _lr_of_lr(grid, comps_g, r2, bump)
         rhs = (
             sF ** max(dual(float(r1)) - eps, 0.0)
             * sG ** max(dual(float(r2)) - eps, 0.0)
@@ -796,9 +782,7 @@ def _run_bht_localized(ctx, name, statement) -> TargetResult:
         out = operators.bht_model(spec, fF, gG)
         lhs = lp_norm(GridFunction(grid, out.samples * Et.mask), r)
         spatial = [tt.spatial for tt in tiles]
-        sF = analysis.size_tilde(F.indicator, spatial, I0=root, M=4).value
-        sG = analysis.size_tilde(G.indicator, spatial, I0=root, M=4).value
-        sE = analysis.size_tilde(Et.indicator, spatial, I0=root, M=4).value
+        sF, sG, sE = _local_sizes((F.indicator, G.indicator, Et.indicator), spatial, root)
         rhs = (
             sF ** expo1 * sG ** expo1 * sE ** expo3
             * lp_norm(f, r1, weight=bump) * lp_norm(g, r2, weight=bump)

@@ -267,35 +267,49 @@ def min_packet_scale(grid: SampleGrid) -> int:
     return 1 - grid.log2_period()
 
 
-def _packet_window(grid: SampleGrid, scale: int, flavor: str) -> tuple[float, float]:
-    """Frequency window (in integer index units) for a packet flavor.
+def _block_window(grid: SampleGrid, scale: int, block: int) -> tuple[float, float]:
+    """Frequency window [block, block + 1] * 2**scale * period (index units).
 
-    Out-of-budget scales raise: finer than ``max_scale``, or so coarse that
-    the window spans fewer than two frequencies.
+    The window is one position count wide with both ends on multiples of
+    it.  Windows spanning fewer than two frequencies (scales coarser than
+    :func:`min_packet_scale`), or leaving the grid's frequencies, raise.
     """
+    if scale < min_packet_scale(grid):
+        raise ScaleBudgetError(
+            f"window at scale {scale} spans fewer than two frequencies"
+        )
+    width = 2.0 ** scale * grid.period_length
+    lo, hi = block * width, (block + 1) * width
+    nyq = grid.sample_count // 2
+    if lo < -nyq or hi > nyq:
+        raise ScaleBudgetError(
+            f"frequency block {block} at scale {scale}: window [{lo}, {hi}] "
+            f"exceeds Nyquist +-{nyq}"
+        )
+    return lo, hi
+
+
+# Frequency block of each packet flavor: [0, 1/|I|] and [1/|I|, 2/|I|].
+_PACKET_BLOCKS = {"non-lacunary": 0, "lacunary": 1}
+
+
+def _packet_block(grid: SampleGrid, scale: int, flavor: str) -> int:
+    """The flavor's frequency block; scales finer than ``max_scale`` raise."""
     if scale > max_scale(grid):
         raise ScaleBudgetError(f"packet scale {scale} exceeds budget {max_scale(grid)}")
-    period = grid.period_length
-    per_unit = 2.0 ** scale  # 1/|I| in cycles per unit
-    if per_unit * period < 2.0:
-        raise ScaleBudgetError(
-            f"packet window at scale {scale} spans fewer than two frequencies"
-        )
-    if flavor == "lacunary":
-        lo, hi = per_unit, 2 * per_unit
-    elif flavor == "non-lacunary":
-        lo, hi = 0.0, per_unit
-    else:
-        raise ValueError(f"unknown packet flavor {flavor!r}")
-    return lo * period, hi * period
+    return _PACKET_BLOCKS[flavor]
 
 
-def _window_packet(grid: SampleGrid, scale: int, lo: float, hi: float):
-    """L2-normalized position-0 packet of one scale, centered at |I|/2.
+def _stride(grid: SampleGrid, scale: int) -> int:
+    """Samples per interval at ``scale``: the step between packet translates."""
+    return round(2.0 ** (-scale) / grid.spacing)
 
-    Its spectrum is the cosine-power window on [lo, hi] (index units).
-    """
-    grid.log2_period()  # packets tile the torus only for a power-of-two period
+
+def _window_packet(grid: SampleGrid, scale: int, block: int, position: int) -> GridFunction:
+    """L2-normalized packet of the interval (scale, position), built from
+    samples: the position-0 packet, centered at |I|/2 with the cosine-power
+    window on the frequency block as spectrum, moved by whole strides."""
+    lo, hi = _block_window(grid, scale, block)
     m = grid.frequencies()
     center_f = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -304,9 +318,8 @@ def _window_packet(grid: SampleGrid, scale: int, lo: float, hi: float):
     prof *= np.exp(-2j * np.pi * m * center / grid.period_length)
     samples = np.fft.ifft(prof)
     nrm = np.sqrt(np.sum(np.abs(samples) ** 2) * grid.spacing)
-    samples = samples / nrm
-    samples.flags.writeable = False
-    return samples
+    shift = position * _stride(grid, scale)
+    return GridFunction(grid, np.roll(samples / nrm, shift % grid.sample_count))
 
 
 class _Band(NamedTuple):
@@ -324,26 +337,18 @@ class _Band(NamedTuple):
     values: np.ndarray
 
 
-def _stride(grid: SampleGrid, scale: int) -> int:
-    """Samples per interval at ``scale``: the step between packet translates."""
-    return round(2.0 ** (-scale) / grid.spacing)
-
-
-def _window_band(grid: SampleGrid, scale: int, lo: float, hi: float) -> _Band:
-    """The frozen band of the packet :func:`_window_packet` builds.
+def _window_band(grid: SampleGrid, scale: int, block: int) -> _Band:
+    """The frozen band of the position-0 packet :func:`_window_packet` builds.
 
     Values are the cosine-power profile times the centering phase, divided
-    by the L2 norm that Parseval gives for the inverse transform.  Windows
-    are ``positions`` wide with ends on multiples of it, so the residues of
-    the support are distinct; any other window raises.
+    by the L2 norm that Parseval gives for the inverse transform.  The block
+    window is ``positions`` wide with ends on multiples of it, so the
+    residues of the support are distinct.
     """
-    grid.log2_period()  # packets tile the torus only for a power-of-two period
+    lo, hi = _block_window(grid, scale, block)
     n = grid.sample_count
     positions = n // _stride(grid, scale)
-    if hi - lo != positions or lo % positions:
-        raise ValueError(f"window [{lo}, {hi}] does not fold onto {positions} positions")
     freqs = np.arange(int(lo) + 1, int(hi))
-    freqs = freqs[(-n // 2 <= freqs) & (freqs < n // 2)]
     center_f = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     values = packet_profile((freqs - center_f) / half).astype(complex)
@@ -354,12 +359,6 @@ def _window_band(grid: SampleGrid, scale: int, lo: float, hi: float) -> _Band:
     for arr in band:
         arr.flags.writeable = False
     return band
-
-
-def _translate(grid: SampleGrid, base: np.ndarray, scale: int, position: int) -> GridFunction:
-    """The position-0 packet ``base`` moved to ``position`` at ``scale``."""
-    shift = position * _stride(grid, scale)
-    return GridFunction(grid, np.roll(base, shift % grid.sample_count))
 
 
 def _column(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -409,8 +408,7 @@ def _vector_shape(weights: dict) -> tuple[int, ...]:
 def _base_packet(n, period, scale, flavor):
     """Band of the packet for position 0 of the given scale."""
     grid = SampleGrid(n, period)
-    lo, hi = _packet_window(grid, scale, flavor)
-    return _window_band(grid, scale, lo, hi)
+    return _window_band(grid, scale, _packet_block(grid, scale, flavor))
 
 
 class WavePacketFamily:
@@ -424,7 +422,7 @@ class WavePacketFamily:
     """
 
     def __init__(self, grid: SampleGrid, intervals: list[DyadicInterval], flavor: str):
-        if flavor not in ("lacunary", "non-lacunary"):
+        if flavor not in _PACKET_BLOCKS:
             raise ValueError(f"unknown packet flavor {flavor!r}")
         self.grid = grid
         self.intervals = list(intervals)
@@ -452,9 +450,8 @@ class WavePacketFamily:
 
     def packet(self, interval: DyadicInterval, shift_n: int = 0) -> GridFunction:
         """The packet of I + shift_n |I|, built directly (no packet cache)."""
-        lo, hi = _packet_window(self.grid, interval.scale, self.flavor)
-        base = _window_packet(self.grid, interval.scale, lo, hi)
-        return _translate(self.grid, base, interval.scale, interval.position + shift_n)
+        block = _packet_block(self.grid, interval.scale, self.flavor)
+        return _window_packet(self.grid, interval.scale, block, interval.position + shift_n)
 
     def scale_coefficients(
         self, f: GridFunction, scales: Iterable[int], shift_n: int = 0
@@ -508,6 +505,13 @@ class WavePacketFamily:
 # Tritiles
 # ---------------------------------------------------------------------------
 
+def _slot_block(freq_index: int, slot: int) -> int:
+    """Frequency block of tile slot s = 1, 2, 3: freq_index + s - 1."""
+    if slot not in (1, 2, 3):
+        raise ValueError("slot must be 1, 2, or 3")
+    return freq_index + slot - 1
+
+
 @dataclass(frozen=True)
 class Tritile:
     """Three frequency tiles over one spatial interval, one degree of freedom.
@@ -521,11 +525,9 @@ class Tritile:
     freq_index: int
 
     def omega(self, slot: int) -> tuple[float, float]:
-        if slot not in (1, 2, 3):
-            raise ValueError("slot must be 1, 2, or 3")
         step = 2.0 ** self.spatial.scale
-        lo = (self.freq_index + slot - 1) * step
-        return lo, lo + step
+        block = _slot_block(self.freq_index, slot)
+        return block * step, (block + 1) * step
 
 
 def build_rank_one_tiles(
@@ -537,55 +539,29 @@ def build_rank_one_tiles(
     if len(scales) == 0 or len(freq_range) == 0:
         raise ValueError("scales and freq_range must be nonempty")
     kappa = grid.log2_period()
-    nyq = grid.sample_count // 2
     tiles = []
     for j in scales:
         if j > max_scale(grid):
             raise ScaleBudgetError(f"tile scale {j} exceeds budget {max_scale(grid)}")
-        step_idx = 2.0 ** j * grid.period_length  # block length in index units
         for l in freq_range:
-            lo = l * step_idx
-            hi = (l + 3) * step_idx
-            if lo < -nyq or hi > nyq:
-                raise ScaleBudgetError(
-                    f"frequency block [{lo}, {hi}] exceeds Nyquist +-{nyq}"
-                )
+            for slot in (1, 2, 3):
+                _block_window(grid, j, _slot_block(l, slot))
             for m in range(2 ** (j + kappa)):
                 tiles.append(Tritile(DyadicInterval(j, m), l))
     return tiles
 
 
-def _tile_window(grid: SampleGrid, scale: int, freq_index: int, slot: int) -> tuple[float, float]:
-    """Frequency window (index units) of one tile slot; raises when it spans
-    fewer than two frequencies or leaves the grid's frequencies."""
-    period = grid.period_length
-    step = 2.0 ** scale
-    if step * period < 2.0:
-        raise ScaleBudgetError(
-            f"tile window at scale {scale} spans fewer than two frequencies"
-        )
-    lo, hi = (freq_index + slot - 1) * step * period, (freq_index + slot) * step * period
-    nyq = grid.sample_count // 2
-    if lo < -nyq or hi > nyq:
-        raise ScaleBudgetError(f"tile window [{lo}, {hi}] exceeds Nyquist +-{nyq}")
-    return lo, hi
-
-
 def tile_packet(grid: SampleGrid, tile: Tritile, slot: int) -> GridFunction:
     """L2-normalized wave packet adapted to one tile slot, built directly
     (no packet cache)."""
-    scale = tile.spatial.scale
-    lo, hi = _tile_window(grid, scale, tile.freq_index, slot)
-    base = _window_packet(grid, scale, lo, hi)
-    return _translate(grid, base, scale, tile.spatial.position)
+    block = _slot_block(tile.freq_index, slot)
+    return _window_packet(grid, tile.spatial.scale, block, tile.spatial.position)
 
 
 @lru_cache(maxsize=4096)
 def _tile_base_packet(n, period, scale, freq_index, slot):
     """Band of the position-0 packet of one (scale, freq_index) slot."""
-    grid = SampleGrid(n, period)
-    lo, hi = _tile_window(grid, scale, freq_index, slot)
-    return _window_band(grid, scale, lo, hi)
+    return _window_band(SampleGrid(n, period), scale, _slot_block(freq_index, slot))
 
 
 def tile_scale_coefficients(

@@ -232,6 +232,20 @@ def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
 # Weak-norm dualization through L^r
 # ---------------------------------------------------------------------------
 
+def _major_subset(
+    f: GridFunction, E: MeasurableSet, p: Exponent, C: float
+) -> tuple[MeasurableSet, float, float]:
+    """(E \\ {|f| > C A / |E|^(1/p)}, its share of |E|, |E|), where A is the
+    weak-L^p quasinorm of f."""
+    measure = E.measure
+    if measure <= 0:
+        raise ValueError("|E| must be positive")
+    A = weak_lp_norm(f, p)
+    threshold = C * A / measure ** (1.0 / float(p))
+    trimmed = E.minus_mask(np.abs(f.samples) > threshold)
+    return trimmed, trimmed.measure / measure, measure
+
+
 def dualize_weak_via_Lr(
     f: GridFunction,
     E: MeasurableSet,
@@ -244,14 +258,7 @@ def dualize_weak_via_Lr(
     A is the weak-L^p quasinorm of f.  Returns (E~, ||f 1_E~||_r /
     |E|^(1/r - 1/p)).  Raises :class:`MajorSubsetError` when |E~| < |E|/2.
     """
-    measure = E.measure
-    if measure <= 0:
-        raise ValueError("|E| must be positive")
-    A = weak_lp_norm(f, p)
-    threshold = C * A / measure ** (1.0 / float(p))
-    omega = np.abs(f.samples) > threshold
-    tilde = E.minus_mask(omega)
-    ratio_measure = tilde.measure / measure
+    tilde, ratio_measure, measure = _major_subset(f, E, p, C)
     if ratio_measure < 0.5:
         raise MajorSubsetError(
             f"constructed subset has |E~|/|E| = {ratio_measure:.4f} < 1/2 "
@@ -275,13 +282,7 @@ def major_subset_L1(
     Returns (E', |<f, 1_E'>| / |E|^(1 - 1/p)) where E' removes the set where
     |f| exceeds C A / |E|^(1/p).
     """
-    measure = E.measure
-    if measure <= 0:
-        raise ValueError("|E| must be positive")
-    A = weak_lp_norm(f, p)
-    threshold = C * A / measure ** (1.0 / float(p))
-    prime = E.minus_mask(np.abs(f.samples) > threshold)
-    ratio_measure = prime.measure / measure
+    prime, ratio_measure, measure = _major_subset(f, E, p, C)
     if ratio_measure < 0.5:
         raise MajorSubsetError(
             f"constructed subset has |E'|/|E| = {ratio_measure:.4f} < 1/2",

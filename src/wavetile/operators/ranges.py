@@ -332,11 +332,20 @@ def literal_disagreement_levels(query: RangeQuery) -> list[int]:
 # Text syntax: "p=4 q=2 s=4/3 r1=4/3 r2=4 r=1" (commas for depth-n vectors)
 # ---------------------------------------------------------------------------
 
-def _parse_exponent(tok: str) -> Exponent:
+_QUERY_KEYS = ("p", "q", "s", "r1", "r2", "r")
+
+
+def _parse_exponent(key: str, tok: str) -> Exponent:
     tok = tok.strip()
     if tok in ("inf", "infty", "oo"):
         return INF
-    return Fraction(tok)
+    try:
+        e = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{key}: {tok!r} is not an exponent") from None
+    if e == 0:
+        raise ValueError(f"{key}: exponent {tok!r} must be nonzero")
+    return e
 
 
 def parse_range_query(text: str) -> RangeQuery:
@@ -345,21 +354,26 @@ def parse_range_query(text: str) -> RangeQuery:
         if "=" not in part:
             raise ValueError(f"malformed token {part!r}; expected key=value")
         key, val = part.split("=", 1)
-        fields[key.strip()] = val
-    missing = {"p", "q", "s", "r1", "r2", "r"} - set(fields)
+        if key not in _QUERY_KEYS or key in fields:
+            problem = "repeated" if key in fields else "unknown"
+            raise ValueError(
+                f"{problem} key {key!r} (value {val!r}); keys: {' '.join(_QUERY_KEYS)}"
+            )
+        fields[key] = val
+    missing = set(_QUERY_KEYS) - set(fields)
     if missing:
         raise ValueError(f"missing fields: {sorted(missing)}")
 
     def vec(key: str):
-        return tuple(_parse_exponent(t) for t in fields[key].split(","))
+        return tuple(_parse_exponent(key, t) for t in fields[key].split(","))
 
     return RangeQuery(
         r1=vec("r1"),
         r2=vec("r2"),
         r=vec("r"),
-        p=_parse_exponent(fields["p"]),
-        q=_parse_exponent(fields["q"]),
-        s=_parse_exponent(fields["s"]),
+        p=_parse_exponent("p", fields["p"]),
+        q=_parse_exponent("q", fields["q"]),
+        s=_parse_exponent("s", fields["s"]),
     )
 
 

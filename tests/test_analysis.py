@@ -18,7 +18,12 @@ from wavetile.analysis import (
     size_single,
     size_tilde,
 )
-from wavetile.dyadic import DyadicInterval, grid_dyadic_family, torus_bump_samples
+from wavetile.dyadic import (
+    DyadicInterval,
+    grid_dyadic_family,
+    interval_indices,
+    torus_bump_samples,
+)
 from wavetile.errors import MajorSubsetError
 from wavetile.grid import GridFunction, SampleGrid, from_callable, max_scale
 from wavetile.norms import MeasurableSet, lp_norm, weak_lp_norm
@@ -272,6 +277,19 @@ class TestMaximal:
         x_in = int(iv.left / g.spacing) + 1
         assert out.samples.real[x_in] >= val - 1e-12
 
+    @pytest.mark.parametrize("shift_n", [0, 3])
+    def test_equals_sup_of_direct_averages(self, shift_n):
+        # oracle: at each sample, the sup of the direct-quadrature averages
+        # over every budgeted dyadic interval containing it
+        g = SampleGrid(128, 2.0)
+        f = band_limited(g, 21, 20)
+        want = np.zeros(g.sample_count)
+        for iv in grid_dyadic_family(g):
+            idx = interval_indices(g, iv)
+            want[idx] = np.maximum(want[idx], average_single(f, iv, 10, shift_n))
+        got = maximal(f, shift_n).samples.real
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
 
 class TestShiftedSquare:
     def test_zero(self):
@@ -344,19 +362,11 @@ class TestDimensionGuards:
 
 
 class TestSizeFlavorAliases:
-    def test_bht_flavor_matches_modified(self):
-        g = SampleGrid(512, 4.0)
-        f = band_limited(g, 55, 30)
-        family = subtree(DyadicInterval(0, 0), 3)
-        a = size(f, family, "modified")
-        b = size(f, family, "bht")
-        assert a.value == b.value and a.witness == b.witness
-
     def test_shifted_flavor_uses_translated_bump(self):
         g = SampleGrid(512, 4.0)
         f = band_limited(g, 56, 30)
         family = [DyadicInterval(2, 1)]
-        rep = size(f, family, "shifted", shift_n=3)
+        rep = size(f, family, "modified", shift_n=3)
         direct = average_single(f, DyadicInterval(2, 1), 10, shift_n=3)
         assert rep.value == pytest.approx(direct, rel=1e-12)
         assert rep.shift == 3

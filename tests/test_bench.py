@@ -206,6 +206,32 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "argument --seed: seed must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size, reason", [
+        ("100", "a power of two >= 32, got 100"),
+        ("16", "a power of two >= 32, got 16"),
+        ("abc", "an integer, got 'abc'"),
+    ])
+    def test_bad_size_rejected_by_argparse(self, size, reason, capsys):
+        from wavetile.bench.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decompose-demo", "--size", size])
+        assert exit_info.value.code == 2
+        assert f"argument --size: size must be {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query, named", [
+        ("p=0 q=2 s=4/3 r1=4/3 r2=4 r=1", ["p", "'0'"]),
+        ("p=4 q=2 s=4/3 r1=4/3 r2=4 r=1 bogus=7", ["unknown", "'bogus'", "'7'"]),
+        ("p=4 p=2 q=2 s=4/3 r1=4/3 r2=4 r=1", ["repeated", "'p'", "'2'"]),
+    ])
+    def test_bad_range_query_exits_2(self, query, named, capsys):
+        from wavetile.bench.cli import main
+
+        assert main(["range", query]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("wavetile range: ")
+        assert all(word in out.err for word in named)
+
     def test_run_subcommand(self, tmp_path):
         cfg = tmp_path / "smoke.cfg"
         cfg.write_text(

@@ -257,7 +257,7 @@ class TestSharedSpectrumPath:
         fam = WavePacketFamily(g, [], flavor)
         for iv in (DyadicInterval(2, 3), DyadicInterval(4, 37), DyadicInterval(5, 0)):
             band = dyadic._base_packet(g.sample_count, g.period_length, iv.scale, flavor)
-            lo, hi = dyadic._packet_window(g, iv.scale, flavor)
+            lo, hi = dyadic._block_window(g, iv.scale, {"non-lacunary": 0, "lacunary": 1}[flavor])
             spectrum = self._band_spectrum(g, band, iv.scale, lo, hi)
             shift = iv.position * dyadic._stride(g, iv.scale)
             want = np.roll(np.fft.ifft(spectrum), shift % g.sample_count)
@@ -268,18 +268,39 @@ class TestSharedSpectrumPath:
         tile = Tritile(DyadicInterval(3, 5), 2)
         for slot in (1, 2, 3):
             band = dyadic._tile_base_packet(g.sample_count, g.period_length, 3, 2, slot)
-            lo, hi = dyadic._tile_window(g, 3, 2, slot)
+            lo, hi = dyadic._block_window(g, 3, 2 + slot - 1)
             spectrum = self._band_spectrum(g, band, 3, lo, hi)
             want = np.roll(np.fft.ifft(spectrum), 5 * dyadic._stride(g, 3))
             assert np.abs(tile_packet(g, tile, slot).samples - want).max() <= 1e-12
 
-    def test_band_needs_window_on_position_multiples(self):
-        g = self.GRID
-        lo, hi = dyadic._packet_window(g, 3, "lacunary")  # 16 positions at scale 3
-        with pytest.raises(ValueError, match="does not fold"):
-            dyadic._window_band(g, 3, lo + 1, hi + 1)
-        with pytest.raises(ValueError, match="does not fold"):
-            dyadic._window_band(g, 3, lo, hi + 16)
+    @pytest.mark.parametrize("period", [0.25, 1.0, 4.0])
+    def test_windows_are_frequency_blocks(self, period):
+        """Every window is one frequency block: one position count wide, both
+        ends on multiples of it; packets take blocks 0 and 1, tile slot s of
+        frequency index l takes block l + s - 1."""
+        g = SampleGrid(256, period)
+        n, nyq = g.sample_count, g.sample_count // 2
+        for j in range(min_packet_scale(g), dyadic.max_scale(g) + 1):
+            positions = len(grid_dyadic_family(g, range(j, j + 1)))
+            windows = {}
+            for block in range(-3, 4):
+                lo, hi = block * positions, (block + 1) * positions
+                if lo < -nyq or hi > nyq:
+                    with pytest.raises(ScaleBudgetError, match="exceeds Nyquist"):
+                        dyadic._block_window(g, j, block)
+                else:
+                    assert dyadic._block_window(g, j, block) == (lo, hi)
+                    windows[block] = (lo, hi)
+            for flavor, block in (("non-lacunary", 0), ("lacunary", 1)):
+                band = dyadic._base_packet(n, period, j, flavor)
+                self._band_spectrum(g, band, j, *windows[block])
+            for l, slot in itertools.product(range(-3, 4), (1, 2, 3)):
+                if l + slot - 1 in windows:
+                    lo, hi = windows[l + slot - 1]
+                    band = dyadic._tile_base_packet(n, period, j, l, slot)
+                    self._band_spectrum(g, band, j, lo, hi)
+                    omega = Tritile(DyadicInterval(j, 0), l).omega(slot)
+                    assert (omega[0] * period, omega[1] * period) == (lo, hi)
 
     def test_budget_checks_on_both_routes(self):
         g = SampleGrid(256, 1.0)

@@ -1,0 +1,36 @@
+"""``benchmarks/layers.py`` runs end to end on the packet engine.
+
+The script imports the packet sweeps and syntheses by name and is not run
+by any other test; this runs it with two repeats and checks its rows.
+"""
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_layers_script_writes_one_row_per_case(tmp_path):
+    out = tmp_path / "layers.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "layers.py"),
+         "--repeats", "2", "--json", str(out)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text())["rows"]
+    cases = [(r["layer"], r["packets"], r["n"], r["K"]) for r in rows]
+    want = set(itertools.product(
+        ("packet_sweep", "packet_synth"), ("lacunary", "non-lacunary", "tile"),
+        (512, 1024, 4096), (1, 16),
+    ))
+    assert len(cases) == len(want) and set(cases) == want
+    assert all(r["vector_route"] == "batched" and r["median_ms"] > 0 for r in rows)

@@ -235,6 +235,24 @@ class TestWeakDualization:
         _, val = major_subset_L1(off, E, 2, 4.0)
         assert val == 0.0
 
+    def test_both_dualizations_trim_the_same_set(self):
+        g = SampleGrid(256, 1.0)
+        E = MeasurableSet.from_mask(g, np.arange(256) % 3 != 0)
+        trimmed = 0
+        for seed in range(8):
+            f = random_step(g, seed, depth=6)
+            for p, C in ((1, 2.0), (2, 1.5), (4, 1.0), (4, 4.0)):
+                try:
+                    tilde, _ = dualize_weak_via_Lr(f, E, 0.5, p, C)
+                except MajorSubsetError:
+                    with pytest.raises(MajorSubsetError):
+                        major_subset_L1(f, E, p, C)
+                    continue
+                prime, _ = major_subset_L1(f, E, p, C)
+                assert np.array_equal(tilde.mask, prime.mask)
+                trimmed += tilde.measure < E.measure
+        assert trimmed >= 8
+
     def test_pairing_below_weak_norm_multiple(self):
         g = SampleGrid(256, 1.0)
         E = MeasurableSet(GridFunction(g, np.ones(256, dtype=complex)))

@@ -194,6 +194,17 @@ class TestSyntax:
         with pytest.raises(ValueError):
             parse_range_query("p=2 q=2 s=1 r1=2 r2=2")
 
+    @pytest.mark.parametrize("query, message", [
+        ("p=0 q=2 s=1 r1=2 r2=2 r=1", "p: exponent '0' must be nonzero"),
+        ("p=2 q=2 s=1 r1=2,0 r2=2,2 r=1,1", "r1: exponent '0' must be nonzero"),
+        ("p=2 q=2 s=1 r1=2 r2=2 r=1 bogus=7", "unknown key 'bogus' (value '7')"),
+        ("p=4 p=2 q=2 s=1 r1=2 r2=2 r=1", "repeated key 'p' (value '2')"),
+    ])
+    def test_bad_field_named(self, query, message):
+        with pytest.raises(ValueError) as err:
+            parse_range_query(query)
+        assert message in str(err.value)
+
 
 class TestWitnessCertification:
     def test_random_rational_queries_certify_both_verdicts(self):
