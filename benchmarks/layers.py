@@ -1,4 +1,5 @@
-"""Layer micro-benchmark: packet coefficient sweeps and packet synthesis.
+"""Layer micro-benchmark: packet sweeps and synthesis, chi-weighted
+averages and one stopping sweep.
 
     PYTHONPATH=src python3 benchmarks/layers.py [--repeats 9] [--json FILE]
 
@@ -16,6 +17,14 @@ Each is timed for a scalar input and for K = 16 components.  A package whose
 packet engine takes trailing vector axes gets one call on an ``(n, 16)``
 input; one that does not gets 16 scalar calls, which is how it evaluates a
 16-component operator.  The route taken is printed as ``vector_route``.
+
+Two more layers run on the stopping-invariants grid (n = 512, period 4):
+
+* ``chi_average``: ``size(f, family, "modified", M=4)`` of a step function
+  over the full dyadic tree four levels below [0, 1), the supremum of the
+  chi-weighted averages size-energy takes;
+* ``stopping_sweep``: ``stopping_decompose`` of one stopping-invariants
+  configuration (seed 7, depth 5), exceptional set and level sweeps.
 
 Every timing is a median (with quartiles) over ``--repeats`` calls after one
 warm-up call, so the packet caches are full and only the sweep is timed.
@@ -35,7 +44,11 @@ import time
 
 import numpy as np
 
+from wavetile.analysis import size, stopping_decompose
+from wavetile.bench import ExperimentConfig, generate_trial
+from wavetile.bench.targets import _random_stopping_config
 from wavetile.dyadic import (
+    DyadicInterval,
     WavePacketFamily,
     min_packet_scale,
     tile_scale_coefficients,
@@ -85,7 +98,7 @@ def _batched(sweep, grid: SampleGrid) -> bool:
 
 
 def _timed(call, repeats: int) -> dict:
-    call()  # warm-up: fills the packet caches
+    call()  # warm-up: fills the packet and bump caches
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -93,6 +106,27 @@ def _timed(call, repeats: int) -> dict:
         samples.append(time.perf_counter() - start)
     q1, median, q3 = statistics.quantiles(samples, n=4)
     return {"median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3}
+
+
+def _average_rows(repeats: int) -> list[dict]:
+    """The chi-average and stopping-sweep rows on the stopping grid."""
+    grid = SampleGrid(512, 4.0)
+    f = generate_trial("step", 5, {"grid": grid, "depth": 4})
+    tree = [DyadicInterval(j, m) for j in range(5) for m in range(2 ** j)]
+    seed = ExperimentConfig(seed=7).seeds(4, 1)[0]
+    family, E1, E2, E3, root = _random_stopping_config(seed, grid, 5)
+    cases = (
+        ("chi_average", tree, lambda: size(f, tree, "modified", M=4)),
+        ("stopping_sweep", family,
+         lambda: stopping_decompose(family, E1, E2, E3, root, C=4.0, M=10)),
+    )
+    rows = []
+    for layer, intervals, call in cases:
+        row = {"layer": layer, "n": grid.sample_count, "K": 1,
+               "intervals": len(intervals), "repeats": repeats, **_timed(call, repeats)}
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
 
 
 def measure(repeats: int) -> list[dict]:
@@ -118,7 +152,7 @@ def measure(repeats: int) -> list[dict]:
                            "repeats": repeats, **_timed(call, repeats)}
                     print(json.dumps(row), flush=True)
                     rows.append(row)
-    return rows
+    return rows + _average_rows(repeats)
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,7 @@ witnesses can be re-checked independently of the fast path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,23 +72,6 @@ def average_single(
     return float(np.dot(np.abs(f.samples), w).real * dx / interval.length)
 
 
-class _AverageCache:
-    """Memoized per-interval averages for one (function, exponent, shift)."""
-
-    def __init__(self, f: GridFunction, M: int, shift_n: int = 0):
-        self.f = f
-        self.M = M
-        self.shift_n = shift_n
-        self._vals: dict[DyadicInterval, float] = {}
-
-    def __call__(self, interval: DyadicInterval) -> float:
-        v = self._vals.get(interval)
-        if v is None:
-            v = average_single(self.f, interval, self.M, self.shift_n)
-            self._vals[interval] = v
-        return v
-
-
 # ---------------------------------------------------------------------------
 # Sizes
 # ---------------------------------------------------------------------------
@@ -105,12 +89,11 @@ def size_single(
     interval: DyadicInterval,
     flavor: str,
     family: list[DyadicInterval] | None = None,
-    M: int = 10,
-    shift_n: int = 0,
 ) -> float:
-    """The quantity whose supremum over the collection defines the size."""
+    """The quantity whose supremum over the collection defines the size
+    (the modified flavor at the default exponent, unshifted)."""
     if flavor == "modified":
-        return average_single(f, interval, M, shift_n)
+        return average_single(f, interval)
     if flavor == "non-lacunary":
         fam = WavePacketFamily(f.grid, [interval], "non-lacunary")
         coef = fam.coefficients(f)[0]
@@ -200,8 +183,7 @@ def size(
     if not family:
         raise ValueError("size of an empty family is undefined")
     if flavor == "modified":
-        cache = _AverageCache(f, M, shift_n)
-        vals = [cache(iv) for iv in family]
+        vals = [average_single(f, iv, M, shift_n) for iv in family]
     elif flavor == "non-lacunary":
         fam = WavePacketFamily(f.grid, family, "non-lacunary")
         coefs = fam.coefficients(f)
@@ -228,8 +210,7 @@ def size_tilde(
     plus = collection_plus(family, I0)
     if not plus:
         raise ValueError("no enlarged intervals: family lies outside 3*I0")
-    cache = _AverageCache(f, M)
-    vals = [cache(iv) for iv in plus]
+    vals = [average_single(f, iv, M) for iv in plus]
     best = int(np.argmax(vals))
     return SizeReport(float(vals[best]), plus[best], "modified", 0)
 
@@ -536,7 +517,8 @@ def _single_stopping(
     level records.  Levels are clamped at 0; the first level's upper bracket
     is the bump-tail constant rather than 1 since chi-averages may exceed 1.
     """
-    avg = _AverageCache(indicator, M)
+    # one sweep reads most averages many times over
+    avg = functools.cache(lambda iv: average_single(indicator, iv, M))
     remaining = list(stock)
     assignment: dict[DyadicInterval, tuple[int, DyadicInterval]] = {}
     records: list[tuple[int, DyadicInterval, tuple]] = []

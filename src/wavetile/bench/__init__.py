@@ -3,14 +3,13 @@
 from .campaign import CampaignReport, ExperimentConfig, parse_config, run_campaign
 from .generate import generate_trial, rng_for
 from .report import emit_report, render_csv, render_json
-from .targets import REGISTRY, InequalityTarget, RunContext, TargetResult, TrialRow, target_names
+from .targets import REGISTRY, InequalityTarget, TargetResult, TrialRow, target_names
 
 __all__ = [
     "CampaignReport",
     "ExperimentConfig",
     "InequalityTarget",
     "REGISTRY",
-    "RunContext",
     "TargetResult",
     "TrialRow",
     "emit_report",

@@ -12,7 +12,9 @@ Config files are flat ``key = value`` text ('#' starts a comment):
 
 Each key appears at most once, and a bad value is rejected at parse time
 with the key or field named.  ``cap.<target>`` is accepted only for targets
-whose verdict reads a cap, and only with a finite value > 0.
+whose verdict reads a cap, and only with a finite value > 0; each
+``eps_values`` entry must be finite and > 0, and ``grid_size`` a power of
+two >= 32.
 
 Identical config + seed reproduce byte-identical reports: all randomness is
 Philox counter-based, trials execute in a fixed order (parallel workers only
@@ -30,7 +32,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .targets import MAX_SEED, REGISTRY, RunContext, TargetResult
+from .targets import MAX_SEED, REGISTRY, TargetResult
 
 __all__ = ["ExperimentConfig", "CampaignReport", "run_campaign", "parse_config"]
 
@@ -62,8 +64,10 @@ class ExperimentConfig:
             if not (math.isfinite(cap) and cap > 0):
                 raise ValueError(f"cap.{name} must be finite and > 0, got {cap!r}")
         n = self.grid_size
-        if n < 8 or n & (n - 1):
-            raise ValueError("grid_size must be a power of two >= 8")
+        # below 32 points vv-paraproduct's band-limited inputs reach no
+        # lacunary packet, so its ratio is round-off and its cap cannot fail
+        if n < 32 or n & (n - 1):
+            raise ValueError(f"grid_size must be a power of two >= 32, got {n!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.seed > MAX_SEED:
@@ -75,6 +79,22 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not self.eps_values:
             raise ValueError("eps_values must not be empty")
+        for eps in self.eps_values:
+            if not (math.isfinite(eps) and eps > 0):
+                raise ValueError(f"eps_values must be finite and > 0, got {eps!r}")
+
+    def trial_count(self, default: int) -> int:
+        """A target's trial count: its default, lowered to ``trials`` if set."""
+        if self.trials is None:
+            return default
+        return max(1, min(default, self.trials))
+
+    def cap(self, target: str) -> float:
+        return float(self.caps.get(target, REGISTRY[target].default_cap))
+
+    def seeds(self, target_index: int, count: int) -> list[int]:
+        base = self.seed * 100003 + target_index * 1009
+        return [base + t for t in range(count)]
 
     def to_dict(self) -> dict:
         return {
@@ -159,19 +179,12 @@ def _thread_count() -> int:
 def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
     """Execute every configured target; errors abort the target only."""
     workers = _thread_count()
-    ctx = RunContext(
-        seed=cfg.seed,
-        trials=cfg.trials,
-        grid_size=cfg.grid_size,
-        caps=cfg.caps,
-        eps_values=cfg.eps_values,
-    )
 
     def run_one(name: str) -> TargetResult:
         target = REGISTRY[name]
         t0 = time.time()
         try:
-            result = target.runner(ctx)
+            result = target.runner(cfg)
         except Exception:
             result = TargetResult(
                 name, target.statement, [], {}, False,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from ..errors import MajorSubsetError
 from ..grid import GridFunction, SampleGrid
 from ..norms import INF, MeasurableSet, MixedNormSpec, lp_norm, mixed_norm, weak_lp_norm
 from .generate import generate_trial, rng_for
+
+if TYPE_CHECKING:
+    from .campaign import ExperimentConfig
 
 __all__ = ["TrialRow", "TargetResult", "InequalityTarget", "REGISTRY", "MAX_SEED",
            "target_names"]
@@ -63,38 +66,13 @@ class InequalityTarget:
 MAX_SEED = 2**46 - 1
 
 
-class RunContext:
-    """Per-campaign knobs shared by the target runners."""
-
-    def __init__(self, seed: int = 7, trials: int | None = None,
-                 grid_size: int = 1024, caps: dict | None = None,
-                 eps_values: tuple[float, ...] = (0.01, 0.05, 0.1)):
-        self.seed = seed
-        self.trials_override = trials
-        self.grid_size = grid_size
-        self.caps = caps or {}
-        self.eps_values = tuple(eps_values)
-
-    def trials(self, default: int) -> int:
-        if self.trials_override is None:
-            return default
-        return max(1, min(default, self.trials_override))
-
-    def cap(self, target: str) -> float:
-        return float(self.caps.get(target, REGISTRY[target].default_cap))
-
-    def seeds(self, target_index: int, count: int) -> list[int]:
-        base = self.seed * 100003 + target_index * 1009
-        return [base + t for t in range(count)]
-
-
-def _trial_rows(ctx: RunContext, name: str, seed_index: int, default_trials: int,
+def _trial_rows(cfg: ExperimentConfig, name: str, seed_index: int, default_trials: int,
                 trial: Callable) -> list[TrialRow]:
     """Rows of one seed ladder: ``trial(t, seed)`` returns the trial's
     ``(lhs, rhs, params)`` triples, none for a degenerate trial."""
     return [
         TrialRow(name, t, seed, lhs, rhs, lhs / rhs, params)
-        for t, seed in enumerate(ctx.seeds(seed_index, ctx.trials(default_trials)))
+        for t, seed in enumerate(cfg.seeds(seed_index, cfg.trial_count(default_trials)))
         for lhs, rhs, params in trial(t, seed)
     ]
 
@@ -135,7 +113,7 @@ def _subfamily(rng, grid, root: dyadic.DyadicInterval, depth: int, keep: float =
 # Individual targets
 # ---------------------------------------------------------------------------
 
-def _run_telescope(ctx: RunContext, name: str, statement: str, *, dims: int,
+def _run_telescope(cfg: ExperimentConfig, name: str, statement: str, *, dims: int,
                    n: int, tol: float, seed_index: int,
                    default_trials: int) -> TargetResult:
     grid = SampleGrid(n, 1.0, dimension=dims)
@@ -150,7 +128,7 @@ def _run_telescope(ctx: RunContext, name: str, statement: str, *, dims: int,
         product = GridFunction(grid, f.samples * g.samples)
         return [((total - product).norm2() / product.norm2(), tol, {"n": n})]
 
-    rows = _trial_rows(ctx, name, seed_index, default_trials, trial)
+    rows = _trial_rows(cfg, name, seed_index, default_trials, trial)
     passed = all(r.ratio <= 1.0 for r in rows)
     agg = {"max_residual": max(r.lhs for r in rows), "tolerance": tol}
     return TargetResult(name, statement, rows, agg, passed)
@@ -159,13 +137,13 @@ def _run_telescope(ctx: RunContext, name: str, statement: str, *, dims: int,
 _C_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def _run_weak_dualization(ctx, name, statement) -> TargetResult:
+def _run_weak_dualization(cfg, name, statement) -> TargetResult:
     grid = SampleGrid(512, 1.0)
     r, p, C = 0.5, 1.0, 4.0
     rows = []
     fails = 0
     smallest_uniform_C = 0.0
-    for t, seed in enumerate(ctx.seeds(3, ctx.trials(50))):
+    for t, seed in enumerate(cfg.seeds(3, cfg.trial_count(50))):
         f = generate_trial("step", seed, {"grid": grid, "depth": 5})
         weak = weak_lp_norm(f, p)
         if weak == 0:
@@ -227,13 +205,13 @@ def _random_stopping_config(seed: int, grid: SampleGrid, depth: int):
     return family, E1, E2, E3, root
 
 
-def _run_stopping(ctx, name, statement) -> TargetResult:
+def _run_stopping(cfg, name, statement) -> TargetResult:
     grid = SampleGrid(512, 4.0)
-    cap = ctx.cap(name)
+    cap = cfg.cap(name)
     rows = []
     ok = True
-    trials = ctx.trials(100)
-    for t, seed in enumerate(ctx.seeds(4, trials)):
+    trials = cfg.trial_count(100)
+    for t, seed in enumerate(cfg.seeds(4, trials)):
         depth = 3 + (t % 3)  # depths 3..5
         family, E1, E2, E3, root = _random_stopping_config(seed, grid, depth)
         try:
@@ -296,7 +274,7 @@ def _stopping_checks(forest, family, E1, E2) -> dict:
             "d_decay": decay_ok}
 
 
-def _run_size_energy(ctx, name, statement) -> TargetResult:
+def _run_size_energy(cfg, name, statement) -> TargetResult:
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(0, 0)
     kinds = (("step", "depth", 4), ("bump_train", "count", 3), ("band_limited", "band", 24))
@@ -318,7 +296,7 @@ def _run_size_energy(ctx, name, statement) -> TargetResult:
                         {"check": f"energy-{flavor}"}))
         return out
 
-    rows = _trial_rows(ctx, name, 5, 100, trial)
+    rows = _trial_rows(cfg, name, 5, 100, trial)
     # far-support decay sweep (period large enough that no torus wrap helps)
     decay_grid = SampleGrid(4096, 64.0)
     ks = [1, 2, 3, 4, 5]
@@ -334,7 +312,7 @@ def _run_size_energy(ctx, name, statement) -> TargetResult:
         decay_vals[i + 1] <= decay_vals[i] * (1 + 1e-9) or decay_vals[i + 1] < 1e-12
         for i in range(len(ks) - 1)
     )
-    return _capped(name, statement, rows, ctx.cap(name), monotone,
+    return _capped(name, statement, rows, cfg.cap(name), monotone,
                    far_support_energy=decay_vals, monotone_decay=monotone)
 
 
@@ -364,8 +342,8 @@ def _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band):
     return n_out / (n_f * n_g)
 
 
-def _run_vv_paraproduct(ctx, name, statement) -> TargetResult:
-    grid = SampleGrid(ctx.grid_size, 1.0)
+def _run_vv_paraproduct(cfg, name, statement) -> TargetResult:
+    grid = SampleGrid(cfg.grid_size, 1.0)
     r1, r2, r = Fraction(3, 2), Fraction(3, 2), Fraction(3, 4)
     p, q, s = 4, 4, 2
     Ks = [1, 2, 4, 8, 16]
@@ -376,21 +354,21 @@ def _run_vv_paraproduct(ctx, name, statement) -> TargetResult:
             ratio = _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band=grid.sample_count // 8)
             return [] if ratio is None else [(ratio, 1.0, {"K": K})]
 
-        group = _trial_rows(ctx, name, 6 + K, 40, trial)
+        group = _trial_rows(cfg, name, 6 + K, 40, trial)
         maxima.append(float(np.max([row.ratio for row in group])))
         rows.extend(group)
     slope = _slope(np.log([float(k) for k in Ks]), np.log(maxima))
     # the growth fit needs a stable empirical sup; below 10 seeds per K the
     # slope is reported but not gated on
-    slope_gated = ctx.trials(40) >= 10
-    return _capped(name, statement, rows, ctx.cap(name),
+    slope_gated = cfg.trial_count(40) >= 10
+    return _capped(name, statement, rows, cfg.cap(name),
                    abs(slope) <= 0.1 or not slope_gated,
                    maxima_by_K=maxima, log_slope=slope, slope_window=0.1,
                    slope_gated=slope_gated)
 
 
-def _run_alpha_coefficients(ctx, name, statement) -> TargetResult:
-    cap = ctx.cap(name)
+def _run_alpha_coefficients(cfg, name, statement) -> TargetResult:
+    cap = cfg.cap(name)
     rows = []
     passed = True
     bounds = {}
@@ -427,18 +405,18 @@ def _shifted_ratio(op_name: str, n: int, grid: SampleGrid, seed: int) -> float |
     return lp_norm(op(f, n), 2) / denom if denom else None
 
 
-def _run_shifted_growth(ctx, name, statement) -> TargetResult:
+def _run_shifted_growth(cfg, name, statement) -> TargetResult:
     grid = SampleGrid(512, 1.0)
-    kappa_cap = ctx.cap(name)
+    kappa_cap = cfg.cap(name)
     ns = [1, 2, 4, 8, 16, 32, 64]
-    per_n = ctx.trials(10)
+    per_n = cfg.trial_count(10)
     rows = []
     fits = {}
     passed = True
     for op_name in ("maximal", "square", "paraproduct"):
         maxima = []
         for i, n in enumerate(ns):
-            seeds = ctx.seeds(20 + i, per_n)
+            seeds = cfg.seeds(20 + i, per_n)
             vals = [v for v in (_shifted_ratio(op_name, n, grid, s) for s in seeds)
                     if v is not None]
             mx, med = max(vals), float(np.median(vals))
@@ -453,7 +431,7 @@ def _run_shifted_growth(ctx, name, statement) -> TargetResult:
     return TargetResult(name, statement, rows, agg, passed)
 
 
-def _run_bht_multiplier(ctx, name, statement) -> TargetResult:
+def _run_bht_multiplier(cfg, name, statement) -> TargetResult:
     n = 2048
     grid = SampleGrid(n, 1.0)
     x = grid.points()
@@ -464,40 +442,41 @@ def _run_bht_multiplier(ctx, name, statement) -> TargetResult:
     a, b = 5, 25
     fa = GridFunction(grid, window * np.exp(2j * np.pi * a * x))
     gb = GridFunction(grid, window * np.exp(2j * np.pi * b * x))
-    res = operators.bht_kernel(fa, gb)
+    quad = operators.bht_kernel(fa, gb)
     center = n // 2
     idx = slice(center - n // 128, center + n // 128)
     predicted = 1j * np.pi * np.sign(b - a) * np.exp(
         2j * np.pi * (a + b) * x[idx]) * window[idx] ** 2
-    got = res.output.samples[idx]
+    got = quad.samples[idx]
     rel = float(np.max(np.abs(got - predicted)) / np.max(np.abs(predicted)))
     rows.append(TrialRow(name, 0, 0, rel, 0.03, rel / 0.03, {"check": "modulus-pi"}))
 
-    res_swap = operators.bht_kernel(gb, fa)
+    swapped = operators.bht_kernel(gb, fa)
     sign_flip = float(
-        np.max(np.abs(res_swap.output.samples[idx] + got))
+        np.max(np.abs(swapped.samples[idx] + got))
         / np.max(np.abs(predicted))
     )
     rows.append(TrialRow(name, 1, 0, sign_flip, 0.06, sign_flip / 0.06,
                          {"check": "sign-flip"}))
 
-    res_equal = operators.bht_kernel(fa, fa)
+    equal = operators.bht_kernel(fa, fa)
     scale = lp_norm(fa, INF) ** 2
-    equal_mag = float(np.max(np.abs(res_equal.output.samples[idx]))) / scale
+    equal_mag = float(np.max(np.abs(equal.samples[idx]))) / scale
     rows.append(TrialRow(name, 2, 0, equal_mag, 0.05, equal_mag / 0.05,
                          {"check": "sgn-zero-on-diagonal"}))
 
     even = GridFunction(grid, window.astype(complex))
-    res_even = operators.bht_kernel(even, even)
-    center_val = abs(res_even.output.samples[center]) / lp_norm(even, INF) ** 2
+    even_out = operators.bht_kernel(even, even)
+    center_val = abs(even_out.samples[center]) / lp_norm(even, INF) ** 2
     rows.append(TrialRow(name, 3, 0, center_val, 1e-8, center_val / 1e-8,
                          {"check": "even-symmetry-zero"}))
     passed = all(r.ratio <= 1.0 for r in rows)
-    agg = {"spectral_discrepancy": res.discrepancy}
+    spectral = operators.bht_spectral(fa, gb)
+    agg = {"spectral_discrepancy": (quad - spectral).norm2() / spectral.norm2()}
     return TargetResult(name, statement, rows, agg, passed)
 
 
-def _run_bht_local_l2(ctx, name, statement) -> TargetResult:
+def _run_bht_local_l2(cfg, name, statement) -> TargetResult:
     grid = SampleGrid(1024, 1.0)
     tiers = [1, 4, 16]  # tile count quadruples tier to tier
     rows = []
@@ -515,19 +494,19 @@ def _run_bht_local_l2(ctx, name, statement) -> TargetResult:
             ratio = lp_norm(operators.bht_model(spec, f, g), 1) / denom
             return [(ratio, 1.0, {"tiles": len(tiles)})]
 
-        group = _trial_rows(ctx, name, 40 + tier_idx, 34, trial)
+        group = _trial_rows(cfg, name, 40 + tier_idx, 34, trial)
         medians.append(float(np.median([row.ratio for row in group])))
         rows.extend(group)
     growth_ok = all(
         medians[i + 1] <= medians[i] * 1.25 + 1e-12 for i in range(len(medians) - 1)
     )
-    growth_gated = ctx.trials(34) >= 10
-    return _capped(name, statement, rows, ctx.cap(name), growth_ok or not growth_gated,
+    growth_gated = cfg.trial_count(34) >= 10
+    return _capped(name, statement, rows, cfg.cap(name), growth_ok or not growth_gated,
                    medians_by_tier=medians, tile_tiers=tiers, no_growth=growth_ok,
                    growth_gated=growth_gated)
 
 
-def _run_range_consistency(ctx, name, statement) -> TargetResult:
+def _run_range_consistency(cfg, name, statement) -> TargetResult:
     step = 24
     from ..operators.ranges import (
         _case_member,
@@ -540,7 +519,7 @@ def _run_range_consistency(ctx, name, statement) -> TargetResult:
 
     # the scalar Fraction routes check the vector ones, route by route, on a
     # seeded sample of the same grid
-    rng = rng_for(ctx.seed, 24)
+    rng = rng_for(cfg.seed, 24)
     a, b, c, d = rng.integers(0, step, size=(4, 2400))
     keep = (a + b > 0) & (2 * (a + b) < 3 * step) & (c + d > 0)
     a, b, c, d = a[keep], b[keep], c[keep], d[keep]
@@ -587,10 +566,10 @@ def _dilate_x(f: GridFunction, factor: int) -> GridFunction:
     return GridFunction(f.grid, f.samples[idx, :])
 
 
-def _run_leibniz(ctx, name, statement) -> TargetResult:
+def _run_leibniz(cfg, name, statement) -> TargetResult:
     n = 256
     grid = SampleGrid(n, 1.0, dimension=2)
-    cap = ctx.cap(name)
+    cap = cfg.cap(name)
     alpha = beta = 1.0
     exps = operators.LeibnizExponents.symmetric(2, 2)
 
@@ -600,11 +579,11 @@ def _run_leibniz(ctx, name, statement) -> TargetResult:
         lhs, terms = operators.leibniz_sides(alpha, beta, exps, f, g)
         return [(lhs, sum(terms), {})]
 
-    rows = _trial_rows(ctx, name, 60, 20, trial)
+    rows = _trial_rows(cfg, name, 60, 20, trial)
     max_ratio = max(r.ratio for r in rows)  # over the ratio rows, not the drift rows
     # dilation stability on a few pairs
     drifts = []
-    for t, seed in enumerate(ctx.seeds(61, ctx.trials(3))):
+    for t, seed in enumerate(cfg.seeds(61, cfg.trial_count(3))):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 64})
         g = generate_trial("band_limited", seed + 77, {"grid": grid, "band": n // 64})
         lhs, terms = operators.leibniz_sides(alpha, beta, exps, f, g)
@@ -632,7 +611,7 @@ def _size_energy_family(seed, grid, root, depth=4):
     return _subfamily(rng, grid, root, depth)
 
 
-def _run_trilinear_size_energy(ctx, name, statement) -> TargetResult:
+def _run_trilinear_size_energy(cfg, name, statement) -> TargetResult:
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(0, 0)
 
@@ -650,11 +629,11 @@ def _run_trilinear_size_energy(ctx, name, statement) -> TargetResult:
             rhs *= s ** (2.0 / 3.0) * e ** (1.0 / 3.0)
         return [] if rhs == 0 else [(lam, rhs, {})]
 
-    rows = _trial_rows(ctx, name, 70, 100, trial)
-    return _capped(name, statement, rows, ctx.cap(name), theta=[1 / 3, 1 / 3, 1 / 3])
+    rows = _trial_rows(cfg, name, 70, 100, trial)
+    return _capped(name, statement, rows, cfg.cap(name), theta=[1 / 3, 1 / 3, 1 / 3])
 
 
-def _run_localized_trilinear(ctx, name, statement) -> TargetResult:
+def _run_localized_trilinear(cfg, name, statement) -> TargetResult:
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)  # [1/2, 1)
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
@@ -673,10 +652,10 @@ def _run_localized_trilinear(ctx, name, statement) -> TargetResult:
             rhs *= st ** (2.0 / 3.0) * l1 ** (1.0 / 3.0)
         return [] if rhs == 0 else [(lam, rhs, {})]
 
-    return _capped(name, statement, _trial_rows(ctx, name, 71, 100, trial), ctx.cap(name))
+    return _capped(name, statement, _trial_rows(cfg, name, 71, 100, trial), cfg.cap(name))
 
 
-def _run_local_l1(ctx, name, statement) -> TargetResult:
+def _run_local_l1(cfg, name, statement) -> TargetResult:
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)
 
@@ -691,7 +670,7 @@ def _run_local_l1(ctx, name, statement) -> TargetResult:
         rhs = math.prod(_local_sizes((f, g, Et.indicator), family, root)) * root.length
         return [] if rhs == 0 else [(lhs, rhs, {})]
 
-    return _capped(name, statement, _trial_rows(ctx, name, 72, 100, trial), ctx.cap(name))
+    return _capped(name, statement, _trial_rows(cfg, name, 72, 100, trial), cfg.cap(name))
 
 
 def _lr_of_lr(grid, comps, e, weight=None) -> float:
@@ -700,7 +679,7 @@ def _lr_of_lr(grid, comps, e, weight=None) -> float:
     return lp_norm(GridFunction(grid, stack.astype(complex)), e, weight=weight)
 
 
-def _localized_operator_rows(ctx, name, r1, r2, r, eps, seed_index, default_trials,
+def _localized_operator_rows(cfg, name, r1, r2, r, eps, seed_index, default_trials,
                              vector_K=None):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)
@@ -743,22 +722,22 @@ def _localized_operator_rows(ctx, name, r1, r2, r, eps, seed_index, default_tria
         )
         return [] if rhs == 0 else [(lhs, rhs, {"eps": eps})]
 
-    return _trial_rows(ctx, name, seed_index, default_trials, trial)
+    return _trial_rows(cfg, name, seed_index, default_trials, trial)
 
 
-def _run_localized_operator(ctx, name, statement) -> TargetResult:
+def _run_localized_operator(cfg, name, statement) -> TargetResult:
     rows = []
-    for i, eps in enumerate(ctx.eps_values):
-        rows.extend(_localized_operator_rows(ctx, name, 1.5, 1.5, 0.75, eps, 73 + i, 34))
-    return _capped(name, statement, rows, ctx.cap(name), eps_values=list(ctx.eps_values))
+    for i, eps in enumerate(cfg.eps_values):
+        rows.extend(_localized_operator_rows(cfg, name, 1.5, 1.5, 0.75, eps, 73 + i, 34))
+    return _capped(name, statement, rows, cfg.cap(name), eps_values=list(cfg.eps_values))
 
 
-def _run_vv_localized(ctx, name, statement) -> TargetResult:
-    rows = _localized_operator_rows(ctx, name, 1.5, 1.5, 0.75, 0.05, 80, 30, vector_K=4)
-    return _capped(name, statement, rows, ctx.cap(name), K=4)
+def _run_vv_localized(cfg, name, statement) -> TargetResult:
+    rows = _localized_operator_rows(cfg, name, 1.5, 1.5, 0.75, 0.05, 80, 30, vector_K=4)
+    return _capped(name, statement, rows, cfg.cap(name), K=4)
 
 
-def _run_bht_localized(ctx, name, statement) -> TargetResult:
+def _run_bht_localized(cfg, name, statement) -> TargetResult:
     grid = SampleGrid(512, 1.0)
     root = dyadic.DyadicInterval(1, 1)
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
@@ -789,11 +768,11 @@ def _run_bht_localized(ctx, name, statement) -> TargetResult:
         )
         return [] if rhs == 0 else [(lhs, rhs, {})]
 
-    rows = _trial_rows(ctx, name, 85, 50, trial)
-    return _capped(name, statement, rows, ctx.cap(name), theta=theta)
+    rows = _trial_rows(cfg, name, 85, 50, trial)
+    return _capped(name, statement, rows, cfg.cap(name), theta=theta)
 
 
-def _run_tensor_mixed_norm(ctx, name, statement) -> TargetResult:
+def _run_tensor_mixed_norm(cfg, name, statement) -> TargetResult:
     n = 128
     grid = SampleGrid(n, 1.0, dimension=2)
 
@@ -805,12 +784,12 @@ def _run_tensor_mixed_norm(ctx, name, statement) -> TargetResult:
         rhs = mixed_norm(f, MixedNormSpec((4, 4))) * mixed_norm(g, MixedNormSpec((4, 4)))
         return [] if rhs == 0 else [(lhs, rhs, {})]
 
-    rows = _trial_rows(ctx, name, 90, 50, trial)
-    return _capped(name, statement, rows, ctx.cap(name),
+    rows = _trial_rows(cfg, name, 90, 50, trial)
+    return _capped(name, statement, rows, cfg.cap(name),
                    exponents={"p": [4, 4], "q": [4, 4], "s": [2, 2]})
 
 
-def _run_depth2_vv(ctx, name, statement) -> TargetResult:
+def _run_depth2_vv(cfg, name, statement) -> TargetResult:
     grid = SampleGrid(512, 1.0)
     K1 = K2 = 3
     fam = dyadic.grid_dyadic_family(grid, range(1, 6))
@@ -834,8 +813,8 @@ def _run_depth2_vv(ctx, name, statement) -> TargetResult:
             return []
         return [(n_out, n_f * n_g, {"K": [K1, K2]})]
 
-    rows = _trial_rows(ctx, name, 95, 10, trial)
-    return _capped(name, statement, rows, ctx.cap(name),
+    rows = _trial_rows(cfg, name, 95, 10, trial)
+    return _capped(name, statement, rows, cfg.cap(name),
                    inner_tuples={"R1": ["inf", 2], "R2": [2, "inf"], "R": [2, 2]})
 
 
@@ -845,7 +824,7 @@ def _run_depth2_vv(ctx, name, statement) -> TargetResult:
 
 def _entry(name, statement, runner, cap):
     return InequalityTarget(name, statement,
-                            lambda ctx, n=name, s=statement, r=runner: r(ctx, n, s),
+                            lambda cfg, n=name, s=statement, r=runner: r(cfg, n, s),
                             cap)
 
 

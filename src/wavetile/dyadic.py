@@ -245,8 +245,9 @@ def _torus_bump_cached(n, period, scale, position, decay_exponent):
 PACKET_SMOOTHNESS = 8
 
 
-def packet_profile(u, order: int = PACKET_SMOOTHNESS) -> np.ndarray:
-    """Cosine-power spectral window cos(pi u / 2)**order on [-1, 1].
+def packet_profile(u) -> np.ndarray:
+    """Cosine-power spectral window cos(pi u / 2)**order on [-1, 1], with
+    order ``PACKET_SMOOTHNESS``.
 
     Finitely smooth (C^(order-1)) at the edges, so the packet it generates
     has algebraic spatial tails of matching order; an infinitely smooth
@@ -255,7 +256,7 @@ def packet_profile(u, order: int = PACKET_SMOOTHNESS) -> np.ndarray:
     the adapted-decay axiom at desk scale.
     """
     u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
-    return np.cos(np.pi * u / 2.0) ** order
+    return np.cos(np.pi * u / 2.0) ** PACKET_SMOOTHNESS
 
 
 def min_packet_scale(grid: SampleGrid) -> int:
@@ -272,12 +273,15 @@ def _block_window(grid: SampleGrid, scale: int, block: int) -> tuple[float, floa
 
     The window is one position count wide with both ends on multiples of
     it.  Windows spanning fewer than two frequencies (scales coarser than
-    :func:`min_packet_scale`), or leaving the grid's frequencies, raise.
+    :func:`min_packet_scale`), at scales finer than ``max_scale``, or
+    leaving the grid's frequencies, raise.
     """
     if scale < min_packet_scale(grid):
         raise ScaleBudgetError(
             f"window at scale {scale} spans fewer than two frequencies"
         )
+    if scale > max_scale(grid):
+        raise ScaleBudgetError(f"scale {scale} exceeds budget {max_scale(grid)}")
     width = 2.0 ** scale * grid.period_length
     lo, hi = block * width, (block + 1) * width
     nyq = grid.sample_count // 2
@@ -291,13 +295,6 @@ def _block_window(grid: SampleGrid, scale: int, block: int) -> tuple[float, floa
 
 # Frequency block of each packet flavor: [0, 1/|I|] and [1/|I|, 2/|I|].
 _PACKET_BLOCKS = {"non-lacunary": 0, "lacunary": 1}
-
-
-def _packet_block(grid: SampleGrid, scale: int, flavor: str) -> int:
-    """The flavor's frequency block; scales finer than ``max_scale`` raise."""
-    if scale > max_scale(grid):
-        raise ScaleBudgetError(f"packet scale {scale} exceeds budget {max_scale(grid)}")
-    return _PACKET_BLOCKS[flavor]
 
 
 def _stride(grid: SampleGrid, scale: int) -> int:
@@ -407,8 +404,7 @@ def _vector_shape(weights: dict) -> tuple[int, ...]:
 @lru_cache(maxsize=2048)
 def _base_packet(n, period, scale, flavor):
     """Band of the packet for position 0 of the given scale."""
-    grid = SampleGrid(n, period)
-    return _window_band(grid, scale, _packet_block(grid, scale, flavor))
+    return _window_band(SampleGrid(n, period), scale, _PACKET_BLOCKS[flavor])
 
 
 class WavePacketFamily:
@@ -450,7 +446,7 @@ class WavePacketFamily:
 
     def packet(self, interval: DyadicInterval, shift_n: int = 0) -> GridFunction:
         """The packet of I + shift_n |I|, built directly (no packet cache)."""
-        block = _packet_block(self.grid, interval.scale, self.flavor)
+        block = _PACKET_BLOCKS[self.flavor]
         return _window_packet(self.grid, interval.scale, block, interval.position + shift_n)
 
     def scale_coefficients(
@@ -541,8 +537,6 @@ def build_rank_one_tiles(
     kappa = grid.log2_period()
     tiles = []
     for j in scales:
-        if j > max_scale(grid):
-            raise ScaleBudgetError(f"tile scale {j} exceeds budget {max_scale(grid)}")
         for l in freq_range:
             for slot in (1, 2, 3):
                 _block_window(grid, j, _slot_block(l, slot))

@@ -128,9 +128,6 @@ class GridFunction:
     def spatial_axes(self) -> tuple[int, ...]:
         return tuple(range(self.grid.dimension))
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.samples.copy())
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.grid, self.samples + other.samples)
 
@@ -321,8 +318,8 @@ def spectrum(f: GridFunction) -> np.ndarray:
     return np.fft.fftn(f.samples, axes=f.spatial_axes)
 
 
-def band_limit(f: GridFunction, rel_tol: float = 1e-12) -> int:
-    """Largest |m| carrying spectral mass above rel_tol of the peak."""
+def band_limit(f: GridFunction) -> int:
+    """Largest |m| carrying spectral mass above 1e-12 of the peak."""
     spec = np.abs(spectrum(f))
     peak = spec.max()
     if peak == 0:
@@ -330,7 +327,7 @@ def band_limit(f: GridFunction, rel_tol: float = 1e-12) -> int:
     m = np.abs(f.grid.frequencies())
     limit = 0
     for ax in f.spatial_axes:
-        mask = spec > rel_tol * peak
+        mask = spec > 1e-12 * peak
         other = tuple(a for a in range(spec.ndim) if a != ax)
         active = mask.any(axis=other) if other else mask
         if active.any():
@@ -338,8 +335,8 @@ def band_limit(f: GridFunction, rel_tol: float = 1e-12) -> int:
     return limit
 
 
-def require_band_limited(f: GridFunction, max_index: int, rel_tol: float = 1e-12):
-    b = band_limit(f, rel_tol)
+def require_band_limited(f: GridFunction, max_index: int):
+    b = band_limit(f)
     if b > max_index:
         raise AliasingError(
             f"spectrum reaches |m|={b}, beyond the admissible {max_index}"

@@ -1,6 +1,6 @@
 """Bilinear operators: paraproducts, BHT, vector-valued wrappers, ranges."""
 
-from .bht import BHTModelSpec, BhtKernelResult, bht_kernel, bht_model
+from .bht import BHTModelSpec, bht_kernel, bht_model, bht_spectral
 from .leibniz import LeibnizExponents, leibniz_sides
 from .paraproducts import (
     AlphaParaproductResult,
@@ -33,7 +33,6 @@ from .vector import vector_valued_apply
 __all__ = [
     "AlphaParaproductResult",
     "BHTModelSpec",
-    "BhtKernelResult",
     "LeibnizExponents",
     "LocalizationSpec",
     "ParaproductSpec",
@@ -43,6 +42,7 @@ __all__ = [
     "alpha_symbol_coefficients",
     "bht_kernel",
     "bht_model",
+    "bht_spectral",
     "bht_range_membership",
     "classical_paraproduct",
     "default_alpha_n_max",

@@ -23,17 +23,10 @@ from ..dyadic import Tritile, tile_scale_coefficients, tile_scale_synthesize
 from ..errors import AliasingError
 from ..grid import GridFunction, SampleGrid
 
-__all__ = ["BhtKernelResult", "bht_kernel", "BHTModelSpec", "bht_model"]
+__all__ = ["bht_kernel", "bht_spectral", "BHTModelSpec", "bht_model"]
 
 
-@dataclass
-class BhtKernelResult:
-    output: GridFunction
-    spectral: GridFunction
-    discrepancy: float  # ||quadrature - spectral||_2 / ||spectral||_2
-
-
-def _check_padding(f: GridFunction, rel_tol: float = 1e-12):
+def _check_padding(f: GridFunction):
     n = f.grid.sample_count
     window = slice(3 * n // 8, 5 * n // 8)
     vals = np.abs(f.samples)
@@ -41,15 +34,15 @@ def _check_padding(f: GridFunction, rel_tol: float = 1e-12):
     if peak == 0:
         return
     outside = np.concatenate([vals[: window.start], vals[window.stop:]])
-    if outside.max() > rel_tol * peak:
+    if outside.max() > 1e-12 * peak:
         raise AliasingError(
             "input support touches the pad: keep signals inside the middle "
             "quarter of the window"
         )
 
 
-def bht_kernel(f: GridFunction, g: GridFunction) -> BhtKernelResult:
-    """Quadrature and spectral evaluations of the bilinear Hilbert transform."""
+def bht_kernel(f: GridFunction, g: GridFunction) -> GridFunction:
+    """Principal-value quadrature of the bilinear Hilbert transform."""
     if f.grid.dimension != 1:
         raise ValueError("the kernel oracle works on 1d line windows")
     grid = f.grid
@@ -60,16 +53,15 @@ def bht_kernel(f: GridFunction, g: GridFunction) -> BhtKernelResult:
     out = np.zeros(n, dtype=complex)
     for j in range(1, n // 4 + 1):
         out += (np.roll(fs, j) * np.roll(gs, -j) - np.roll(fs, -j) * np.roll(gs, j)) / j
-    quad = GridFunction(grid, out)
-
-    spectral = _bht_spectral(f, g)
-    denom = spectral.norm2()
-    disc = (quad - spectral).norm2() / denom if denom > 0 else 0.0
-    return BhtKernelResult(quad, spectral, float(disc))
+    return GridFunction(grid, out)
 
 
-def _bht_spectral(f: GridFunction, g: GridFunction) -> GridFunction:
+def bht_spectral(f: GridFunction, g: GridFunction) -> GridFunction:
+    """The bilinear multiplier -i pi sgn(xi - eta) applied on the torus: the
+    reference :func:`bht_kernel` is checked against, sharing none of its code."""
     grid = f.grid
+    if grid.dimension != 1:
+        raise ValueError("the spectral reference works on 1d grids")
     n = grid.sample_count
     m = grid.frequencies()
     F = np.fft.fft(f.samples)

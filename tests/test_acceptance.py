@@ -12,15 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from wavetile.bench.targets import REGISTRY, RunContext
+from wavetile.bench import REGISTRY, ExperimentConfig
 
 from test_stopping import random_config, verify_forest
 
 
 def run_target(name: str, budget: float, trials: int | None = None):
-    ctx = RunContext(seed=7, trials=trials)
+    cfg = ExperimentConfig(seed=7, trials=trials)
     t0 = time.time()
-    result = REGISTRY[name].runner(ctx)
+    result = REGISTRY[name].runner(cfg)
     elapsed = time.time() - t0
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {name}: {elapsed:.1f}s (budget {budget:.0f}s)")

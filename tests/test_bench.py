@@ -95,6 +95,11 @@ class TestConfig:
         ("cap.weak-dualization = 4", "target 'weak-dualization' reads no cap, got 4.0"),
         ("cap.bht-multiplier = 0", "target 'bht-multiplier' reads no cap, got 0.0"),
         ("cap.range-consistency = 1", "target 'range-consistency' reads no cap"),
+        ("eps_values = nan", "eps_values must be finite and > 0, got nan"),
+        ("eps_values = 0.05, inf", "eps_values must be finite and > 0, got inf"),
+        ("eps_values = -1", "eps_values must be finite and > 0, got -1.0"),
+        ("grid_size = 8", "grid_size must be a power of two >= 32, got 8"),
+        ("grid_size = 16", "grid_size must be a power of two >= 32, got 16"),
     ])
     def test_bad_config_rejected_at_parse_time(self, text, reason):
         with pytest.raises(ValueError, match=reason):
@@ -102,6 +107,10 @@ class TestConfig:
 
 
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
+
+# sha256 of the seed-7, one-trial, full-registry report
+SMOKE_CSV_SHA256 = "64d81b3cad99b333c2b346fb8c055bbb1ea066c959432b47a9d0999ceb99616d"
+SMOKE_JSON_SHA256 = "248ffc741a75e59f40db73529953b607287f85de1eaca77f60b47f17db072770"
 
 
 def smoke_config(**kw):
@@ -264,6 +273,8 @@ class TestCampaignContracts:
             assert cap == tiny, result.name
 
     def test_registry_smoke_one_trial_under_budget(self):
+        import hashlib
+        import platform
         import time
         from wavetile.bench import ExperimentConfig, run_campaign
 
@@ -275,6 +286,15 @@ class TestCampaignContracts:
         assert report.passed
         for result in report.results:
             assert result.error is None, result.error
+        # Report bytes are pinned: a change that alters them on purpose
+        # updates these digests and says so.
+        versions = f"Python {platform.python_version()}, numpy {np.__version__}"
+        for render, want in ((render_csv, SMOKE_CSV_SHA256), (render_json, SMOKE_JSON_SHA256)):
+            got = hashlib.sha256(render(report).encode()).hexdigest()
+            assert got == want, (
+                f"{render.__name__} digest changed: {got} (pinned on Python 3.11.7, "
+                f"numpy 2.4.6; this run: {versions})"
+            )
 
 
 class TestDeterminismContracts:
@@ -320,11 +340,11 @@ class TestRowReexecution:
     def test_vv_row_recomputable_in_isolation(self):
         from fractions import Fraction
 
-        from wavetile.bench.targets import REGISTRY, RunContext, _vv_ratio
+        from wavetile.bench.targets import _vv_ratio
         from wavetile.grid import SampleGrid
 
-        ctx = RunContext(seed=7, trials=3, grid_size=512)
-        result = REGISTRY["vv-paraproduct"].runner(ctx)
+        cfg = ExperimentConfig(seed=7, trials=3, grid_size=512)
+        result = REGISTRY["vv-paraproduct"].runner(cfg)
         row = result.rows[4]
         again = _vv_ratio(
             SampleGrid(512, 1.0), row.seed, row.params["K"],

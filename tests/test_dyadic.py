@@ -311,6 +311,15 @@ class TestSharedSpectrumPath:
             fam.packet(DyadicInterval(top + 1, 0))
         with pytest.raises(ScaleBudgetError, match="exceeds budget"):
             fam.scale_coefficients(f, [top + 1])
+        # slot 1 of frequency index 0 at scale 7 is [0, 128], inside Nyquist
+        # but past the budget the packet route keeps
+        fine = Tritile(DyadicInterval(top + 1, 0), 0)
+        with pytest.raises(ScaleBudgetError, match="exceeds budget"):
+            tile_packet(g, fine, 1)
+        with pytest.raises(ScaleBudgetError, match="exceeds budget"):
+            tile_scale_coefficients(g, f, [(top + 1, 0)], 1)
+        with pytest.raises(ScaleBudgetError, match="exceeds budget"):
+            tile_scale_synthesize(g, {(top + 1, 0): np.ones(2 ** (top + 1))}, 1)
         # scale 0 on a unit period: the window [0, 1] holds no interior frequency
         coarse = Tritile(DyadicInterval(0, 0), 1)
         with pytest.raises(ScaleBudgetError, match="fewer than two frequencies"):

@@ -1,7 +1,8 @@
-"""``benchmarks/layers.py`` runs end to end on the packet engine.
+"""``benchmarks/layers.py`` runs end to end on the packet engine, the
+chi-weighted averages and the stopping sweep.
 
-The script imports the packet sweeps and syntheses by name and is not run
-by any other test; this runs it with two repeats and checks its rows.
+The script imports these layers by name and is not run by any other test;
+this runs it with two repeats and checks its rows.
 """
 
 import itertools
@@ -27,10 +28,15 @@ def test_layers_script_writes_one_row_per_case(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(out.read_text())["rows"]
-    cases = [(r["layer"], r["packets"], r["n"], r["K"]) for r in rows]
+    cases = [(r["layer"], r.get("packets"), r["n"], r["K"]) for r in rows]
     want = set(itertools.product(
         ("packet_sweep", "packet_synth"), ("lacunary", "non-lacunary", "tile"),
         (512, 1024, 4096), (1, 16),
-    ))
+    )) | {("chi_average", None, 512, 1), ("stopping_sweep", None, 512, 1)}
     assert len(cases) == len(want) and set(cases) == want
-    assert all(r["vector_route"] == "batched" and r["median_ms"] > 0 for r in rows)
+    assert all(r["median_ms"] > 0 for r in rows)
+    packet_rows = [r for r in rows if r["layer"].startswith("packet_")]
+    assert all(r["vector_route"] == "batched" for r in packet_rows)
+    assert {r["layer"]: r["intervals"] for r in rows if "intervals" in r} == {
+        "chi_average": 31, "stopping_sweep": 39,
+    }

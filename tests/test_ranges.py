@@ -131,9 +131,9 @@ class TestGridRoutes:
         assert range_grid_mismatches(24, repaired=False) == (292675, 3278)
 
     def test_runner_aggregates(self):
-        from wavetile.bench.targets import REGISTRY, RunContext
+        from wavetile.bench import REGISTRY, ExperimentConfig
 
-        result = REGISTRY["range-consistency"].runner(RunContext(seed=7))
+        result = REGISTRY["range-consistency"].runner(ExperimentConfig(seed=7))
         assert result.aggregates == {"grid_points": 292675, "mismatches": 0}
         assert result.passed
 
