@@ -1,5 +1,5 @@
 """Layer micro-benchmark: packet sweeps and synthesis, chi-weighted
-averages and one stopping sweep.
+averages, one stopping sweep, Littlewood-Paley products and the range grid.
 
     PYTHONPATH=src python3 benchmarks/layers.py [--repeats 9] [--json FILE]
 
@@ -25,6 +25,15 @@ Two more layers run on the stopping-invariants grid (n = 512, period 4):
   chi-weighted averages size-energy takes;
 * ``stopping_sweep``: ``stopping_decompose`` of one stopping-invariants
   configuration (seed 7, depth 5), exceptional set and level sweeps.
+
+Three more time the Littlewood-Paley products and the exhaustive range grid:
+
+* ``telescope``: ``telescoping_decomposition`` of two inputs band-limited to
+  n/8, in 1d at n = 4096 and in 2d at 256**2 (the telescope targets);
+* ``tensor``: ``tensor_paraproduct`` at 128**2 of inputs band-limited to 8
+  (tensor-mixed-norm);
+* ``range_grid``: ``range_grid_mismatches(24)``, both range routes over the
+  step-1/24 grid (range-consistency).
 
 Every timing is a median (with quartiles) over ``--repeats`` calls after one
 warm-up call, so the packet caches are full and only the sweep is timed.
@@ -55,6 +64,11 @@ from wavetile.dyadic import (
     tile_scale_synthesize,
 )
 from wavetile.grid import GridFunction, SampleGrid, max_scale
+from wavetile.operators import (
+    range_grid_mismatches,
+    telescoping_decomposition,
+    tensor_paraproduct,
+)
 
 SIZES = (512, 1024, 4096)
 K = 16
@@ -129,6 +143,28 @@ def _average_rows(repeats: int) -> list[dict]:
     return rows
 
 
+def _spectral_rows(repeats: int) -> list[dict]:
+    """The Littlewood-Paley product and range-grid rows."""
+    rows = []
+    for layer, op, dims, n, band in (
+        ("telescope", telescoping_decomposition, 1, 4096, 512),
+        ("telescope", telescoping_decomposition, 2, 256, 32),
+        ("tensor", tensor_paraproduct, 2, 128, 8),
+    ):
+        grid = SampleGrid(n, 1.0, dimension=dims)
+        f, g = (generate_trial("band_limited", seed, {"grid": grid, "band": band})
+                for seed in (1, 2))
+        row = {"layer": layer, "n": n, "K": 1, "dimension": dims, "band": band,
+               "repeats": repeats, **_timed(lambda: op(f, g), repeats)}
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    points, _ = range_grid_mismatches(24)
+    row = {"layer": "range_grid", "step": 24, "points": points, "repeats": repeats,
+           **_timed(lambda: range_grid_mismatches(24), repeats)}
+    print(json.dumps(row), flush=True)
+    return rows + [row]
+
+
 def measure(repeats: int) -> list[dict]:
     rows = []
     for n in SIZES:
@@ -152,7 +188,7 @@ def measure(repeats: int) -> list[dict]:
                            "repeats": repeats, **_timed(call, repeats)}
                     print(json.dumps(row), flush=True)
                     rows.append(row)
-    return rows + _average_rows(repeats)
+    return rows + _average_rows(repeats) + _spectral_rows(repeats)
 
 
 def main(argv=None) -> int:

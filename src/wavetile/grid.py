@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -241,7 +242,7 @@ class SpectralMultiplier:
             raise ShapeError("multiplier length must equal sample_count")
 
     def apply(self, f: GridFunction, axis: int = 0) -> GridFunction:
-        if axis >= f.grid.dimension:
+        if not 0 <= axis < f.grid.dimension:
             raise ShapeError(f"axis {axis} is not a spatial axis")
         spec = np.fft.fft(f.samples, axis=axis)
         shape = [1] * f.samples.ndim
@@ -262,6 +263,38 @@ def _projection_values(n: int, period: float, k: int, flavor: str) -> np.ndarray
         raise ValueError(f"flavor must be 'P' or 'Q', got {flavor!r}")
     vals.flags.writeable = False
     return vals
+
+
+@lru_cache(maxsize=512)
+def _band(n: int, period: float, k: int) -> tuple[int, tuple[tuple[slice, slice], ...]]:
+    """Size of the band that carries any product of two projections at
+    scale k, and its two halves as (full-grid slice, band slice) pairs.
+
+    A P projection at scale k lives on |m| < period*2**k and a Q projection
+    on |m| < 2*period*2**k, so a product of two lives on |m| < 4*period*2**k
+    and is computed exactly on size = min(n, 8*period*2**k) points.  In fft
+    order both the grid and the band list their nonnegative frequencies
+    first and their negative ones last, so each half is one slice of
+    either, and ``_projection_values(size, period, k, flavor)`` is the
+    profile on the band.
+    """
+    size = min(n, int(8 * period * 2.0 ** k))
+    h = size // 2
+    return size, ((slice(0, h), slice(0, h)), (slice(n - h, n), slice(h, size)))
+
+
+def _band_blocks(grid: SampleGrid, scales: tuple[int, ...]) -> tuple[tuple[int, ...], list]:
+    """Shape of the band of per-axis ``scales``, and its blocks: pairs of
+    basic indices over the leading spatial axes, into a full spectrum and
+    into the band, that cover the band once.
+
+    Basic slices make every block a view, so gathering a band costs one copy
+    and adding a band into a spectrum runs in place.
+    """
+    axes = [_band(grid.sample_count, grid.period_length, k) for k in scales]
+    shape = tuple(size for size, _ in axes)
+    blocks = [tuple(zip(*halves)) for halves in product(*(h for _, h in axes))]
+    return shape, blocks
 
 
 def littlewood_paley(

@@ -22,6 +22,7 @@ from ..errors import ShapeError, TruncationError
 from ..grid import (
     GridFunction,
     SampleGrid,
+    _band_blocks,
     _projection_values,
     littlewood_paley,
     low_pass_profile,
@@ -177,8 +178,47 @@ def localized_paraproduct(
 
 
 # ---------------------------------------------------------------------------
-# Telescoping product decomposition
+# Telescoping product decomposition (and the band helpers of Pi x Pi)
 # ---------------------------------------------------------------------------
+
+def _band_profile(grid: SampleGrid, scales, shape, flavors, ndim: int) -> np.ndarray:
+    """Outer product of the per-axis projection profiles on a band of
+    ``shape``, shaped to broadcast over the trailing axes of an
+    ``ndim``-array."""
+    m = reduce(np.multiply.outer, [
+        _projection_values(size, grid.period_length, k, fl)
+        for size, k, fl in zip(shape, scales, flavors)
+    ])
+    return m.reshape(m.shape + (1,) * (ndim - m.ndim))
+
+
+def _gather(spec: np.ndarray, blocks, profile: np.ndarray) -> np.ndarray:
+    """The band of ``spec`` (leading axes) times the band's ``profile``."""
+    lead = len(blocks[0][0])
+    out = np.empty(profile.shape[:lead] + spec.shape[lead:], dtype=complex)
+    for full, part in blocks:
+        np.multiply(spec[full], profile[part], out=out[part])
+    return out
+
+
+def _scatter_add(spec: np.ndarray, blocks, band: np.ndarray):
+    """Add the band transform of a product of band projections into the
+    full spectrum ``spec``, in place; ``band`` is rescaled in place.
+
+    The band's inverse transforms divide by its size rather than by n, so
+    along each axis the product's band transform is n/size times its full
+    spectrum.
+    """
+    lead = len(blocks[0][0])
+    band *= np.prod(band.shape[:lead]) / np.prod(spec.shape[:lead])
+    for full, part in blocks:
+        spec[full] += band[part]
+
+
+def _inverse(spec: np.ndarray) -> np.ndarray:
+    """Inverse fft over every axis, in place."""
+    return np.fft.ifftn(spec, out=spec)
+
 
 def telescoping_decomposition(f: GridFunction, g: GridFunction) -> list[GridFunction]:
     """Exact frequency decomposition of the pointwise product.
@@ -192,8 +232,10 @@ def telescoping_decomposition(f: GridFunction, g: GridFunction) -> list[GridFunc
     that is [T1, T2, T3, R] with R = P_k0 f P_k0 g.  The parts add up to
     f g to round-off for inputs band-limited to |m| <= N/4.
 
-    Both inputs are transformed once; each projection is one inverse
-    transform of the spectrum times the outer product of per-axis profiles.
+    Both inputs are transformed once.  The projections and products at a
+    tuple of per-axis scales run on that tuple's band (``grid._band``), and
+    each product's spectrum is added into its term's; each term then costs
+    one inverse transform.
     """
     if f.vector_shape or g.vector_shape:
         raise ShapeError("the telescoping decomposition takes scalar functions")
@@ -208,26 +250,24 @@ def telescoping_decomposition(f: GridFunction, g: GridFunction) -> list[GridFunc
     # flavors of f and g in each piece along one axis; "PP" is the coarse
     # block, present at the first scale only
     pieces = ("QP", "PQ", "QQ", "PP")
-    terms = [np.zeros_like(f.samples) for _ in range(3 ** dim + 1)]
+    spectra = [np.zeros_like(f_hat) for _ in range(3 ** dim + 1)]
     for scales in product(ks, repeat=dim):
+        shape, blocks = _band_blocks(grid, scales)
         proj_f, proj_g = {}, {}
         for flavors in product("PQ", repeat=dim):
-            m = reduce(np.multiply.outer, [
-                _projection_values(grid.sample_count, grid.period_length, k, fl)
-                for k, fl in zip(scales, flavors)
-            ])
-            proj_f[flavors] = np.fft.ifftn(f_hat * m)
-            proj_g[flavors] = np.fft.ifftn(g_hat * m)
+            m = _band_profile(grid, scales, shape, flavors, dim)
+            proj_f[flavors] = _inverse(_gather(f_hat, blocks, m))
+            proj_g[flavors] = _inverse(_gather(g_hat, blocks, m))
         choices = [range(4) if k == ks.start else range(3) for k in scales]
+        members = {}
         for combo in product(*choices):
-            if 3 in combo:
-                index = 3 ** dim
-            else:
-                index = int(np.ravel_multi_index(combo, (3,) * dim))
-            fa = tuple(pieces[i][0] for i in combo)
-            gb = tuple(pieces[i][1] for i in combo)
-            terms[index] += proj_f[fa] * proj_g[gb]
-    return [GridFunction(grid, t) for t in terms]
+            term = 3 ** dim if 3 in combo else int(np.ravel_multi_index(combo, (3,) * dim))
+            members.setdefault(term, []).append(combo)
+        for term, combos in members.items():
+            acc = reduce(np.add, (proj_f[tuple(pieces[i][0] for i in c)]
+                                  * proj_g[tuple(pieces[i][1] for i in c)] for c in combos))
+            _scatter_add(spectra[term], blocks, np.fft.fftn(acc, out=acc))
+    return [GridFunction(grid, _inverse(s)) for s in spectra]
 
 
 def classical_paraproduct(
@@ -426,20 +466,30 @@ def alpha_paraproduct(
 # ---------------------------------------------------------------------------
 
 def tensor_paraproduct(f: GridFunction, g: GridFunction) -> GridFunction:
-    """sum_k Q_k^(y-out) [ Pi_x(P_k^y f, Q_k^y g) ] on a 2d grid.
+    """sum_k Q_k^(y-out) [ Pi_x(P_k^y f, Q_k^y g) ] on a 2d grid,
+    componentwise over trailing vector axes.
 
     Pi_x is the convolution paraproduct sum_j Q_j(Q_j . P_j .) acting on the
-    first axis, batched over the second.
+    first axis.  Both inputs are transformed once; the product of each
+    scale pair (j, k) runs on that pair's band (``grid._band``) and its
+    spectrum is added into the output's, which costs one inverse transform.
     """
     if f.grid.dimension != 2:
         raise ValueError("tensor paraproduct needs 2d inputs")
     grid = f.grid
     full = scale_range(grid)
     ks = range(full.start, full.stop - 1)
-    out = np.zeros_like(f.samples)
-    for k in ks:
-        u = littlewood_paley(f, k, "P", axis=1)
-        v = littlewood_paley(g, k, "Q", axis=1)
-        w = classical_paraproduct(u, v, which="qpq", axis=0, scales=ks)
-        out += littlewood_paley(w, k, "Q", axis=1).samples
-    return GridFunction(grid, out)
+    axes = (0, 1)
+    f_hat = np.fft.fft2(f.samples, axes=axes)
+    g_hat = np.fft.fft2(g.samples, axes=axes)
+    out = np.zeros_like(f_hat)
+    for scales in product(ks, ks):
+        shape, blocks = _band_blocks(grid, scales)
+        u = _gather(f_hat, blocks, _band_profile(grid, scales, shape, "QP", f_hat.ndim))
+        v = _gather(g_hat, blocks, _band_profile(grid, scales, shape, "PQ", g_hat.ndim))
+        u = np.fft.ifft2(u, axes=axes, out=u)
+        u *= np.fft.ifft2(v, axes=axes, out=v)
+        u = np.fft.fft2(u, axes=axes, out=u)
+        u *= _band_profile(grid, scales, shape, "QQ", u.ndim)
+        _scatter_add(out, blocks, u)
+    return GridFunction(grid, np.fft.ifft2(out, axes=axes, out=out))

@@ -109,8 +109,8 @@ class TestConfig:
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
 
 # sha256 of the seed-7, one-trial, full-registry report
-SMOKE_CSV_SHA256 = "64d81b3cad99b333c2b346fb8c055bbb1ea066c959432b47a9d0999ceb99616d"
-SMOKE_JSON_SHA256 = "248ffc741a75e59f40db73529953b607287f85de1eaca77f60b47f17db072770"
+SMOKE_CSV_SHA256 = "f2431bcb0754ac0e246cc0bfc54ac3bd3dd06e0ba1797b8d835ce5de4318dbbf"
+SMOKE_JSON_SHA256 = "f3eeb30548b33372eff2d7865ec7daa70bf3922bfb3955a5601142e598827ccf"
 
 
 def smoke_config(**kw):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetile.errors import ScaleBudgetError
+from wavetile.errors import ScaleBudgetError, ShapeError
 from wavetile.grid import (
     GridFunction,
     SampleGrid,
+    _band,
     _projection_values,
     band_limit,
     fourier_transform,
@@ -117,6 +118,38 @@ class TestLittlewoodPaley:
         assert max_scale(g) == 4
         with pytest.raises(ScaleBudgetError):
             littlewood_paley(f, 5, "Q")
+
+    @pytest.mark.parametrize("components", [64, 3])
+    def test_vector_axis_rejected(self, components):
+        # a negative axis names a vector axis: with as many components as
+        # samples it would be filtered silently
+        g = SampleGrid(64)
+        f = GridFunction(g, np.ones((64, components), dtype=complex))
+        for axis in (-1, 1):
+            with pytest.raises(ShapeError, match=f"axis {axis} is not a spatial axis"):
+                littlewood_paley(f, 2, "Q", axis=axis)
+
+    @pytest.mark.parametrize("grid", [SampleGrid(256), SampleGrid(256, 4.0)])
+    def test_band_holds_every_product_of_two_projections(self, grid):
+        n, period = grid.sample_count, grid.period_length
+        m = grid.frequencies()
+        for k in scale_range(grid):
+            size, halves = _band(n, period, k)
+            assert size == min(n, 8 * period * 2 ** k)
+            # the band's fft order, read off the full grid
+            bins = np.empty(size, dtype=int)
+            for full, part in halves:
+                bins[part] = np.arange(n)[full]
+            assert np.array_equal(m[bins], np.fft.fftfreq(size, d=1.0 / size))
+            # a product of two projections lives on |m| < 4 * period * 2**k
+            assert size == n or np.abs(m[bins]).max() == 4 * period * 2 ** k
+            for flavor in "PQ":
+                full_profile = _projection_values(n, period, k, flavor)
+                band_profile = _projection_values(size, period, k, flavor)
+                assert np.array_equal(band_profile, full_profile[bins])
+                outside = np.ones(n, dtype=bool)
+                outside[bins] = False
+                assert not full_profile[outside].any()
 
     def test_scale_range_spans_torus_to_budget(self):
         g = SampleGrid(256, 4.0)

@@ -1,5 +1,6 @@
 """``benchmarks/layers.py`` runs end to end on the packet engine, the
-chi-weighted averages and the stopping sweep.
+chi-weighted averages, the stopping sweep, the Littlewood-Paley products and
+the range grid.
 
 The script imports these layers by name and is not run by any other test;
 this runs it with two repeats and checks its rows.
@@ -28,11 +29,13 @@ def test_layers_script_writes_one_row_per_case(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(out.read_text())["rows"]
-    cases = [(r["layer"], r.get("packets"), r["n"], r["K"]) for r in rows]
+    cases = [(r["layer"], r.get("packets"), r.get("n"), r.get("K")) for r in rows]
     want = set(itertools.product(
         ("packet_sweep", "packet_synth"), ("lacunary", "non-lacunary", "tile"),
         (512, 1024, 4096), (1, 16),
-    )) | {("chi_average", None, 512, 1), ("stopping_sweep", None, 512, 1)}
+    )) | {("chi_average", None, 512, 1), ("stopping_sweep", None, 512, 1),
+          ("telescope", None, 4096, 1), ("telescope", None, 256, 1),
+          ("tensor", None, 128, 1), ("range_grid", None, None, None)}
     assert len(cases) == len(want) and set(cases) == want
     assert all(r["median_ms"] > 0 for r in rows)
     packet_rows = [r for r in rows if r["layer"].startswith("packet_")]
@@ -40,3 +43,7 @@ def test_layers_script_writes_one_row_per_case(tmp_path):
     assert {r["layer"]: r["intervals"] for r in rows if "intervals" in r} == {
         "chi_average": 31, "stopping_sweep": 39,
     }
+    assert [(r["dimension"], r["band"]) for r in rows if "band" in r] == [
+        (1, 512), (2, 32), (2, 8),
+    ]
+    assert [r["points"] for r in rows if r["layer"] == "range_grid"] == [292675]

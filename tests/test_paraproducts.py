@@ -187,7 +187,10 @@ class TestTelescoping:
         product = GridFunction(g, f.samples * h.samples)
         assert (total - product).norm2() <= 1e-9 * product.norm2()
 
-    @pytest.mark.parametrize("grid", [SampleGrid(512, 1.0), SampleGrid(64, 1.0, dimension=2)])
+    @pytest.mark.parametrize("grid", [
+        SampleGrid(512, 1.0), SampleGrid(64, 1.0, dimension=2),
+        SampleGrid(512, 4.0), SampleGrid(64, 4.0, dimension=2),
+    ])
     def test_each_term_matches_projection_route(self, grid):
         band = grid.sample_count // 5
         f, h = band_limited(grid, 9, band), band_limited(grid, 10, band)
@@ -338,7 +341,45 @@ class TestAlphaParaproduct:
             alpha_paraproduct(0.5, f, f)
 
 
+def tensor_route(f, h):
+    """The tensor paraproduct projection by projection: P_k f and Q_k h
+    along the second axis, the convolution paraproduct sum_j Q_j(Q_j . P_j .)
+    along the first, and Q_k of the result along the second."""
+    full = scale_range(f.grid)
+    ks = range(full.start, full.stop - 1)
+    out = np.zeros_like(f.samples)
+    for k in ks:
+        u = littlewood_paley(f, k, "P", axis=1)
+        v = littlewood_paley(h, k, "Q", axis=1)
+        for j in ks:
+            w = GridFunction(f.grid, littlewood_paley(u, j, "Q").samples
+                             * littlewood_paley(v, j, "P").samples)
+            out += littlewood_paley(littlewood_paley(w, j, "Q"), k, "Q", axis=1).samples
+    return out
+
+
 class TestTensorParaproduct:
+    @pytest.mark.parametrize("grid, vector_shape", [
+        (SampleGrid(128, 1.0, dimension=2), ()),
+        (SampleGrid(128, 4.0, dimension=2), ()),
+        (SampleGrid(64, 1.0, dimension=2), (3,)),
+    ])
+    def test_matches_projection_route_on_broadband_inputs(self, grid, vector_shape):
+        # inputs reach every frequency, so each scale pair's band must hold
+        # its whole product
+        rng = np.random.default_rng(34)
+        shape = grid.spatial_shape + vector_shape
+        f, h = (GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                for _ in range(2))
+        got = tensor_paraproduct(f, h).samples
+        want = tensor_route(f, h)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for c in np.ndindex(vector_shape):
+            fc = GridFunction(grid, f.samples[(..., *c)])
+            hc = GridFunction(grid, h.samples[(..., *c)])
+            one = tensor_paraproduct(fc, hc).samples
+            assert np.linalg.norm(got[(..., *c)] - one) <= 1e-12 * np.linalg.norm(one)
+
     def test_zero(self):
         g = SampleGrid(128, 1.0, dimension=2)
         zero = GridFunction(g, np.zeros((128, 128), dtype=complex))
