@@ -15,7 +15,6 @@ from .errors import (
     RangeConsistencyError,
     ScaleBudgetError,
     ShapeError,
-    TruncationError,
     WavetileError,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "RangeConsistencyError",
     "ScaleBudgetError",
     "ShapeError",
-    "TruncationError",
     "WavetileError",
 ]

@@ -10,11 +10,11 @@ Config files are flat ``key = value`` text ('#' starts a comment):
     cap.vv-paraproduct = 1.0
     out = reports
 
-Each key appears at most once, and a bad value is rejected at parse time
-with the key or field named.  ``cap.<target>`` is accepted only for targets
-whose verdict reads a cap, and only with a finite value > 0; each
-``eps_values`` entry must be finite and > 0, and ``grid_size`` a power of
-two >= 32.
+Each key and each target appears at most once, and a bad value is rejected
+at parse time with the key or field named.  ``cap.<target>`` is accepted
+only for targets whose verdict reads a cap, and only with a finite value
+> 0; each ``eps_values`` entry must be finite and > 0, and ``grid_size`` a
+power of two >= 32.
 
 Identical config + seed reproduce byte-identical reports: all randomness is
 Philox counter-based, trials execute in a fixed order (parallel workers only
@@ -55,6 +55,9 @@ class ExperimentConfig:
         unknown = [t for t in self.targets if t not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown targets: {unknown}")
+        repeated = sorted({t for t in self.targets if self.targets.count(t) > 1})
+        if repeated:
+            raise ValueError(f"repeated targets: {repeated}")
         unknown = sorted(t for t in self.caps if t not in REGISTRY)
         if unknown:
             raise ValueError(f"caps for unknown targets: {unknown}")

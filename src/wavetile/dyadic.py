@@ -1,4 +1,4 @@
-"""Exact dyadic interval geometry, adapted bumps, wave packets, tritiles.
+"""Exact dyadic interval geometry, torus bumps, wave packets, tritiles.
 
 A dyadic interval is the pair ``(scale, position) = (j, m)`` standing for
 ``[m * 2**-j, (m+1) * 2**-j)``.  All containment and disjointness queries are
@@ -26,13 +26,9 @@ from .grid import GridFunction, SampleGrid, max_scale
 
 __all__ = [
     "DyadicInterval",
-    "AdaptedBump",
-    "adapted_bump_eval",
     "WavePacketFamily",
     "Tritile",
-    "localize_collection",
     "collection_plus",
-    "translate_interval",
     "build_rank_one_tiles",
     "grid_dyadic_family",
     "interval_indices",
@@ -57,14 +53,6 @@ class DyadicInterval:
     def left(self) -> float:
         return self.position * self.length
 
-    @property
-    def right(self) -> float:
-        return (self.position + 1) * self.length
-
-    @property
-    def center(self) -> float:
-        return (self.position + 0.5) * self.length
-
     def parent(self) -> "DyadicInterval":
         return DyadicInterval(self.scale - 1, self.position >> 1)
 
@@ -83,24 +71,6 @@ class DyadicInterval:
 
     def disjoint(self, other: "DyadicInterval") -> bool:
         return not (self.contains(other) or other.contains(self))
-
-    def ancestor(self, scale: int) -> "DyadicInterval":
-        """The unique ancestor at a coarser (smaller) scale."""
-        if scale > self.scale:
-            raise ValueError("ancestor scale must be <= interval scale")
-        return DyadicInterval(scale, self.position >> (self.scale - scale))
-
-
-def translate_interval(interval: DyadicInterval, n: int) -> DyadicInterval:
-    """I + n|I|: same scale, position shifted by n."""
-    return DyadicInterval(interval.scale, interval.position + n)
-
-
-def localize_collection(
-    family: list[DyadicInterval], bound: DyadicInterval
-) -> list[DyadicInterval]:
-    """Members contained in ``bound``, in input order."""
-    return [iv for iv in family if bound.contains(iv)]
 
 
 def _tripled_contains(i0: DyadicInterval, j: DyadicInterval) -> bool:
@@ -167,33 +137,6 @@ def interval_indices(grid: SampleGrid, interval: DyadicInterval) -> np.ndarray:
     stride = int(stride)
     start = interval.position * stride
     return (start + np.arange(stride)) % grid.sample_count
-
-
-# ---------------------------------------------------------------------------
-# Adapted bumps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdaptedBump:
-    """Polynomial-decay weight (1 + dist(x, I)/|I|)**-M around an interval."""
-
-    interval: DyadicInterval
-    decay_exponent: int = 10
-
-    def __post_init__(self):
-        if self.decay_exponent < 1:
-            raise ValueError("decay exponent must be a positive integer")
-
-    def __call__(self, x) -> np.ndarray:
-        return adapted_bump_eval(self, x)
-
-
-def adapted_bump_eval(bump: AdaptedBump, x) -> np.ndarray:
-    """Evaluate the bump at points on the line (no periodization)."""
-    x = np.asarray(x, dtype=float)
-    iv = bump.interval
-    dist = np.maximum(iv.left - x, 0.0) + np.maximum(x - iv.right, 0.0)
-    return (1.0 + dist / iv.length) ** (-bump.decay_exponent)
 
 
 def torus_bump_samples(

@@ -29,18 +29,6 @@ class MajorSubsetError(WavetileError, RuntimeError):
         self.achieved_ratio = achieved_ratio
 
 
-class TruncationError(WavetileError, RuntimeError):
-    """A series truncation exceeds the requested tolerance.
-
-    Carries ``tail`` (the certified tail bound) and ``n_max`` used.
-    """
-
-    def __init__(self, message: str, tail: float, n_max: int):
-        super().__init__(message)
-        self.tail = tail
-        self.n_max = n_max
-
-
 class InfeasibleMeasureError(WavetileError, ValueError):
     """A requested set measure is not representable on the grid."""
 

@@ -9,8 +9,7 @@ Conventions used throughout the package:
   refer to frequency in cycles per unit length (so a dyadic interval of
   length ``2**-k`` pairs with frequencies near ``2**k`` regardless of the
   period).
-* ``fourier_transform`` is the unitary DFT (``norm="ortho"``); spectral
-  multipliers are applied with the plain fft/ifft pair, which is
+* Spectral multipliers are applied with the plain fft/ifft pair, which is
   normalization-free.
 * Inner products are hermitian: ``<u, v> = sum(u * conj(v)) * dx**dim``.
 * The low-pass profile ``low_pass_profile`` equals 1 on ``[-1/2, 1/2]`` and
@@ -35,7 +34,6 @@ __all__ = [
     "SpectralMultiplier",
     "low_pass_profile",
     "band_profile",
-    "fourier_transform",
     "littlewood_paley",
     "fractional_derivative",
     "max_scale",
@@ -216,18 +214,8 @@ def _check_scale(grid: SampleGrid, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Transforms and multipliers
+# Multipliers and projections
 # ---------------------------------------------------------------------------
-
-def fourier_transform(f: GridFunction, inverse: bool = False) -> GridFunction:
-    """Unitary DFT along the spatial axes (vector axes pass through)."""
-    axes = f.spatial_axes
-    if inverse:
-        out = np.fft.ifftn(f.samples, axes=axes, norm="ortho")
-    else:
-        out = np.fft.fftn(f.samples, axes=axes, norm="ortho")
-    return GridFunction(f.grid, out)
-
 
 @dataclass
 class SpectralMultiplier:

@@ -31,7 +31,6 @@ __all__ = [
     "distribution_function",
     "weak_lp_norm",
     "mixed_norm",
-    "min_subadditive_exponent",
     "dualize_weak_via_Lr",
     "major_subset_L1",
 ]
@@ -102,30 +101,6 @@ class MixedNormSpec:
     @property
     def depth(self) -> int:
         return len(self.exponents)
-
-    def min_index(self) -> int:
-        """Index of the smallest exponent, ties to the smallest index."""
-        best = 0
-        for j, r in enumerate(self.exponents):
-            if _lt(r, self.exponents[best]):
-                best = j
-        return best
-
-
-def _lt(a: Exponent, b: Exponent) -> bool:
-    if a == INF:
-        return False
-    if b == INF:
-        return True
-    return a < b
-
-
-def min_subadditive_exponent(spec: MixedNormSpec) -> Fraction:
-    """min(1, min_j r_j): the power making the mixed norm subadditive."""
-    m = spec.exponents[spec.min_index()]
-    if m == INF or m >= 1:
-        return Fraction(1)
-    return Fraction(m) if not isinstance(m, float) else Fraction(m).limit_denominator(10 ** 9)
 
 
 @dataclass

@@ -3,13 +3,10 @@
 from .bht import BHTModelSpec, bht_kernel, bht_model, bht_spectral
 from .leibniz import LeibnizExponents, leibniz_sides
 from .paraproducts import (
-    AlphaParaproductResult,
     LocalizationSpec,
     ParaproductSpec,
-    alpha_paraproduct,
     alpha_symbol_coefficients,
     classical_paraproduct,
-    default_alpha_n_max,
     discretized_paraproduct,
     localized_paraproduct,
     shifted_paraproduct,
@@ -31,21 +28,18 @@ from .ranges import (
 from .vector import vector_valued_apply
 
 __all__ = [
-    "AlphaParaproductResult",
     "BHTModelSpec",
     "LeibnizExponents",
     "LocalizationSpec",
     "ParaproductSpec",
     "RangeMembership",
     "RangeQuery",
-    "alpha_paraproduct",
     "alpha_symbol_coefficients",
     "bht_kernel",
     "bht_model",
     "bht_spectral",
     "bht_range_membership",
     "classical_paraproduct",
-    "default_alpha_n_max",
     "discretized_paraproduct",
     "format_range_query",
     "leibniz_sides",

@@ -1,4 +1,5 @@
-"""Paraproducts: discretized, localized, telescoping, shifted, finite-decay.
+"""Paraproducts (discretized, localized, telescoping, classical, shifted,
+tensor) and the Fourier coefficients of the finite-decay symbol.
 
 The discretized paraproduct attached to an interval family and bounded
 coefficients is
@@ -18,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from ..dyadic import DyadicInterval, WavePacketFamily, _column, min_packet_scale
-from ..errors import ShapeError, TruncationError
+from ..errors import ShapeError
 from ..grid import (
     GridFunction,
     SampleGrid,
@@ -41,10 +42,7 @@ __all__ = [
     "telescoping_decomposition",
     "classical_paraproduct",
     "shifted_paraproduct",
-    "AlphaParaproductResult",
-    "alpha_paraproduct",
     "alpha_symbol_coefficients",
-    "default_alpha_n_max",
     "tensor_paraproduct",
 ]
 
@@ -325,7 +323,7 @@ def shifted_paraproduct(
 
 
 # ---------------------------------------------------------------------------
-# Finite-decay (fractional-derivative) paraproduct
+# Finite-decay symbol coefficients
 # ---------------------------------------------------------------------------
 
 # Quadrature nodes of the symbol on its window [-4, 4).
@@ -356,109 +354,6 @@ def alpha_symbol_coefficients(
     ns = np.arange(-n_limit, n_limit + 1)
     sign = np.where(ns % 2 == 0, 1.0, -1.0)  # phase from the window offset
     return sign * coefs[ns % nq]
-
-
-def default_alpha_n_max(alpha: float) -> int:
-    """Smallest power-of-two n_max whose tail is below 1e-3 of the head,
-    capped at a quarter of the quadrature nodes (2**15).
-
-    For small alpha the slow (1+|n|)^-(1+alpha) decay cannot reach that
-    relative tail within the cap; the cap is returned then and the honest
-    tail is reported by :func:`alpha_paraproduct`.
-    """
-    limit = _QUAD_POINTS // 4
-    table = np.abs(alpha_symbol_coefficients(alpha, limit))
-    head = table.sum()
-    center = len(table) // 2
-    n = 1
-    while n < limit:
-        tail = table[: center - n].sum() + table[center + n + 1:].sum()
-        if tail < 1e-3 * head:
-            return n
-        n *= 2
-    return limit
-
-
-@dataclass
-class AlphaParaproductResult:
-    output: GridFunction
-    coefficients: np.ndarray  # c_n for n in [-n_max, n_max]
-    n_max: int
-    tail: float
-    head: float
-    scales: range
-
-
-def alpha_paraproduct(
-    alpha: float,
-    f: GridFunction,
-    g: GridFunction,
-    n_max: int | None = None,
-    tol: float | None = None,
-) -> AlphaParaproductResult:
-    """Derivative-absorbed finite-decay paraproduct, as a truncated series.
-
-    Computes sum_k 2^(k alpha) (Q_k f Q_k g) * m_k where the multiplier
-    m_k(xi) = |xi|^alpha 2^(-k alpha) lowpass(xi / 2^k) is replaced by its
-    truncated Fourier series in the modes exp(2 pi i n xi / 2^(k+3)); this
-    equals the alpha-derivative of the low-pass telescoping term up to the
-    reported truncation tail.  Requires a unit-period grid.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    grid = f.grid
-    if grid.period_length != 1.0:
-        raise ValueError("the finite-decay paraproduct assumes a unit period")
-    if n_max is None:
-        n_max = default_alpha_n_max(alpha)
-    if n_max >= _QUAD_POINTS // 2:
-        raise ValueError("n_max must be below the quadrature resolution")
-
-    full_limit = _QUAD_POINTS // 4
-    table = np.abs(alpha_symbol_coefficients(alpha, full_limit))
-    center = full_limit
-    head = float(table.sum())
-    tail = float(table[: center - n_max].sum() + table[center + n_max + 1:].sum())
-    # estimate for the part beyond the computed table from the decay law
-    decay_const = float(table[-1]) * (1.0 + full_limit) ** (1.0 + alpha)
-    tail += 2.0 * decay_const * full_limit ** (-alpha) / alpha
-    if tol is not None and tail > tol:
-        raise TruncationError(
-            f"truncation tail {tail:.3e} exceeds requested tolerance {tol:.3e} "
-            f"at n_max={n_max}",
-            tail=tail,
-            n_max=n_max,
-        )
-
-    coefs = alpha_symbol_coefficients(alpha, n_max)
-
-    # The truncated series evaluated at xi = m / 2**k is a band-limited
-    # filtering of the sampled symbol; grid frequencies land exactly on
-    # quadrature nodes, so one filtered table serves every scale.
-    nq = _QUAD_POINTS
-    v = 8.0 * np.arange(nq) / nq  # v = u + 4 on [0, 8)
-    rho = np.abs(v - 4.0) ** alpha * low_pass_profile(v - 4.0)
-    spec_rho = np.fft.fft(rho)
-    freqs = np.fft.fftfreq(nq, d=1.0 / nq)
-    spec_rho[np.abs(freqs) > n_max] = 0.0
-    filtered = np.fft.ifft(spec_rho).real
-
-    full = scale_range(grid)
-    scales = range(max(full.start, 0), full.stop - 1)
-    m = grid.frequencies().astype(int)
-    out_spec = np.zeros(grid.sample_count, dtype=complex)
-    for k in scales:
-        step = nq >> (k + 3)
-        if step == 0:
-            raise ValueError("quadrature grid too coarse for this scale")
-        qf = littlewood_paley(f, k, "Q")
-        qg = littlewood_paley(g, k, "Q")
-        u_spec = np.fft.fft(qf.samples * qg.samples)
-        window = np.abs(m) <= 2 ** (k + 2)
-        series = filtered[(nq // 2 + m * step) % nq]
-        out_spec += 2.0 ** (k * alpha) * u_spec * series * window
-    out = GridFunction(grid, np.fft.ifft(out_spec))
-    return AlphaParaproductResult(out, coefs, n_max, tail, head, scales)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,8 @@ class TestConfig:
         ("seed = -3", "seed must be non-negative"),
         ("cap.vv-paraprodcut = 0.5", "caps for unknown targets"),
         ("targets = ,", "'targets': empty item"),
+        ("targets = alpha-coefficients, alpha-coefficients",
+         "repeated targets: \\['alpha-coefficients'\\]"),
         ("trials = 0", "trials must be at least 1"),
         ("seed = 7\nseed = 8", "'seed' given twice"),
         ("eps_values = 0.01,, 0.1", "'eps_values': empty item"),

@@ -3,25 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wavetile import dyadic
 from wavetile.dyadic import (
-    AdaptedBump,
     DyadicInterval,
     Tritile,
     WavePacketFamily,
-    adapted_bump_eval,
     build_rank_one_tiles,
     collection_plus,
     grid_dyadic_family,
-    localize_collection,
     min_packet_scale,
     tile_packet,
     tile_scale_coefficients,
     tile_scale_synthesize,
-    translate_interval,
 )
 from wavetile.errors import ScaleBudgetError
 from wavetile.grid import GridFunction, SampleGrid
@@ -59,34 +53,6 @@ class TestIntervalGeometry:
         family = full_tree(DyadicInterval(-2, 0), 4)  # includes negative scales
         for a, b in itertools.product(family, repeat=2):
             assert a.contains(b) == contains_oracle(a, b)
-
-    def test_translate_examples(self):
-        assert translate_interval(DyadicInterval(0, 0), 3) == DyadicInterval(0, 3)
-        assert translate_interval(DyadicInterval(1, 1), 0) == DyadicInterval(1, 1)
-        # [1/2, 3/4) shifted left twice lands on [0, 1/4)
-        assert translate_interval(DyadicInterval(2, 2), -2) == DyadicInterval(2, 0)
-
-
-class TestLocalize:
-    def test_enumerated_example(self):
-        family = full_tree(DyadicInterval(0, 0), 2)
-        got = localize_collection(family, DyadicInterval(1, 0))
-        assert got == [DyadicInterval(1, 0), DyadicInterval(2, 0), DyadicInterval(2, 1)]
-
-    def test_disjoint_root_gives_empty(self):
-        family = full_tree(DyadicInterval(0, 0), 2)
-        assert localize_collection(family, DyadicInterval(0, 5)) == []
-
-    @given(st.integers(0, 2 ** 31))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_brute_force_filter(self, seed):
-        rng = np.random.default_rng(seed)
-        pool = full_tree(DyadicInterval(0, 0), 4)
-        family = [iv for iv in pool if rng.random() < 0.4]
-        root = pool[rng.integers(0, len(pool))]
-        got = localize_collection(family, root)
-        want = [iv for iv in family if contains_oracle(root, iv)]
-        assert got == want
 
 
 def tripled_oracle(i0, j):
@@ -127,29 +93,6 @@ class TestCollectionPlus:
                     j = j.parent()
             assert len(got) == len(set(got))
             assert set(got) == want
-
-
-class TestAdaptedBump:
-    def test_displayed_values(self):
-        b = AdaptedBump(DyadicInterval(0, 0), 10)
-        assert adapted_bump_eval(b, 0.5) == 1.0
-        assert adapted_bump_eval(b, 2.0) == pytest.approx(2.0 ** -10, rel=1e-14)
-        b2 = AdaptedBump(DyadicInterval(-1, 0), 10)
-        assert adapted_bump_eval(b2, 3.0) == pytest.approx(1.5 ** -10, rel=1e-14)
-
-    @given(st.floats(-8, 8, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetric_and_monotone(self, x):
-        b = AdaptedBump(DyadicInterval(1, 2), 6)  # [1, 3/2)
-        center = 1.25
-        mirrored = adapted_bump_eval(b, 2 * center - x)
-        assert adapted_bump_eval(b, x) == pytest.approx(mirrored, rel=1e-12)
-        closer = center + 0.9 * (x - center)
-        assert adapted_bump_eval(b, closer) >= adapted_bump_eval(b, x) - 1e-15
-
-    def test_rejects_bad_exponent(self):
-        with pytest.raises(ValueError):
-            AdaptedBump(DyadicInterval(0, 0), 0)
 
 
 class TestWavePackets:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wavetile.errors import ScaleBudgetError, ShapeError
 from wavetile.grid import (
@@ -12,7 +10,6 @@ from wavetile.grid import (
     _band,
     _projection_values,
     band_limit,
-    fourier_transform,
     fractional_derivative,
     from_callable,
     littlewood_paley,
@@ -45,40 +42,6 @@ class TestGridConstruction:
     def test_spacing(self):
         g = SampleGrid(64, 2.0)
         assert g.spacing == 2.0 / 64
-
-
-class TestFourierTransform:
-    def test_delta_has_flat_unit_spectrum(self):
-        g = SampleGrid(8)
-        delta = np.zeros(8, dtype=complex)
-        delta[0] = 1.0
-        spec = fourier_transform(GridFunction(g, delta))
-        assert np.allclose(np.abs(spec.samples), 1 / math.sqrt(8), atol=1e-15)
-
-    def test_constant_concentrates_at_zero(self):
-        g = SampleGrid(64)
-        c = 3.25 - 1j
-        spec = fourier_transform(GridFunction(g, np.full(64, c)))
-        assert abs(spec.samples[0] - c * math.sqrt(64)) < 1e-12
-        assert np.abs(spec.samples[1:]).max() < 1e-13
-
-    def test_round_trip_identity(self):
-        g = SampleGrid(128)
-        f = band_limited(g, 0, 60)
-        back = fourier_transform(fourier_transform(f), inverse=True)
-        assert np.abs(back.samples - f.samples).max() < 1e-13
-
-    @given(st.integers(0, 2 ** 31))
-    @settings(max_examples=20, deadline=None)
-    def test_parseval(self, seed):
-        # oracle: direct sums of squares on both sides
-        g = SampleGrid(64)
-        rng = np.random.default_rng(seed)
-        f = GridFunction(g, rng.normal(size=64) + 1j * rng.normal(size=64))
-        spec = fourier_transform(f)
-        lhs = math.sqrt(np.sum(np.abs(f.samples) ** 2) * g.spacing)
-        rhs = math.sqrt(np.sum(np.abs(spec.samples) ** 2) * g.spacing)
-        assert abs(lhs - rhs) <= 1e-12 * max(lhs, 1e-30)
 
 
 class TestLittlewoodPaley:

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from wavetile.dyadic import DyadicInterval, WavePacketFamily, grid_dyadic_family
-from wavetile.errors import AliasingError, ShapeError, TruncationError
+from wavetile.errors import AliasingError, ShapeError
 from wavetile.grid import (
     GridFunction,
     SampleGrid,
-    fractional_derivative,
     littlewood_paley,
     max_scale,
     scale_range,
@@ -18,7 +17,6 @@ from wavetile.norms import MeasurableSet
 from wavetile.operators import (
     LocalizationSpec,
     ParaproductSpec,
-    alpha_paraproduct,
     alpha_symbol_coefficients,
     classical_paraproduct,
     discretized_paraproduct,
@@ -310,36 +308,6 @@ class TestAlphaParaproduct:
             ).max()
             assert drift <= 1e-10
 
-    def test_reconstruction_within_reported_tail(self):
-        f, g = band_limited(GRID, 22, 30), band_limited(GRID, 23, 30)
-        for alpha in (0.5, 1.0):
-            res = alpha_paraproduct(alpha, f, g, n_max=128)
-            acc = np.zeros(512, dtype=complex)
-            bound = 0.0
-            for k in res.scales:
-                u = GridFunction(
-                    GRID,
-                    littlewood_paley(f, k, "Q").samples
-                    * littlewood_paley(g, k, "Q").samples,
-                )
-                acc += littlewood_paley(u, k, "P").samples
-                bound += 2.0 ** (k * alpha) * u.norm2()
-            oracle = fractional_derivative(GridFunction(GRID, acc), alpha, 1)
-            resid = (res.output - oracle).norm2()
-            assert resid <= res.tail * bound
-
-    def test_truncation_error_reported(self):
-        f, g = band_limited(GRID, 24, 30), band_limited(GRID, 25, 30)
-        with pytest.raises(TruncationError) as err:
-            alpha_paraproduct(0.5, f, g, n_max=8, tol=1e-6)
-        assert err.value.tail > 1e-6 and err.value.n_max == 8
-
-    def test_requires_unit_period(self):
-        g4 = SampleGrid(512, 4.0)
-        f = band_limited(g4, 26, 30)
-        with pytest.raises(ValueError):
-            alpha_paraproduct(0.5, f, f)
-
 
 def tensor_route(f, h):
     """The tensor paraproduct projection by projection: P_k f and Q_k h
@@ -422,9 +390,6 @@ class TestBilinearityAcrossOperators:
 
     def test_shifted_paraproduct(self):
         self.check(lambda a, b: shifted_paraproduct(2, a, b, scales=range(2, 5)))
-
-    def test_alpha_paraproduct(self):
-        self.check(lambda a, b: alpha_paraproduct(0.5, a, b, n_max=64).output)
 
     def test_tensor_paraproduct(self):
         g = SampleGrid(64, 1.0, dimension=2)
