@@ -132,7 +132,7 @@ def _average_rows(repeats: int) -> list[dict]:
     cases = (
         ("chi_average", tree, lambda: size(f, tree, "modified", M=4)),
         ("stopping_sweep", family,
-         lambda: stopping_decompose(family, E1, E2, E3, root, C=4.0, M=10)),
+         lambda: stopping_decompose(family, E1, E2, E3, root)),
     )
     rows = []
     for layer, intervals, call in cases:

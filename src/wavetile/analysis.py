@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _LEVEL_CAP = 80  # levels beyond this are lumped (averages below 2**-80)
+_C = 4.0  # exceptional-set constant of the triple stopping time
+_M = 10  # decay exponent of the chi-bumps
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +64,7 @@ def _require_1d(f: GridFunction):
 def average_single(
     f: GridFunction,
     interval: DyadicInterval,
-    M: int = 10,
+    M: int = _M,
     shift_n: int = 0,
 ) -> float:
     """(1/|I|) * integral |f| chi(I + shift_n |I|)^M, by direct quadrature."""
@@ -80,8 +82,6 @@ def average_single(
 class SizeReport:
     value: float
     witness: DyadicInterval
-    flavor: str
-    shift: int = 0
 
 
 def size_single(
@@ -176,14 +176,13 @@ def size(
     f: GridFunction,
     family: list[DyadicInterval],
     flavor: str,
-    M: int = 10,
-    shift_n: int = 0,
+    M: int = _M,
 ) -> SizeReport:
     """Supremum of the per-interval size quantity over the family."""
     if not family:
         raise ValueError("size of an empty family is undefined")
     if flavor == "modified":
-        vals = [average_single(f, iv, M, shift_n) for iv in family]
+        vals = [average_single(f, iv, M) for iv in family]
     elif flavor == "non-lacunary":
         fam = WavePacketFamily(f.grid, family, "non-lacunary")
         coefs = fam.coefficients(f)
@@ -194,14 +193,14 @@ def size(
     else:
         raise ValueError(f"unknown size flavor {flavor!r}")
     best = int(np.argmax(vals))
-    return SizeReport(float(vals[best]), family[best], flavor, shift_n)
+    return SizeReport(float(vals[best]), family[best])
 
 
 def size_tilde(
     f: GridFunction,
     family: list[DyadicInterval],
     I0: DyadicInterval,
-    M: int = 10,
+    M: int = _M,
 ) -> SizeReport:
     """Modified size: chi-averages over the enlarged collection family+
     inside 3*I0."""
@@ -212,7 +211,7 @@ def size_tilde(
         raise ValueError("no enlarged intervals: family lies outside 3*I0")
     vals = [average_single(f, iv, M) for iv in plus]
     best = int(np.argmax(vals))
-    return SizeReport(float(vals[best]), plus[best], "modified", 0)
+    return SizeReport(float(vals[best]), plus[best])
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +283,7 @@ def energy(
 # Maximal and square operators
 # ---------------------------------------------------------------------------
 
-def maximal(
-    f: GridFunction,
-    shift_n: int = 0,
-    M: int = 10,
-) -> GridFunction:
+def maximal(f: GridFunction, shift_n: int = 0) -> GridFunction:
     """Shifted dyadic maximal function: at x, the sup over budgeted dyadic
     I containing x of the chi-weighted average of |f| on I + shift_n |I|.
 
@@ -301,7 +296,7 @@ def maximal(
     fa_hat = np.fft.rfft(np.abs(f.samples))
     out = np.zeros(n)
     for j in scale_range(grid):
-        base = torus_bump_samples(grid, DyadicInterval(j, 0), M, shift_n)
+        base = torus_bump_samples(grid, DyadicInterval(j, 0), _M, shift_n)
         corr = np.fft.irfft(fa_hat * np.conj(np.fft.rfft(base)), n=n)
         length = 2.0 ** (-j)
         stride = round(length / grid.spacing)
@@ -348,8 +343,7 @@ class ExceptionalSet:
 def exceptional_set(
     protect: MeasurableSet,
     inputs: list[tuple[GridFunction, GridFunction | None]],
-    C: float = 4.0,
-    M: int = 10,
+    C: float = _C,
 ) -> ExceptionalSet:
     """Union of maximal-function super-level sets at thresholds
     C ||g w||_1 / |E|; fails loudly when the protected remainder is not major."""
@@ -363,7 +357,7 @@ def exceptional_set(
         h = g if w is None else g * w
         thr = C * lp_norm(h, 1) / measure
         thresholds.append(thr)
-        mx = maximal(h, 0, M)
+        mx = maximal(h)
         omega_mask |= np.abs(mx.samples) > thr
     tilde = protect.minus_mask(omega_mask)
     ratio = tilde.measure / measure
@@ -573,8 +567,6 @@ def stopping_decompose(
     E2: MeasurableSet,
     E3: MeasurableSet,
     I0: DyadicInterval,
-    C: float = 4.0,
-    M: int = 10,
 ) -> StoppingForest:
     """Triple stopping-time decomposition of a localized interval family.
 
@@ -589,8 +581,8 @@ def stopping_decompose(
     outside = [iv for iv in family if not I0.contains(iv)]
     if outside:
         raise ValueError(f"family must be contained in the root: {outside[:3]}")
-    root_bump = GridFunction(grid, torus_bump_samples(grid, I0, M).astype(complex))
-    exc = exceptional_set(E3, [(E1.indicator, root_bump), (E2.indicator, root_bump)], C, M)
+    root_bump = GridFunction(grid, torus_bump_samples(grid, I0, _M).astype(complex))
+    exc = exceptional_set(E3, [(E1.indicator, root_bump), (E2.indicator, root_bump)])
 
     comp_mask = ~exc.omega.mask
     dist = _distance_to_mask(grid, comp_mask)
@@ -608,9 +600,9 @@ def stopping_decompose(
         stock = buckets[d]
         sweeps = {}
         for axis, (ind, expo) in {
-            1: (E1.indicator, M),
-            2: (E2.indicator, M),
-            3: (exc.protected.indicator, 2 * M),
+            1: (E1.indicator, _M),
+            2: (E2.indicator, _M),
+            3: (exc.protected.indicator, 2 * _M),
         }.items():
             assign, records = _single_stopping(stock, ind, I0, expo)
             sweeps[axis] = assign
@@ -650,7 +642,7 @@ def stopping_decompose(
         selections=selections,
         exceptional=exc,
         root=I0,
-        C=C,
-        M=M,
+        C=_C,
+        M=_M,
         measure_constants=constants,
     )

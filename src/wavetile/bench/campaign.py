@@ -30,7 +30,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .targets import MAX_SEED, REGISTRY, TargetResult
 
@@ -98,17 +98,6 @@ class ExperimentConfig:
     def seeds(self, target_index: int, count: int) -> list[int]:
         base = self.seed * 100003 + target_index * 1009
         return [base + t for t in range(count)]
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "grid_size": self.grid_size,
-            "trials": self.trials,
-            "targets": list(self.targets),
-            "eps_values": list(self.eps_values),
-            "caps": {k: self.caps[k] for k in sorted(self.caps)},
-            "out": self.out,
-        }
 
 
 def _number(key: str, val: str, kind):
@@ -201,4 +190,4 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, cfg.targets))
-    return CampaignReport(cfg.to_dict(), results)
+    return CampaignReport(asdict(cfg), results)

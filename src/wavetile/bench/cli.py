@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands:
-  run <config>       execute a campaign; exit 0 iff every target passed
+  run <config>       execute a campaign; exit 0 iff every target passed, 1 if
+                     one failed, 2 if the config cannot be read or parsed
   list-targets       print the registry with one-line statements
   range "<query>"    evaluate an exponent-range membership query
   decompose-demo     run a small stopping-time decomposition, print its JSON
@@ -14,13 +15,12 @@ import json
 import sys
 from pathlib import Path
 
-from .. import analysis, dyadic
+from .. import analysis
 from ..grid import SampleGrid
 from ..operators import bht_range_membership, format_range_query, parse_range_query
 from .campaign import parse_config, run_campaign
-from .generate import generate_trial, rng_for
 from .report import emit_report
-from .targets import MAX_SEED, REGISTRY, _subfamily
+from .targets import MAX_SEED, REGISTRY, _random_stopping_config
 
 
 def _bounded_int(name: str, ok, rule: str):
@@ -42,8 +42,11 @@ _size = _bounded_int("size", lambda v: v >= 32 and not v & (v - 1), "a power of 
 
 
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text()
-    cfg = parse_config(text)
+    try:
+        cfg = parse_config(Path(args.config).read_text())
+    except (OSError, ValueError) as exc:
+        print(f"wavetile run: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         cfg.out = args.out
     report = run_campaign(cfg)
@@ -75,7 +78,7 @@ def _cmd_range(args) -> int:
     print(f"query:  {format_range_query(query)}")
     print(f"member: {result.member}")
     print(f"cases:  {', '.join(result.case_labels)}")
-    if result.depth > 1:
+    if query.depth > 1:
         print(f"chain:  {'ok' if result.chain_ok else 'violated'}")
     if result.member:
         for level, theta in enumerate(result.theta):
@@ -86,21 +89,8 @@ def _cmd_range(args) -> int:
 
 def _cmd_decompose_demo(args) -> int:
     grid = SampleGrid(args.size, 4.0)
-    root = dyadic.DyadicInterval(0, 0)
-    rng = rng_for(args.seed, 1)
-    family = _subfamily(rng, grid, root, 3, keep=0.8)
-    cell = grid.spacing
-    count = grid.sample_count // int(grid.period_length) // 8
-
-    def rand_set(salt):
-        return generate_trial(
-            "dyadic_union", args.seed + salt,
-            {"grid": grid, "measure": count * cell, "within": root},
-        )
-
-    forest = analysis.stopping_decompose(
-        family, rand_set(1), rand_set(2), rand_set(3), root, C=4.0, M=10
-    )
+    family, E1, E2, E3, root = _random_stopping_config(args.seed, grid, 3)
+    forest = analysis.stopping_decompose(family, E1, E2, E3, root)
     print(json.dumps(forest.to_json_dict(), indent=1, sort_keys=True))
     print(
         f"# {len(forest.cells)} cells, {len(forest.selections)} selections, "

@@ -34,8 +34,8 @@ def generate_trial(kind: str, seed: int, params: dict):
     """Deterministic random grid functions and sets.
 
     Kinds:
-      band_limited: random spectrum supported in |m| <= params["band"];
-          params: grid, band, real (default True), vector_shape (optional)
+      band_limited: real samples of a random spectrum supported in
+          |m| <= params["band"]; params: grid, band, vector_shape (optional)
       step: piecewise-constant on the dyadic partition at params["depth"]
       bump_train: params["count"] smooth bumps at random centers/widths
       dyadic_union: indicator with measure exactly params["measure"]
@@ -55,7 +55,6 @@ def generate_trial(kind: str, seed: int, params: dict):
 
 def _band_limited(grid, rng, params) -> GridFunction:
     band = int(params["band"])
-    real = params.get("real", True)
     vshape = tuple(params.get("vector_shape", ()))
     if band >= grid.sample_count // 2:
         raise ValueError("band exceeds Nyquist")
@@ -66,28 +65,24 @@ def _band_limited(grid, rng, params) -> GridFunction:
     idx = np.nonzero(mask)  # row-major: draw k goes to the k-th frequency in the band
     count = (len(idx[0]),) + vshape
     spec[idx] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    samples = np.fft.ifftn(spec, axes=tuple(range(grid.dimension)))
-    if real:
-        samples = samples.real.astype(complex)
+    samples = np.fft.ifftn(spec, axes=tuple(range(grid.dimension))).real.astype(complex)
     samples *= grid.sample_count ** (grid.dimension / 2.0)  # O(1) sample size
     return GridFunction(grid, samples)
 
 
 def _step(grid, rng, params) -> GridFunction:
-    depth = int(params.get("depth", 4))
+    depth = int(params["depth"])
     kappa = grid.log2_period()
     cells = 2 ** (depth + kappa)
     if cells > grid.sample_count:
         raise ValueError("step depth finer than the grid")
     vals = rng.uniform(-1.0, 1.0, cells)
-    if params.get("complex", False):
-        vals = vals + 1j * rng.uniform(-1.0, 1.0, cells)
     samples = np.repeat(vals, grid.sample_count // cells)
     return GridFunction(grid, samples.astype(complex))
 
 
 def _bump_train(grid, rng, params) -> GridFunction:
-    count = int(params.get("count", 3))
+    count = int(params["count"])
     x = grid.points()
     period = grid.period_length
     out = np.zeros(grid.sample_count)

@@ -96,8 +96,9 @@ def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.sum((xs - xm) * (ys - ym)) / denom)
 
 
-def _subfamily(rng, grid, root: dyadic.DyadicInterval, depth: int, keep: float = 0.7):
-    """Random subset of the dyadic tree below root, root always kept."""
+def _subfamily(rng, root: dyadic.DyadicInterval, depth: int):
+    """Random subset of the dyadic tree below root: the root, and each
+    interval below it with probability 0.7."""
     fam = [root]
     level = [root]
     for _ in range(depth):
@@ -105,7 +106,7 @@ def _subfamily(rng, grid, root: dyadic.DyadicInterval, depth: int, keep: float =
         for iv in level:
             nxt.extend(iv.children())
         level = nxt
-        fam.extend(iv for iv in level if rng.random() < keep)
+        fam.extend(iv for iv in level if rng.random() < 0.7)
     return fam
 
 
@@ -188,7 +189,7 @@ def _run_weak_dualization(cfg, name, statement) -> TargetResult:
 def _random_stopping_config(seed: int, grid: SampleGrid, depth: int):
     root = dyadic.DyadicInterval(0, 0)
     rng = rng_for(seed, 77)
-    family = _subfamily(rng, grid, root, depth)
+    family = _subfamily(rng, root, depth)
     cell = grid.spacing
     quarter = grid.sample_count // int(grid.period_length) // 4
 
@@ -215,7 +216,7 @@ def _run_stopping(cfg, name, statement) -> TargetResult:
         depth = 3 + (t % 3)  # depths 3..5
         family, E1, E2, E3, root = _random_stopping_config(seed, grid, depth)
         try:
-            forest = analysis.stopping_decompose(family, E1, E2, E3, root, C=4.0, M=10)
+            forest = analysis.stopping_decompose(family, E1, E2, E3, root)
         except MajorSubsetError as exc:
             rows.append(TrialRow(name, t, seed, 1.0, 0.0, math.inf,
                                  {"error": f"majorness {exc.achieved_ratio:.3f}"}))
@@ -281,7 +282,7 @@ def _run_size_energy(cfg, name, statement) -> TargetResult:
 
     def trial(t, seed):
         rng = rng_for(seed, 5)
-        family = _subfamily(rng, grid, root, 4)
+        family = _subfamily(rng, root, 4)
         kind, key, value = kinds[t % 3]
         f = generate_trial(kind, seed, {"grid": grid, key: value})
         sup_avg = analysis.size(f, family, "modified", M=4).value
@@ -606,9 +607,9 @@ def _local_sizes(funcs, family, root) -> list[float]:
     return [analysis.size_tilde(h, family, I0=root, M=4).value for h in funcs]
 
 
-def _size_energy_family(seed, grid, root, depth=4):
+def _size_energy_family(seed, root, depth=4):
     rng = rng_for(seed, 3)
-    return _subfamily(rng, grid, root, depth)
+    return _subfamily(rng, root, depth)
 
 
 def _run_trilinear_size_energy(cfg, name, statement) -> TargetResult:
@@ -616,7 +617,7 @@ def _run_trilinear_size_energy(cfg, name, statement) -> TargetResult:
     root = dyadic.DyadicInterval(0, 0)
 
     def trial(t, seed):
-        family = _size_energy_family(seed, grid, root)
+        family = _size_energy_family(seed, root)
         spec = operators.ParaproductSpec.constant(grid, family)
         f = generate_trial("band_limited", seed, {"grid": grid, "band": 40})
         g = generate_trial("band_limited", seed + 1, {"grid": grid, "band": 40})
@@ -639,7 +640,7 @@ def _run_localized_trilinear(cfg, name, statement) -> TargetResult:
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
 
     def trial(t, seed):
-        family = _size_energy_family(seed, grid, root, depth=3)
+        family = _size_energy_family(seed, root, depth=3)
         spec = operators.ParaproductSpec.constant(grid, family)
         f = generate_trial("bump_train", seed, {"grid": grid, "count": 3})
         g = generate_trial("bump_train", seed + 1, {"grid": grid, "count": 3})
@@ -660,7 +661,7 @@ def _run_local_l1(cfg, name, statement) -> TargetResult:
     root = dyadic.DyadicInterval(1, 1)
 
     def trial(t, seed):
-        family = _size_energy_family(seed, grid, root, depth=3)
+        family = _size_energy_family(seed, root, depth=3)
         spec = operators.ParaproductSpec.constant(grid, family)
         f = generate_trial("bump_train", seed, {"grid": grid, "count": 2})
         g = generate_trial("bump_train", seed + 1, {"grid": grid, "count": 2})
@@ -687,7 +688,7 @@ def _localized_operator_rows(cfg, name, r1, r2, r, eps, seed_index, default_tria
     dual = lambda e: 1.0 - 1.0 / e  # noqa: E731
 
     def trial(t, seed):
-        family = _size_energy_family(seed, grid, root, depth=3)
+        family = _size_energy_family(seed, root, depth=3)
         spec = operators.ParaproductSpec.constant(grid, family)
         F = generate_trial("dyadic_union", seed + 5, {"grid": grid, "measure": 1.0})
         G = generate_trial("dyadic_union", seed + 6, {"grid": grid, "measure": 1.0})

@@ -402,10 +402,10 @@ class WavePacketFamily:
             j: _correlate(self.grid, f_hat, self._base(j), j, shift_n) for j in scales
         }
 
-    def coefficients(self, f: GridFunction, shift_n: int = 0) -> np.ndarray:
+    def coefficients(self, f: GridFunction) -> np.ndarray:
         """<f, packet(I)> aligned with the interval list (axis 0)."""
         layout = self._layout
-        by_scale = self.scale_coefficients(f, [j for j, _, _ in layout], shift_n)
+        by_scale = self.scale_coefficients(f, [j for j, _, _ in layout])
         out = np.empty((len(self.intervals),) + f.vector_shape, dtype=complex)
         for j, idx, pos in layout:
             out[idx] = by_scale[j][pos]

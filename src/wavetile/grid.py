@@ -285,26 +285,12 @@ def _band_blocks(grid: SampleGrid, scales: tuple[int, ...]) -> tuple[tuple[int, 
     return shape, blocks
 
 
-def littlewood_paley(
-    f: GridFunction,
-    k: int,
-    flavor: str,
-    shift_n: int = 0,
-    axis: int = 0,
-) -> GridFunction:
-    """Frequency projection at scale k: low-pass ("P") or annulus ("Q").
-
-    ``shift_n`` composes the projection with the modulation
-    ``exp(2*pi*i*n*xi/2**k)``, i.e. translates the convolution kernel by
-    ``n * 2**-k``; out-of-budget scales raise :class:`ScaleBudgetError`.
-    """
+def littlewood_paley(f: GridFunction, k: int, flavor: str, axis: int = 0) -> GridFunction:
+    """Frequency projection at scale k: low-pass ("P") or annulus ("Q");
+    out-of-budget scales raise :class:`ScaleBudgetError`."""
     _check_scale(f.grid, k)
     grid = f.grid
     vals = _projection_values(grid.sample_count, grid.period_length, k, flavor)
-    if shift_n != 0:
-        m = grid.frequencies()
-        # xi in cycles/unit is m/period; phase exp(2 pi i n xi / 2**k)
-        vals = vals * np.exp(2j * np.pi * shift_n * m / (grid.period_length * 2.0 ** k))
     return SpectralMultiplier(grid, vals).apply(f, axis=axis)
 
 

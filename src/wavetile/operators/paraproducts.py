@@ -6,13 +6,14 @@ coefficients is
 
     Pi(f, g) = sum_I c_I |I|^(-1/2) <f, phi1_I> <g, phi2_I> phi3_I,
 
-with one wave-packet flavor per slot.  Evaluation is grouped per scale, so
-the whole sum costs a few FFTs per scale irrespective of the family size.
+with phi1 a non-lacunary packet and phi2, phi3 lacunary ones.  Evaluation
+is grouped per scale, so the whole sum costs a few FFTs per scale
+irrespective of the family size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
 
@@ -46,18 +47,17 @@ __all__ = [
     "tensor_paraproduct",
 ]
 
-_DEFAULT_SLOTS = ("non-lacunary", "lacunary", "lacunary")
+# Packet flavor of each slot: phi1 non-lacunary, phi2 and phi3 lacunary.
+_SLOTS = ("non-lacunary", "lacunary", "lacunary")
 
 
 @dataclass
 class ParaproductSpec:
-    """Interval family, per-interval coefficients, and slot flavors."""
+    """Interval family and per-interval coefficients."""
 
     grid: SampleGrid
     family: list[DyadicInterval]
     coefficients: np.ndarray
-    slot_flavors: tuple[str, str, str] = _DEFAULT_SLOTS
-    coefficient_bound: float = field(init=False)
 
     def __post_init__(self):
         if self.grid.dimension != 1:
@@ -66,32 +66,17 @@ class ParaproductSpec:
         self.coefficients = np.asarray(self.coefficients, dtype=complex)
         if self.coefficients.shape != (len(self.family),):
             raise ValueError("one coefficient per interval required")
-        if len(self.slot_flavors) != 3:
-            raise ValueError("exactly three slot flavors")
-        for fl in self.slot_flavors:
-            if fl not in ("lacunary", "non-lacunary"):
-                raise ValueError(f"unknown slot flavor {fl!r}")
-        self.coefficient_bound = float(
-            np.max(np.abs(self.coefficients))) if len(self.family) else 0.0
 
     @classmethod
-    def constant(
-        cls,
-        grid: SampleGrid,
-        family: list[DyadicInterval],
-        value: complex = 1.0,
-        slot_flavors: tuple[str, str, str] = _DEFAULT_SLOTS,
-    ) -> "ParaproductSpec":
-        return cls(grid, family, np.full(len(family), value, dtype=complex), slot_flavors)
+    def constant(cls, grid: SampleGrid, family: list[DyadicInterval]) -> "ParaproductSpec":
+        """Coefficient 1 on every interval."""
+        return cls(grid, family, np.ones(len(family), dtype=complex))
 
     @cached_property
     def _slot_families(self) -> tuple[WavePacketFamily, ...]:
         """The packet family of each slot, built once per spec so that every
         application shares their index arrays."""
-        return tuple(
-            WavePacketFamily(self.grid, self.family, flavor)
-            for flavor in self.slot_flavors
-        )
+        return tuple(WavePacketFamily(self.grid, self.family, flavor) for flavor in _SLOTS)
 
     @cached_property
     def _sqrt_lengths(self) -> np.ndarray:
@@ -104,7 +89,6 @@ class ParaproductSpec:
             self.grid,
             [self.family[i] for i in keep],
             self.coefficients[keep],
-            self.slot_flavors,
         )
 
 

@@ -272,7 +272,6 @@ class RangeMembership:
     theta: list[tuple[Fraction, Fraction, Fraction] | None]
     case_labels: list[str]
     chain_ok: bool
-    depth: int
 
 
 def scalar_range_member(rho, outer) -> tuple[bool, str, tuple | None]:
@@ -312,7 +311,7 @@ def bht_range_membership(query: RangeQuery) -> RangeMembership:
         chain_ok = chain_ok and ok
     member = member and chain_ok
     return RangeMembership(member, thetas if member else [None] * query.depth,
-                           labels, chain_ok, query.depth)
+                           labels, chain_ok)
 
 
 def literal_disagreement_levels(query: RangeQuery) -> list[int]:

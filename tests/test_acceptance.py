@@ -52,7 +52,7 @@ class TestAcceptance:
         g = SampleGrid(512, 4.0)
         for seed in range(10):
             family, E1, E2, E3, root = random_config(7000 + seed, g, 3)
-            forest = stopping_decompose(family, E1, E2, E3, root, C=4.0, M=10)
+            forest = stopping_decompose(family, E1, E2, E3, root)
             verify_forest(forest, family, E1, E2)
         print("[PASS] stopping exhaustive depth-3 verification")
 

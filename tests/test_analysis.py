@@ -190,6 +190,12 @@ class TestSizeTilde:
         assert rep.value == pytest.approx(brute, rel=1e-12)
         assert rep.witness in plus
 
+    def test_size_tilde_outside_tripled_root(self):
+        g = SampleGrid(512, 4.0)
+        f = band_limited(g, 57, 30)
+        with pytest.raises(ValueError):
+            size_tilde(f, [DyadicInterval(2, 14)], I0=DyadicInterval(2, 0))
+
 
 class TestEnergy:
     def test_zero(self):
@@ -361,18 +367,28 @@ class TestDimensionGuards:
             size(f, [DyadicInterval(2, 0)], "modified")
 
 
-class TestSizeFlavorAliases:
-    def test_shifted_flavor_uses_translated_bump(self):
-        g = SampleGrid(512, 4.0)
-        f = band_limited(g, 56, 30)
-        family = [DyadicInterval(2, 1)]
-        rep = size(f, family, "modified", shift_n=3)
-        direct = average_single(f, DyadicInterval(2, 1), 10, shift_n=3)
-        assert rep.value == pytest.approx(direct, rel=1e-12)
-        assert rep.shift == 3
+def _brute_torus_distance(grid, mask):
+    """Distance from each sample to the nearest True sample, one pair at a time."""
+    n = grid.sample_count
+    out = np.full(n, np.inf)
+    for i in range(n):
+        for j in np.flatnonzero(mask):
+            out[i] = min(out[i], min(abs(i - j), n - abs(i - j)) * grid.spacing)
+    return out
 
-    def test_size_tilde_outside_tripled_root(self):
-        g = SampleGrid(512, 4.0)
-        f = band_limited(g, 57, 30)
-        with pytest.raises(ValueError):
-            size_tilde(f, [DyadicInterval(2, 14)], I0=DyadicInterval(2, 0))
+
+class TestDistanceToMask:
+    @pytest.mark.parametrize("runs", [
+        [(22, 27)],  # the nearest True to index 0 lies across the wrap
+        [(3, 6), (20, 22)],
+        [(28, 32), (0, 3)],
+        [(0, 32)],
+        [],
+    ], ids=["one-run", "two-runs", "wrapping-run", "all-true", "all-false"])
+    def test_matches_brute_force_torus_distance(self, runs):
+        g = SampleGrid(32, 4.0)
+        mask = np.zeros(32, dtype=bool)
+        for lo, hi in runs:
+            mask[lo:hi] = True
+        got = analysis._distance_to_mask(g, mask)
+        assert np.array_equal(got, _brute_torus_distance(g, mask))

@@ -243,6 +243,23 @@ class TestCli:
         assert out.out == "" and out.err.startswith("wavetile range: ")
         assert all(word in out.err for word in named)
 
+    @pytest.mark.parametrize("text, named", [
+        ("bogus = 1\n", ["unknown config key", "'bogus'"]),
+        (None, ["No such file", "missing.cfg"]),
+    ], ids=["unknown-key", "missing-file"])
+    def test_unreadable_config_exits_2(self, text, named, tmp_path, capsys):
+        from wavetile.bench.cli import main
+
+        cfg = tmp_path / "missing.cfg"
+        if text is not None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("wavetile run: ")
+        assert all(word in out.err for word in named)
+        assert "Traceback" not in out.err
+
     def test_run_subcommand(self, tmp_path):
         cfg = tmp_path / "smoke.cfg"
         cfg.write_text(

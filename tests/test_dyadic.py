@@ -148,14 +148,13 @@ class TestSharedSpectrumPath:
         return GridFunction(self.GRID, rng.normal(size=256) + 1j * rng.normal(size=256))
 
     @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
-    @pytest.mark.parametrize("shift_n", [0, 3])
-    def test_coefficients_gather_per_scale_sweeps(self, flavor, shift_n):
+    def test_coefficients_gather_per_scale_sweeps(self, flavor):
         fam = WavePacketFamily(self.GRID, self.FAMILY, flavor)
         f = self._input(11)
-        coefs = fam.coefficients(f, shift_n)
+        coefs = fam.coefficients(f)
         kappa = self.GRID.log2_period()
         want = np.array([
-            fam.scale_coefficients(f, [iv.scale], shift_n)[iv.scale][
+            fam.scale_coefficients(f, [iv.scale])[iv.scale][
                 iv.position % 2 ** (iv.scale + kappa)
             ]
             for iv in self.FAMILY
@@ -299,7 +298,12 @@ class TestFoldedSweeps:
         ]
         fam = WavePacketFamily(g, family, flavor)
         f = _random_function(g, 5)
-        coefs = fam.coefficients(f, shift_n)
+        if shift_n:
+            kappa = g.log2_period()
+            sweeps = fam.scale_coefficients(f, [iv.scale for iv in family], shift_n)
+            coefs = [sweeps[iv.scale][iv.position % 2 ** (iv.scale + kappa)] for iv in family]
+        else:
+            coefs = fam.coefficients(f)
         for iv, c in zip(family, coefs):
             assert abs(c - f.inner(fam.packet(iv, shift_n))) < 1e-12
 
@@ -358,13 +362,13 @@ class TestVectorAxes:
         fam = WavePacketFamily(g, self.FAMILY, flavor)
         f = _random_function(g, 20, vshape)
         w = _random_function(SampleGrid(8, 1.0), 21, vshape).samples[: len(self.FAMILY)]
-        coefs = fam.coefficients(f, 3)
+        coefs = fam.coefficients(f)
         out = fam.synthesize(w)
         assert coefs.shape == (len(self.FAMILY),) + vshape
         assert out.samples.shape == (g.sample_count,) + vshape
         for k in self._components(vshape):
             fk = GridFunction(g, f.samples[(slice(None),) + k])
-            assert np.array_equal(coefs[(slice(None),) + k], fam.coefficients(fk, 3))
+            assert np.array_equal(coefs[(slice(None),) + k], fam.coefficients(fk))
             want = fam.synthesize(w[(slice(None),) + k]).samples
             assert np.array_equal(out.samples[(slice(None),) + k], want)
 

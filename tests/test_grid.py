@@ -18,16 +18,13 @@ from wavetile.grid import (
 )
 
 
-def band_limited(grid, seed, band, real=False):
+def band_limited(grid, seed, band):
     rng = np.random.default_rng(seed)
     n = grid.sample_count
     spec = np.zeros(n, dtype=complex)
     mask = np.abs(grid.frequencies()) <= band
     spec[mask] = rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum())
-    samples = np.fft.ifft(spec) * math.sqrt(n)
-    if real:
-        samples = samples.real.astype(complex)
-    return GridFunction(grid, samples)
+    return GridFunction(grid, np.fft.ifft(spec) * math.sqrt(n))
 
 
 class TestGridConstruction:
@@ -56,16 +53,6 @@ class TestLittlewoodPaley:
         e3 = from_callable(g, lambda x: np.exp(2j * np.pi * 3 * x))
         out = littlewood_paley(e3, 3, "P")  # identity on |m| <= 4
         assert (out - e3).norm2() <= 1e-12
-
-    def test_shift_equals_circular_translation(self):
-        # oracle: explicit np.roll of the unshifted output
-        g = SampleGrid(256)
-        f = band_limited(g, 1, 100)
-        k, n = 3, 4
-        shifted = littlewood_paley(f, k, "Q", shift_n=n)
-        plain = littlewood_paley(f, k, "Q")
-        samples = n * 256 // 2 ** k
-        assert np.abs(shifted.samples - np.roll(plain.samples, -samples)).max() < 1e-12
 
     def test_projection_algebra_exact(self):
         # Q_k = P_{k+1} - P_k as multiplier arrays, bitwise

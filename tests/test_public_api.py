@@ -1,9 +1,16 @@
-"""Every public name of ``wavetile`` has a caller in the package.
+"""Every public name of ``wavetile`` has a caller in the package, and every
+defaulted parameter a call that passes it.
 
 A name listed in a module's ``__all__`` must be read (as an ``ast.Name`` or
 the attribute of an ``ast.Attribute``) somewhere under ``src/wavetile``, or
 be kept below with its reason.  Subpackage and submodule names listed by a
 package ``__init__`` are modules, not functions, and are not checked.
+
+A parameter with a default, of a function in a module's ``__all__`` or of a
+public method of a class there, must be passed by some call under
+``src/wavetile`` whose callee has the same name (by keyword, or by position
+at its index), or be kept below with its reason: a default that nothing
+overrides is a constant.
 """
 
 import ast
@@ -23,6 +30,25 @@ KEEP = {
     "target_names": "the only public function of bench.targets, a module the "
                     "perfbench layer tracer lists and test_benchmark_hooks "
                     "requires to have one",
+}
+
+
+# Defaulted parameters that no call in the package passes, each with the
+# reason it stays.
+UNPASSED = {
+    "average_single(shift_n)": "the shifted-average oracle of maximal's shifted sweep",
+    "WavePacketFamily.packet(shift_n)": "the shifted-packet oracle of the shifted sweeps",
+    "size_single(family)": "the lacunary flavor of the one-interval size oracle",
+    "maximal(shift_n)": "shifted-growth calls it through op(f, n)",
+    "shifted_square(shift_n)": "shifted-growth calls it through op(f, n)",
+    "shifted_square(scales)": "the tests' restriction to scales a translation preserves",
+    "shifted_paraproduct(scales)": "the tests' direct-sum oracle on a few scales",
+    "exceptional_set(C)": "the tests reach MajorSubsetError through a vanishing constant",
+    "major_subset_L1(C)": "the L^1 route of the weak dualization of operator outputs (ROADMAP)",
+    "classical_paraproduct(which)": "the oracle's three slot orders",
+    "classical_paraproduct(axis)": "the oracle along either axis of a 2d grid",
+    "classical_paraproduct(scales)": "the oracle on the tensor paraproduct's scales",
+    "range_grid_mismatches(repaired)": "the printed case table's mismatch count",
 }
 
 
@@ -71,3 +97,68 @@ def test_keep_table_holds_only_unread_public_names():
     read = _read_names(modules.values())
     public = {name for path, tree in modules.items() for name in _public_names(path, tree)}
     assert sorted(n for n in KEEP if n in read or n not in public) == []
+
+
+def _defaulted(fn, offset):
+    """(parameter, positional index as a call sees it or None) per default."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    out = [(arg.arg, i - offset) for i, arg in enumerate(pos) if i >= first]
+    out += [(arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+    return out
+
+
+def _defaulted_parameters(modules):
+    """{"name(param)" or "Class.method(param)": (callee name, param, index)}."""
+    out = {}
+    for path, tree in modules.items():
+        public = set(_public_names(path, tree))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                for param, index in _defaulted(node, 0):
+                    out[f"{node.name}({param})"] = (node.name, param, index)
+            if isinstance(node, ast.ClassDef) and node.name in public:
+                for method in node.body:
+                    if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in method.decorator_list)
+                    for param, index in _defaulted(method, 0 if static else 1):
+                        out[f"{node.name}.{method.name}({param})"] = (method.name, param, index)
+    return out
+
+
+def _calls(trees):
+    """{callee name: [(positional count, keyword names)]}; a starred argument
+    counts as every position and a ``**`` argument as every keyword."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = float("inf") if starred else len(node.args)
+            out.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+    return out
+
+
+def _unpassed(modules):
+    calls = _calls(modules.values())
+    return sorted(
+        key for key, (name, param, index) in _defaulted_parameters(modules).items()
+        if not any(
+            param in kw or None in kw or (index is not None and count > index)
+            for count, kw in calls.get(name, [])
+        )
+    )
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    assert [key for key in _unpassed(_modules()) if key not in UNPASSED] == []
+
+
+def test_unpassed_table_holds_only_unpassed_parameters():
+    unpassed = set(_unpassed(_modules()))
+    assert sorted(key for key in UNPASSED if key not in unpassed) == []

@@ -90,7 +90,7 @@ class TestTrivialConfiguration:
         root = DyadicInterval(0, 0)
         family = subtree(root, 3)
         E = MeasurableSet(from_callable(g, lambda x: (x < 1).astype(float)))
-        forest = stopping_decompose(family, E, E, E, root, C=4.0, M=10)
+        forest = stopping_decompose(family, E, E, E, root)
         assert len(forest.cells) == 1
         cell = forest.cells[0]
         assert (cell.d, cell.n1, cell.n2) == (0, 0, 0)
@@ -118,14 +118,14 @@ class TestRandomizedInvariants:
         g = SampleGrid(512, 4.0)
         for seed in range(25):
             family, E1, E2, E3, root = random_config(seed, g, 3)
-            forest = stopping_decompose(family, E1, E2, E3, root, C=4.0, M=10)
+            forest = stopping_decompose(family, E1, E2, E3, root)
             verify_forest(forest, family, E1, E2)
 
     def test_depth5_sample(self):
         g = SampleGrid(512, 4.0)
         for seed in range(8):
             family, E1, E2, E3, root = random_config(1000 + seed, g, 5)
-            forest = stopping_decompose(family, E1, E2, E3, root, C=4.0, M=10)
+            forest = stopping_decompose(family, E1, E2, E3, root)
             verify_forest(forest, family, E1, E2)
 
     def test_small_first_set_measure_bound(self):
@@ -143,7 +143,7 @@ class TestRandomizedInvariants:
         E3 = generate_trial(
             "dyadic_union", 7, {"grid": g, "measure": 0.5, "within": root}
         )
-        forest = stopping_decompose(family, E1, E2, E3, root, C=4.0, M=10)
+        forest = stopping_decompose(family, E1, E2, E3, root)
         bump = GridFunction(g, torus_bump_samples(g, root, 10).astype(complex))
         weight = lp_norm(E1.indicator, 1, weight=bump)
         totals = {}
@@ -157,11 +157,33 @@ class TestRandomizedInvariants:
             assert tot <= 8.0 * 2.0 ** n * weight
 
 
+class TestNonemptyExceptionalSet:
+    def test_far_buckets_pass_the_invariants(self):
+        # E1 is one sample cell, [76/128, 77/128): the maximal function of
+        # 1_E1 chi_I0 clears its threshold on [1/2, 3/4), so Omega is that
+        # quarter and the intervals inside it land in bucket d = 1
+        g = SampleGrid(512, 4.0)
+        root = DyadicInterval(0, 0)
+        family = subtree(root, 4)
+        cell = np.zeros(g.sample_count, dtype=bool)
+        cell[76] = True
+        unit = np.zeros(g.sample_count, dtype=bool)
+        unit[:128] = True
+        E1 = MeasurableSet.from_mask(g, cell)
+        E2 = MeasurableSet.from_mask(g, unit)
+        forest = stopping_decompose(family, E1, E2, E2, root)
+        assert forest.exceptional.omega.measure == 0.25
+        assert forest.exceptional.ratio == 0.75
+        assert {sel.d for sel in forest.selections} == {0, 1}
+        assert any(sel.axis == 3 and sel.d >= 1 for sel in forest.selections)
+        verify_forest(forest, family, E1, E2)
+
+
 class TestSerialization:
     def make_forest(self):
         g = SampleGrid(512, 4.0)
         family, E1, E2, E3, root = random_config(42, g, 3)
-        return stopping_decompose(family, E1, E2, E3, root, C=4.0, M=10)
+        return stopping_decompose(family, E1, E2, E3, root)
 
     def test_deterministic_json(self):
         a = json.dumps(self.make_forest().to_json_dict(), sort_keys=True)
