@@ -92,8 +92,11 @@ class ExperimentConfig:
             return default
         return max(1, min(default, self.trials))
 
-    def cap(self, target: str) -> float:
-        return float(self.caps.get(target, REGISTRY[target].default_cap))
+    def cap(self, target: str) -> float | None:
+        """A target's cap: the configured one, else the registry default;
+        ``None`` for the targets whose verdict reads no cap."""
+        default = REGISTRY[target].default_cap
+        return None if default is None else float(self.caps.get(target, default))
 
     def seeds(self, target_index: int, count: int) -> list[int]:
         base = self.seed * 100003 + target_index * 1009
@@ -175,15 +178,14 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
     def run_one(name: str) -> TargetResult:
         target = REGISTRY[name]
         t0 = time.time()
+        error = None
         try:
-            result = target.runner(cfg)
+            rows, aggregates, passed = target.runner(cfg, cfg.cap(name))
         except Exception:
-            result = TargetResult(
-                name, target.statement, [], {}, False,
-                error=traceback.format_exc(limit=3),
-            )
-        result.seconds = time.time() - t0
-        return result
+            rows, aggregates, passed = [], {}, False
+            error = traceback.format_exc(limit=3)
+        return TargetResult(name, target.statement, rows, aggregates, passed, error,
+                            time.time() - t0)
 
     if workers == 1:
         results = [run_one(name) for name in cfg.targets]

@@ -2,7 +2,8 @@
 
 Subcommands:
   run <config>       execute a campaign; exit 0 iff every target passed, 1 if
-                     one failed, 2 if the config cannot be read or parsed
+                     one failed, 2 if the config cannot be read or parsed or
+                     WAVETILE_THREADS is not a positive integer
   list-targets       print the registry with one-line statements
   range "<query>"    evaluate an exponent-range membership query
   decompose-demo     run a small stopping-time decomposition, print its JSON
@@ -44,12 +45,14 @@ _size = _bounded_int("size", lambda v: v >= 32 and not v & (v - 1), "a power of 
 def _cmd_run(args) -> int:
     try:
         cfg = parse_config(Path(args.config).read_text())
+        if args.out:
+            cfg.out = args.out
+        # run_campaign raises ValueError only for a bad WAVETILE_THREADS,
+        # before any target starts
+        report = run_campaign(cfg)
     except (OSError, ValueError) as exc:
         print(f"wavetile run: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        cfg.out = args.out
-    report = run_campaign(cfg)
     paths = emit_report(report, cfg.out)
     for result in report.results:
         status = "PASS" if result.passed and result.error is None else "FAIL"

@@ -37,7 +37,7 @@ def render_csv(report: CampaignReport) -> str:
     for result in report.results:
         for row in result.rows:
             writer.writerow([
-                row.target, row.trial, row.seed,
+                result.name, row.trial, row.seed,
                 _fmt(row.lhs), _fmt(row.rhs), _fmt(row.ratio),
                 _params_json(row.params),
             ])

@@ -6,6 +6,12 @@ is the registry entry's ``default_cap``, ``None`` for the targets whose
 verdict reads no cap) and, where the statement is uniformity over a
 structural parameter, a no-growth check across that parameter.  Caps encode
 measured headroom, not proven constants.
+
+A runner is ``runner(cfg, cap) -> (rows, aggregates, passed)``: it takes the
+campaign's ``ExperimentConfig`` and the target's cap (``cfg.cap(name)``,
+``None`` when the verdict reads none) and returns its ``TrialRow`` list, its
+aggregates dict and its verdict.  ``run_campaign`` builds the
+``TargetResult`` from these and the registry entry's name and statement.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ __all__ = ["TrialRow", "TargetResult", "InequalityTarget", "REGISTRY", "MAX_SEED
 
 @dataclass
 class TrialRow:
-    target: str
     trial: int
     seed: int
     lhs: float
@@ -66,24 +71,28 @@ class InequalityTarget:
 MAX_SEED = 2**46 - 1
 
 
-def _trial_rows(cfg: ExperimentConfig, name: str, seed_index: int, default_trials: int,
+def _trial_rows(cfg: ExperimentConfig, seed_index: int, default_trials: int,
                 trial: Callable) -> list[TrialRow]:
     """Rows of one seed ladder: ``trial(t, seed)`` returns the trial's
     ``(lhs, rhs, params)`` triples, none for a degenerate trial."""
     return [
-        TrialRow(name, t, seed, lhs, rhs, lhs / rhs, params)
+        TrialRow(t, seed, lhs, rhs, lhs / rhs, params)
         for t, seed in enumerate(cfg.seeds(seed_index, cfg.trial_count(default_trials)))
         for lhs, rhs, params in trial(t, seed)
     ]
 
 
-def _capped(name: str, statement: str, rows: list[TrialRow], cap: float,
-            gate: bool = True, **extra) -> TargetResult:
+def _capped(rows: list[TrialRow], cap: float, gate: bool = True, **extra):
     """Ratio-cap verdict: pass iff every row's ratio is at most ``cap`` and
     ``gate`` (the target's further check) holds."""
     max_ratio = max(r.ratio for r in rows)
-    agg = {"max_ratio": max_ratio, "cap": cap, **extra}
-    return TargetResult(name, statement, rows, agg, max_ratio <= cap and gate)
+    return rows, {"max_ratio": max_ratio, "cap": cap, **extra}, max_ratio <= cap and gate
+
+
+def _bounded(rows: list[TrialRow], aggregates: dict, gate: bool = True):
+    """Row-bound verdict: pass iff every row's ratio (its lhs over its own
+    bound) is at most 1 and ``gate`` holds; a nan ratio fails."""
+    return rows, aggregates, all(r.ratio <= 1.0 for r in rows) and gate
 
 
 def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -114,9 +123,8 @@ def _subfamily(rng, root: dyadic.DyadicInterval, depth: int):
 # Individual targets
 # ---------------------------------------------------------------------------
 
-def _run_telescope(cfg: ExperimentConfig, name: str, statement: str, *, dims: int,
-                   n: int, tol: float, seed_index: int,
-                   default_trials: int) -> TargetResult:
+def _run_telescope(cfg: ExperimentConfig, cap: None, *, dims: int, n: int, tol: float,
+                   seed_index: int, default_trials: int):
     grid = SampleGrid(n, 1.0, dimension=dims)
 
     def trial(t, seed):
@@ -129,26 +137,24 @@ def _run_telescope(cfg: ExperimentConfig, name: str, statement: str, *, dims: in
         product = GridFunction(grid, f.samples * g.samples)
         return [((total - product).norm2() / product.norm2(), tol, {"n": n})]
 
-    rows = _trial_rows(cfg, name, seed_index, default_trials, trial)
-    passed = all(r.ratio <= 1.0 for r in rows)
-    agg = {"max_residual": max(r.lhs for r in rows), "tolerance": tol}
-    return TargetResult(name, statement, rows, agg, passed)
+    rows = _trial_rows(cfg, seed_index, default_trials, trial)
+    return _bounded(rows, {"max_residual": max(r.lhs for r in rows), "tolerance": tol})
 
 
 _C_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def _run_weak_dualization(cfg, name, statement) -> TargetResult:
+def _run_weak_dualization(cfg, cap):
     grid = SampleGrid(512, 1.0)
     r, p, C = 0.5, 1.0, 4.0
-    rows = []
     fails = 0
-    smallest_uniform_C = 0.0
-    for t, seed in enumerate(cfg.seeds(3, cfg.trial_count(50))):
+
+    def trial(t, seed):
+        nonlocal fails
         f = generate_trial("step", seed, {"grid": grid, "depth": 5})
         weak = weak_lp_norm(f, p)
         if weak == 0:
-            continue
+            return []
         vals = np.unique(np.abs(f.samples))
         best = 0.0
         trial_c = _C_LADDER[0]
@@ -172,18 +178,18 @@ def _run_weak_dualization(cfg, name, statement) -> TargetResult:
                     break
                 except MajorSubsetError:
                     continue
-        smallest_uniform_C = max(smallest_uniform_C, trial_c)
-        rows.append(TrialRow(name, t, seed, best, weak, best / weak,
-                             {"r": r, "p": p, "smallest_major_C": trial_c}))
-    ratios = [r_.ratio for r_ in rows]
+        return [(best, weak, {"r": r, "p": p, "smallest_major_C": trial_c})]
+
+    rows = _trial_rows(cfg, 3, 50, trial)
+    ratios = [row.ratio for row in rows]
     passed = (
         fails == 0
         and all(0.25 * (1 - 1e-9) <= x <= 4.0 * (1 + 1e-9) for x in ratios)
     )
     agg = {"min_ratio": min(ratios), "max_ratio": max(ratios),
            "bracket": [0.25, 4.0], "majorness_failures": fails,
-           "smallest_uniform_major_C": smallest_uniform_C}
-    return TargetResult(name, statement, rows, agg, passed)
+           "smallest_uniform_major_C": max(row.params["smallest_major_C"] for row in rows)}
+    return rows, agg, passed
 
 
 def _random_stopping_config(seed: int, grid: SampleGrid, depth: int):
@@ -206,11 +212,10 @@ def _random_stopping_config(seed: int, grid: SampleGrid, depth: int):
     return family, E1, E2, E3, root
 
 
-def _run_stopping(cfg, name, statement) -> TargetResult:
+def _run_stopping(cfg, cap):
     grid = SampleGrid(512, 4.0)
-    cap = cfg.cap(name)
     rows = []
-    ok = True
+    checks_ok = True
     trials = cfg.trial_count(100)
     for t, seed in enumerate(cfg.seeds(4, trials)):
         depth = 3 + (t % 3)  # depths 3..5
@@ -218,20 +223,18 @@ def _run_stopping(cfg, name, statement) -> TargetResult:
         try:
             forest = analysis.stopping_decompose(family, E1, E2, E3, root)
         except MajorSubsetError as exc:
-            rows.append(TrialRow(name, t, seed, 1.0, 0.0, math.inf,
+            rows.append(TrialRow(t, seed, 1.0, 0.0, math.inf,
                                  {"error": f"majorness {exc.achieved_ratio:.3f}"}))
-            ok = False
             continue
         checks = _stopping_checks(forest, family, E1, E2)
+        checks_ok = checks_ok and all(checks.values())
         cmax = max(forest.measure_constants.values(), default=0.0)
-        trial_ok = all(checks.values()) and cmax <= cap
-        ok = ok and trial_ok
-        rows.append(TrialRow(name, t, seed, cmax, cap, cmax / cap,
+        rows.append(TrialRow(t, seed, cmax, cap, cmax / cap,
                              {"depth": depth, "cells": len(forest.cells),
                               **checks}))
     agg = {"max_measure_constant": max((r.lhs for r in rows), default=0.0),
            "cap": cap}
-    return TargetResult(name, statement, rows, agg, ok)
+    return _bounded(rows, agg, checks_ok)
 
 
 def _stopping_checks(forest, family, E1, E2) -> dict:
@@ -275,7 +278,7 @@ def _stopping_checks(forest, family, E1, E2) -> dict:
             "d_decay": decay_ok}
 
 
-def _run_size_energy(cfg, name, statement) -> TargetResult:
+def _run_size_energy(cfg, cap):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(0, 0)
     kinds = (("step", "depth", 4), ("bump_train", "count", 3), ("band_limited", "band", 24))
@@ -297,7 +300,7 @@ def _run_size_energy(cfg, name, statement) -> TargetResult:
                         {"check": f"energy-{flavor}"}))
         return out
 
-    rows = _trial_rows(cfg, name, 5, 100, trial)
+    rows = _trial_rows(cfg, 5, 100, trial)
     # far-support decay sweep (period large enough that no torus wrap helps)
     decay_grid = SampleGrid(4096, 64.0)
     ks = [1, 2, 3, 4, 5]
@@ -313,8 +316,8 @@ def _run_size_energy(cfg, name, statement) -> TargetResult:
         decay_vals[i + 1] <= decay_vals[i] * (1 + 1e-9) or decay_vals[i + 1] < 1e-12
         for i in range(len(ks) - 1)
     )
-    return _capped(name, statement, rows, cfg.cap(name), monotone,
-                   far_support_energy=decay_vals, monotone_decay=monotone)
+    return _capped(rows, cap, monotone, far_support_energy=decay_vals,
+                   monotone_decay=monotone)
 
 
 def _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band):
@@ -343,7 +346,7 @@ def _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band):
     return n_out / (n_f * n_g)
 
 
-def _run_vv_paraproduct(cfg, name, statement) -> TargetResult:
+def _run_vv_paraproduct(cfg, cap):
     grid = SampleGrid(cfg.grid_size, 1.0)
     r1, r2, r = Fraction(3, 2), Fraction(3, 2), Fraction(3, 4)
     p, q, s = 4, 4, 2
@@ -355,23 +358,20 @@ def _run_vv_paraproduct(cfg, name, statement) -> TargetResult:
             ratio = _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band=grid.sample_count // 8)
             return [] if ratio is None else [(ratio, 1.0, {"K": K})]
 
-        group = _trial_rows(cfg, name, 6 + K, 40, trial)
+        group = _trial_rows(cfg, 6 + K, 40, trial)
         maxima.append(float(np.max([row.ratio for row in group])))
         rows.extend(group)
     slope = _slope(np.log([float(k) for k in Ks]), np.log(maxima))
     # the growth fit needs a stable empirical sup; below 10 seeds per K the
     # slope is reported but not gated on
     slope_gated = cfg.trial_count(40) >= 10
-    return _capped(name, statement, rows, cfg.cap(name),
-                   abs(slope) <= 0.1 or not slope_gated,
+    return _capped(rows, cap, abs(slope) <= 0.1 or not slope_gated,
                    maxima_by_K=maxima, log_slope=slope, slope_window=0.1,
                    slope_gated=slope_gated)
 
 
-def _run_alpha_coefficients(cfg, name, statement) -> TargetResult:
-    cap = cfg.cap(name)
+def _run_alpha_coefficients(cfg, cap):
     rows = []
-    passed = True
     bounds = {}
     for t, alpha in enumerate((0.25, 0.5, 1.0)):
         table = operators.alpha_symbol_coefficients(alpha, 256)
@@ -379,17 +379,15 @@ def _run_alpha_coefficients(cfg, name, statement) -> TargetResult:
         weighted = np.abs(table) * (1.0 + np.abs(ns)) ** (1.0 + alpha)
         bound = float(weighted.max())
         bounds[alpha] = bound
-        rows.append(TrialRow(name, 2 * t, 0, bound, cap, bound / cap,
+        rows.append(TrialRow(2 * t, 0, bound, cap, bound / cap,
                              {"alpha": alpha, "check": "decay-bound"}))
         t0 = operators.alpha_symbol_coefficients(alpha, 256, scale=0)
         t5 = operators.alpha_symbol_coefficients(alpha, 256, scale=5)
         drift = float(np.max(np.abs(t0 - t5)))
-        rows.append(TrialRow(name, 2 * t + 1, 0, drift, 1e-10, drift / 1e-10,
+        rows.append(TrialRow(2 * t + 1, 0, drift, 1e-10, drift / 1e-10,
                              {"alpha": alpha, "check": "scale-independence"}))
-        passed = passed and np.isfinite(bound) and bound <= cap and drift <= 1e-10
-    agg = {"decay_bounds": {str(a): b for a, b in bounds.items()},
-           "cap": cap, "scale_tolerance": 1e-10}
-    return TargetResult(name, statement, rows, agg, passed)
+    return _bounded(rows, {"decay_bounds": {str(a): b for a, b in bounds.items()},
+                           "cap": cap, "scale_tolerance": 1e-10})
 
 
 def _shifted_ratio(op_name: str, n: int, grid: SampleGrid, seed: int) -> float | None:
@@ -406,9 +404,8 @@ def _shifted_ratio(op_name: str, n: int, grid: SampleGrid, seed: int) -> float |
     return lp_norm(op(f, n), 2) / denom if denom else None
 
 
-def _run_shifted_growth(cfg, name, statement) -> TargetResult:
+def _run_shifted_growth(cfg, kappa_cap):
     grid = SampleGrid(512, 1.0)
-    kappa_cap = cfg.cap(name)
     ns = [1, 2, 4, 8, 16, 32, 64]
     per_n = cfg.trial_count(10)
     rows = []
@@ -422,17 +419,17 @@ def _run_shifted_growth(cfg, name, statement) -> TargetResult:
                     if v is not None]
             mx, med = max(vals), float(np.median(vals))
             maxima.append(mx)
-            rows.append(TrialRow(name, i, seeds[0], mx, med, mx / max(med, 1e-300),
+            rows.append(TrialRow(i, seeds[0], mx, med, mx / max(med, 1e-300),
                                  {"op": op_name, "n": n}))
         xs = np.log(np.log(1.0 + np.array(ns, dtype=float)))
         kappa = _slope(xs, np.log(maxima))
         fits[op_name] = kappa
         passed = passed and kappa <= kappa_cap
     agg = {"kappa_fits": fits, "kappa_cap": kappa_cap, "ns": ns}
-    return TargetResult(name, statement, rows, agg, passed)
+    return rows, agg, passed
 
 
-def _run_bht_multiplier(cfg, name, statement) -> TargetResult:
+def _run_bht_multiplier(cfg, cap):
     n = 2048
     grid = SampleGrid(n, 1.0)
     x = grid.points()
@@ -450,34 +447,33 @@ def _run_bht_multiplier(cfg, name, statement) -> TargetResult:
         2j * np.pi * (a + b) * x[idx]) * window[idx] ** 2
     got = quad.samples[idx]
     rel = float(np.max(np.abs(got - predicted)) / np.max(np.abs(predicted)))
-    rows.append(TrialRow(name, 0, 0, rel, 0.03, rel / 0.03, {"check": "modulus-pi"}))
+    rows.append(TrialRow(0, 0, rel, 0.03, rel / 0.03, {"check": "modulus-pi"}))
 
     swapped = operators.bht_kernel(gb, fa)
     sign_flip = float(
         np.max(np.abs(swapped.samples[idx] + got))
         / np.max(np.abs(predicted))
     )
-    rows.append(TrialRow(name, 1, 0, sign_flip, 0.06, sign_flip / 0.06,
+    rows.append(TrialRow(1, 0, sign_flip, 0.06, sign_flip / 0.06,
                          {"check": "sign-flip"}))
 
     equal = operators.bht_kernel(fa, fa)
     scale = lp_norm(fa, INF) ** 2
     equal_mag = float(np.max(np.abs(equal.samples[idx]))) / scale
-    rows.append(TrialRow(name, 2, 0, equal_mag, 0.05, equal_mag / 0.05,
+    rows.append(TrialRow(2, 0, equal_mag, 0.05, equal_mag / 0.05,
                          {"check": "sgn-zero-on-diagonal"}))
 
     even = GridFunction(grid, window.astype(complex))
     even_out = operators.bht_kernel(even, even)
     center_val = abs(even_out.samples[center]) / lp_norm(even, INF) ** 2
-    rows.append(TrialRow(name, 3, 0, center_val, 1e-8, center_val / 1e-8,
+    rows.append(TrialRow(3, 0, center_val, 1e-8, center_val / 1e-8,
                          {"check": "even-symmetry-zero"}))
-    passed = all(r.ratio <= 1.0 for r in rows)
     spectral = operators.bht_spectral(fa, gb)
-    agg = {"spectral_discrepancy": (quad - spectral).norm2() / spectral.norm2()}
-    return TargetResult(name, statement, rows, agg, passed)
+    discrepancy = (quad - spectral).norm2() / spectral.norm2()
+    return _bounded(rows, {"spectral_discrepancy": discrepancy})
 
 
-def _run_bht_local_l2(cfg, name, statement) -> TargetResult:
+def _run_bht_local_l2(cfg, cap):
     grid = SampleGrid(1024, 1.0)
     tiers = [1, 4, 16]  # tile count quadruples tier to tier
     rows = []
@@ -495,19 +491,19 @@ def _run_bht_local_l2(cfg, name, statement) -> TargetResult:
             ratio = lp_norm(operators.bht_model(spec, f, g), 1) / denom
             return [(ratio, 1.0, {"tiles": len(tiles)})]
 
-        group = _trial_rows(cfg, name, 40 + tier_idx, 34, trial)
+        group = _trial_rows(cfg, 40 + tier_idx, 34, trial)
         medians.append(float(np.median([row.ratio for row in group])))
         rows.extend(group)
     growth_ok = all(
         medians[i + 1] <= medians[i] * 1.25 + 1e-12 for i in range(len(medians) - 1)
     )
     growth_gated = cfg.trial_count(34) >= 10
-    return _capped(name, statement, rows, cfg.cap(name), growth_ok or not growth_gated,
+    return _capped(rows, cap, growth_ok or not growth_gated,
                    medians_by_tier=medians, tile_tiers=tiers, no_growth=growth_ok,
                    growth_gated=growth_gated)
 
 
-def _run_range_consistency(cfg, name, statement) -> TargetResult:
+def _run_range_consistency(cfg, cap):
     step = 24
     from ..operators.ranges import (
         _case_member,
@@ -544,21 +540,17 @@ def _run_range_consistency(cfg, name, statement) -> TargetResult:
         ("p=4 q=2 s=4/3 r1=4/3 r2=4 r=1", True, "ii"),
         ("p=10 q=5/4 s=10/9 r1=4/3 r2=4 r=1", False, "ii"),
     ]
-    examples_ok = True
-    rows = [TrialRow(name, 0, 0, float(mismatches), 0.0,
+    rows = [TrialRow(0, 0, float(mismatches), 0.0,
                      0.0 if mismatches == 0 else math.inf,
                      {"grid_points": checked})]
     for t, (text, want_member, want_case) in enumerate(worked):
         q = operators.parse_range_query(text)
         res = operators.bht_range_membership(q)
         ok = res.member == want_member and res.case_labels[0] == want_case
-        examples_ok = examples_ok and ok
-        rows.append(TrialRow(name, t + 1, 0, float(res.member), float(want_member),
+        rows.append(TrialRow(t + 1, 0, float(res.member), float(want_member),
                              1.0 if ok else math.inf,
                              {"query": text, "case": res.case_labels[0]}))
-    passed = mismatches == 0 and examples_ok
-    agg = {"grid_points": checked, "mismatches": mismatches}
-    return TargetResult(name, statement, rows, agg, passed)
+    return _bounded(rows, {"grid_points": checked, "mismatches": mismatches})
 
 
 def _dilate_x(f: GridFunction, factor: int) -> GridFunction:
@@ -567,10 +559,9 @@ def _dilate_x(f: GridFunction, factor: int) -> GridFunction:
     return GridFunction(f.grid, f.samples[idx, :])
 
 
-def _run_leibniz(cfg, name, statement) -> TargetResult:
+def _run_leibniz(cfg, cap):
     n = 256
     grid = SampleGrid(n, 1.0, dimension=2)
-    cap = cfg.cap(name)
     alpha = beta = 1.0
     exps = operators.LeibnizExponents.symmetric(2, 2)
 
@@ -580,7 +571,7 @@ def _run_leibniz(cfg, name, statement) -> TargetResult:
         lhs, terms = operators.leibniz_sides(alpha, beta, exps, f, g)
         return [(lhs, sum(terms), {})]
 
-    rows = _trial_rows(cfg, name, 60, 20, trial)
+    rows = _trial_rows(cfg, 60, 20, trial)
     max_ratio = max(r.ratio for r in rows)  # over the ratio rows, not the drift rows
     # dilation stability on a few pairs
     drifts = []
@@ -594,12 +585,12 @@ def _run_leibniz(cfg, name, statement) -> TargetResult:
             lhs_d, terms_d = operators.leibniz_sides(alpha, beta, exps, fd, gd)
             drift = abs(lhs_d / sum(terms_d) / base - 1.0)
             drifts.append(drift)
-            rows.append(TrialRow(name, 100 + t * 10 + dil, seed, drift, 0.25,
+            rows.append(TrialRow(100 + t * 10 + dil, seed, drift, 0.25,
                                  drift / 0.25, {"dilation": dil}))
     passed = max_ratio <= cap and all(d <= 0.25 for d in drifts)
     agg = {"max_ratio": max_ratio, "cap": cap,
            "max_dilation_drift": max(drifts), "drift_cap": 0.25}
-    return TargetResult(name, statement, rows, agg, passed)
+    return rows, agg, passed
 
 
 def _local_sizes(funcs, family, root) -> list[float]:
@@ -607,17 +598,12 @@ def _local_sizes(funcs, family, root) -> list[float]:
     return [analysis.size_tilde(h, family, I0=root, M=4).value for h in funcs]
 
 
-def _size_energy_family(seed, root, depth=4):
-    rng = rng_for(seed, 3)
-    return _subfamily(rng, root, depth)
-
-
-def _run_trilinear_size_energy(cfg, name, statement) -> TargetResult:
+def _run_trilinear_size_energy(cfg, cap):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(0, 0)
 
     def trial(t, seed):
-        family = _size_energy_family(seed, root)
+        family = _subfamily(rng_for(seed, 3), root, 4)
         spec = operators.ParaproductSpec.constant(grid, family)
         f = generate_trial("band_limited", seed, {"grid": grid, "band": 40})
         g = generate_trial("band_limited", seed + 1, {"grid": grid, "band": 40})
@@ -630,17 +616,16 @@ def _run_trilinear_size_energy(cfg, name, statement) -> TargetResult:
             rhs *= s ** (2.0 / 3.0) * e ** (1.0 / 3.0)
         return [] if rhs == 0 else [(lam, rhs, {})]
 
-    rows = _trial_rows(cfg, name, 70, 100, trial)
-    return _capped(name, statement, rows, cfg.cap(name), theta=[1 / 3, 1 / 3, 1 / 3])
+    return _capped(_trial_rows(cfg, 70, 100, trial), cap, theta=[1 / 3, 1 / 3, 1 / 3])
 
 
-def _run_localized_trilinear(cfg, name, statement) -> TargetResult:
+def _run_localized_trilinear(cfg, cap):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)  # [1/2, 1)
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
 
     def trial(t, seed):
-        family = _size_energy_family(seed, root, depth=3)
+        family = _subfamily(rng_for(seed, 3), root, 3)
         spec = operators.ParaproductSpec.constant(grid, family)
         f = generate_trial("bump_train", seed, {"grid": grid, "count": 3})
         g = generate_trial("bump_train", seed + 1, {"grid": grid, "count": 3})
@@ -653,15 +638,15 @@ def _run_localized_trilinear(cfg, name, statement) -> TargetResult:
             rhs *= st ** (2.0 / 3.0) * l1 ** (1.0 / 3.0)
         return [] if rhs == 0 else [(lam, rhs, {})]
 
-    return _capped(name, statement, _trial_rows(cfg, name, 71, 100, trial), cfg.cap(name))
+    return _capped(_trial_rows(cfg, 71, 100, trial), cap)
 
 
-def _run_local_l1(cfg, name, statement) -> TargetResult:
+def _run_local_l1(cfg, cap):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)
 
     def trial(t, seed):
-        family = _size_energy_family(seed, root, depth=3)
+        family = _subfamily(rng_for(seed, 3), root, 3)
         spec = operators.ParaproductSpec.constant(grid, family)
         f = generate_trial("bump_train", seed, {"grid": grid, "count": 2})
         g = generate_trial("bump_train", seed + 1, {"grid": grid, "count": 2})
@@ -671,7 +656,7 @@ def _run_local_l1(cfg, name, statement) -> TargetResult:
         rhs = math.prod(_local_sizes((f, g, Et.indicator), family, root)) * root.length
         return [] if rhs == 0 else [(lhs, rhs, {})]
 
-    return _capped(name, statement, _trial_rows(cfg, name, 72, 100, trial), cfg.cap(name))
+    return _capped(_trial_rows(cfg, 72, 100, trial), cap)
 
 
 def _lr_of_lr(grid, comps, e, weight=None) -> float:
@@ -680,7 +665,7 @@ def _lr_of_lr(grid, comps, e, weight=None) -> float:
     return lp_norm(GridFunction(grid, stack.astype(complex)), e, weight=weight)
 
 
-def _localized_operator_rows(cfg, name, r1, r2, r, eps, seed_index, default_trials,
+def _localized_operator_rows(cfg, r1, r2, r, eps, seed_index, default_trials,
                              vector_K=None):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)
@@ -688,7 +673,7 @@ def _localized_operator_rows(cfg, name, r1, r2, r, eps, seed_index, default_tria
     dual = lambda e: 1.0 - 1.0 / e  # noqa: E731
 
     def trial(t, seed):
-        family = _size_energy_family(seed, root, depth=3)
+        family = _subfamily(rng_for(seed, 3), root, 3)
         spec = operators.ParaproductSpec.constant(grid, family)
         F = generate_trial("dyadic_union", seed + 5, {"grid": grid, "measure": 1.0})
         G = generate_trial("dyadic_union", seed + 6, {"grid": grid, "measure": 1.0})
@@ -723,22 +708,22 @@ def _localized_operator_rows(cfg, name, r1, r2, r, eps, seed_index, default_tria
         )
         return [] if rhs == 0 else [(lhs, rhs, {"eps": eps})]
 
-    return _trial_rows(cfg, name, seed_index, default_trials, trial)
+    return _trial_rows(cfg, seed_index, default_trials, trial)
 
 
-def _run_localized_operator(cfg, name, statement) -> TargetResult:
+def _run_localized_operator(cfg, cap):
     rows = []
     for i, eps in enumerate(cfg.eps_values):
-        rows.extend(_localized_operator_rows(cfg, name, 1.5, 1.5, 0.75, eps, 73 + i, 34))
-    return _capped(name, statement, rows, cfg.cap(name), eps_values=list(cfg.eps_values))
+        rows.extend(_localized_operator_rows(cfg, 1.5, 1.5, 0.75, eps, 73 + i, 34))
+    return _capped(rows, cap, eps_values=list(cfg.eps_values))
 
 
-def _run_vv_localized(cfg, name, statement) -> TargetResult:
-    rows = _localized_operator_rows(cfg, name, 1.5, 1.5, 0.75, 0.05, 80, 30, vector_K=4)
-    return _capped(name, statement, rows, cfg.cap(name), K=4)
+def _run_vv_localized(cfg, cap):
+    rows = _localized_operator_rows(cfg, 1.5, 1.5, 0.75, 0.05, 80, 30, vector_K=4)
+    return _capped(rows, cap, K=4)
 
 
-def _run_bht_localized(cfg, name, statement) -> TargetResult:
+def _run_bht_localized(cfg, cap):
     grid = SampleGrid(512, 1.0)
     root = dyadic.DyadicInterval(1, 1)
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
@@ -769,11 +754,10 @@ def _run_bht_localized(cfg, name, statement) -> TargetResult:
         )
         return [] if rhs == 0 else [(lhs, rhs, {})]
 
-    rows = _trial_rows(cfg, name, 85, 50, trial)
-    return _capped(name, statement, rows, cfg.cap(name), theta=theta)
+    return _capped(_trial_rows(cfg, 85, 50, trial), cap, theta=theta)
 
 
-def _run_tensor_mixed_norm(cfg, name, statement) -> TargetResult:
+def _run_tensor_mixed_norm(cfg, cap):
     n = 128
     grid = SampleGrid(n, 1.0, dimension=2)
 
@@ -785,12 +769,11 @@ def _run_tensor_mixed_norm(cfg, name, statement) -> TargetResult:
         rhs = mixed_norm(f, MixedNormSpec((4, 4))) * mixed_norm(g, MixedNormSpec((4, 4)))
         return [] if rhs == 0 else [(lhs, rhs, {})]
 
-    rows = _trial_rows(cfg, name, 90, 50, trial)
-    return _capped(name, statement, rows, cfg.cap(name),
+    return _capped(_trial_rows(cfg, 90, 50, trial), cap,
                    exponents={"p": [4, 4], "q": [4, 4], "s": [2, 2]})
 
 
-def _run_depth2_vv(cfg, name, statement) -> TargetResult:
+def _run_depth2_vv(cfg, cap):
     grid = SampleGrid(512, 1.0)
     K1 = K2 = 3
     fam = dyadic.grid_dyadic_family(grid, range(1, 6))
@@ -814,8 +797,7 @@ def _run_depth2_vv(cfg, name, statement) -> TargetResult:
             return []
         return [(n_out, n_f * n_g, {"K": [K1, K2]})]
 
-    rows = _trial_rows(cfg, name, 95, 10, trial)
-    return _capped(name, statement, rows, cfg.cap(name),
+    return _capped(_trial_rows(cfg, 95, 10, trial), cap,
                    inner_tuples={"R1": ["inf", 2], "R2": [2, "inf"], "R": [2, 2]})
 
 
@@ -823,86 +805,77 @@ def _run_depth2_vv(cfg, name, statement) -> TargetResult:
 # Registry
 # ---------------------------------------------------------------------------
 
-def _entry(name, statement, runner, cap):
-    return InequalityTarget(name, statement,
-                            lambda cfg, n=name, s=statement, r=runner: r(cfg, n, s),
-                            cap)
-
-
-REGISTRY: dict[str, InequalityTarget] = {}
-
-for _t in (
-    _entry("telescope-1d",
-           "f*g = sum_k [Q_k f P_k g + P_k f Q_k g + Q_k f Q_k g] + coarse block",
-           partial(_run_telescope, dims=1, n=4096, tol=1e-10, seed_index=1,
-                   default_trials=3), None),
-    _entry("telescope-2d",
-           "f*g equals the nine bi-parameter terms plus the coarse remainder",
-           partial(_run_telescope, dims=2, n=256, tol=1e-9, seed_index=2,
-                   default_trials=2), None),
-    _entry("weak-dualization",
-           "||f||_{p,inf} ~ sup_E inf_{major E~} ||f 1_E~||_r / |E|^(1/r-1/p)",
-           _run_weak_dualization, None),
-    _entry("stopping-invariants",
-           "triple stopping time: exact partition, per-level disjointness, "
-           "sum |I| <= C 2^n ||1_E chi||_1",
-           _run_stopping, 8.0),
-    _entry("size-energy",
-           "size <= C sup-average and energy <= C ||f||_1",
-           _run_size_energy, 4.0),
-    _entry("vv-paraproduct",
-           "||(sum |Pi(f_k,g_k)|^r)^(1/r)||_s <= C ||(sum |f_k|^r1)^(1/r1)||_p "
-           "||(sum |g_k|^r2)^(1/r2)||_q, uniformly in K",
-           _run_vv_paraproduct, 1.0),
-    _entry("alpha-coefficients",
-           "|c_n| (1+|n|)^(1+alpha) bounded, coefficients scale-invariant",
-           _run_alpha_coefficients, 4.0),
-    _entry("shifted-growth",
-           "L2 norms of shifted maximal/square/paraproduct grow at most like "
-           "C log^kappa(1+|n|), kappa <= 2.5",
-           _run_shifted_growth, 2.5),
-    _entry("bht-multiplier",
-           "p.v. integral f(x-t)g(x+t) dt/t acts as -i pi sgn(xi-eta)",
-           _run_bht_multiplier, None),
-    _entry("bht-local-l2",
-           "||BHT_P(f,g)||_1 <= C ||f||_2 ||g||_2, uniform as tiles quadruple",
-           _run_bht_local_l2, 2.0),
-    _entry("range-consistency",
-           "case table for the admissible exponent region agrees with exact "
-           "theta-feasibility on the step-1/24 rational grid",
-           _run_range_consistency, None),
-    _entry("leibniz-mixed",
-           "||D1^a D2^b (fg)||_{s1,s2} <= C sum of four derivative-norm "
-           "products; ratio stable under dyadic dilation",
-           _run_leibniz, 1.0),
-    _entry("trilinear-size-energy",
-           "|Lambda(f,g,h)| <= C prod size^(2/3) energy^(1/3)",
-           _run_trilinear_size_energy, 8.0),
-    _entry("localized-trilinear",
-           "|Lambda_I0(f,g,h)| <= C prod size~^(2/3) ||. chi_I0||_1^(1/3)",
-           _run_localized_trilinear, 8.0),
-    _entry("local-l1",
-           "||Pi_I0(f,g) 1_E~||_1 <= C size~ f size~ g size~ 1_E~ |I0|",
-           _run_local_l1, 4.0),
-    _entry("localized-operator",
-           "||Pi_I0^{F,G,E~}(f,g)||_r <= C prod size~^(exponent-eps) "
-           "||f chi||_r1 ||g chi||_r2 at (3/2,3/2,3/4)",
-           _run_localized_operator, 4.0),
-    _entry("vv-localized",
-           "l^r-valued localized paraproduct bound at (3/2,3/2,3/4), K=4",
-           _run_vv_localized, 4.0),
-    _entry("bht-localized",
-           "||BHT_I0^{F,G,E~}(f,g)||_1 <= C prod size~^((1+theta)/2 - 1/r_i) "
-           "||f chi||_2 ||g chi||_2",
-           _run_bht_localized, 4.0),
-    _entry("tensor-mixed-norm",
-           "||Pi x Pi(f,g)||_{L2 L2} <= C ||f||_{L4 L4} ||g||_{L4 L4}",
-           _run_tensor_mixed_norm, 1.0),
-    _entry("depth2-vv",
-           "depth-2 vector-valued paraproduct bound with the (inf,2) pattern",
-           _run_depth2_vv, 1.0),
-):
-    REGISTRY[_t.name] = _t
+REGISTRY: dict[str, InequalityTarget] = {t.name: t for t in (
+    InequalityTarget("telescope-1d",
+                     "f*g = sum_k [Q_k f P_k g + P_k f Q_k g + Q_k f Q_k g] + coarse block",
+                     partial(_run_telescope, dims=1, n=4096, tol=1e-10, seed_index=1,
+                             default_trials=3), None),
+    InequalityTarget("telescope-2d",
+                     "f*g equals the nine bi-parameter terms plus the coarse remainder",
+                     partial(_run_telescope, dims=2, n=256, tol=1e-9, seed_index=2,
+                             default_trials=2), None),
+    InequalityTarget("weak-dualization",
+                     "||f||_{p,inf} ~ sup_E inf_{major E~} ||f 1_E~||_r / |E|^(1/r-1/p)",
+                     _run_weak_dualization, None),
+    InequalityTarget("stopping-invariants",
+                     "triple stopping time: exact partition, per-level disjointness, "
+                     "sum |I| <= C 2^n ||1_E chi||_1",
+                     _run_stopping, 8.0),
+    InequalityTarget("size-energy",
+                     "size <= C sup-average and energy <= C ||f||_1",
+                     _run_size_energy, 4.0),
+    InequalityTarget("vv-paraproduct",
+                     "||(sum |Pi(f_k,g_k)|^r)^(1/r)||_s <= C ||(sum |f_k|^r1)^(1/r1)||_p "
+                     "||(sum |g_k|^r2)^(1/r2)||_q, uniformly in K",
+                     _run_vv_paraproduct, 1.0),
+    InequalityTarget("alpha-coefficients",
+                     "|c_n| (1+|n|)^(1+alpha) bounded, coefficients scale-invariant",
+                     _run_alpha_coefficients, 4.0),
+    InequalityTarget("shifted-growth",
+                     "L2 norms of shifted maximal/square/paraproduct grow at most like "
+                     "C log^kappa(1+|n|), kappa <= 2.5",
+                     _run_shifted_growth, 2.5),
+    InequalityTarget("bht-multiplier",
+                     "p.v. integral f(x-t)g(x+t) dt/t acts as -i pi sgn(xi-eta)",
+                     _run_bht_multiplier, None),
+    InequalityTarget("bht-local-l2",
+                     "||BHT_P(f,g)||_1 <= C ||f||_2 ||g||_2, uniform as tiles quadruple",
+                     _run_bht_local_l2, 2.0),
+    InequalityTarget("range-consistency",
+                     "case table for the admissible exponent region agrees with exact "
+                     "theta-feasibility on the step-1/24 rational grid",
+                     _run_range_consistency, None),
+    InequalityTarget("leibniz-mixed",
+                     "||D1^a D2^b (fg)||_{s1,s2} <= C sum of four derivative-norm "
+                     "products; ratio stable under dyadic dilation",
+                     _run_leibniz, 1.0),
+    InequalityTarget("trilinear-size-energy",
+                     "|Lambda(f,g,h)| <= C prod size^(2/3) energy^(1/3)",
+                     _run_trilinear_size_energy, 8.0),
+    InequalityTarget("localized-trilinear",
+                     "|Lambda_I0(f,g,h)| <= C prod size~^(2/3) ||. chi_I0||_1^(1/3)",
+                     _run_localized_trilinear, 8.0),
+    InequalityTarget("local-l1",
+                     "||Pi_I0(f,g) 1_E~||_1 <= C size~ f size~ g size~ 1_E~ |I0|",
+                     _run_local_l1, 4.0),
+    InequalityTarget("localized-operator",
+                     "||Pi_I0^{F,G,E~}(f,g)||_r <= C prod size~^(exponent-eps) "
+                     "||f chi||_r1 ||g chi||_r2 at (3/2,3/2,3/4)",
+                     _run_localized_operator, 4.0),
+    InequalityTarget("vv-localized",
+                     "l^r-valued localized paraproduct bound at (3/2,3/2,3/4), K=4",
+                     _run_vv_localized, 4.0),
+    InequalityTarget("bht-localized",
+                     "||BHT_I0^{F,G,E~}(f,g)||_1 <= C prod size~^((1+theta)/2 - 1/r_i) "
+                     "||f chi||_2 ||g chi||_2",
+                     _run_bht_localized, 4.0),
+    InequalityTarget("tensor-mixed-norm",
+                     "||Pi x Pi(f,g)||_{L2 L2} <= C ||f||_{L4 L4} ||g||_{L4 L4}",
+                     _run_tensor_mixed_norm, 1.0),
+    InequalityTarget("depth2-vv",
+                     "depth-2 vector-valued paraproduct bound with the (inf,2) pattern",
+                     _run_depth2_vv, 1.0),
+)}
 
 
 def target_names() -> list[str]:

@@ -12,20 +12,20 @@ import time
 import numpy as np
 import pytest
 
-from wavetile.bench import REGISTRY, ExperimentConfig
+from wavetile.bench import ExperimentConfig, run_campaign
 
 from test_stopping import random_config, verify_forest
 
 
 def run_target(name: str, budget: float, trials: int | None = None):
-    cfg = ExperimentConfig(seed=7, trials=trials)
+    cfg = ExperimentConfig(seed=7, trials=trials, targets=(name,))
     t0 = time.time()
-    result = REGISTRY[name].runner(cfg)
+    result = run_campaign(cfg).results[0]
     elapsed = time.time() - t0
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {name}: {elapsed:.1f}s (budget {budget:.0f}s)")
     assert elapsed <= budget, f"{name} exceeded its runtime budget"
-    assert result.passed, f"{name} failed: {result.aggregates}"
+    assert result.passed, f"{name} failed: {result.error or result.aggregates}"
     return result
 
 

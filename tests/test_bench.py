@@ -107,12 +107,50 @@ class TestConfig:
         with pytest.raises(ValueError, match=reason):
             parse_config(text)
 
+    def test_cap_is_none_where_the_verdict_reads_none(self):
+        uncapped = {"telescope-1d", "telescope-2d", "weak-dualization", "bht-multiplier",
+                    "range-consistency"}
+        cfg = ExperimentConfig()
+        assert {name for name in REGISTRY if cfg.cap(name) is None} == uncapped
+
+    def test_cap_is_config_value_or_registry_default(self):
+        cfg = ExperimentConfig(caps={"size-energy": 5})
+        assert cfg.cap("size-energy") == 5.0
+        for name, target in REGISTRY.items():
+            cap = cfg.cap(name)
+            if cap is not None:
+                assert type(cap) is float
+                if name != "size-energy":
+                    assert cap == target.default_cap
+
+
+class TestBoundedVerdict:
+    @pytest.mark.parametrize("ratio, gate, want", [
+        (1.0, True, True),
+        (1.0 + 1e-12, True, False),
+        (float("nan"), True, False),
+        (float("inf"), True, False),
+        (0.5, False, False),
+    ])
+    def test_every_row_within_its_bound_and_gate(self, ratio, gate, want):
+        from wavetile.bench.targets import TrialRow, _bounded
+
+        rows = [TrialRow(0, 0, 0.25, 1.0, 0.25), TrialRow(1, 0, ratio, 1.0, ratio)]
+        aggregates = {"tolerance": 1.0}
+        got_rows, got_aggregates, passed = _bounded(rows, aggregates, gate)
+        assert got_rows is rows and got_aggregates is aggregates
+        assert passed is want
+
 
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
 
 # sha256 of the seed-7, one-trial, full-registry report
 SMOKE_CSV_SHA256 = "f2431bcb0754ac0e246cc0bfc54ac3bd3dd06e0ba1797b8d835ce5de4318dbbf"
 SMOKE_JSON_SHA256 = "f3eeb30548b33372eff2d7865ec7daa70bf3922bfb3955a5601142e598827ccf"
+# sha256 of the seed-7, two-trial, full-registry report: the aggregates over
+# several rows (min/max, medians, maxima by K, fits) enter these bytes
+TWO_TRIAL_CSV_SHA256 = "b7cb0dd93de4a5e81929ff10818a6f592420128d8ace62bf2251a4142e610ddf"
+TWO_TRIAL_JSON_SHA256 = "cff4576ebdeaccde254535803c0ebaf1be5e4ea06d3dcf16c6e7ea165bd28358"
 
 
 def smoke_config(**kw):
@@ -160,12 +198,14 @@ class TestCampaign:
         from wavetile.bench import targets as targets_mod
 
         bad = targets_mod.InequalityTarget(
-            "telescope-1d", "boom", lambda ctx: 1 / 0, 1.0
+            "telescope-1d", "boom", lambda cfg, cap: 1 / 0, None
         )
         monkeypatch.setitem(targets_mod.REGISTRY, "telescope-1d", bad)
         report = run_campaign(smoke_config())
         by_name = {r.name: r for r in report.results}
-        assert by_name["telescope-1d"].error is not None
+        assert "ZeroDivisionError" in by_name["telescope-1d"].error
+        assert by_name["telescope-1d"].statement == "boom"
+        assert not by_name["telescope-1d"].passed
         assert by_name["weak-dualization"].error is None
         assert not report.passed
 
@@ -175,7 +215,7 @@ class TestCampaign:
 
         ran = []
         spy = targets_mod.InequalityTarget(
-            "telescope-1d", "spy", lambda ctx: ran.append(ctx), 1.0
+            "telescope-1d", "spy", lambda cfg, cap: ran.append(cfg), None
         )
         monkeypatch.setitem(targets_mod.REGISTRY, "telescope-1d", spy)
         monkeypatch.setenv("WAVETILE_THREADS", raw)
@@ -260,6 +300,21 @@ class TestCli:
         assert all(word in out.err for word in named)
         assert "Traceback" not in out.err
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_thread_count_exits_2(self, raw, tmp_path, monkeypatch, capsys):
+        from wavetile.bench.cli import main
+
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(f"trials = 1\ntargets = telescope-1d\nout = {tmp_path / 'reports'}\n")
+        monkeypatch.setenv("WAVETILE_THREADS", raw)
+        assert main(["run", str(cfg)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert out.err == (
+            f"wavetile run: WAVETILE_THREADS must be a positive integer, got {raw!r}\n"
+        )
+        assert not (tmp_path / "reports").exists()
+
     def test_run_subcommand(self, tmp_path):
         cfg = tmp_path / "smoke.cfg"
         cfg.write_text(
@@ -316,6 +371,23 @@ class TestCampaignContracts:
             )
 
 
+    def test_registry_two_trials_pinned(self):
+        import hashlib
+        import platform
+
+        report = run_campaign(ExperimentConfig(seed=7, trials=2, grid_size=1024))
+        assert report.passed
+        # Report bytes are pinned: a change that alters them on purpose
+        # updates these digests and says so.
+        versions = f"Python {platform.python_version()}, numpy {np.__version__}"
+        for render, want in ((render_csv, TWO_TRIAL_CSV_SHA256),
+                             (render_json, TWO_TRIAL_JSON_SHA256)):
+            got = hashlib.sha256(render(report).encode()).hexdigest()
+            assert got == want, (
+                f"{render.__name__} digest changed: {got} (pinned on Python 3.11.7, "
+                f"numpy 2.4.6; this run: {versions})"
+            )
+
 class TestDeterminismContracts:
     def test_parallel_execution_reproduces_serial_reports(self, monkeypatch):
         from wavetile.bench import run_campaign
@@ -362,8 +434,8 @@ class TestRowReexecution:
         from wavetile.bench.targets import _vv_ratio
         from wavetile.grid import SampleGrid
 
-        cfg = ExperimentConfig(seed=7, trials=3, grid_size=512)
-        result = REGISTRY["vv-paraproduct"].runner(cfg)
+        cfg = ExperimentConfig(seed=7, trials=3, grid_size=512, targets=("vv-paraproduct",))
+        result = run_campaign(cfg).results[0]
         row = result.rows[4]
         again = _vv_ratio(
             SampleGrid(512, 1.0), row.seed, row.params["K"],

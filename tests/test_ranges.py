@@ -131,9 +131,10 @@ class TestGridRoutes:
         assert range_grid_mismatches(24, repaired=False) == (292675, 3278)
 
     def test_runner_aggregates(self):
-        from wavetile.bench import REGISTRY, ExperimentConfig
+        from wavetile.bench import ExperimentConfig, run_campaign
 
-        result = REGISTRY["range-consistency"].runner(ExperimentConfig(seed=7))
+        cfg = ExperimentConfig(seed=7, targets=("range-consistency",))
+        result = run_campaign(cfg).results[0]
         assert result.aggregates == {"grid_points": 292675, "mismatches": 0}
         assert result.passed
 
