@@ -1,5 +1,6 @@
 """Layer micro-benchmark: packet sweeps and synthesis, chi-weighted
-averages, one stopping sweep, Littlewood-Paley products and the range grid.
+averages, one stopping sweep, one weak-norm dualization sweep,
+Littlewood-Paley products and the range grid.
 
     PYTHONPATH=src python3 benchmarks/layers.py [--repeats 9] [--json FILE]
 
@@ -25,6 +26,13 @@ Two more layers run on the stopping-invariants grid (n = 512, period 4):
   chi-weighted averages size-energy takes;
 * ``stopping_sweep``: ``stopping_decompose`` of one stopping-invariants
   configuration (seed 7, depth 5), exceptional set and level sweeps.
+
+One times the weak-norm dualization on the weak-dualization grid (n = 512,
+period 1):
+
+* ``weak_dualization``: ``dualize_superlevel_sets(f, 1/2, 1, 4)`` of the
+  seed-7 campaign's first step function (depth 5), every superlevel set of
+  |f| trimmed and dualized in one pass.
 
 Three more time the Littlewood-Paley products and the exhaustive range grid:
 
@@ -64,6 +72,7 @@ from wavetile.dyadic import (
     tile_scale_synthesize,
 )
 from wavetile.grid import GridFunction, SampleGrid, max_scale
+from wavetile.norms import dualize_superlevel_sets
 from wavetile.operators import (
     range_grid_mismatches,
     telescoping_decomposition,
@@ -143,6 +152,19 @@ def _average_rows(repeats: int) -> list[dict]:
     return rows
 
 
+def _dualization_row(repeats: int) -> list[dict]:
+    """The weak-norm dualization row: one weak-dualization trial's sweep."""
+    grid = SampleGrid(512, 1.0)
+    seed = ExperimentConfig(seed=7).seeds(3, 1)[0]
+    f = generate_trial("step", seed, {"grid": grid, "depth": 5})
+    shares, _ = dualize_superlevel_sets(f, 0.5, 1.0, 4.0)
+    row = {"layer": "weak_dualization", "n": grid.sample_count, "K": 1,
+           "levels": len(shares), "repeats": repeats,
+           **_timed(lambda: dualize_superlevel_sets(f, 0.5, 1.0, 4.0), repeats)}
+    print(json.dumps(row), flush=True)
+    return [row]
+
+
 def _spectral_rows(repeats: int) -> list[dict]:
     """The Littlewood-Paley product and range-grid rows."""
     rows = []
@@ -188,7 +210,7 @@ def measure(repeats: int) -> list[dict]:
                            "repeats": repeats, **_timed(call, repeats)}
                     print(json.dumps(row), flush=True)
                     rows.append(row)
-    return rows + _average_rows(repeats) + _spectral_rows(repeats)
+    return rows + _average_rows(repeats) + _dualization_row(repeats) + _spectral_rows(repeats)
 
 
 def main(argv=None) -> int:

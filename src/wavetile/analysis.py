@@ -521,10 +521,10 @@ def _single_stopping(
         plus = collection_plus(remaining, bound=root)
         return max((avg(j) for j in plus), default=0.0)
 
+    # s changes only when remaining shrinks, at the end of a selecting level
     s = stilde()
     n = max(0, int(math.floor(-math.log2(min(s, 1.0)))) if s > 0 else _LEVEL_CAP + 1)
     while remaining:
-        s = stilde()
         if s <= 0 or n > _LEVEL_CAP:
             records.append((_LEVEL_CAP + 1, root, tuple(remaining)))
             for iv in remaining:
@@ -558,6 +558,8 @@ def _single_stopping(
             member_set = set(members)
             remaining = [iv for iv in remaining if iv not in member_set]
         n += 1
+        if remaining:
+            s = stilde()
     return assignment, records
 
 

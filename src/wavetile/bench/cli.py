@@ -3,7 +3,8 @@
 Subcommands:
   run <config>       execute a campaign; exit 0 iff every target passed, 1 if
                      one failed, 2 if the config cannot be read or parsed or
-                     WAVETILE_THREADS is not a positive integer
+                     WAVETILE_THREADS is not a positive integer; each
+                     target's seconds, rows and max_ratio/cap go to stderr
   list-targets       print the registry with one-line statements
   range "<query>"    evaluate an exponent-range membership query
   decompose-demo     run a small stopping-time decomposition, print its JSON
@@ -42,6 +43,15 @@ _seed = _bounded_int("seed", lambda v: 0 <= v <= MAX_SEED, "between 0 and 2**46 
 _size = _bounded_int("size", lambda v: v >= 32 and not v & (v - 1), "a power of two >= 32")
 
 
+def _timing_line(result) -> str:
+    """A target's seconds, rows and, where it has both, max_ratio/cap."""
+    line = f"{result.name}: {result.seconds:.3f} s  rows={len(result.rows)}"
+    max_ratio, cap = result.aggregates.get("max_ratio"), result.aggregates.get("cap")
+    if max_ratio is not None and cap is not None:
+        line += f"  max_ratio/cap={max_ratio / cap:.3g}"
+    return line
+
+
 def _cmd_run(args) -> int:
     try:
         cfg = parse_config(Path(args.config).read_text())
@@ -58,6 +68,7 @@ def _cmd_run(args) -> int:
         status = "PASS" if result.passed and result.error is None else "FAIL"
         extra = " (error)" if result.error else ""
         print(f"[{status}] {result.name}{extra}  rows={len(result.rows)}")
+        print(_timing_line(result), file=sys.stderr)
     print(f"wrote {len(paths)} files under {cfg.out}")
     print("campaign:", "PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1

@@ -27,7 +27,7 @@ import numpy as np
 from .. import analysis, dyadic, norms, operators
 from ..errors import MajorSubsetError
 from ..grid import GridFunction, SampleGrid
-from ..norms import INF, MeasurableSet, MixedNormSpec, lp_norm, mixed_norm, weak_lp_norm
+from ..norms import INF, MixedNormSpec, lp_norm, mixed_norm, weak_lp_norm
 from .generate import generate_trial, rng_for
 
 if TYPE_CHECKING:
@@ -155,29 +155,15 @@ def _run_weak_dualization(cfg, cap):
         weak = weak_lp_norm(f, p)
         if weak == 0:
             return []
-        vals = np.unique(np.abs(f.samples))
-        best = 0.0
-        trial_c = _C_LADDER[0]
-        for v in vals:
-            if v <= 0:
-                continue
-            mask = np.abs(f.samples) > v * (1 - 1e-12)
-            if not mask.any():
-                continue
-            E = MeasurableSet.from_mask(grid, mask)
-            try:
-                _, ratio = norms.dualize_weak_via_Lr(f, E, r, p, C)
-            except MajorSubsetError:
-                fails += 1
-                continue
-            best = max(best, ratio)
-            for c_try in _C_LADDER:
-                try:
-                    norms.dualize_weak_via_Lr(f, E, r, p, c_try)
-                    trial_c = max(trial_c, c_try)
-                    break
-                except MajorSubsetError:
-                    continue
+        # every superlevel set's (shares, ratios) at each ladder constant; C is on it
+        sweeps = {c: norms.dualize_superlevel_sets(f, r, p, c) for c in _C_LADDER}
+        shares, ratios = sweeps[C]
+        major = [i for i, share in enumerate(shares) if share >= 0.5]
+        fails += len(shares) - len(major)
+        best = max((ratios[i] for i in major), default=0.0)
+        # the largest over major sets of the first ladder constant that keeps it major
+        trial_c = max((next(c for c in _C_LADDER if sweeps[c][0][i] >= 0.5) for i in major),
+                      default=_C_LADDER[0])
         return [(best, weak, {"r": r, "p": p, "smallest_major_C": trial_c})]
 
     rows = _trial_rows(cfg, 3, 50, trial)

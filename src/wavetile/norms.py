@@ -32,6 +32,7 @@ __all__ = [
     "weak_lp_norm",
     "mixed_norm",
     "dualize_weak_via_Lr",
+    "dualize_superlevel_sets",
     "major_subset_L1",
 ]
 
@@ -173,9 +174,7 @@ def weak_lp_norm(f: GridFunction, p: Exponent) -> float:
     if p == INF:
         return lp_norm(f, INF)
     pf = float(p)
-    vals = np.abs(f.samples).ravel()
-    order = np.argsort(vals)[::-1]
-    sorted_vals = vals[order]
+    sorted_vals = np.sort(np.abs(f.samples), axis=None)[::-1]
     if sorted_vals[0] == 0:
         return 0.0
     counts = np.arange(1, len(sorted_vals) + 1)
@@ -208,17 +207,47 @@ def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def _major_subset(
-    f: GridFunction, E: MeasurableSet, p: Exponent, C: float
-) -> tuple[MeasurableSet, float, float]:
-    """(E \\ {|f| > C A / |E|^(1/p)}, its share of |E|, |E|), where A is the
-    weak-L^p quasinorm of f."""
-    measure = E.measure
-    if measure <= 0:
+    f: GridFunction, masks: np.ndarray, p: Exponent, C: float
+) -> tuple[np.ndarray, list[float], list[float]]:
+    """Trim a stack of sets, given as an ``(L,) + f.samples.shape`` boolean
+    array, each to E \\ {|f| > C A / |E|^(1/p)}, where A is the weak-L^p
+    quasinorm of f, computed once.
+
+    Returns the trimmed stack, each set's share |E~|/|E| and each |E|.
+    """
+    rows = (len(masks), f.samples.size)
+    cell = f.grid.cell_measure
+    # per-set scalars are Python floats, each computed as for one set alone
+    measures = [c * cell for c in masks.reshape(rows).sum(axis=1).tolist()]
+    if not all(m > 0 for m in measures):
         raise ValueError("|E| must be positive")
     A = weak_lp_norm(f, p)
-    threshold = C * A / measure ** (1.0 / float(p))
-    trimmed = E.minus_mask(np.abs(f.samples) > threshold)
-    return trimmed, trimmed.measure / measure, measure
+    thresholds = [C * A / m ** (1.0 / float(p)) for m in measures]
+    above = np.abs(f.samples) > np.reshape(thresholds, (-1,) + (1,) * f.samples.ndim)
+    trimmed = masks & ~above
+    kept = trimmed.reshape(rows).sum(axis=1).tolist()
+    shares = [c * cell / m for c, m in zip(kept, measures)]
+    return trimmed, shares, measures
+
+
+def _lr_ratios(
+    f: GridFunction, trimmed: np.ndarray, measures: list[float], r: Exponent, p: Exponent
+) -> list[float]:
+    """||f 1_E~||_r / |E|^(1/r - 1/p) of each trimmed set.  The set axis comes
+    first, so each set's sum runs over one contiguous row and rounds as the
+    one-set sum of :func:`lp_norm` does."""
+    rows = (len(trimmed), f.samples.size)
+    mags = np.abs(f.samples)
+    if r == INF:
+        values = (mags * trimmed).reshape(rows).max(axis=1).tolist()
+    else:
+        # |f 1_E~|^r is |f|^r times the 0/1 indicator, exactly
+        rf = float(r)
+        sums = np.sum((mags ** rf * trimmed).reshape(rows), axis=1).tolist()
+        cell = f.grid.cell_measure
+        values = [(s * cell) ** (1.0 / rf) for s in sums]
+    expo = 1.0 / float(r) - 1.0 / float(p)
+    return [v / m ** expo for v, m in zip(values, measures)]
 
 
 def dualize_weak_via_Lr(
@@ -232,18 +261,38 @@ def dualize_weak_via_Lr(
 
     A is the weak-L^p quasinorm of f.  Returns (E~, ||f 1_E~||_r /
     |E|^(1/r - 1/p)).  Raises :class:`MajorSubsetError` when |E~| < |E|/2.
+    The one-set form of :func:`dualize_superlevel_sets`.
     """
-    tilde, ratio_measure, measure = _major_subset(f, E, p, C)
-    if ratio_measure < 0.5:
+    trimmed, (share,), measures = _major_subset(f, E.mask[None], p, C)
+    if share < 0.5:
         raise MajorSubsetError(
-            f"constructed subset has |E~|/|E| = {ratio_measure:.4f} < 1/2 "
+            f"constructed subset has |E~|/|E| = {share:.4f} < 1/2 "
             f"(threshold constant C={C})",
-            achieved_ratio=ratio_measure,
+            achieved_ratio=share,
         )
-    restricted = GridFunction(f.grid, f.samples * tilde.mask)
-    value = lp_norm(restricted, r)
-    expo = 1.0 / float(r) - 1.0 / float(p)
-    return tilde, float(value / measure ** expo)
+    (ratio,) = _lr_ratios(f, trimmed, measures, r, p)
+    return MeasurableSet.from_mask(f.grid, trimmed[0]), ratio
+
+
+def dualize_superlevel_sets(
+    f: GridFunction, r: Exponent, p: Exponent, C: float
+) -> tuple[list[float], list[float]]:
+    """Dualize every superlevel set of |f| in one pass.
+
+    The sets are {|f| > v (1 - 1e-12)}, one for each distinct value v > 0 of
+    |f|, in increasing v.  Returns each set's share |E~|/|E| and its ratio
+    ||f 1_E~||_r / |E|^(1/r - 1/p), both as :func:`dualize_weak_via_Lr`
+    computes them for that set.  Raises nothing: a set whose share is below
+    1/2 (where the one-set form raises :class:`MajorSubsetError`) is left to
+    the caller.
+    """
+    mags = np.abs(f.samples)
+    levels = np.unique(mags)
+    cuts = levels[levels > 0] * (1 - 1e-12)
+    cuts = cuts[cuts < levels[-1]]  # empty where v (1 - 1e-12) rounds to v = max |f|
+    masks = mags > np.reshape(cuts, (-1,) + (1,) * mags.ndim)
+    trimmed, shares, measures = _major_subset(f, masks, p, C)
+    return shares, _lr_ratios(f, trimmed, measures, r, p)
 
 
 def major_subset_L1(
@@ -257,11 +306,12 @@ def major_subset_L1(
     Returns (E', |<f, 1_E'>| / |E|^(1 - 1/p)) where E' removes the set where
     |f| exceeds C A / |E|^(1/p).
     """
-    prime, ratio_measure, measure = _major_subset(f, E, p, C)
-    if ratio_measure < 0.5:
+    trimmed, (share,), (measure,) = _major_subset(f, E.mask[None], p, C)
+    if share < 0.5:
         raise MajorSubsetError(
-            f"constructed subset has |E'|/|E| = {ratio_measure:.4f} < 1/2",
-            achieved_ratio=ratio_measure,
+            f"constructed subset has |E'|/|E| = {share:.4f} < 1/2",
+            achieved_ratio=share,
         )
-    pairing = abs(complex(np.sum(f.samples * prime.mask) * f.grid.cell_measure))
-    return prime, float(pairing / measure ** (1.0 - 1.0 / float(p)))
+    pairing = abs(complex(np.sum(f.samples * trimmed[0]) * f.grid.cell_measure))
+    return (MeasurableSet.from_mask(f.grid, trimmed[0]),
+            float(pairing / measure ** (1.0 - 1.0 / float(p))))

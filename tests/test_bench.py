@@ -315,6 +315,40 @@ class TestCli:
         )
         assert not (tmp_path / "reports").exists()
 
+    def test_run_writes_one_timing_line_per_target_to_stderr(self, tmp_path, capsys):
+        import hashlib
+        import re
+        from pathlib import Path
+
+        from wavetile.bench.cli import main
+
+        smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
+        assert main(["run", str(smoke), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr()
+        targets = json.loads((tmp_path / "campaign.json").read_text())["targets"]
+        results = [{"name": name, **targets[name]} for name in REGISTRY]
+        # stdout and the report are what they were before the timing lines
+        assert out.out.splitlines() == [
+            f"[PASS] {r['name']}  rows={len(r['rows'])}" for r in results
+        ] + [f"wrote 22 files under {tmp_path}", "campaign: PASS"]
+        csv = hashlib.sha256((tmp_path / "campaign.csv").read_bytes()).hexdigest()
+        assert csv == SMOKE_CSV_SHA256
+        lines = out.err.splitlines()
+        assert len(lines) == len(results)
+        headroom = 0
+        for line, r in zip(lines, results):
+            pattern = rf"{r['name']}: \d+\.\d{{3}} s  rows=(\d+)(?:  max_ratio/cap=(\S+))?"
+            got = re.fullmatch(pattern, line)
+            assert got, line
+            assert int(got[1]) == len(r["rows"])
+            agg = r["aggregates"]
+            if agg.get("max_ratio") is not None and agg.get("cap") is not None:
+                assert got[2] == f"{agg['max_ratio'] / agg['cap']:.3g}"
+                headroom += 1
+            else:
+                assert got[2] is None
+        assert headroom == 12
+
     def test_run_subcommand(self, tmp_path):
         cfg = tmp_path / "smoke.cfg"
         cfg.write_text(

@@ -1,6 +1,6 @@
 """``benchmarks/layers.py`` runs end to end on the packet engine, the
-chi-weighted averages, the stopping sweep, the Littlewood-Paley products and
-the range grid.
+chi-weighted averages, the stopping sweep, the weak-norm dualization sweep,
+the Littlewood-Paley products and the range grid.
 
 The script imports these layers by name and is not run by any other test;
 this runs it with two repeats and checks its rows.
@@ -34,6 +34,7 @@ def test_layers_script_writes_one_row_per_case(tmp_path):
         ("packet_sweep", "packet_synth"), ("lacunary", "non-lacunary", "tile"),
         (512, 1024, 4096), (1, 16),
     )) | {("chi_average", None, 512, 1), ("stopping_sweep", None, 512, 1),
+          ("weak_dualization", None, 512, 1),
           ("telescope", None, 4096, 1), ("telescope", None, 256, 1),
           ("tensor", None, 128, 1), ("range_grid", None, None, None)}
     assert len(cases) == len(want) and set(cases) == want
@@ -46,4 +47,5 @@ def test_layers_script_writes_one_row_per_case(tmp_path):
     assert [(r["dimension"], r["band"]) for r in rows if "band" in r] == [
         (1, 512), (2, 32), (2, 8),
     ]
+    assert [r["levels"] for r in rows if "levels" in r] == [32]
     assert [r["points"] for r in rows if r["layer"] == "range_grid"] == [292675]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavetile import norms
+from wavetile.bench import ExperimentConfig, generate_trial
 from wavetile.dyadic import DyadicInterval, torus_bump_samples
 from wavetile.errors import MajorSubsetError
 from wavetile.grid import GridFunction, SampleGrid, from_callable
@@ -14,6 +16,7 @@ from wavetile.norms import (
     MeasurableSet,
     MixedNormSpec,
     distribution_function,
+    dualize_superlevel_sets,
     dualize_weak_via_Lr,
     lp_norm,
     major_subset_L1,
@@ -252,3 +255,93 @@ class TestWeakDualization:
             f = random_step(g, seed)
             _, val = major_subset_L1(f, E, 2, 4.0)
             assert val <= 4.0 * weak_lp_norm(f, 2) * (1 + 1e-12)
+
+
+def _one_set_dualization(f, E, r, p, C):
+    """(|E~|/|E|, ||f 1_E~||_r / |E|^(1/r-1/p)) of one set, written out with
+    the one-set primitives; no majorness check."""
+    measure = E.measure
+    threshold = C * weak_lp_norm(f, p) / measure ** (1.0 / float(p))
+    tilde = E.minus_mask(np.abs(f.samples) > threshold)
+    value = lp_norm(GridFunction(f.grid, f.samples * tilde.mask), r)
+    return tilde.measure / measure, float(value / measure ** (1.0 / float(r) - 1.0 / float(p)))
+
+
+def _per_level_loop(f, r, p, C):
+    """Oracle of the sweep: one set at a time over the superlevel sets of |f|."""
+    shares, ratios = [], []
+    for v in np.unique(np.abs(f.samples)):
+        if v <= 0:
+            continue
+        mask = np.abs(f.samples) > v * (1 - 1e-12)
+        if not mask.any():
+            continue
+        share, ratio = _one_set_dualization(f, MeasurableSet.from_mask(f.grid, mask), r, p, C)
+        shares.append(share)
+        ratios.append(ratio)
+    return shares, ratios
+
+
+def _step_trials(seed, count):
+    """The first ``count`` step functions of the weak-dualization target at ``seed``."""
+    grid = SampleGrid(512, 1.0)
+    return [generate_trial("step", s, {"grid": grid, "depth": 5})
+            for s in ExperimentConfig(seed=seed).seeds(3, count)]
+
+
+class TestSuperlevelSweep:
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_equals_per_level_loop_bit_for_bit(self, seed):
+        for f in _step_trials(seed, 8):
+            for C in (0.25, 0.5, 1.0, 2.0, 4.0):
+                assert dualize_superlevel_sets(f, 0.5, 1.0, C) == _per_level_loop(f, 0.5, 1.0, C)
+
+    @pytest.mark.parametrize("C", [0.25, 0.5, 1.0])
+    def test_failures_are_the_sets_the_one_set_call_rejects(self, C):
+        f = _step_trials(7, 1)[0]
+        shares, ratios = dualize_superlevel_sets(f, 0.5, 1.0, C)
+        levels = [v for v in np.unique(np.abs(f.samples)) if v > 0]
+        assert len(shares) == len(levels) == 32
+        failed = []
+        for i, v in enumerate(levels):
+            E = MeasurableSet.from_mask(f.grid, np.abs(f.samples) > v * (1 - 1e-12))
+            try:
+                _, ratio = dualize_weak_via_Lr(f, E, 0.5, 1.0, C)
+            except MajorSubsetError as exc:
+                assert exc.achieved_ratio == shares[i]
+                failed.append(i)
+                continue
+            assert ratio == ratios[i]
+        assert failed == [i for i, share in enumerate(shares) if share < 0.5]
+        assert 21 <= len(failed) <= 30
+
+    @pytest.mark.parametrize("grid", [SampleGrid(256, 1.0), SampleGrid(32, 1.0, dimension=2)])
+    def test_stack_equals_one_set_calls(self, grid):
+        rng = np.random.default_rng(5)
+        shape = (grid.sample_count,) * grid.dimension
+        f = GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        density = np.linspace(0.05, 0.95, 12).reshape((-1,) + (1,) * len(shape))
+        masks = rng.random((12,) + shape) < density
+        seen = []
+        for r, p, C in ((0.5, 1, 4.0), (0.75, 2, 1.0), (1.5, 4, 0.5), (INF, 2, 2.0)):
+            trimmed, shares, measures = norms._major_subset(f, masks, p, C)
+            seen += shares
+            ratios = norms._lr_ratios(f, trimmed, measures, r, p)
+            for i, mask in enumerate(masks):
+                one, (share,), (measure,) = norms._major_subset(f, mask[None], p, C)
+                assert np.array_equal(one[0], trimmed[i])
+                assert (share, measure) == (shares[i], measures[i])
+                assert norms._lr_ratios(f, one, [measure], r, p) == [ratios[i]]
+                assert (share, ratios[i]) == _one_set_dualization(
+                    f, MeasurableSet.from_mask(grid, mask), r, p, C)
+        # the stacks hold failing, trimmed and untouched sets
+        assert min(seen) < 0.5 and any(0.5 <= x < 1 for x in seen) and max(seen) == 1.0
+
+    def test_empty_sets_are_skipped(self):
+        grid = SampleGrid(64, 1.0)
+        zero = GridFunction(grid, np.zeros(64, dtype=complex))
+        assert dualize_superlevel_sets(zero, 0.5, 1, 4.0) == ([], [])
+        # v (1 - 1e-12) rounds to v at the smallest subnormal: {|f| > v} is empty
+        tiny = GridFunction(grid, np.full(64, 5e-324, dtype=complex))
+        assert _per_level_loop(tiny, 0.5, 1, 4.0) == ([], [])
+        assert dualize_superlevel_sets(tiny, 0.5, 1, 4.0) == ([], [])

@@ -22,6 +22,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wavetile"
 KEEP = {
     "ExponentTuple": "the Hoelder check of targets that read their exponents as data (ROADMAP)",
     "major_subset_L1": "the L^1 route of the weak dualization of operator outputs (ROADMAP)",
+    "dualize_weak_via_Lr": "the one-set form of dualize_superlevel_sets and its test oracle",
     "distribution_function": "oracle of the weak-norm threshold tests",
     "size_single": "one-interval oracle of the swept size",
     "classical_paraproduct": "convolution-form oracle of the telescoping and tensor paraproducts",
@@ -45,6 +46,7 @@ UNPASSED = {
     "shifted_paraproduct(scales)": "the tests' direct-sum oracle on a few scales",
     "exceptional_set(C)": "the tests reach MajorSubsetError through a vanishing constant",
     "major_subset_L1(C)": "the L^1 route of the weak dualization of operator outputs (ROADMAP)",
+    "dualize_weak_via_Lr(C)": "the one-set oracle's threshold constant, which the tests vary",
     "classical_paraproduct(which)": "the oracle's three slot orders",
     "classical_paraproduct(axis)": "the oracle along either axis of a 2d grid",
     "classical_paraproduct(scales)": "the oracle on the tensor paraproduct's scales",
