@@ -14,10 +14,9 @@ unit-period grid at n = 512, 1024 and 4096:
 * ``synth``: the adjoint, ``WavePacketFamily.scale_synthesize`` and
   ``tile_scale_synthesize`` (slot 3), of weights with those shapes.
 
-Each is timed for a scalar input and for K = 16 components.  A package whose
-packet engine takes trailing vector axes gets one call on an ``(n, 16)``
-input; one that does not gets 16 scalar calls, which is how it evaluates a
-16-component operator.  The route taken is printed as ``vector_route``.
+Each is timed for a scalar input and for K = 16 components, the latter as
+one call on an ``(n, 16)`` input (the packet engine takes trailing vector
+axes).
 
 Two more layers run on the stopping-invariants grid (n = 512, period 4):
 
@@ -110,16 +109,6 @@ def _cases(grid: SampleGrid):
            lambda w: tile_scale_synthesize(grid, w, 3))
 
 
-def _batched(sweep, grid: SampleGrid) -> bool:
-    """Whether the engine takes trailing vector axes (one call per input)."""
-    probe = _input(grid, (2,), 0)
-    try:
-        coefs = sweep(probe)
-    except ValueError:
-        return False
-    return all(c.shape[1:] == (2,) for c in coefs.values())
-
-
 def _timed(call, repeats: int) -> dict:
     call()  # warm-up: fills the packet and bump caches
     samples = []
@@ -192,21 +181,11 @@ def measure(repeats: int) -> list[dict]:
     for n in SIZES:
         grid = SampleGrid(n, 1.0)
         for name, sweep, synth in _cases(grid):
-            batched = _batched(sweep, grid)
             for components in (1, K):
-                if components == 1 or batched:
-                    f = _input(grid, () if components == 1 else (K,), 1)
-                    weights = sweep(f)
-                    run_sweep = lambda f=f: sweep(f)  # noqa: E731
-                    run_synth = lambda w=weights: synth(w)  # noqa: E731
-                else:
-                    fs = [_input(grid, (), 1 + k) for k in range(components)]
-                    ws = [sweep(f) for f in fs]
-                    run_sweep = lambda fs=fs: [sweep(f) for f in fs]  # noqa: E731
-                    run_synth = lambda ws=ws: [synth(w) for w in ws]  # noqa: E731
-                for op, call in (("sweep", run_sweep), ("synth", run_synth)):
+                f = _input(grid, () if components == 1 else (K,), 1)
+                weights = sweep(f)
+                for op, call in (("sweep", lambda: sweep(f)), ("synth", lambda: synth(weights))):
                     row = {"layer": f"packet_{op}", "packets": name, "n": n, "K": components,
-                           "vector_route": "batched" if batched else "per-component",
                            "repeats": repeats, **_timed(call, repeats)}
                     print(json.dumps(row), flush=True)
                     rows.append(row)

@@ -209,9 +209,7 @@ def size_tilde(
     plus = collection_plus(family, I0)
     if not plus:
         raise ValueError("no enlarged intervals: family lies outside 3*I0")
-    vals = [average_single(f, iv, M) for iv in plus]
-    best = int(np.argmax(vals))
-    return SizeReport(float(vals[best]), plus[best])
+    return size(f, plus, "modified", M)
 
 
 # ---------------------------------------------------------------------------

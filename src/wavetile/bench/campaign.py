@@ -177,7 +177,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
 
     def run_one(name: str) -> TargetResult:
         target = REGISTRY[name]
-        t0 = time.time()
+        t0 = time.perf_counter()
         error = None
         try:
             rows, aggregates, passed = target.runner(cfg, cfg.cap(name))
@@ -185,7 +185,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
             rows, aggregates, passed = [], {}, False
             error = traceback.format_exc(limit=3)
         return TargetResult(name, target.statement, rows, aggregates, passed, error,
-                            time.time() - t0)
+                            time.perf_counter() - t0)
 
     if workers == 1:
         results = [run_one(name) for name in cfg.targets]

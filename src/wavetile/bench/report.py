@@ -54,17 +54,7 @@ def render_json(report: CampaignReport) -> str:
                 "passed": r.passed,
                 "error": r.error,
                 "aggregates": r.aggregates,
-                "rows": [
-                    {
-                        "trial": row.trial,
-                        "seed": row.seed,
-                        "lhs": row.lhs,
-                        "rhs": row.rhs,
-                        "ratio": row.ratio,
-                        "params": row.params,
-                    }
-                    for row in r.rows
-                ],
+                "rows": [vars(row) for row in r.rows],
             }
             for r in report.results
         },

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ScaleBudgetError
-from .grid import GridFunction, SampleGrid, max_scale
+from .grid import GridFunction, SampleGrid, max_scale, scale_range
 
 __all__ = [
     "DyadicInterval",
@@ -113,16 +113,15 @@ def grid_dyadic_family(
     """The budgeted dyadic intervals tiling the torus [0, period).
 
     Scales run from the single whole-torus interval down to intervals
-    spanning four samples (the same budget as the frequency projections).
+    spanning four samples (the same budget as the frequency projections),
+    ``scale_range(grid)``; ``scales`` picks some of them.
     """
-    kappa = grid.log2_period()
-    if scales is None:
-        scales = range(-kappa, max_scale(grid) + 1)
+    full = scale_range(grid)
     out = []
-    for j in scales:
-        if j > max_scale(grid) or j < -kappa:
+    for j in full if scales is None else scales:
+        if j not in full:
             raise ScaleBudgetError(f"scale {j} outside grid budget")
-        for m in range(2 ** (j + kappa)):
+        for m in range(2 ** (j - full.start)):
             out.append(DyadicInterval(j, m))
     return out
 
@@ -142,7 +141,7 @@ def interval_indices(grid: SampleGrid, interval: DyadicInterval) -> np.ndarray:
 def torus_bump_samples(
     grid: SampleGrid,
     interval: DyadicInterval,
-    decay_exponent: int = 10,
+    decay_exponent: int,
     shift_n: int = 0,
 ) -> np.ndarray:
     """Samples of the periodized adapted bump of I + shift_n*|I| on the torus.

@@ -230,6 +230,21 @@ def _major_subset(
     return trimmed, shares, measures
 
 
+def _major_one_set(
+    f: GridFunction, E: MeasurableSet, p: Exponent, C: float
+) -> tuple[np.ndarray, list[float]]:
+    """The trim of one set E, as a one-set stack, and [|E|]; raises
+    :class:`MajorSubsetError` when |E~| < |E|/2."""
+    trimmed, (share,), measures = _major_subset(f, E.mask[None], p, C)
+    if share < 0.5:
+        raise MajorSubsetError(
+            f"constructed subset has |E~|/|E| = {share:.4f} < 1/2 "
+            f"(threshold constant C={C})",
+            achieved_ratio=share,
+        )
+    return trimmed, measures
+
+
 def _lr_ratios(
     f: GridFunction, trimmed: np.ndarray, measures: list[float], r: Exponent, p: Exponent
 ) -> list[float]:
@@ -263,13 +278,7 @@ def dualize_weak_via_Lr(
     |E|^(1/r - 1/p)).  Raises :class:`MajorSubsetError` when |E~| < |E|/2.
     The one-set form of :func:`dualize_superlevel_sets`.
     """
-    trimmed, (share,), measures = _major_subset(f, E.mask[None], p, C)
-    if share < 0.5:
-        raise MajorSubsetError(
-            f"constructed subset has |E~|/|E| = {share:.4f} < 1/2 "
-            f"(threshold constant C={C})",
-            achieved_ratio=share,
-        )
+    trimmed, measures = _major_one_set(f, E, p, C)
     (ratio,) = _lr_ratios(f, trimmed, measures, r, p)
     return MeasurableSet.from_mask(f.grid, trimmed[0]), ratio
 
@@ -306,12 +315,7 @@ def major_subset_L1(
     Returns (E', |<f, 1_E'>| / |E|^(1 - 1/p)) where E' removes the set where
     |f| exceeds C A / |E|^(1/p).
     """
-    trimmed, (share,), (measure,) = _major_subset(f, E.mask[None], p, C)
-    if share < 0.5:
-        raise MajorSubsetError(
-            f"constructed subset has |E'|/|E| = {share:.4f} < 1/2",
-            achieved_ratio=share,
-        )
+    trimmed, (measure,) = _major_one_set(f, E, p, C)
     pairing = abs(complex(np.sum(f.samples * trimmed[0]) * f.grid.cell_measure))
     return (MeasurableSet.from_mask(f.grid, trimmed[0]),
             float(pairing / measure ** (1.0 - 1.0 / float(p))))

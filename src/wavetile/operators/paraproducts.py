@@ -312,30 +312,28 @@ def shifted_paraproduct(
 
 # Quadrature nodes of the symbol on its window [-4, 4).
 _QUAD_POINTS = 1 << 17
+# Largest |n| of the tabulated coefficients.
+_N_LIMIT = 256
 
 
-def alpha_symbol_coefficients(
-    alpha: float, n_limit: int, scale: int | None = None
-) -> np.ndarray:
-    """Fourier coefficients c_n, |n| <= n_limit, of the normalized symbol.
+def alpha_symbol_coefficients(alpha: float, scale: int = 0) -> np.ndarray:
+    """Fourier coefficients c_n, |n| <= 256, of the normalized symbol.
 
     The symbol is rho(u) = |u|^alpha * lowpass(u) expanded periodically on
     the window u in [-4, 4), wide enough to cover the spectrum of any
-    single-scale product.  With ``scale`` given, the symbol is evaluated in
-    rescaled form |2^k u|^alpha / 2^(k alpha) (identical up to round-off:
-    the coefficients are scale-invariant by construction).
+    single-scale product.  It is evaluated in the rescaled form
+    |2^k u|^alpha / 2^(k alpha) at k = ``scale``, which is exact at k = 0 and
+    equal up to round-off at any other k: the coefficients are
+    scale-invariant by construction.
 
-    Returns the array [c_-n_limit, ..., c_0, ..., c_n_limit].
+    Returns the array [c_-256, ..., c_0, ..., c_256].
     """
     nq = _QUAD_POINTS
     u = -4.0 + 8.0 * np.arange(nq) / nq
-    if scale is None:
-        vals = np.abs(u) ** alpha * low_pass_profile(u)
-    else:
-        xi = u * 2.0 ** scale
-        vals = (np.abs(xi) ** alpha / 2.0 ** (scale * alpha)) * low_pass_profile(u)
+    xi = u * 2.0 ** scale
+    vals = (np.abs(xi) ** alpha / 2.0 ** (scale * alpha)) * low_pass_profile(u)
     coefs = np.fft.fft(vals) / nq
-    ns = np.arange(-n_limit, n_limit + 1)
+    ns = np.arange(-_N_LIMIT, _N_LIMIT + 1)
     sign = np.where(ns % 2 == 0, 1.0, -1.0)  # phase from the window offset
     return sign * coefs[ns % nq]
 

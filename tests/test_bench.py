@@ -142,6 +142,33 @@ class TestBoundedVerdict:
         assert passed is want
 
 
+class TestCappedVerdict:
+    @pytest.mark.parametrize("ratios", [(0.5, float("nan")), (float("nan"), 0.5)])
+    def test_nan_ratio_fails_and_is_the_reported_maximum(self, ratios):
+        from wavetile.bench.targets import TrialRow, _capped
+
+        rows = [TrialRow(t, 0, x, 1.0, x) for t, x in enumerate(ratios)]
+        _, aggregates, passed = _capped(rows, 1.0)
+        assert passed is False
+        assert np.isnan(aggregates["max_ratio"])
+
+
+class TestTrialRows:
+    def test_trial_with_zero_rhs_is_dropped(self):
+        from wavetile.bench.targets import _trial_rows
+
+        def trial(t, seed):
+            return [(float(t + 1), 0.0 if t == 1 else 2.0, {"t": t})]
+
+        cfg = ExperimentConfig(seed=7)
+        rows = _trial_rows(cfg, 0, 3, trial)
+        seeds = cfg.seeds(0, 3)
+        assert [(r.trial, r.seed, r.lhs, r.rhs, r.ratio, r.params) for r in rows] == [
+            (0, seeds[0], 1.0, 2.0, 0.5, {"t": 0}),
+            (2, seeds[2], 3.0, 2.0, 1.5, {"t": 2}),
+        ]
+
+
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
 
 # sha256 of the seed-7, one-trial, full-registry report

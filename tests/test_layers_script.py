@@ -39,8 +39,6 @@ def test_layers_script_writes_one_row_per_case(tmp_path):
           ("tensor", None, 128, 1), ("range_grid", None, None, None)}
     assert len(cases) == len(want) and set(cases) == want
     assert all(r["median_ms"] > 0 for r in rows)
-    packet_rows = [r for r in rows if r["layer"].startswith("packet_")]
-    assert all(r["vector_route"] == "batched" for r in packet_rows)
     assert {r["layer"]: r["intervals"] for r in rows if "intervals" in r} == {
         "chi_average": 31, "stopping_sweep": 39,
     }

@@ -285,14 +285,14 @@ class TestShiftedParaproduct:
 class TestAlphaSymbolCoefficients:
     def test_coefficient_decay_and_scale_invariance(self):
         for alpha in (0.25, 0.5, 1.0):
-            table = alpha_symbol_coefficients(alpha, 256)
+            table = alpha_symbol_coefficients(alpha)
             ns = np.arange(-256, 257)
             weighted = np.abs(table) * (1 + np.abs(ns)) ** (1 + alpha)
             assert np.isfinite(weighted.max())
             assert weighted.max() <= 4.0
             drift = np.abs(
-                alpha_symbol_coefficients(alpha, 256, scale=0)
-                - alpha_symbol_coefficients(alpha, 256, scale=5)
+                alpha_symbol_coefficients(alpha, scale=0)
+                - alpha_symbol_coefficients(alpha, scale=5)
             ).max()
             assert drift <= 1e-10
 
