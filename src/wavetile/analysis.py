@@ -6,15 +6,17 @@ All interval-indexed quantities are driven by weighted averages
 
 where chi is the polynomial-decay bump of the (optionally translated)
 interval, periodized on the torus.  Full-scale sweeps are computed with one
-circular correlation per scale; single intervals are evaluated directly so
-witnesses can be re-checked independently of the fast path.
+circular correlation per scale.  A list of intervals (the modified size, each
+stopping sweep) reads one batched pass, |f| taken once and one dot product
+per bump; :func:`average_single` evaluates one interval directly and is the
+oracle the witnesses and level brackets are re-checked against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,6 +74,17 @@ def average_single(
     w = torus_bump_samples(f.grid, interval, M, shift_n)
     dx = f.grid.spacing
     return float(np.dot(np.abs(f.samples), w).real * dx / interval.length)
+
+
+def _averages(f: GridFunction, intervals: list[DyadicInterval], M: int) -> np.ndarray:
+    """:func:`average_single` of each interval, |f| taken once.  Each bump
+    gets its own ``np.dot``, as there, so every value equals it bit for bit;
+    one matrix product would round differently."""
+    _require_1d(f)
+    fa = np.abs(f.samples)
+    dots = np.array([np.dot(fa, torus_bump_samples(f.grid, iv, M)) for iv in intervals])
+    lengths = np.array([iv.length for iv in intervals])
+    return dots * f.grid.spacing / lengths
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +195,7 @@ def size(
     if not family:
         raise ValueError("size of an empty family is undefined")
     if flavor == "modified":
-        vals = [average_single(f, iv, M) for iv in family]
+        vals = _averages(f, family, M)
     elif flavor == "non-lacunary":
         fam = WavePacketFamily(f.grid, family, "non-lacunary")
         coefs = fam.coefficients(f)
@@ -281,12 +294,22 @@ def energy(
 # Maximal and square operators
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
+def _bump_spectrum(n, period, scale, position, decay_exponent):
+    """conj(rfft) of the torus bump, keyed as ``dyadic._torus_bump_cached``."""
+    bump = torus_bump_samples(SampleGrid(n, period), DyadicInterval(scale, position),
+                              decay_exponent)
+    spectrum = np.conj(np.fft.rfft(bump))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def maximal(f: GridFunction, shift_n: int = 0) -> GridFunction:
     """Shifted dyadic maximal function: at x, the sup over budgeted dyadic
     I containing x of the chi-weighted average of |f| on I + shift_n |I|.
 
     |f| is transformed once; each scale correlates it with the position-0
-    bump and reads the correlation every stride.
+    bump, whose spectrum is cached, and reads the correlation every stride.
     """
     _require_1d(f)
     grid = f.grid
@@ -294,8 +317,8 @@ def maximal(f: GridFunction, shift_n: int = 0) -> GridFunction:
     fa_hat = np.fft.rfft(np.abs(f.samples))
     out = np.zeros(n)
     for j in scale_range(grid):
-        base = torus_bump_samples(grid, DyadicInterval(j, 0), _M, shift_n)
-        corr = np.fft.irfft(fa_hat * np.conj(np.fft.rfft(base)), n=n)
+        spectrum = _bump_spectrum(n, grid.period_length, j, shift_n, _M)
+        corr = np.fft.irfft(fa_hat * spectrum, n=n)
         length = 2.0 ** (-j)
         stride = round(length / grid.spacing)
         avgs = np.maximum(corr[::stride] * grid.spacing / length, 0.0)
@@ -421,10 +444,7 @@ class StoppingForest:
     measure_constants: dict[int, float] = field(default_factory=dict)
 
     def all_members(self) -> list[DyadicInterval]:
-        out = []
-        for cell in self.cells:
-            out.extend(cell.members)
-        return out
+        return [iv for cell in self.cells for iv in cell.members]
 
     def to_json_dict(self) -> dict:
         def iv(i: DyadicInterval):
@@ -484,79 +504,69 @@ def _distance_to_mask(grid: SampleGrid, mask: np.ndarray) -> np.ndarray:
     return d * grid.spacing
 
 
-def _ancestor_chain(iv: DyadicInterval, root: DyadicInterval) -> list[DyadicInterval]:
-    """Ancestors of iv inside root, coarsest (root) first."""
-    chain = []
-    j = iv
-    while True:
-        chain.append(j)
-        if j == root:
-            break
-        j = j.parent()
-    chain.reverse()
-    return chain
+def _bucket(stock: list[DyadicInterval], root: DyadicInterval) -> tuple:
+    """What the three sweeps of one distance bucket share: collection_plus
+    (stock, root) in (scale, position) order, its containment table against
+    the stock, each stock member's row in it, and the rows inside the root."""
+    plus = sorted(collection_plus(stock, root))
+    row = {iv: k for k, iv in enumerate(plus)}
+    return (plus, _containment(plus, stock), np.array([row[iv] for iv in stock]),
+            _containment([root], plus)[0])
 
 
-def _single_stopping(
-    stock: list[DyadicInterval],
-    indicator: GridFunction,
-    root: DyadicInterval,
-    M: int,
-) -> tuple[dict[DyadicInterval, tuple[int, DyadicInterval]], list[tuple[int, DyadicInterval, tuple]]]:
-    """One greedy level sweep of the stopping time over a stock of intervals.
+def _sweep(stock: list[DyadicInterval], bucket: tuple, indicator: GridFunction, M: int,
+           root: DyadicInterval) -> tuple[list[tuple], list[tuple]]:
+    """One greedy level sweep of the stopping time over a bucket's stock.
 
-    Returns the per-interval assignment (level, selected ancestor) and the
-    level records.  Levels are clamped at 0; the first level's upper bracket
-    is the bump-tail constant rather than 1 since chi-averages may exceed 1.
+    Reads the chi-averages of the bucket's collection in one pass.  Returns
+    each stock member's (level, selected ancestor) and the level records.
+    Levels are clamped at 0; the first level's upper bracket is the
+    bump-tail constant rather than 1 since chi-averages may exceed 1.
     """
-    # one sweep reads most averages many times over
-    avg = functools.cache(lambda iv: average_single(indicator, iv, M))
-    remaining = list(stock)
-    assignment: dict[DyadicInterval, tuple[int, DyadicInterval]] = {}
+    plus, cont, rows, inside = bucket
+    avg = _averages(indicator, plus, M)
+    remaining = np.ones(len(stock), dtype=bool)
+    assignment: list[tuple[int, DyadicInterval]] = [None] * len(stock)
     records: list[tuple[int, DyadicInterval, tuple]] = []
 
+    def select(level: int, side: DyadicInterval, members: np.ndarray):
+        idx = np.flatnonzero(members).tolist()
+        records.append((level, side, tuple(stock[i] for i in idx)))
+        for i in idx:
+            assignment[i] = (level, side)
+        remaining[idx] = False
+
     def stilde() -> float:
-        plus = collection_plus(remaining, bound=root)
-        return max((avg(j) for j in plus), default=0.0)
+        # over collection_plus(remaining, root): the rows above a remaining member
+        return float(avg[cont[:, remaining].any(axis=1)].max())
 
     # s changes only when remaining shrinks, at the end of a selecting level
     s = stilde()
     n = max(0, int(math.floor(-math.log2(min(s, 1.0)))) if s > 0 else _LEVEL_CAP + 1)
-    while remaining:
+    while remaining.any():
         if s <= 0 or n > _LEVEL_CAP:
-            records.append((_LEVEL_CAP + 1, root, tuple(remaining)))
-            for iv in remaining:
-                assignment[iv] = (_LEVEL_CAP + 1, root)
-            remaining = []
+            select(_LEVEL_CAP + 1, root, remaining)
             break
         lo = 2.0 ** (-n - 1)
         if s <= lo:
             n = max(n + 1, int(math.floor(-math.log2(s))))
             continue
-        candidates = [iv for iv in remaining if avg(iv) > lo]
-        if not candidates:
+        candidates = remaining & (avg[rows] > lo)
+        if not candidates.any():
             n += 1
             continue
         top = 2.0 ** (-n) * (1 + 1e-9) if n >= 1 else s * (1 + 1e-9)
-        chosen: dict[DyadicInterval, None] = {}
-        for iv in candidates:
-            side = iv
-            for anc in _ancestor_chain(iv, root):
-                if lo * (1 - 1e-12) <= avg(anc) <= top:
-                    side = anc
-                    break
-            chosen.setdefault(side, None)
-        for side in sorted(chosen, key=lambda i: (i.scale, i.position)):
-            members = tuple(iv for iv in remaining if side.contains(iv))
-            if not members:
-                continue
-            records.append((n, side, members))
-            for iv in members:
-                assignment[iv] = (n, side)
-            member_set = set(members)
-            remaining = [iv for iv in remaining if iv not in member_set]
+        # each candidate's coarsest ancestor inside the root with its average
+        # in the bracket (the first hit in scale order), else the candidate
+        in_bracket = inside & (avg >= lo * (1 - 1e-12)) & (avg <= top)
+        hits = cont[:, candidates] & in_bracket[:, None]
+        sides = np.where(hits.any(axis=0), hits.argmax(axis=0), rows[candidates])
+        for k in np.unique(sides).tolist():
+            members = remaining & cont[k]
+            if members.any():
+                select(n, plus[k], members)
         n += 1
-        if remaining:
+        if remaining.any():
             s = stilde()
     return assignment, records
 
@@ -584,37 +594,27 @@ def stopping_decompose(
     root_bump = GridFunction(grid, torus_bump_samples(grid, I0, _M).astype(complex))
     exc = exceptional_set(E3, [(E1.indicator, root_bump), (E2.indicator, root_bump)])
 
-    comp_mask = ~exc.omega.mask
-    dist = _distance_to_mask(grid, comp_mask)
+    dist = _distance_to_mask(grid, ~exc.omega.mask)
     buckets: dict[int, list[DyadicInterval]] = {}
     for iv in family:
-        idx = interval_indices(grid, iv)
-        d_iv = float(dist[idx].min())
+        d_iv = float(dist[interval_indices(grid, iv)].min())
         d = int(math.floor(math.log2(1.0 + d_iv / iv.length)))
         buckets.setdefault(d, []).append(iv)
 
+    indicators = {1: E1.indicator, 2: E2.indicator, 3: exc.protected.indicator}
     cells: dict[tuple, list[DyadicInterval]] = {}
     selections: list[LevelSelection] = []
-
     for d in sorted(buckets):
         stock = buckets[d]
-        sweeps = {}
-        for axis, (ind, expo) in {
-            1: (E1.indicator, _M),
-            2: (E2.indicator, _M),
-            3: (exc.protected.indicator, 2 * _M),
-        }.items():
-            assign, records = _single_stopping(stock, ind, I0, expo)
-            sweeps[axis] = assign
-            for n, side, members in records:
-                selections.append(LevelSelection(d, axis, n, side, members))
-        for iv in stock:
-            n1, s1 = sweeps[1][iv]
-            n2, s2 = sweeps[2][iv]
-            n3, s3 = sweeps[3][iv]
+        bucket = _bucket(stock, I0)
+        sweeps = []
+        for axis, ind in indicators.items():
+            assign, records = _sweep(stock, bucket, ind, 2 * _M if axis == 3 else _M, I0)
+            sweeps.append(assign)
+            selections.extend(LevelSelection(d, axis, *record) for record in records)
+        for iv, ((n1, s1), (n2, s2), (n3, s3)) in zip(stock, zip(*sweeps)):
             cell = max((s1, s2, s3), key=lambda s: s.scale)
-            key = (d, n1, n2, n3, cell)
-            cells.setdefault(key, []).append(iv)
+            cells.setdefault((d, n1, n2, n3, cell), []).append(iv)
 
     cell_list = [
         StoppingCell(d, n1, n2, n3, cell, tuple(members))
@@ -622,11 +622,7 @@ def stopping_decompose(
     ]
 
     constants: dict[int, float] = {}
-    weights = {
-        1: lp_norm(E1.indicator, 1, weight=root_bump),
-        2: lp_norm(E2.indicator, 1, weight=root_bump),
-        3: lp_norm(exc.protected.indicator, 1, weight=root_bump),
-    }
+    weights = {axis: lp_norm(ind, 1, weight=root_bump) for axis, ind in indicators.items()}
     per_level: dict[tuple[int, int, int], float] = {}
     for sel in selections:
         key = (sel.axis, sel.d, sel.level)
@@ -637,12 +633,5 @@ def stopping_decompose(
         c = total / (2.0 ** n * weights[axis])
         constants[axis] = max(constants.get(axis, 0.0), c)
 
-    return StoppingForest(
-        cells=cell_list,
-        selections=selections,
-        exceptional=exc,
-        root=I0,
-        C=_C,
-        M=_M,
-        measure_constants=constants,
-    )
+    return StoppingForest(cells=cell_list, selections=selections, exceptional=exc, root=I0,
+                          C=_C, M=_M, measure_constants=constants)

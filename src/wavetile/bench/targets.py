@@ -83,18 +83,25 @@ def _trial_rows(cfg: ExperimentConfig, seed_index: int, default_trials: int,
     ]
 
 
+def _nonempty(rows: list[TrialRow]) -> list[TrialRow]:
+    if not rows:
+        raise ValueError("no rows to judge: every trial was dropped as degenerate")
+    return rows
+
+
 def _capped(rows: list[TrialRow], cap: float, gate: bool = True, **extra):
     """Ratio-cap verdict: pass iff every row's ratio is at most ``cap`` and
     ``gate`` (the target's further check) holds; a nan ratio fails and is
-    the reported maximum."""
-    max_ratio = float(np.max([r.ratio for r in rows]))
+    the reported maximum, and no rows at all raise."""
+    max_ratio = float(np.max([r.ratio for r in _nonempty(rows)]))
     return rows, {"max_ratio": max_ratio, "cap": cap, **extra}, max_ratio <= cap and gate
 
 
 def _bounded(rows: list[TrialRow], aggregates: dict, gate: bool = True):
     """Row-bound verdict: pass iff every row's ratio (its lhs over its own
-    bound) is at most 1 and ``gate`` holds; a nan ratio fails."""
-    return rows, aggregates, all(r.ratio <= 1.0 for r in rows) and gate
+    bound) is at most 1 and ``gate`` holds; a nan ratio fails, and no rows
+    at all raise."""
+    return rows, aggregates, all(r.ratio <= 1.0 for r in _nonempty(rows)) and gate
 
 
 def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -166,7 +173,7 @@ def _run_weak_dualization(cfg, cap):
         return [(best, weak_lp_norm(f, p), {"r": r, "p": p, "smallest_major_C": trial_c})]
 
     rows = _trial_rows(cfg, 3, 50, trial)
-    ratios = [row.ratio for row in rows]
+    ratios = [row.ratio for row in _nonempty(rows)]
     passed = (
         fails == 0
         and all(0.25 * (1 - 1e-9) <= x <= 4.0 * (1 + 1e-9) for x in ratios)

@@ -5,6 +5,7 @@ import pytest
 
 from wavetile import analysis
 from wavetile.analysis import (
+    _averages,
     _containment,
     _greedy_disjoint,
     _lacunary_weak_norms,
@@ -20,6 +21,7 @@ from wavetile.analysis import (
 )
 from wavetile.dyadic import (
     DyadicInterval,
+    collection_plus,
     grid_dyadic_family,
     interval_indices,
     torus_bump_samples,
@@ -157,6 +159,26 @@ class TestBatchedWeakNorms:
             f = band_limited(g, 60 + seed, 50)
             want = [weak_lp_norm(_local_square_function(f, family, root), 1) for root in family]
             assert _lacunary_weak_norms(f, family) == want
+
+
+class TestBatchedAverages:
+    """The one-pass chi-averages of the modified size and the stopping sweep
+    must equal average_single, the direct route, bit for bit."""
+
+    @pytest.mark.parametrize("M", [4, 10, 20])
+    def test_equals_average_single(self, M):
+        g = SampleGrid(512, 4.0)
+        root = DyadicInterval(0, 0)
+        # every ancestor within 3*root of a subtree inside the root and of
+        # subtrees of its two neighbours, which lie outside it
+        members = subtree(root, 4)
+        members += subtree(DyadicInterval(0, -1), 2) + subtree(DyadicInterval(0, 1), 2)
+        pool = collection_plus(members, root)
+        assert any(not root.contains(iv) for iv in pool)
+        indicator = from_callable(g, lambda x: ((x > 0.3) & (x < 1.2)).astype(float))
+        for f in (band_limited(g, 70 + M, 40), indicator):
+            want = [average_single(f, iv, M) for iv in pool]
+            assert _averages(f, pool, M).tolist() == want
 
 
 class TestSizeTilde:

@@ -141,6 +141,12 @@ class TestBoundedVerdict:
         assert got_rows is rows and got_aggregates is aggregates
         assert passed is want
 
+    def test_no_rows_fail_with_a_named_reason(self):
+        from wavetile.bench.targets import _bounded
+
+        with pytest.raises(ValueError, match="every trial was dropped"):
+            _bounded([], {})
+
 
 class TestCappedVerdict:
     @pytest.mark.parametrize("ratios", [(0.5, float("nan")), (float("nan"), 0.5)])
@@ -151,6 +157,19 @@ class TestCappedVerdict:
         _, aggregates, passed = _capped(rows, 1.0)
         assert passed is False
         assert np.isnan(aggregates["max_ratio"])
+
+    def test_no_rows_fail_with_a_named_reason(self):
+        from wavetile.bench.targets import _capped
+
+        with pytest.raises(ValueError, match="every trial was dropped"):
+            _capped([], 1.0)
+
+    def test_weak_dualization_with_no_rows_names_the_reason(self, monkeypatch):
+        from wavetile.bench import targets
+
+        monkeypatch.setattr(targets, "weak_lp_norm", lambda f, p: 0.0)  # every rhs 0
+        with pytest.raises(ValueError, match="every trial was dropped"):
+            targets._run_weak_dualization(ExperimentConfig(seed=7, trials=1), None)
 
 
 class TestTrialRows:

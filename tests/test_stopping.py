@@ -1,5 +1,6 @@
 """Triple stopping time: invariants, exhaustive verification, golden file."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -157,26 +158,58 @@ class TestRandomizedInvariants:
             assert tot <= 8.0 * 2.0 ** n * weight
 
 
+def one_cell_config(k, depth):
+    """E1 the one sample cell [k/128, (k+1)/128) and E2 = E3 = [0, 1): the
+    maximal function of 1_E1 chi_I0 clears its threshold on a nonempty Omega,
+    so the family spreads over several distance buckets."""
+    g = SampleGrid(512, 4.0)
+    cell = np.zeros(g.sample_count, dtype=bool)
+    cell[k] = True
+    unit = np.zeros(g.sample_count, dtype=bool)
+    unit[:128] = True
+    E2 = MeasurableSet.from_mask(g, unit)
+    root = DyadicInterval(0, 0)
+    return subtree(root, depth), MeasurableSet.from_mask(g, cell), E2, E2, root
+
+
 class TestNonemptyExceptionalSet:
     def test_far_buckets_pass_the_invariants(self):
-        # E1 is one sample cell, [76/128, 77/128): the maximal function of
-        # 1_E1 chi_I0 clears its threshold on [1/2, 3/4), so Omega is that
-        # quarter and the intervals inside it land in bucket d = 1
-        g = SampleGrid(512, 4.0)
-        root = DyadicInterval(0, 0)
-        family = subtree(root, 4)
-        cell = np.zeros(g.sample_count, dtype=bool)
-        cell[76] = True
-        unit = np.zeros(g.sample_count, dtype=bool)
-        unit[:128] = True
-        E1 = MeasurableSet.from_mask(g, cell)
-        E2 = MeasurableSet.from_mask(g, unit)
-        forest = stopping_decompose(family, E1, E2, E2, root)
+        # at k = 76 Omega is the quarter [1/2, 3/4), and the intervals
+        # inside it land in bucket d = 1
+        family, E1, E2, E3, root = one_cell_config(76, 4)
+        forest = stopping_decompose(family, E1, E2, E3, root)
         assert forest.exceptional.omega.measure == 0.25
         assert forest.exceptional.ratio == 0.75
         assert {sel.d for sel in forest.selections} == {0, 1}
         assert any(sel.axis == 3 and sel.d >= 1 for sel in forest.selections)
         verify_forest(forest, family, E1, E2)
+
+
+def forests_sha256(configs):
+    digest = hashlib.sha256()
+    for family, E1, E2, E3, root in configs:
+        forest = stopping_decompose(family, E1, E2, E3, root)
+        digest.update(json.dumps(forest.to_json_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedForests:
+    """Every forest of these configs, byte for byte.  No random config leaves
+    bucket d = 0 (Omega is empty in each), so the one-cell configs pin the
+    buckets' shared structure: up to four buckets each at depth 5."""
+
+    RANDOM_SHA256 = "11b11b75ec37af22b82c9caf1c5f3a5767c474ef6b5e1002ed2b2afad764ef7a"
+    ONE_CELL_SHA256 = "b9c091a76e17b42fe35b6f66e87a2640a593771c194b03ee4948f86d25eaecbb"
+
+    def test_random_configs(self):
+        g = SampleGrid(512, 4.0)
+        configs = [random_config(seed, g, 3 + seed % 3) for seed in range(60)]
+        configs.append(one_cell_config(76, 4))
+        assert forests_sha256(configs) == self.RANDOM_SHA256
+
+    def test_one_cell_configs(self):
+        configs = [one_cell_config(k, 5) for k in range(0, 128, 4)]
+        assert forests_sha256(configs) == self.ONE_CELL_SHA256
 
 
 class TestSerialization:
@@ -192,10 +225,7 @@ class TestSerialization:
 
     def test_golden_file(self):
         got = self.make_forest().to_json_dict()
-        if not GOLDEN.exists():
-            GOLDEN.parent.mkdir(exist_ok=True)
-            GOLDEN.write_text(json.dumps(got, sort_keys=True, indent=1) + "\n")
-        want = json.loads(GOLDEN.read_text())
+        want = json.loads(GOLDEN.read_text())  # a missing file fails
         assert got == want
 
     def test_schema_fields(self):
