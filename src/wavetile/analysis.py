@@ -23,11 +23,12 @@ import numpy as np
 from .dyadic import (
     DyadicInterval,
     WavePacketFamily,
+    _stride,
     collection_plus,
     interval_indices,
     torus_bump_samples,
 )
-from .errors import MajorSubsetError, ShapeError
+from .errors import MajorSubsetError, ScaleBudgetError, ShapeError
 from .grid import GridFunction, SampleGrid, max_scale, scale_range
 from .norms import MeasurableSet, lp_norm, weak_lp_norm
 
@@ -168,10 +169,11 @@ def _lacunary_weak_norms(f: GridFunction, family: list[DyadicInterval]) -> list[
     grid = f.grid
     n = grid.sample_count
     terms = np.array(_square_terms(f, family))
-    cells = [interval_indices(grid, iv) for iv in family]
     root, member = np.nonzero(_containment(family, family))
-    widths = np.array([len(cell) for cell in cells])[member]
-    starts = np.array([cell[0] for cell in cells])[member]
+    # the packet sweep raised on scales outside the packet budget, so each
+    # member covers _stride samples from position * stride on, mod n
+    widths = np.array([_stride(grid, iv.scale) for iv in family])[member]
+    starts = np.array([iv.position for iv in family])[member] * widths
     offsets = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
     acc = np.zeros((len(family), n))
     # unbuffered, in index order: each row lists its members in family order
@@ -278,7 +280,8 @@ def energy(
     positive = cvals > 0
     if not positive.any():
         return EnergyReport(0.0, 0, ())
-    levels = sorted({int(np.floor(np.log2(c))) for c in cvals[positive]}, reverse=True)
+    # floor(log2 c) is the binary exponent; np.log2 rounds up just below 2**k
+    levels = sorted(set((np.frexp(cvals[positive])[1] - 1).tolist()), reverse=True)
     best_value, best_level, best_family = 0.0, 0, ()
     for n in levels:
         thr = 2.0 ** n
@@ -595,9 +598,18 @@ def stopping_decompose(
     exc = exceptional_set(E3, [(E1.indicator, root_bump), (E2.indicator, root_bump)])
 
     dist = _distance_to_mask(grid, ~exc.omega.mask)
+    # per scale, the minima over blocks of min(_stride, n) samples, which
+    # tile the torus: the interval (j, m) reads block m mod the block count
+    minima: dict[int, np.ndarray] = {}
     buckets: dict[int, list[DyadicInterval]] = {}
     for iv in family:
-        d_iv = float(dist[interval_indices(grid, iv)].min())
+        if iv.scale not in minima:
+            stride = _stride(grid, iv.scale)
+            if stride == 0:
+                raise ScaleBudgetError(f"interval {iv} is shorter than one sample")
+            minima[iv.scale] = dist.reshape(-1, min(stride, dist.size)).min(axis=1)
+        block_min = minima[iv.scale]
+        d_iv = float(block_min[iv.position % len(block_min)])
         d = int(math.floor(math.log2(1.0 + d_iv / iv.length)))
         buckets.setdefault(d, []).append(iv)
 

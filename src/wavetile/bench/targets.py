@@ -26,7 +26,7 @@ import numpy as np
 
 from .. import analysis, dyadic, norms, operators
 from ..errors import MajorSubsetError
-from ..grid import GridFunction, SampleGrid
+from ..grid import GridFunction, SampleGrid, max_scale
 from ..norms import INF, MixedNormSpec, lp_norm, mixed_norm, weak_lp_norm
 from .generate import generate_trial, rng_for
 
@@ -233,15 +233,13 @@ def _stopping_checks(forest, family, E1, E2) -> dict:
     """Partition, disjointness, bracket, size-bound, and d-decay checks."""
     M = forest.M
     partition_ok = sorted(forest.all_members()) == sorted(family)
-    disjoint_ok = True
-    by_level: dict[tuple, list] = {}
-    for sel in forest.selections:
-        by_level.setdefault((sel.d, sel.axis, sel.level), []).append(sel.interval)
-    for ivs in by_level.values():
-        for i in range(len(ivs)):
-            for j in range(i + 1, len(ivs)):
-                if not ivs[i].disjoint(ivs[j]):
-                    disjoint_ok = False
+    ivs = [sel.interval for sel in forest.selections]
+    levels = np.array([(sel.d, sel.axis, sel.level) for sel in forest.selections])
+    levels = levels.reshape(-1, 3)  # (0, 3) when there is no selection
+    # two selections at one (d, axis, level) overlap iff one contains the other
+    overlaps = analysis._containment(ivs, ivs) & (levels[:, None] == levels[None]).all(axis=2)
+    np.fill_diagonal(overlaps, False)
+    disjoint_ok = not overlaps.any()
     indicators = {1: (E1.indicator, M), 2: (E2.indicator, M),
                   3: (forest.exceptional.protected.indicator, 2 * M)}
     tail = 1.0 + 2.0 / (M - 1.0)
@@ -310,17 +308,14 @@ def _run_size_energy(cfg, cap):
                    monotone_decay=monotone)
 
 
-def _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band):
+def _vv_ratio(grid, base, seed, K, r1, r2, r, p, q, s, band):
     fs = generate_trial("band_limited", seed,
                         {"grid": grid, "band": band, "vector_shape": (K,)})
     gs = generate_trial("band_limited", seed + 911,
                         {"grid": grid, "band": band, "vector_shape": (K,)})
-    from ..grid import max_scale as _max_scale
-
-    fam = dyadic.grid_dyadic_family(grid, range(1, min(8, _max_scale(grid) + 1)))
     rng = rng_for(seed, 13)
-    keep = rng.random(len(fam)) < 0.8
-    family = [iv for iv, k in zip(fam, keep) if k]
+    keep = rng.random(len(base)) < 0.8
+    family = [iv for iv, k in zip(base, keep) if k]
     coeffs = rng.uniform(0.3, 1.0, len(family))
     spec = operators.ParaproductSpec(grid, family, coeffs)
     out, (n_out, n_f, n_g) = operators.vector_valued_apply(
@@ -334,6 +329,7 @@ def _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band):
 
 def _run_vv_paraproduct(cfg, cap):
     grid = SampleGrid(cfg.grid_size, 1.0)
+    base = dyadic.grid_dyadic_family(grid, range(1, min(8, max_scale(grid) + 1)))
     r1, r2, r = Fraction(3, 2), Fraction(3, 2), Fraction(3, 4)
     p, q, s = 4, 4, 2
     Ks = [1, 2, 4, 8, 16]
@@ -341,7 +337,8 @@ def _run_vv_paraproduct(cfg, cap):
     maxima = []
     for K in Ks:
         def trial(t, seed):
-            ratio = _vv_ratio(grid, seed, K, r1, r2, r, p, q, s, band=grid.sample_count // 8)
+            ratio = _vv_ratio(grid, base, seed, K, r1, r2, r, p, q, s,
+                              band=grid.sample_count // 8)
             return [] if ratio is None else [(ratio, 1.0, {"K": K})]
 
         group = _trial_rows(cfg, 6 + K, 40, trial)
@@ -713,11 +710,12 @@ def _run_bht_localized(cfg, cap):
     r = 1.0
     expo1 = (1 + theta) / 2 - 1 / r1  # exponents of the local sizes
     expo3 = (1 + theta) / 2 - 0.0  # 1/r' = 0 at r = 1
+    tiles = dyadic.build_rank_one_tiles(grid, range(3, 6), range(0, 4))
+    tiles = [tt for tt in tiles if root.contains(tt.spatial)]
+    spec = operators.BHTModelSpec(grid, tiles)
+    spatial = [tt.spatial for tt in tiles]
 
     def trial(t, seed):
-        tiles = dyadic.build_rank_one_tiles(grid, range(3, 6), range(0, 4))
-        tiles = [tt for tt in tiles if root.contains(tt.spatial)]
-        spec = operators.BHTModelSpec(grid, tiles)
         F = generate_trial("dyadic_union", seed + 5, {"grid": grid, "measure": 0.25})
         G = generate_trial("dyadic_union", seed + 6, {"grid": grid, "measure": 0.25})
         Et = generate_trial("dyadic_union", seed + 7, {"grid": grid, "measure": 0.25})
@@ -727,7 +725,6 @@ def _run_bht_localized(cfg, cap):
         gG = GridFunction(grid, g.samples * G.mask)
         out = operators.bht_model(spec, fF, gG)
         lhs = lp_norm(GridFunction(grid, out.samples * Et.mask), r)
-        spatial = [tt.spatial for tt in tiles]
         sF, sG, sE = _local_sizes((F.indicator, G.indicator, Et.indicator), spatial, root)
         rhs = (
             sF ** expo1 * sG ** expo1 * sE ** expo3

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -372,7 +372,6 @@ class WavePacketFamily:
             self.grid.sample_count, self.grid.period_length, scale, self.flavor
         )
 
-    @cached_property
     def _layout(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """(scale, list indices, positions) per scale of the interval list,
         scales in order of first appearance, indices in list order."""
@@ -403,7 +402,7 @@ class WavePacketFamily:
 
     def coefficients(self, f: GridFunction) -> np.ndarray:
         """<f, packet(I)> aligned with the interval list (axis 0)."""
-        layout = self._layout
+        layout = self._layout()
         by_scale = self.scale_coefficients(f, [j for j, _, _ in layout])
         out = np.empty((len(self.intervals),) + f.vector_shape, dtype=complex)
         for j, idx, pos in layout:
@@ -432,7 +431,7 @@ class WavePacketFamily:
         weights = np.asarray(weights)
         vshape = weights.shape[1:]
         layers = []
-        for j, idx, pos in self._layout:
+        for j, idx, pos in self._layout():
             arr = np.zeros((2 ** (j + kappa),) + vshape, dtype=complex)
             np.add.at(arr, pos, weights[idx])  # unbuffered: in list order
             layers.append((arr, self._base(j)))

@@ -14,7 +14,7 @@ irrespective of the family size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -72,17 +72,6 @@ class ParaproductSpec:
         """Coefficient 1 on every interval."""
         return cls(grid, family, np.ones(len(family), dtype=complex))
 
-    @cached_property
-    def _slot_families(self) -> tuple[WavePacketFamily, ...]:
-        """The packet family of each slot, built once per spec so that every
-        application shares their index arrays."""
-        return tuple(WavePacketFamily(self.grid, self.family, flavor) for flavor in _SLOTS)
-
-    @cached_property
-    def _sqrt_lengths(self) -> np.ndarray:
-        """|I|^(1/2) per interval, in family order."""
-        return np.sqrt(np.array([iv.length for iv in self.family]))
-
     def restricted(self, I0: DyadicInterval) -> "ParaproductSpec":
         keep = [i for i, iv in enumerate(self.family) if I0.contains(iv)]
         return ParaproductSpec(
@@ -110,10 +99,10 @@ class LocalizationSpec:
 def _slot_weights(spec: ParaproductSpec, f: GridFunction, g: GridFunction):
     """Per-interval weights c_I |I|^(-1/2) <f, phi1> <g, phi2>, interval
     axis first and the inputs' vector axes after it."""
-    fam1, fam2, _ = spec._slot_families
-    a = fam1.coefficients(f)
-    b = fam2.coefficients(g)
-    return _column(spec.coefficients, a.ndim) * a * b / _column(spec._sqrt_lengths, a.ndim)
+    a = WavePacketFamily(spec.grid, spec.family, _SLOTS[0]).coefficients(f)
+    b = WavePacketFamily(spec.grid, spec.family, _SLOTS[1]).coefficients(g)
+    sqrt_lengths = np.sqrt(np.array([iv.length for iv in spec.family]))
+    return _column(spec.coefficients, a.ndim) * a * b / _column(sqrt_lengths, a.ndim)
 
 
 def discretized_paraproduct(
@@ -124,7 +113,7 @@ def discretized_paraproduct(
     if not spec.family:
         return GridFunction(spec.grid, np.zeros(f.samples.shape, dtype=complex))
     weights = _slot_weights(spec, f, g)
-    return spec._slot_families[2].synthesize(weights)
+    return WavePacketFamily(spec.grid, spec.family, _SLOTS[2]).synthesize(weights)
 
 
 def trilinear_form(
@@ -138,7 +127,7 @@ def trilinear_form(
     if not spec.family:
         return 0.0 + 0.0j
     weights = _slot_weights(spec, f, g)
-    c3 = np.conj(spec._slot_families[2].coefficients(h))
+    c3 = np.conj(WavePacketFamily(spec.grid, spec.family, _SLOTS[2]).coefficients(h))
     return complex(np.sum(weights * c3))
 
 

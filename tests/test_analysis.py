@@ -21,6 +21,7 @@ from wavetile.analysis import (
 )
 from wavetile.dyadic import (
     DyadicInterval,
+    WavePacketFamily,
     collection_plus,
     grid_dyadic_family,
     interval_indices,
@@ -244,6 +245,16 @@ class TestEnergy:
             f = band_limited(g, 100 + seed, 40)
             worst = max(worst, energy(f, family).value / lp_norm(f, 1))
         assert worst <= 4.0
+
+    @pytest.mark.parametrize("c, want", [(np.nextafter(8.0, 0.0), 4.0),
+                                         (np.nextafter(0.25, 0.0), 0.125)])
+    def test_level_of_a_value_just_below_a_power_of_two(self, c, want, monkeypatch):
+        # np.log2 rounds c up to the power of two, whose threshold c misses
+        g = SampleGrid(64, 1.0)
+        monkeypatch.setattr(WavePacketFamily, "coefficients", lambda self, f: np.array([c]))
+        zero = GridFunction(g, np.zeros(64, dtype=complex))
+        rep = energy(zero, [DyadicInterval(0, 0)], "non-lacunary")
+        assert rep.value == want and rep.witness_family == (DyadicInterval(0, 0),)
 
     def test_greedy_matches_tree_dp_oracle(self):
         # maximum-weight disjoint subfamily via exact dynamic programming

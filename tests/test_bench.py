@@ -203,6 +203,21 @@ def smoke_config(**kw):
     return ExperimentConfig(seed=5, trials=2, targets=SMOKE_TARGETS, **kw)
 
 
+def lru_caches() -> dict:
+    """Every ``functools.lru_cache`` defined in a wavetile module, by name."""
+    import importlib
+    import pkgutil
+
+    import wavetile
+
+    caches = {}
+    for info in pkgutil.walk_packages(wavetile.__path__, "wavetile."):
+        for name, obj in vars(importlib.import_module(info.name)).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == info.name:
+                caches[f"{info.name}.{name}"] = obj
+    return caches
+
+
 class TestCampaign:
     def test_unspecified_targets_default_to_registry(self):
         cfg = ExperimentConfig()
@@ -432,6 +447,14 @@ class TestCampaignContracts:
         import time
         from wavetile.bench import ExperimentConfig, run_campaign
 
+        caches = lru_caches()
+        assert sorted(caches) == [
+            "wavetile.analysis._bump_spectrum", "wavetile.dyadic._base_packet",
+            "wavetile.dyadic._tile_base_packet", "wavetile.dyadic._torus_bump_cached",
+            "wavetile.grid._band", "wavetile.grid._projection_values",
+        ]
+        for cache in caches.values():
+            cache.cache_clear()
         t0 = time.time()
         report = run_campaign(ExperimentConfig(seed=7, trials=1, grid_size=1024))
         elapsed = time.time() - t0
@@ -440,6 +463,9 @@ class TestCampaignContracts:
         assert report.passed
         for result in report.results:
             assert result.error is None, result.error
+        # a memo that the campaign never reads twice is waste: drop it
+        hits = {name: cache.cache_info().hits for name, cache in caches.items()}
+        assert all(hits.values()), hits
         # Report bytes are pinned: a change that alters them on purpose
         # updates these digests and says so.
         versions = f"Python {platform.python_version()}, numpy {np.__version__}"
@@ -512,13 +538,15 @@ class TestRowReexecution:
         from fractions import Fraction
 
         from wavetile.bench.targets import _vv_ratio
+        from wavetile.dyadic import grid_dyadic_family
         from wavetile.grid import SampleGrid
 
         cfg = ExperimentConfig(seed=7, trials=3, grid_size=512, targets=("vv-paraproduct",))
         result = run_campaign(cfg).results[0]
         row = result.rows[4]
+        grid = SampleGrid(512, 1.0)
         again = _vv_ratio(
-            SampleGrid(512, 1.0), row.seed, row.params["K"],
+            grid, grid_dyadic_family(grid, range(1, 8)), row.seed, row.params["K"],
             Fraction(3, 2), Fraction(3, 2), Fraction(3, 4), 4, 4, 2, band=512 // 8,
         )
         assert again == pytest.approx(row.ratio, rel=1e-12)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 
 from wavetile.analysis import average_single, size_tilde, stopping_decompose
 from wavetile.bench.generate import generate_trial
+from wavetile.bench.targets import _stopping_checks
 from wavetile.dyadic import DyadicInterval
+from wavetile.errors import ScaleBudgetError
 from wavetile.grid import GridFunction, SampleGrid, from_callable
 from wavetile.norms import MeasurableSet, lp_norm
 from wavetile.dyadic import torus_bump_samples
@@ -113,6 +116,12 @@ class TestTrivialConfiguration:
                 [DyadicInterval(0, 2)], E, E, E, DyadicInterval(0, 0)
             )
 
+    def test_interval_shorter_than_a_sample_rejected(self):
+        g = SampleGrid(512, 4.0)
+        E = MeasurableSet(from_callable(g, lambda x: (x < 1).astype(float)))
+        with pytest.raises(ScaleBudgetError):
+            stopping_decompose([DyadicInterval(8, 0)], E, E, E, DyadicInterval(0, 0))
+
 
 class TestRandomizedInvariants:
     def test_exhaustive_depth3(self):
@@ -183,6 +192,84 @@ class TestNonemptyExceptionalSet:
         assert {sel.d for sel in forest.selections} == {0, 1}
         assert any(sel.axis == 3 and sel.d >= 1 for sel in forest.selections)
         verify_forest(forest, family, E1, E2)
+
+
+def changed_selection(forest, pick, change):
+    """The forest with its first selection that satisfies ``pick`` replaced
+    by ``change(selection)``."""
+    sels = list(forest.selections)
+    k = next(i for i, sel in enumerate(sels) if pick(sel))
+    sels[k] = change(sels[k])
+    return replace(forest, selections=sels)
+
+
+def raise_level(sel):
+    return replace(sel, level=sel.level + 3)
+
+
+# one broken forest per check of the stopping-invariants target
+BREAKS = {
+    "partition": lambda f: replace(
+        f, cells=[replace(f.cells[0], members=f.cells[0].members[1:])] + f.cells[1:]),
+    "disjoint": lambda f: replace(f, selections=f.selections + f.selections[:1]),
+    "bracket": lambda f: changed_selection(f, lambda s: s.level <= 77, raise_level),
+    "size_bound": lambda f: changed_selection(
+        f, lambda s: s.axis == 1 and s.level <= 77, raise_level),
+    "d_decay": lambda f: changed_selection(
+        f, lambda s: s.axis == 3 and s.level == 0, lambda s: replace(s, d=1)),
+}
+
+
+class TestStoppingChecksCanFail:
+    @pytest.fixture(scope="class")
+    def case(self):
+        family, E1, E2, E3, root = one_cell_config(76, 4)
+        forest = stopping_decompose(family, E1, E2, E3, root)
+        assert all(_stopping_checks(forest, family, E1, E2).values())
+        return forest, family, E1, E2
+
+    @pytest.mark.parametrize("check", sorted(BREAKS))
+    def test_check_fails_on_a_broken_forest(self, case, check):
+        forest, family, E1, E2 = case
+        assert not _stopping_checks(BREAKS[check](forest), family, E1, E2)[check]
+
+
+def translated(iv, shift):
+    """``iv`` moved by ``shift`` length units, a multiple of its length."""
+    return DyadicInterval(iv.scale, iv.position + round(shift / iv.length))
+
+
+class TestTranslationByPeriods:
+    """Moving the root and the family by whole periods, with the sets
+    unchanged, moves the forest along: every distance bucket and level reads
+    the torus, so the intervals' positions count only modulo the period."""
+
+    def moved_back(self, family, E1, E2, E3, root):
+        # one period, or the root's length when it is longer
+        shift = max(E1.grid.period_length, root.length)
+        forest = stopping_decompose([translated(iv, shift) for iv in family], E1, E2, E3,
+                                    translated(root, shift))
+        back = lambda iv: translated(iv, -shift)  # noqa: E731
+        cells = [replace(c, cell=back(c.cell), members=tuple(map(back, c.members)))
+                 for c in forest.cells]
+        return cells, forest.measure_constants
+
+    def test_one_cell_configs(self):
+        buckets = set()
+        for k in range(0, 128, 4):
+            config = one_cell_config(k, 5)
+            want = stopping_decompose(*config)
+            buckets |= {cell.d for cell in want.cells}
+            assert self.moved_back(*config) == (want.cells, want.measure_constants)
+        assert buckets == {0, 1, 2, 3}
+
+    def test_root_longer_than_the_torus(self):
+        # the root [0, 8) covers the period-4 torus twice
+        _, E1, E2, E3, _ = one_cell_config(76, 0)
+        root = DyadicInterval(-3, 0)
+        config = (subtree(root, 5), E1, E2, E3, root)
+        want = stopping_decompose(*config)
+        assert self.moved_back(*config) == (want.cells, want.measure_constants)
 
 
 def forests_sha256(configs):
