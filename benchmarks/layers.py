@@ -125,7 +125,7 @@ def _average_rows(repeats: int) -> list[dict]:
     grid = SampleGrid(512, 4.0)
     f = generate_trial("step", 5, {"grid": grid, "depth": 4})
     tree = [DyadicInterval(j, m) for j in range(5) for m in range(2 ** j)]
-    seed = ExperimentConfig(seed=7).seeds(4, 1)[0]
+    seed = ExperimentConfig(seed=7).seeds("stopping-invariants", 1)[0]
     family, E1, E2, E3, root = _random_stopping_config(seed, grid, 5)
     cases = (
         ("chi_average", tree, lambda: size(f, tree, "modified", M=4)),
@@ -144,7 +144,7 @@ def _average_rows(repeats: int) -> list[dict]:
 def _dualization_row(repeats: int) -> list[dict]:
     """The weak-norm dualization row: one weak-dualization trial's sweep."""
     grid = SampleGrid(512, 1.0)
-    seed = ExperimentConfig(seed=7).seeds(3, 1)[0]
+    seed = ExperimentConfig(seed=7).seeds("weak-dualization", 1)[0]
     f = generate_trial("step", seed, {"grid": grid, "depth": 5})
     shares, _ = dualize_superlevel_sets(f, 0.5, 1.0, 4.0)
     row = {"layer": "weak_dualization", "n": grid.sample_count, "K": 1,
@@ -163,8 +163,8 @@ def _spectral_rows(repeats: int) -> list[dict]:
         ("tensor", tensor_paraproduct, 2, 128, 8),
     ):
         grid = SampleGrid(n, 1.0, dimension=dims)
-        f, g = (generate_trial("band_limited", seed, {"grid": grid, "band": band})
-                for seed in (1, 2))
+        f, g = (generate_trial("band_limited", 1, {"grid": grid, "band": band}, role=role)
+                for role in (None, "g"))
         row = {"layer": layer, "n": n, "K": 1, "dimension": dims, "band": band,
                "repeats": repeats, **_timed(lambda: op(f, g), repeats)}
         print(json.dumps(row), flush=True)

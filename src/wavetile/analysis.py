@@ -109,15 +109,20 @@ def size_single(
     if flavor == "modified":
         return average_single(f, interval)
     if flavor == "non-lacunary":
-        fam = WavePacketFamily(f.grid, [interval], "non-lacunary")
-        coef = fam.coefficients(f)[0]
-        return abs(coef) / math.sqrt(interval.length)
+        return float(_non_lacunary_values(f, [interval])[0])
     if flavor == "lacunary":
         if family is None:
             raise ValueError("lacunary size needs the ambient family")
         sq = _local_square_function(f, family, interval)
         return weak_lp_norm(sq, 1) / interval.length
     raise ValueError(f"unknown size flavor {flavor!r}")
+
+
+def _non_lacunary_values(f: GridFunction, family: list[DyadicInterval]) -> np.ndarray:
+    """|<f, psi_I>| / |I|^(1/2) for each I in the family (non-lacunary
+    packets): the quantity of the non-lacunary size and energy."""
+    coefs = WavePacketFamily(f.grid, family, "non-lacunary").coefficients(f)
+    return np.abs(coefs) / np.array([math.sqrt(iv.length) for iv in family])
 
 
 def _square_terms(f: GridFunction, family: list[DyadicInterval]) -> list[float]:
@@ -199,9 +204,7 @@ def size(
     if flavor == "modified":
         vals = _averages(f, family, M)
     elif flavor == "non-lacunary":
-        fam = WavePacketFamily(f.grid, family, "non-lacunary")
-        coefs = fam.coefficients(f)
-        vals = [abs(c) / math.sqrt(iv.length) for iv, c in zip(family, coefs)]
+        vals = _non_lacunary_values(f, family)
     elif flavor == "lacunary":
         norms = _lacunary_weak_norms(f, family)
         vals = [nrm / iv.length for iv, nrm in zip(family, norms)]
@@ -268,10 +271,7 @@ def energy(
     if not family:
         raise ValueError("energy of an empty family is undefined")
     if flavor == "non-lacunary":
-        fam = WavePacketFamily(f.grid, family, "non-lacunary")
-        coefs = np.abs(fam.coefficients(f))
-        weights = np.array([math.sqrt(iv.length) for iv in family])
-        cvals = coefs / weights
+        cvals = _non_lacunary_values(f, family)
     elif flavor == "lacunary":
         norms = _lacunary_weak_norms(f, family)
         cvals = np.array([nrm / math.sqrt(iv.length) for iv, nrm in zip(family, norms)])

@@ -13,8 +13,8 @@ Config files are flat ``key = value`` text ('#' starts a comment):
 Each key and each target appears at most once, and a bad value is rejected
 at parse time with the key or field named.  ``cap.<target>`` is accepted
 only for targets whose verdict reads a cap, and only with a finite value
-> 0; each ``eps_values`` entry must be finite and > 0, and ``grid_size`` a
-power of two >= 32.
+> 0; ``eps_values`` entries must be distinct, finite and > 0, and ``grid_size``
+a power of two >= 32.
 
 Identical config + seed reproduce byte-identical reports: all randomness is
 Philox counter-based, trials execute in a fixed order (parallel workers only
@@ -25,6 +25,7 @@ variable.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import time
@@ -75,13 +76,14 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.seed > MAX_SEED:
             raise ValueError(
-                f"seed must be at most 2**46 - 1 so trial seeds stay below 2**63, "
-                f"got {self.seed}"
+                f"seed must be at most 2**46 - 1, as for decompose-demo, got {self.seed}"
             )
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not self.eps_values:
             raise ValueError("eps_values must not be empty")
+        if len(set(self.eps_values)) < len(self.eps_values):  # one trial label per eps
+            raise ValueError(f"repeated eps_values: {sorted(self.eps_values)}")
         for eps in self.eps_values:
             if not (math.isfinite(eps) and eps > 0):
                 raise ValueError(f"eps_values must be finite and > 0, got {eps!r}")
@@ -98,9 +100,13 @@ class ExperimentConfig:
         default = REGISTRY[target].default_cap
         return None if default is None else float(self.caps.get(target, default))
 
-    def seeds(self, target_index: int, count: int) -> list[int]:
-        base = self.seed * 100003 + target_index * 1009
-        return [base + t for t in range(count)]
+    def seeds(self, label: str, count: int) -> list[int]:
+        """Seeds of the trials t < ``count`` of the group ``label`` (a registry
+        name, suffixed for a target's further groups): 63-bit hashes of
+        (campaign seed, label, t), so no two groups or trials share one."""
+        keys = (f"{self.seed}|{label}|{t}".encode() for t in range(count))
+        return [int.from_bytes(hashlib.blake2b(k, digest_size=8).digest(), "big") >> 1
+                for k in keys]
 
 
 def _number(key: str, val: str, kind):

@@ -3,7 +3,7 @@
 All randomness flows through the counter-based Philox4x64 generator keyed by
 ``(seed, stream)``; identical (kind, seed, params) always reproduce the same
 trial, across processes and platforms.  The stream word is derived from the
-kind and the canonicalized parameters.
+input's role in its trial, if any, the kind and the canonicalized parameters.
 """
 
 from __future__ import annotations
@@ -25,13 +25,16 @@ def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _stream_of(kind: str, params: dict) -> int:
+def _stream_of(kind: str, params: dict, role: str | None = None) -> int:
     canon = kind + "|" + "|".join(f"{k}={params[k]!r}" for k in sorted(params))
-    return zlib.crc32(canon.encode())
+    return zlib.crc32((canon if role is None else f"{role}|{canon}").encode())
 
 
-def generate_trial(kind: str, seed: int, params: dict):
+def generate_trial(kind: str, seed: int, params: dict, role: str | None = None):
     """Deterministic random grid functions and sets.
+
+    ``role`` names the input in its trial (``"g"``, ``"F"``, ``"f3"``, ...)
+    and gives it a stream of its own; no role keeps the kind-and-params one.
 
     Kinds:
       band_limited: real samples of a random spectrum supported in
@@ -41,7 +44,7 @@ def generate_trial(kind: str, seed: int, params: dict):
       dyadic_union: indicator with measure exactly params["measure"]
     """
     grid: SampleGrid = params["grid"]
-    rng = rng_for(seed, _stream_of(kind, {k: v for k, v in params.items() if k != "grid"}))
+    rng = rng_for(seed, _stream_of(kind, {k: v for k, v in params.items() if k != "grid"}, role))
     if kind == "band_limited":
         return _band_limited(grid, rng, params)
     if kind == "step":

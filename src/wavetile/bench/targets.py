@@ -12,6 +12,11 @@ campaign's ``ExperimentConfig`` and the target's cap (``cfg.cap(name)``,
 ``None`` when the verdict reads none) and returns its ``TrialRow`` list, its
 aggregates dict and its verdict.  ``run_campaign`` builds the
 ``TargetResult`` from these and the registry entry's name and statement.
+
+Trial seeds come from ``cfg.seeds(label, count)``, labelled by the registry
+name (suffixed, as ``/K=4``, for a target's further groups), and each input
+by its role: none for the first, then ``g``, ``h``; the sets ``F``, ``G``,
+``E`` (E~) and ``E1``..``E3``; vector components ``f{k}``, ``g{k}``.
 """
 
 from __future__ import annotations
@@ -66,18 +71,18 @@ class InequalityTarget:
     default_cap: float | None
 
 
-# Largest campaign seed: seed*100003 stays below 2**63 with room to spare for
-# index*1009 + t and the per-role offsets, so every Philox key fits.
+# Largest campaign seed: trial seeds are hashes below 2**63 whatever it is,
+# but decompose-demo keys Philox with the raw seed, and one bound serves both.
 MAX_SEED = 2**46 - 1
 
 
-def _trial_rows(cfg: ExperimentConfig, seed_index: int, default_trials: int,
+def _trial_rows(cfg: ExperimentConfig, label: str, default_trials: int,
                 trial: Callable) -> list[TrialRow]:
-    """Rows of one seed ladder: ``trial(t, seed)`` returns the trial's
+    """Rows of the trials labelled ``label``: ``trial(t, seed)`` returns its
     ``(lhs, rhs, params)`` triples; a degenerate one, with rhs 0, is dropped."""
     return [
         TrialRow(t, seed, lhs, rhs, lhs / rhs, params)
-        for t, seed in enumerate(cfg.seeds(seed_index, cfg.trial_count(default_trials)))
+        for t, seed in enumerate(cfg.seeds(label, cfg.trial_count(default_trials)))
         for lhs, rhs, params in trial(t, seed)
         if rhs != 0
     ]
@@ -133,12 +138,12 @@ def _subfamily(rng, root: dyadic.DyadicInterval, depth: int):
 # ---------------------------------------------------------------------------
 
 def _run_telescope(cfg: ExperimentConfig, cap: None, *, dims: int, n: int, tol: float,
-                   seed_index: int, default_trials: int):
+                   label: str, default_trials: int):
     grid = SampleGrid(n, 1.0, dimension=dims)
 
     def trial(t, seed):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 8})
-        g = generate_trial("band_limited", seed + 501, {"grid": grid, "band": n // 8})
+        g = generate_trial("band_limited", seed, {"grid": grid, "band": n // 8}, role="g")
         parts = operators.telescoping_decomposition(f, g)
         total = parts[0]
         for p in parts[1:]:
@@ -146,7 +151,7 @@ def _run_telescope(cfg: ExperimentConfig, cap: None, *, dims: int, n: int, tol: 
         product = GridFunction(grid, f.samples * g.samples)
         return [((total - product).norm2() / product.norm2(), tol, {"n": n})]
 
-    rows = _trial_rows(cfg, seed_index, default_trials, trial)
+    rows = _trial_rows(cfg, label, default_trials, trial)
     return _bounded(rows, {"max_residual": max(r.lhs for r in rows), "tolerance": tol})
 
 
@@ -172,7 +177,7 @@ def _run_weak_dualization(cfg, cap):
                       default=_C_LADDER[0])
         return [(best, weak_lp_norm(f, p), {"r": r, "p": p, "smallest_major_C": trial_c})]
 
-    rows = _trial_rows(cfg, 3, 50, trial)
+    rows = _trial_rows(cfg, "weak-dualization", 50, trial)
     ratios = [row.ratio for row in _nonempty(rows)]
     passed = (
         fails == 0
@@ -191,16 +196,14 @@ def _random_stopping_config(seed: int, grid: SampleGrid, depth: int):
     cell = grid.spacing
     quarter = grid.sample_count // int(grid.period_length) // 4
 
-    def random_set(salt):
+    def random_set(role):
         count = int(rng.integers(max(1, quarter // 8), quarter))
         return generate_trial(
-            "dyadic_union", seed + salt,
-            {"grid": grid, "measure": count * cell, "within": root},
+            "dyadic_union", seed,
+            {"grid": grid, "measure": count * cell, "within": root}, role=role,
         )
 
-    E1 = random_set(11)
-    E2 = random_set(22)
-    E3 = random_set(33)
+    E1, E2, E3 = (random_set(role) for role in ("E1", "E2", "E3"))
     return family, E1, E2, E3, root
 
 
@@ -208,8 +211,7 @@ def _run_stopping(cfg, cap):
     grid = SampleGrid(512, 4.0)
     rows = []
     checks_ok = True
-    trials = cfg.trial_count(100)
-    for t, seed in enumerate(cfg.seeds(4, trials)):
+    for t, seed in enumerate(cfg.seeds("stopping-invariants", cfg.trial_count(100))):
         depth = 3 + (t % 3)  # depths 3..5
         family, E1, E2, E3, root = _random_stopping_config(seed, grid, depth)
         try:
@@ -288,7 +290,7 @@ def _run_size_energy(cfg, cap):
                         {"check": f"energy-{flavor}"}))
         return out
 
-    rows = _trial_rows(cfg, 5, 100, trial)
+    rows = _trial_rows(cfg, "size-energy", 100, trial)
     # far-support decay sweep (period large enough that no torus wrap helps)
     decay_grid = SampleGrid(4096, 64.0)
     ks = [1, 2, 3, 4, 5]
@@ -311,8 +313,8 @@ def _run_size_energy(cfg, cap):
 def _vv_ratio(grid, base, seed, K, r1, r2, r, p, q, s, band):
     fs = generate_trial("band_limited", seed,
                         {"grid": grid, "band": band, "vector_shape": (K,)})
-    gs = generate_trial("band_limited", seed + 911,
-                        {"grid": grid, "band": band, "vector_shape": (K,)})
+    gs = generate_trial("band_limited", seed,
+                        {"grid": grid, "band": band, "vector_shape": (K,)}, role="g")
     rng = rng_for(seed, 13)
     keep = rng.random(len(base)) < 0.8
     family = [iv for iv, k in zip(base, keep) if k]
@@ -341,7 +343,7 @@ def _run_vv_paraproduct(cfg, cap):
                               band=grid.sample_count // 8)
             return [] if ratio is None else [(ratio, 1.0, {"K": K})]
 
-        group = _trial_rows(cfg, 6 + K, 40, trial)
+        group = _trial_rows(cfg, f"vv-paraproduct/K={K}", 40, trial)
         maxima.append(float(np.max([row.ratio for row in group])))
         rows.extend(group)
     slope = _slope(np.log([float(k) for k in Ks]), np.log(maxima))
@@ -372,36 +374,37 @@ def _run_alpha_coefficients(cfg, cap):
                            "cap": cap, "scale_tolerance": 1e-10})
 
 
-def _shifted_ratio(op_name: str, n: int, grid: SampleGrid, seed: int) -> float | None:
-    """One trial of shifted-growth: ||T_n f||_2 / ||f||_2 for the maximal and
-    square operators, ||Pi_n(f, g)||_2 / (||f||_4 ||g||_4) for the
-    paraproduct; None when the denominator vanishes."""
+def _shifted_ratios(n: int, grid: SampleGrid, seed: int) -> dict:
+    """One trial of shifted-growth, one f and g for all three operators:
+    ||T_n f||_2 / ||f||_2 for the maximal and square operators,
+    ||Pi_n(f, g)||_2 / (||f||_4 ||g||_4) for the paraproduct; an operator
+    whose denominator vanishes is left out."""
     f = generate_trial("band_limited", seed, {"grid": grid, "band": 64})
-    if op_name == "paraproduct":
-        g = generate_trial("band_limited", seed + 7, {"grid": grid, "band": 64})
-        denom = lp_norm(f, 4) * lp_norm(g, 4)
-        return lp_norm(operators.shifted_paraproduct(n, f, g), 2) / denom if denom else None
-    op = analysis.maximal if op_name == "maximal" else analysis.shifted_square
-    denom = lp_norm(f, 2)
-    return lp_norm(op(f, n), 2) / denom if denom else None
+    g = generate_trial("band_limited", seed, {"grid": grid, "band": 64}, role="g")
+    out = {}
+    if n2 := lp_norm(f, 2):
+        out["maximal"] = lp_norm(analysis.maximal(f, n), 2) / n2
+        out["square"] = lp_norm(analysis.shifted_square(f, n), 2) / n2
+    if denom := lp_norm(f, 4) * lp_norm(g, 4):
+        out["paraproduct"] = lp_norm(operators.shifted_paraproduct(n, f, g), 2) / denom
+    return out
 
 
 def _run_shifted_growth(cfg, kappa_cap):
     grid = SampleGrid(512, 1.0)
     ns = [1, 2, 4, 8, 16, 32, 64]
-    per_n = cfg.trial_count(10)
+    seeds = {n: cfg.seeds(f"shifted-growth/n={n}", cfg.trial_count(10)) for n in ns}
+    trials = {n: [_shifted_ratios(n, grid, s) for s in seeds[n]] for n in ns}
     rows = []
     fits = {}
     passed = True
     for op_name in ("maximal", "square", "paraproduct"):
         maxima = []
         for i, n in enumerate(ns):
-            seeds = cfg.seeds(20 + i, per_n)
-            vals = [v for v in (_shifted_ratio(op_name, n, grid, s) for s in seeds)
-                    if v is not None]
+            vals = [ratios[op_name] for ratios in trials[n] if op_name in ratios]
             mx, med = max(vals), float(np.median(vals))
             maxima.append(mx)
-            rows.append(TrialRow(i, seeds[0], mx, med, mx / max(med, 1e-300),
+            rows.append(TrialRow(i, seeds[n][0], mx, med, mx / max(med, 1e-300),
                                  {"op": op_name, "n": n}))
         xs = np.log(np.log(1.0 + np.array(ns, dtype=float)))
         kappa = _slope(xs, np.log(maxima))
@@ -460,20 +463,20 @@ def _run_bht_local_l2(cfg, cap):
     tiers = [1, 4, 16]  # tile count quadruples tier to tier
     rows = []
     medians = []
-    for tier_idx, freqs in enumerate(tiers):
+    for freqs in tiers:
         tiles = dyadic.build_rank_one_tiles(grid, range(2, 5), range(0, freqs))
         spec = operators.BHTModelSpec(grid, tiles)
 
         def trial(t, seed):
             f = generate_trial("band_limited", seed, {"grid": grid, "band": 12})
-            g = generate_trial("band_limited", seed + 3, {"grid": grid, "band": 12})
+            g = generate_trial("band_limited", seed, {"grid": grid, "band": 12}, role="g")
             denom = lp_norm(f, 2) * lp_norm(g, 2)
             if denom == 0:
                 return []
             ratio = lp_norm(operators.bht_model(spec, f, g), 1) / denom
             return [(ratio, 1.0, {"tiles": len(tiles)})]
 
-        group = _trial_rows(cfg, 40 + tier_idx, 34, trial)
+        group = _trial_rows(cfg, f"bht-local-l2/tiles={len(tiles)}", 34, trial)
         medians.append(float(np.median([row.ratio for row in group])))
         rows.extend(group)
     growth_ok = all(
@@ -549,16 +552,16 @@ def _run_leibniz(cfg, cap):
 
     def trial(t, seed):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 32})
-        g = generate_trial("band_limited", seed + 77, {"grid": grid, "band": n // 32})
+        g = generate_trial("band_limited", seed, {"grid": grid, "band": n // 32}, role="g")
         lhs, terms = operators.leibniz_sides(alpha, beta, exps, f, g)
         return [(lhs, sum(terms), {})]
 
-    ratio_rows = _trial_rows(cfg, 60, 20, trial)
+    ratio_rows = _trial_rows(cfg, "leibniz-mixed", 20, trial)
     # dilation stability on a few pairs: the gate, while the cap reads the ratio rows
     drift_rows = []
-    for t, seed in enumerate(cfg.seeds(61, cfg.trial_count(3))):
+    for t, seed in enumerate(cfg.seeds("leibniz-mixed/dilation", cfg.trial_count(3))):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 64})
-        g = generate_trial("band_limited", seed + 77, {"grid": grid, "band": n // 64})
+        g = generate_trial("band_limited", seed, {"grid": grid, "band": n // 64}, role="g")
         lhs, terms = operators.leibniz_sides(alpha, beta, exps, f, g)
         base = lhs / sum(terms)
         for dil in (2, 4, 8):
@@ -585,9 +588,8 @@ def _run_trilinear_size_energy(cfg, cap):
     def trial(t, seed):
         family = _subfamily(rng_for(seed, 3), root, 4)
         spec = operators.ParaproductSpec.constant(grid, family)
-        f = generate_trial("band_limited", seed, {"grid": grid, "band": 40})
-        g = generate_trial("band_limited", seed + 1, {"grid": grid, "band": 40})
-        h = generate_trial("band_limited", seed + 2, {"grid": grid, "band": 40})
+        f, g, h = (generate_trial("band_limited", seed, {"grid": grid, "band": 40}, role=role)
+                   for role in (None, "g", "h"))
         lam = abs(operators.trilinear_form(spec, f, g, h))
         rhs = 1.0
         for func, flavor in ((f, "non-lacunary"), (g, "lacunary"), (h, "lacunary")):
@@ -596,7 +598,8 @@ def _run_trilinear_size_energy(cfg, cap):
             rhs *= s ** (2.0 / 3.0) * e ** (1.0 / 3.0)
         return [(lam, rhs, {})]
 
-    return _capped(_trial_rows(cfg, 70, 100, trial), cap, theta=[1 / 3, 1 / 3, 1 / 3])
+    return _capped(_trial_rows(cfg, "trilinear-size-energy", 100, trial), cap,
+                   theta=[1 / 3, 1 / 3, 1 / 3])
 
 
 def _run_localized_trilinear(cfg, cap):
@@ -607,16 +610,15 @@ def _run_localized_trilinear(cfg, cap):
     def trial(t, seed):
         family = _subfamily(rng_for(seed, 3), root, 3)
         spec = operators.ParaproductSpec.constant(grid, family)
-        f = generate_trial("bump_train", seed, {"grid": grid, "count": 3})
-        g = generate_trial("bump_train", seed + 1, {"grid": grid, "count": 3})
-        h = generate_trial("bump_train", seed + 2, {"grid": grid, "count": 3})
+        f, g, h = (generate_trial("bump_train", seed, {"grid": grid, "count": 3}, role=role)
+                   for role in (None, "g", "h"))
         lam = abs(operators.trilinear_form(spec, f, g, h))
         rhs = 1.0
         for func, st in zip((f, g, h), _local_sizes((f, g, h), family, root)):
             rhs *= st ** (2.0 / 3.0) * lp_norm(func, 1, weight=bump) ** (1.0 / 3.0)
         return [(lam, rhs, {})]
 
-    return _capped(_trial_rows(cfg, 71, 100, trial), cap)
+    return _capped(_trial_rows(cfg, "localized-trilinear", 100, trial), cap)
 
 
 def _run_local_l1(cfg, cap):
@@ -627,14 +629,14 @@ def _run_local_l1(cfg, cap):
         family = _subfamily(rng_for(seed, 3), root, 3)
         spec = operators.ParaproductSpec.constant(grid, family)
         f = generate_trial("bump_train", seed, {"grid": grid, "count": 2})
-        g = generate_trial("bump_train", seed + 1, {"grid": grid, "count": 2})
-        Et = generate_trial("dyadic_union", seed + 2, {"grid": grid, "measure": 0.5})
+        g = generate_trial("bump_train", seed, {"grid": grid, "count": 2}, role="g")
+        Et = generate_trial("dyadic_union", seed, {"grid": grid, "measure": 0.5}, role="E")
         out = operators.discretized_paraproduct(spec, f, g)
         lhs = lp_norm(GridFunction(grid, out.samples * Et.mask), 1)
         rhs = math.prod(_local_sizes((f, g, Et.indicator), family, root)) * root.length
         return [(lhs, rhs, {})]
 
-    return _capped(_trial_rows(cfg, 72, 100, trial), cap)
+    return _capped(_trial_rows(cfg, "local-l1", 100, trial), cap)
 
 
 def _lr_of_lr(grid, comps, e, weight=None) -> float:
@@ -643,61 +645,51 @@ def _lr_of_lr(grid, comps, e, weight=None) -> float:
     return lp_norm(GridFunction(grid, stack.astype(complex)), e, weight=weight)
 
 
-def _localized_operator_rows(cfg, r1, r2, r, eps, seed_index, default_trials,
-                             vector_K=None):
+_LOCALIZED_EXPONENTS = (1.5, 1.5, 0.75)  # (r1, r2, r)
+
+
+def _localized_operator_rows(cfg, eps, label, default_trials, K):
+    """Rows of the l^r-valued localized paraproduct on K components; at
+    K = 1 the l^r sums are absolute values, the scalar operator."""
+    r1, r2, r = _LOCALIZED_EXPONENTS
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
-    dual = lambda e: 1.0 - 1.0 / e  # noqa: E731
 
     def trial(t, seed):
         family = _subfamily(rng_for(seed, 3), root, 3)
         spec = operators.ParaproductSpec.constant(grid, family)
-        F = generate_trial("dyadic_union", seed + 5, {"grid": grid, "measure": 1.0})
-        G = generate_trial("dyadic_union", seed + 6, {"grid": grid, "measure": 1.0})
-        Et = generate_trial("dyadic_union", seed + 7, {"grid": grid, "measure": 0.5})
+        F, G, Et = (generate_trial("dyadic_union", seed, {"grid": grid, "measure": m}, role=role)
+                    for role, m in (("F", 1.0), ("G", 1.0), ("E", 0.5)))
         loc = operators.LocalizationSpec(root, F, G, Et)
         sF, sG, sE = _local_sizes((F.indicator, G.indicator, Et.indicator), family, root)
-        if vector_K is None:
-            f = generate_trial("bump_train", seed, {"grid": grid, "count": 2})
-            g = generate_trial("bump_train", seed + 1, {"grid": grid, "count": 2})
-            out = operators.localized_paraproduct(spec, loc, f, g)
-            lhs = lp_norm(out, r)
-            nf = lp_norm(f, r1, weight=bump)
-            ng = lp_norm(g, r2, weight=bump)
-        else:
-            comps_f, comps_g = (
-                [generate_trial("bump_train", seed + 10 * k + role,
-                                {"grid": grid, "count": 2}).samples for k in range(vector_K)]
-                for role in (0, 1)
-            )
-            fs = GridFunction(grid, np.stack(comps_f, axis=-1))
-            gs = GridFunction(grid, np.stack(comps_g, axis=-1))
-            # components first, as the l^e sums reduce axis 0
-            outs = operators.localized_paraproduct(spec, loc, fs, gs).samples.T
-            lhs = _lr_of_lr(grid, outs, r)
-            nf = _lr_of_lr(grid, comps_f, r1, bump)
-            ng = _lr_of_lr(grid, comps_g, r2, bump)
-        rhs = (
-            sF ** max(dual(float(r1)) - eps, 0.0)
-            * sG ** max(dual(float(r2)) - eps, 0.0)
-            * sE ** max(1.0 / float(r) - eps, 0.0)
-            * nf * ng
+        comps_f, comps_g = (
+            [generate_trial("bump_train", seed, {"grid": grid, "count": 2},
+                            role=f"{name}{k}").samples for k in range(K)]
+            for name in ("f", "g")
         )
-        return [(lhs, rhs, {"eps": eps})]
+        fs, gs = (GridFunction(grid, np.stack(comps, axis=-1)) for comps in (comps_f, comps_g))
+        # components first, as the l^e sums reduce axis 0
+        outs = operators.localized_paraproduct(spec, loc, fs, gs).samples.T
+        rhs = (
+            sF ** max(1.0 - 1.0 / r1 - eps, 0.0)
+            * sG ** max(1.0 - 1.0 / r2 - eps, 0.0)
+            * sE ** max(1.0 / r - eps, 0.0)
+            * _lr_of_lr(grid, comps_f, r1, bump) * _lr_of_lr(grid, comps_g, r2, bump)
+        )
+        return [(_lr_of_lr(grid, outs, r), rhs, {"eps": eps})]
 
-    return _trial_rows(cfg, seed_index, default_trials, trial)
+    return _trial_rows(cfg, label, default_trials, trial)
 
 
 def _run_localized_operator(cfg, cap):
-    rows = []
-    for i, eps in enumerate(cfg.eps_values):
-        rows.extend(_localized_operator_rows(cfg, 1.5, 1.5, 0.75, eps, 73 + i, 34))
+    rows = [row for eps in cfg.eps_values for row in
+            _localized_operator_rows(cfg, eps, f"localized-operator/eps={eps!r}", 34, 1)]
     return _capped(rows, cap, eps_values=list(cfg.eps_values))
 
 
 def _run_vv_localized(cfg, cap):
-    rows = _localized_operator_rows(cfg, 1.5, 1.5, 0.75, 0.05, 80, 30, vector_K=4)
+    rows = _localized_operator_rows(cfg, 0.05, "vv-localized", 30, 4)
     return _capped(rows, cap, K=4)
 
 
@@ -716,11 +708,10 @@ def _run_bht_localized(cfg, cap):
     spatial = [tt.spatial for tt in tiles]
 
     def trial(t, seed):
-        F = generate_trial("dyadic_union", seed + 5, {"grid": grid, "measure": 0.25})
-        G = generate_trial("dyadic_union", seed + 6, {"grid": grid, "measure": 0.25})
-        Et = generate_trial("dyadic_union", seed + 7, {"grid": grid, "measure": 0.25})
+        F, G, Et = (generate_trial("dyadic_union", seed, {"grid": grid, "measure": 0.25},
+                                   role=role) for role in ("F", "G", "E"))
         f = generate_trial("bump_train", seed, {"grid": grid, "count": 2})
-        g = generate_trial("bump_train", seed + 1, {"grid": grid, "count": 2})
+        g = generate_trial("bump_train", seed, {"grid": grid, "count": 2}, role="g")
         fF = GridFunction(grid, f.samples * F.mask)
         gG = GridFunction(grid, g.samples * G.mask)
         out = operators.bht_model(spec, fF, gG)
@@ -732,7 +723,7 @@ def _run_bht_localized(cfg, cap):
         )
         return [(lhs, rhs, {})]
 
-    return _capped(_trial_rows(cfg, 85, 50, trial), cap, theta=theta)
+    return _capped(_trial_rows(cfg, "bht-localized", 50, trial), cap, theta=theta)
 
 
 def _run_tensor_mixed_norm(cfg, cap):
@@ -741,13 +732,13 @@ def _run_tensor_mixed_norm(cfg, cap):
 
     def trial(t, seed):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 16})
-        g = generate_trial("band_limited", seed + 13, {"grid": grid, "band": n // 16})
+        g = generate_trial("band_limited", seed, {"grid": grid, "band": n // 16}, role="g")
         out = operators.tensor_paraproduct(f, g)
         lhs = mixed_norm(out, MixedNormSpec((2, 2)))
         rhs = mixed_norm(f, MixedNormSpec((4, 4))) * mixed_norm(g, MixedNormSpec((4, 4)))
         return [(lhs, rhs, {})]
 
-    return _capped(_trial_rows(cfg, 90, 50, trial), cap,
+    return _capped(_trial_rows(cfg, "tensor-mixed-norm", 50, trial), cap,
                    exponents={"p": [4, 4], "q": [4, 4], "s": [2, 2]})
 
 
@@ -761,8 +752,8 @@ def _run_depth2_vv(cfg, cap):
     def trial(t, seed):
         fs = generate_trial("band_limited", seed,
                             {"grid": grid, "band": 48, "vector_shape": (K1, K2)})
-        gs = generate_trial("band_limited", seed + 3,
-                            {"grid": grid, "band": 48, "vector_shape": (K1, K2)})
+        gs = generate_trial("band_limited", seed,
+                            {"grid": grid, "band": 48, "vector_shape": (K1, K2)}, role="g")
         out, (n_out, n_f, n_g) = operators.vector_valued_apply(
             op, fs, gs,
             MixedNormSpec((4, INF, 2)),
@@ -771,7 +762,7 @@ def _run_depth2_vv(cfg, cap):
         )
         return [(n_out, n_f * n_g, {"K": [K1, K2]})]
 
-    return _capped(_trial_rows(cfg, 95, 10, trial), cap,
+    return _capped(_trial_rows(cfg, "depth2-vv", 10, trial), cap,
                    inner_tuples={"R1": ["inf", 2], "R2": [2, "inf"], "R": [2, 2]})
 
 
@@ -782,11 +773,11 @@ def _run_depth2_vv(cfg, cap):
 REGISTRY: dict[str, InequalityTarget] = {t.name: t for t in (
     InequalityTarget("telescope-1d",
                      "f*g = sum_k [Q_k f P_k g + P_k f Q_k g + Q_k f Q_k g] + coarse block",
-                     partial(_run_telescope, dims=1, n=4096, tol=1e-10, seed_index=1,
+                     partial(_run_telescope, dims=1, n=4096, tol=1e-10, label="telescope-1d",
                              default_trials=3), None),
     InequalityTarget("telescope-2d",
                      "f*g equals the nine bi-parameter terms plus the coarse remainder",
-                     partial(_run_telescope, dims=2, n=256, tol=1e-9, seed_index=2,
+                     partial(_run_telescope, dims=2, n=256, tol=1e-9, label="telescope-2d",
                              default_trials=2), None),
     InequalityTarget("weak-dualization",
                      "||f||_{p,inf} ~ sup_E inf_{major E~} ||f 1_E~||_r / |E|^(1/r-1/p)",

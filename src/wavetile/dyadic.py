@@ -127,7 +127,7 @@ def grid_dyadic_family(
 
 
 def interval_indices(grid: SampleGrid, interval: DyadicInterval) -> np.ndarray:
-    """Sample indices covered by an interval on the torus (wrapping allowed)."""
+    """Sample indices covered by an interval on the torus (wrapping allowed), each once."""
     stride = interval.length / grid.spacing
     if not float(stride).is_integer():
         raise ScaleBudgetError(
@@ -135,7 +135,7 @@ def interval_indices(grid: SampleGrid, interval: DyadicInterval) -> np.ndarray:
         )
     stride = int(stride)
     start = interval.position * stride
-    return (start + np.arange(stride)) % grid.sample_count
+    return (start + np.arange(min(stride, grid.sample_count))) % grid.sample_count
 
 
 def torus_bump_samples(

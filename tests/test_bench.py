@@ -51,6 +51,33 @@ class TestGenerators:
     def test_philox_stream_reproducible(self):
         assert rng_for(3, 1).integers(0, 1 << 30) == rng_for(3, 1).integers(0, 1 << 30)
 
+    def test_role_names_its_own_stream(self):
+        import zlib
+
+        from wavetile.bench.generate import _stream_of
+
+        # no role keeps the kind-and-params word, so role-less draws do not move
+        assert _stream_of("step", {"depth": 3}) == zlib.crc32(b"step|depth=3")
+        assert _stream_of("step", {"depth": 3}, "g") == zlib.crc32(b"g|step|depth=3")
+        params = {"grid": GRID, "depth": 3}
+        f = generate_trial("step", 5, params)
+        assert np.array_equal(generate_trial("step", 5, params, role=None).samples, f.samples)
+        g = generate_trial("step", 5, params, role="g")
+        h = generate_trial("step", 5, params, role="h")
+        assert not np.array_equal(f.samples, g.samples)
+        assert not np.array_equal(g.samples, h.samples)
+
+    def test_union_within_a_long_interval_has_the_asked_measure(self):
+        from wavetile.dyadic import DyadicInterval
+
+        grid = SampleGrid(64, 1.0)
+        within = DyadicInterval(-1, 0)  # twice the torus
+        s = generate_trial("dyadic_union", 0,
+                           {"grid": grid, "measure": 0.75, "within": within})
+        assert s.measure == 0.75
+        with pytest.raises(InfeasibleMeasureError):
+            generate_trial("dyadic_union", 0, {"grid": grid, "measure": 1.5, "within": within})
+
 
 class TestConfig:
     def test_parse_round_trip(self):
@@ -100,12 +127,27 @@ class TestConfig:
         ("eps_values = nan", "eps_values must be finite and > 0, got nan"),
         ("eps_values = 0.05, inf", "eps_values must be finite and > 0, got inf"),
         ("eps_values = -1", "eps_values must be finite and > 0, got -1.0"),
+        ("eps_values = 0.05, 0.1, 0.050", "repeated eps_values: \\[0.05, 0.05, 0.1\\]"),
         ("grid_size = 8", "grid_size must be a power of two >= 32, got 8"),
         ("grid_size = 16", "grid_size must be a power of two >= 32, got 16"),
     ])
     def test_bad_config_rejected_at_parse_time(self, text, reason):
         with pytest.raises(ValueError, match=reason):
             parse_config(text)
+
+    def test_trial_seeds_hash_seed_label_and_trial(self):
+        import hashlib
+
+        cfg = ExperimentConfig(seed=7)
+        seeds = cfg.seeds("size-energy", 3)
+        want = [int.from_bytes(hashlib.blake2b(f"7|size-energy|{t}".encode(),
+                                               digest_size=8).digest(), "big") >> 1
+                for t in range(3)]
+        assert seeds == want
+        assert all(0 <= s < 2**63 for s in seeds)
+        assert cfg.seeds("size-energy", 2) == seeds[:2]
+        assert not set(seeds) & set(cfg.seeds("local-l1", 3))
+        assert not set(seeds) & set(ExperimentConfig(seed=8).seeds("size-energy", 3))
 
     def test_cap_is_none_where_the_verdict_reads_none(self):
         uncapped = {"telescope-1d", "telescope-2d", "weak-dualization", "bht-multiplier",
@@ -180,8 +222,8 @@ class TestTrialRows:
             return [(float(t + 1), 0.0 if t == 1 else 2.0, {"t": t})]
 
         cfg = ExperimentConfig(seed=7)
-        rows = _trial_rows(cfg, 0, 3, trial)
-        seeds = cfg.seeds(0, 3)
+        rows = _trial_rows(cfg, "label", 3, trial)
+        seeds = cfg.seeds("label", 3)
         assert [(r.trial, r.seed, r.lhs, r.rhs, r.ratio, r.params) for r in rows] == [
             (0, seeds[0], 1.0, 2.0, 0.5, {"t": 0}),
             (2, seeds[2], 3.0, 2.0, 1.5, {"t": 2}),
@@ -191,12 +233,12 @@ class TestTrialRows:
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
 
 # sha256 of the seed-7, one-trial, full-registry report
-SMOKE_CSV_SHA256 = "f2431bcb0754ac0e246cc0bfc54ac3bd3dd06e0ba1797b8d835ce5de4318dbbf"
-SMOKE_JSON_SHA256 = "f3eeb30548b33372eff2d7865ec7daa70bf3922bfb3955a5601142e598827ccf"
+SMOKE_CSV_SHA256 = "983abac3d305c89b73daed1cf61899fdcb2b256b1a90439008a662694092b4db"
+SMOKE_JSON_SHA256 = "724101930097c74b0484d2962bada6347dfd6929b24ef35f2ba9029e71160e3d"
 # sha256 of the seed-7, two-trial, full-registry report: the aggregates over
 # several rows (min/max, medians, maxima by K, fits) enter these bytes
-TWO_TRIAL_CSV_SHA256 = "b7cb0dd93de4a5e81929ff10818a6f592420128d8ace62bf2251a4142e610ddf"
-TWO_TRIAL_JSON_SHA256 = "cff4576ebdeaccde254535803c0ebaf1be5e4ea06d3dcf16c6e7ea165bd28358"
+TWO_TRIAL_CSV_SHA256 = "e2d40c3fc9fbc02e2335c7932328d983be8866434e5f752bf9fc3f5844fbecb7"
+TWO_TRIAL_JSON_SHA256 = "1df9ea98ea7d36ee2fd5cb84600e43cbbd677222d28a16b33507a32aaa62a74d"
 
 
 def smoke_config(**kw):
@@ -495,6 +537,27 @@ class TestCampaignContracts:
             )
 
 class TestDeterminismContracts:
+    def test_no_philox_key_drawn_twice(self, monkeypatch):
+        """Trials are independent: across the campaign, no two draws share
+        a (seed, stream) key, so no input is another trial's or role's."""
+        from collections import Counter
+
+        from wavetile.bench import generate, targets
+
+        keys = []
+
+        def recording(seed, stream=0):
+            keys.append((seed, stream))
+            return rng_for(seed, stream)
+
+        monkeypatch.setattr(generate, "rng_for", recording)
+        monkeypatch.setattr(targets, "rng_for", recording)
+        report = run_campaign(ExperimentConfig(seed=7, trials=3))
+        assert all(r.error is None for r in report.results)
+        repeated = sorted(key for key, count in Counter(keys).items() if count > 1)
+        assert len(keys) >= 300  # 302 draws: both wrapped names are the ones in use
+        assert not repeated, repeated[:5]
+
     def test_parallel_execution_reproduces_serial_reports(self, monkeypatch):
         from wavetile.bench import run_campaign
         from wavetile.bench.report import render_csv, render_json

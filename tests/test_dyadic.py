@@ -49,6 +49,13 @@ class TestIntervalGeometry:
             relations = [a.disjoint(b), a.contains(b), b.contains(a)]
             assert sum(relations) == 1
 
+    def test_indices_list_each_sample_once(self):
+        grid = SampleGrid(64, 1.0)
+        for iv in (DyadicInterval(-2, 1), DyadicInterval(-1, 0), DyadicInterval(0, 0),
+                   DyadicInterval(2, 3)):
+            idx = dyadic.interval_indices(grid, iv)
+            assert len(idx) == len(set(idx.tolist())) == min(64, round(iv.length * 64))
+
     def test_containment_matches_rational_oracle(self):
         family = full_tree(DyadicInterval(-2, 0), 4)  # includes negative scales
         for a, b in itertools.product(family, repeat=2):

@@ -40,7 +40,7 @@ def test_layers_script_writes_one_row_per_case(tmp_path):
     assert len(cases) == len(want) and set(cases) == want
     assert all(r["median_ms"] > 0 for r in rows)
     assert {r["layer"]: r["intervals"] for r in rows if "intervals" in r} == {
-        "chi_average": 31, "stopping_sweep": 39,
+        "chi_average": 31, "stopping_sweep": 42,
     }
     assert [(r["dimension"], r["band"]) for r in rows if "band" in r] == [
         (1, 512), (2, 32), (2, 8),

@@ -40,8 +40,6 @@ UNPASSED = {
     "average_single(shift_n)": "the shifted-average oracle of maximal's shifted sweep",
     "WavePacketFamily.packet(shift_n)": "the shifted-packet oracle of the shifted sweeps",
     "size_single(family)": "the lacunary flavor of the one-interval size oracle",
-    "maximal(shift_n)": "shifted-growth calls it through op(f, n)",
-    "shifted_square(shift_n)": "shifted-growth calls it through op(f, n)",
     "shifted_square(scales)": "the tests' restriction to scales a translation preserves",
     "shifted_paraproduct(scales)": "the tests' direct-sum oracle on a few scales",
     "exceptional_set(C)": "the tests reach MajorSubsetError through a vanishing constant",
