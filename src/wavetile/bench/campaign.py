@@ -6,15 +6,11 @@ Config files are flat ``key = value`` text ('#' starts a comment):
     grid_size = 1024
     trials = 40            # optional per-target ceiling; omit for defaults
     targets = vv-paraproduct, stopping-invariants
-    eps_values = 0.01, 0.05, 0.1
-    cap.vv-paraproduct = 1.0
     out = reports
 
 Each key and each target appears at most once, and a bad value is rejected
-at parse time with the key or field named.  ``cap.<target>`` is accepted
-only for targets whose verdict reads a cap, and only with a finite value
-> 0; ``eps_values`` entries must be distinct, finite and > 0, and ``grid_size``
-a power of two >= 32.
+at parse time with the key or field named; ``grid_size`` must be a power of
+two >= 32.  Caps are the registry's, one per target.
 
 Identical config + seed reproduce byte-identical reports: all randomness is
 Philox counter-based, trials execute in a fixed order (parallel workers only
@@ -26,14 +22,13 @@ variable.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-from .targets import MAX_SEED, REGISTRY, TargetResult
+from .targets import REGISTRY, TargetResult
 
 __all__ = ["ExperimentConfig", "CampaignReport", "run_campaign", "parse_config"]
 
@@ -44,8 +39,6 @@ class ExperimentConfig:
     grid_size: int = 1024
     trials: int | None = None
     targets: tuple[str, ...] | None = None  # None = every registered target
-    eps_values: tuple[float, ...] = (0.01, 0.05, 0.1)
-    caps: dict = field(default_factory=dict)
     out: str = "reports"
 
     def __post_init__(self):
@@ -59,14 +52,6 @@ class ExperimentConfig:
         repeated = sorted({t for t in self.targets if self.targets.count(t) > 1})
         if repeated:
             raise ValueError(f"repeated targets: {repeated}")
-        unknown = sorted(t for t in self.caps if t not in REGISTRY)
-        if unknown:
-            raise ValueError(f"caps for unknown targets: {unknown}")
-        for name, cap in sorted(self.caps.items()):
-            if REGISTRY[name].default_cap is None:
-                raise ValueError(f"cap.{name}: target {name!r} reads no cap, got {cap!r}")
-            if not (math.isfinite(cap) and cap > 0):
-                raise ValueError(f"cap.{name} must be finite and > 0, got {cap!r}")
         n = self.grid_size
         # below 32 points vv-paraproduct's band-limited inputs reach no
         # lacunary packet, so its ratio is round-off and its cap cannot fail
@@ -74,31 +59,14 @@ class ExperimentConfig:
             raise ValueError(f"grid_size must be a power of two >= 32, got {n!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.seed > MAX_SEED:
-            raise ValueError(
-                f"seed must be at most 2**46 - 1, as for decompose-demo, got {self.seed}"
-            )
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not self.eps_values:
-            raise ValueError("eps_values must not be empty")
-        if len(set(self.eps_values)) < len(self.eps_values):  # one trial label per eps
-            raise ValueError(f"repeated eps_values: {sorted(self.eps_values)}")
-        for eps in self.eps_values:
-            if not (math.isfinite(eps) and eps > 0):
-                raise ValueError(f"eps_values must be finite and > 0, got {eps!r}")
 
     def trial_count(self, default: int) -> int:
         """A target's trial count: its default, lowered to ``trials`` if set."""
         if self.trials is None:
             return default
         return max(1, min(default, self.trials))
-
-    def cap(self, target: str) -> float | None:
-        """A target's cap: the configured one, else the registry default;
-        ``None`` for the targets whose verdict reads no cap."""
-        default = REGISTRY[target].default_cap
-        return None if default is None else float(self.caps.get(target, default))
 
     def seeds(self, label: str, count: int) -> list[int]:
         """Seeds of the trials t < ``count`` of the group ``label`` (a registry
@@ -109,13 +77,11 @@ class ExperimentConfig:
                 for k in keys]
 
 
-def _number(key: str, val: str, kind):
+def _integer(key: str, val: str) -> int:
     try:
-        return kind(val)
+        return int(val)
     except ValueError:
-        raise ValueError(
-            f"config key {key!r}: cannot read {val!r} as {kind.__name__}"
-        ) from None
+        raise ValueError(f"config key {key!r}: cannot read {val!r} as int") from None
 
 
 def _items(key: str, val: str) -> list[str]:
@@ -139,18 +105,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config key {key!r} given twice")
         fields[key] = val.strip()
 
-    kwargs: dict = {"caps": {}}
+    kwargs: dict = {}
     for key, val in fields.items():
         if key in ("seed", "grid_size", "trials"):
-            kwargs[key] = _number(key, val, int)
+            kwargs[key] = _integer(key, val)
         elif key == "targets":
             kwargs["targets"] = tuple(_items(key, val))
-        elif key == "eps_values":
-            kwargs["eps_values"] = tuple(_number(key, t, float) for t in _items(key, val))
         elif key == "out":
             kwargs["out"] = val
-        elif key.startswith("cap."):
-            kwargs["caps"][key[4:]] = _number(key, val, float)
         else:
             raise ValueError(f"unknown config key {key!r}")
     return ExperimentConfig(**kwargs)
@@ -186,7 +148,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
         t0 = time.perf_counter()
         error = None
         try:
-            rows, aggregates, passed = target.runner(cfg, cfg.cap(name))
+            rows, aggregates, passed = target.runner(cfg, target.cap)
         except Exception:
             rows, aggregates, passed = [], {}, False
             error = traceback.format_exc(limit=3)

@@ -1,4 +1,4 @@
-"""Report emission: CSV rows, JSON mirror, columnar plot data.
+"""Report emission: CSV rows and their JSON mirror.
 
 Formats (all deterministic for a fixed config + seed; timing is kept out of
 the files on purpose):
@@ -6,8 +6,6 @@ the files on purpose):
 * CSV: header ``target,trial,seed,lhs,rhs,ratio,params`` with params as a
   canonical JSON object.
 * JSON: config, per-target rows and aggregates, overall verdict.
-* plotdata: one whitespace-separated file per target, columns
-  ``trial ratio lhs rhs``, row count equal to the trial count.
 """
 
 from __future__ import annotations
@@ -63,22 +61,10 @@ def render_json(report: CampaignReport) -> str:
 
 
 def emit_report(report: CampaignReport, out_dir: str | Path) -> list[Path]:
-    """Write ``campaign.csv``, ``campaign.json`` and ``plotdata/<target>.dat``."""
+    """Write ``campaign.csv`` and ``campaign.json``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path, json_path = out / "campaign.csv", out / "campaign.json"
     csv_path.write_text(render_csv(report))
     json_path.write_text(render_json(report))
-    written = [csv_path, json_path]
-    pdir = out / "plotdata"
-    pdir.mkdir(exist_ok=True)
-    for result in report.results:
-        path = pdir / f"{result.name}.dat"
-        lines = ["# trial ratio lhs rhs"]
-        for row in result.rows:
-            lines.append(
-                f"{row.trial} {_fmt(row.ratio)} {_fmt(row.lhs)} {_fmt(row.rhs)}"
-            )
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-    return written
+    return [csv_path, json_path]

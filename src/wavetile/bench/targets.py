@@ -1,14 +1,13 @@
 """Registry of inequality targets driven by the campaign runner.
 
 Each target measures both sides of one inequality over seeded trials and
-applies its acceptance policy: a ratio cap (config-overridable; the default
-is the registry entry's ``default_cap``, ``None`` for the targets whose
-verdict reads no cap) and, where the statement is uniformity over a
-structural parameter, a no-growth check across that parameter.  Caps encode
-measured headroom, not proven constants.
+applies its acceptance policy: a ratio cap (the registry entry's ``cap``,
+``None`` for the targets whose verdict reads no cap) and, where the
+statement is uniformity over a structural parameter, a no-growth check
+across that parameter.  Caps encode measured headroom, not proven constants.
 
 A runner is ``runner(cfg, cap) -> (rows, aggregates, passed)``: it takes the
-campaign's ``ExperimentConfig`` and the target's cap (``cfg.cap(name)``,
+campaign's ``ExperimentConfig`` and the target's cap (the entry's ``cap``,
 ``None`` when the verdict reads none) and returns its ``TrialRow`` list, its
 aggregates dict and its verdict.  ``run_campaign`` builds the
 ``TargetResult`` from these and the registry entry's name and statement.
@@ -38,8 +37,7 @@ from .generate import generate_trial, rng_for
 if TYPE_CHECKING:
     from .campaign import ExperimentConfig
 
-__all__ = ["TrialRow", "TargetResult", "InequalityTarget", "REGISTRY", "MAX_SEED",
-           "target_names"]
+__all__ = ["TrialRow", "TargetResult", "InequalityTarget", "REGISTRY", "target_names"]
 
 
 @dataclass
@@ -68,12 +66,7 @@ class InequalityTarget:
     name: str
     statement: str
     runner: Callable
-    default_cap: float | None
-
-
-# Largest campaign seed: trial seeds are hashes below 2**63 whatever it is,
-# but decompose-demo keys Philox with the raw seed, and one bound serves both.
-MAX_SEED = 2**46 - 1
+    cap: float | None
 
 
 def _trial_rows(cfg: ExperimentConfig, label: str, default_trials: int,
@@ -501,7 +494,7 @@ def _run_range_consistency(cfg, cap):
 
     # the scalar Fraction routes check the vector ones, route by route, on a
     # seeded sample of the same grid
-    rng = rng_for(cfg.seed, 24)
+    rng = rng_for(cfg.seeds("range-consistency", 1)[0], 24)
     a, b, c, d = rng.integers(0, step, size=(4, 2400))
     keep = (a + b > 0) & (2 * (a + b) < 3 * step) & (c + d > 0)
     a, b, c, d = a[keep], b[keep], c[keep], d[keep]
@@ -646,6 +639,7 @@ def _lr_of_lr(grid, comps, e, weight=None) -> float:
 
 
 _LOCALIZED_EXPONENTS = (1.5, 1.5, 0.75)  # (r1, r2, r)
+_EPS_VALUES = (0.01, 0.05, 0.1)  # localized-operator's exponent losses
 
 
 def _localized_operator_rows(cfg, eps, label, default_trials, K):
@@ -683,9 +677,9 @@ def _localized_operator_rows(cfg, eps, label, default_trials, K):
 
 
 def _run_localized_operator(cfg, cap):
-    rows = [row for eps in cfg.eps_values for row in
+    rows = [row for eps in _EPS_VALUES for row in
             _localized_operator_rows(cfg, eps, f"localized-operator/eps={eps!r}", 34, 1)]
-    return _capped(rows, cap, eps_values=list(cfg.eps_values))
+    return _capped(rows, cap, eps_values=list(_EPS_VALUES))
 
 
 def _run_vv_localized(cfg, cap):

@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-ONE = Fraction(1)
 THREE_HALVES = Fraction(3, 2)
 
 
