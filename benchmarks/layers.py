@@ -1,6 +1,7 @@
 """Layer micro-benchmark: packet sweeps and synthesis, chi-weighted
 averages, one stopping sweep, one weak-norm dualization sweep,
-Littlewood-Paley products and the range grid.
+Littlewood-Paley products, the Leibniz sides, the BHT oracle pair and the
+range grid.
 
     PYTHONPATH=src python3 benchmarks/layers.py [--repeats 9] [--json FILE]
 
@@ -33,12 +34,18 @@ period 1):
   seed-7 campaign's first step function (depth 5), every superlevel set of
   |f| trimmed and dualized in one pass.
 
-Three more time the Littlewood-Paley products and the exhaustive range grid:
+Six more time the Littlewood-Paley products, the spectral multipliers, the
+BHT oracle pair and the exhaustive range grid:
 
 * ``telescope``: ``telescoping_decomposition`` of two inputs band-limited to
   n/8, in 1d at n = 4096 and in 2d at 256**2 (the telescope targets);
 * ``tensor``: ``tensor_paraproduct`` at 128**2 of inputs band-limited to 8
   (tensor-mixed-norm);
+* ``leibniz_sides``: both sides of the two-parameter Leibniz rule at
+  alpha = beta = 1, symmetric split at (2, 2), of inputs band-limited to 8
+  at 256**2 (leibniz-mixed);
+* ``bht_kernel`` and ``bht_spectral``: the quadrature and the multiplier
+  at n = 2048 on bht-multiplier's modulated bumps (frequencies 5 and 25);
 * ``range_grid``: ``range_grid_mismatches(24)``, both range routes over the
   step-1/24 grid (range-consistency).
 
@@ -70,9 +77,13 @@ from wavetile.dyadic import (
     tile_scale_coefficients,
     tile_scale_synthesize,
 )
-from wavetile.grid import GridFunction, SampleGrid, max_scale
+from wavetile.grid import GridFunction, SampleGrid, low_pass_profile, max_scale
 from wavetile.norms import dualize_superlevel_sets
 from wavetile.operators import (
+    LeibnizExponents,
+    bht_kernel,
+    bht_spectral,
+    leibniz_sides,
     range_grid_mismatches,
     telescoping_decomposition,
     tensor_paraproduct,
@@ -154,13 +165,33 @@ def _dualization_row(repeats: int) -> list[dict]:
     return [row]
 
 
+def _leibniz(f: GridFunction, g: GridFunction):
+    return leibniz_sides(1.0, 1.0, LeibnizExponents.symmetric(2, 2), f, g)
+
+
+def _bht_rows(repeats: int) -> list[dict]:
+    """The BHT oracle rows, on bht-multiplier's inputs."""
+    grid = SampleGrid(2048, 1.0)
+    x = grid.points()
+    window = low_pass_profile((x - 0.5) / 0.12)
+    f, g = (GridFunction(grid, window * np.exp(2j * np.pi * a * x)) for a in (5, 25))
+    rows = []
+    for layer, op in (("bht_kernel", bht_kernel), ("bht_spectral", bht_spectral)):
+        row = {"layer": layer, "n": grid.sample_count, "K": 1, "repeats": repeats,
+               **_timed(lambda: op(f, g), repeats)}
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
+
+
 def _spectral_rows(repeats: int) -> list[dict]:
-    """The Littlewood-Paley product and range-grid rows."""
+    """The Littlewood-Paley product, multiplier, BHT and range-grid rows."""
     rows = []
     for layer, op, dims, n, band in (
         ("telescope", telescoping_decomposition, 1, 4096, 512),
         ("telescope", telescoping_decomposition, 2, 256, 32),
         ("tensor", tensor_paraproduct, 2, 128, 8),
+        ("leibniz_sides", _leibniz, 2, 256, 8),
     ):
         grid = SampleGrid(n, 1.0, dimension=dims)
         f, g = (generate_trial("band_limited", 1, {"grid": grid, "band": band}, role=role)
@@ -169,6 +200,7 @@ def _spectral_rows(repeats: int) -> list[dict]:
                "repeats": repeats, **_timed(lambda: op(f, g), repeats)}
         print(json.dumps(row), flush=True)
         rows.append(row)
+    rows += _bht_rows(repeats)
     points, _ = range_grid_mismatches(24)
     row = {"layer": "range_grid", "step": 24, "points": points, "repeats": repeats,
            **_timed(lambda: range_grid_mismatches(24), repeats)}

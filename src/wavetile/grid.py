@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import AliasingError, ScaleBudgetError, ShapeError
+from .errors import ScaleBudgetError, ShapeError
 
 __all__ = [
     "SampleGrid",
@@ -205,6 +205,20 @@ def scale_range(grid: SampleGrid) -> range:
     return range(-kappa, max_scale(grid) + 1)
 
 
+def scales_reaching(grid: SampleGrid, scales: range, band: int) -> range:
+    """The leading scales of ``scales`` whose annulus reaches frequency
+    ``band``.
+
+    Q_k vanishes on |m| <= period * 2**(k-1), so on inputs band-limited to
+    ``band`` every later scale adds only round-off, and P_k is the identity
+    on them past the last scale kept.  The first scale always stays: it
+    carries the coarse block.
+    """
+    stop = next((k for k in scales[1:] if grid.period_length * 2.0 ** (k - 1) >= band),
+                scales.stop)
+    return range(scales.start, stop)
+
+
 def _check_scale(grid: SampleGrid, k: int):
     if k > max_scale(grid):
         raise ScaleBudgetError(
@@ -317,34 +331,18 @@ def fractional_derivative(f: GridFunction, alpha: float, axis: int = 1) -> GridF
 
 
 # ---------------------------------------------------------------------------
-# Spectral support helpers
+# Spectral support
 # ---------------------------------------------------------------------------
 
-def spectrum(f: GridFunction) -> np.ndarray:
-    """Plain (unnormalized) fft along spatial axes."""
-    return np.fft.fftn(f.samples, axes=f.spatial_axes)
-
-
-def band_limit(f: GridFunction) -> int:
-    """Largest |m| carrying spectral mass above 1e-12 of the peak."""
-    spec = np.abs(spectrum(f))
-    peak = spec.max()
-    if peak == 0:
-        return 0
-    m = np.abs(f.grid.frequencies())
-    limit = 0
-    for ax in f.spatial_axes:
-        mask = spec > 1e-12 * peak
-        other = tuple(a for a in range(spec.ndim) if a != ax)
-        active = mask.any(axis=other) if other else mask
-        if active.any():
-            limit = max(limit, int(m[active].max()))
-    return limit
-
-
-def require_band_limited(f: GridFunction, max_index: int):
-    b = band_limit(f)
-    if b > max_index:
-        raise AliasingError(
-            f"spectrum reaches |m|={b}, beyond the admissible {max_index}"
-        )
+def band_limit(grid: SampleGrid, spec: np.ndarray) -> int:
+    """Largest |m|, along any spatial axis, at which some component of
+    ``spec`` (a spectrum with the spatial axes leading, any vector axes
+    after them) carries mass above 1e-12 of that component's peak; 0 for a
+    zero spectrum."""
+    spatial = tuple(range(grid.dimension))
+    mag = np.abs(spec)
+    active = mag > 1e-12 * mag.max(axis=spatial, keepdims=True)
+    hit = np.zeros(grid.sample_count, dtype=bool)
+    for ax in spatial:
+        hit |= active.any(axis=tuple(a for a in range(active.ndim) if a != ax))
+    return int(np.abs(grid.frequencies())[hit].max(initial=0))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dyadic import Tritile, tile_scale_coefficients, tile_scale_synthesize
 from ..errors import AliasingError
@@ -49,16 +50,29 @@ def bht_kernel(f: GridFunction, g: GridFunction) -> GridFunction:
     _check_padding(f)
     _check_padding(g)
     n = grid.sample_count
-    fs, gs = f.samples, g.samples
+    J = n // 4
+    # h[x -+ j] is the slice [J -+ j, J -+ j + n) of h wrapped by J on each side
+    fw, gw = (np.concatenate([h.samples[-J:], h.samples, h.samples[:J]]) for h in (f, g))
     out = np.zeros(n, dtype=complex)
-    for j in range(1, n // 4 + 1):
-        out += (np.roll(fs, j) * np.roll(gs, -j) - np.roll(fs, -j) * np.roll(gs, j)) / j
+    for j in range(1, J + 1):
+        lo, hi = slice(J - j, J - j + n), slice(J + j, J + j + n)
+        out += (fw[lo] * gw[hi] - fw[hi] * gw[lo]) / j
     return GridFunction(grid, out)
+
+
+# Products F_i G_j formed per chunk of the signed convolution: 2**15 complex
+# values (512 KiB) stay in cache; at n = 2048 twice that ran ~2x slower.
+_CHUNK = 1 << 15
 
 
 def bht_spectral(f: GridFunction, g: GridFunction) -> GridFunction:
     """The bilinear multiplier -i pi sgn(xi - eta) applied on the torus: the
-    reference :func:`bht_kernel` is checked against, sharing none of its code."""
+    reference :func:`bht_kernel` is checked against, sharing none of its code.
+
+    The output spectrum is the signed convolution
+    H_k = sum_{i + j = k mod n} F_i G_j sgn(m_i - m_j), over the bins i where
+    F is above 1e-14 of its peak, summed a chunk of such bins at a time.
+    """
     grid = f.grid
     if grid.dimension != 1:
         raise ValueError("the spectral reference works on 1d grids")
@@ -66,15 +80,18 @@ def bht_spectral(f: GridFunction, g: GridFunction) -> GridFunction:
     m = grid.frequencies()
     F = np.fft.fft(f.samples)
     G = np.fft.fft(g.samples)
-    x_phase = np.arange(n)
     active = np.flatnonzero(np.abs(F) > 1e-14 * max(np.abs(F).max(), 1e-300))
-    out = np.zeros(n, dtype=complex)
-    for i in active:
-        sgn = np.sign(m[i] - m)
-        h = np.fft.ifft(G * sgn)
-        out += F[i] * np.exp(2j * np.pi * m[i] * x_phase / n) * h
-    out *= -1j * np.pi / n
-    return GridFunction(grid, out)
+    # row n - i of these windows lists, for each output bin k, the G bin
+    # j = k - i mod n and its frequency
+    G_rows, m_rows = (sliding_window_view(np.concatenate([a, a]), n) for a in (G, m))
+    H = np.zeros(n, dtype=complex)
+    for bins in np.array_split(active, max(1, -(-len(active) * n // _CHUNK))):
+        rows = n - bins
+        terms = F[bins, None] * G_rows[rows]
+        terms *= np.sign(m[bins, None] - m_rows[rows])
+        # a sum, not a BLAS product: BLAS threads contend with other processes
+        H += terms.sum(axis=0)
+    return GridFunction(grid, np.fft.ifft(H) * (-1j * np.pi / n))
 
 
 @dataclass

@@ -20,17 +20,18 @@ from itertools import product
 import numpy as np
 
 from ..dyadic import DyadicInterval, WavePacketFamily, _column, min_packet_scale
-from ..errors import ShapeError
+from ..errors import AliasingError, ShapeError
 from ..grid import (
     GridFunction,
     SampleGrid,
     _band_blocks,
     _projection_values,
+    band_limit,
     littlewood_paley,
     low_pass_profile,
     max_scale,
-    require_band_limited,
     scale_range,
+    scales_reaching,
 )
 from ..norms import MeasurableSet
 
@@ -195,29 +196,32 @@ def telescoping_decomposition(f: GridFunction, g: GridFunction) -> list[GridFunc
     """Exact frequency decomposition of the pointwise product.
 
     Along each axis the product telescopes into three pairings summed over
-    the full scale budget, Q_k . P_k, P_k . Q_k and Q_k . Q_k, plus the
-    coarse block P_k0 . P_k0 at the first scale.  On a d-dimensional grid
-    the terms are the tensor products of one piece per axis.  Returns the
-    3**d pairing terms (first axis major, pairings in the order above) and
-    then one remainder that sums every term with a coarse factor; in 1d
-    that is [T1, T2, T3, R] with R = P_k0 f P_k0 g.  The parts add up to
-    f g to round-off for inputs band-limited to |m| <= N/4.
+    the scale budget, Q_k . P_k, P_k . Q_k and Q_k . Q_k, plus the coarse
+    block P_k0 . P_k0 at the first scale.  On a d-dimensional grid the terms
+    are the tensor products of one piece per axis.  Returns the 3**d pairing
+    terms (first axis major, pairings in the order above) and then one
+    remainder that sums every term with a coarse factor; in 1d that is
+    [T1, T2, T3, R] with R = P_k0 f P_k0 g.  The parts add up to f g to
+    round-off for inputs band-limited to |m| <= N/4.
 
-    Both inputs are transformed once.  The projections and products at a
-    tuple of per-axis scales run on that tuple's band (``grid._band``), and
-    each product's spectrum is added into its term's; each term then costs
-    one inverse transform.
+    Both inputs are transformed once, and the sum stops at the last scale
+    whose annulus reaches their band (``grid.scales_reaching``).  The
+    projections and products at a tuple of per-axis scales run on that
+    tuple's band (``grid._band``), and each product's spectrum is added into
+    its term's; each term then costs one inverse transform.
     """
     if f.vector_shape or g.vector_shape:
         raise ShapeError("the telescoping decomposition takes scalar functions")
     grid = f.grid
-    limit = grid.sample_count // 4
-    require_band_limited(f, limit)
-    require_band_limited(g, limit)
     dim = grid.dimension
     f_hat = np.fft.fftn(f.samples)
     g_hat = np.fft.fftn(g.samples)
-    ks = scale_range(grid)
+    band = max(band_limit(grid, f_hat), band_limit(grid, g_hat))
+    if band > grid.sample_count // 4:
+        raise AliasingError(
+            f"spectrum reaches |m|={band}, beyond the admissible {grid.sample_count // 4}"
+        )
+    ks = scales_reaching(grid, scale_range(grid), band)
     # flavors of f and g in each piece along one axis; "PP" is the coarse
     # block, present at the first scale only
     pieces = ("QP", "PQ", "QQ", "PP")
@@ -336,18 +340,21 @@ def tensor_paraproduct(f: GridFunction, g: GridFunction) -> GridFunction:
     componentwise over trailing vector axes.
 
     Pi_x is the convolution paraproduct sum_j Q_j(Q_j . P_j .) acting on the
-    first axis.  Both inputs are transformed once; the product of each
-    scale pair (j, k) runs on that pair's band (``grid._band``) and its
-    spectrum is added into the output's, which costs one inverse transform.
+    first axis.  Both inputs are transformed once, and each sum stops at the
+    last scale whose annulus reaches their band (``grid.scales_reaching``).
+    The product of each scale pair (j, k) runs on that pair's band
+    (``grid._band``) and its spectrum is added into the output's, which
+    costs one inverse transform.
     """
     if f.grid.dimension != 2:
         raise ValueError("tensor paraproduct needs 2d inputs")
     grid = f.grid
-    full = scale_range(grid)
-    ks = range(full.start, full.stop - 1)
     axes = (0, 1)
     f_hat = np.fft.fft2(f.samples, axes=axes)
     g_hat = np.fft.fft2(g.samples, axes=axes)
+    full = scale_range(grid)
+    band = max(band_limit(grid, f_hat), band_limit(grid, g_hat))
+    ks = scales_reaching(grid, range(full.start, full.stop - 1), band)
     out = np.zeros_like(f_hat)
     for scales in product(ks, ks):
         shape, blocks = _band_blocks(grid, scales)

@@ -236,12 +236,12 @@ class TestTrialRows:
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
 
 # sha256 of the seed-7, one-trial, full-registry report
-SMOKE_CSV_SHA256 = "983abac3d305c89b73daed1cf61899fdcb2b256b1a90439008a662694092b4db"
-SMOKE_JSON_SHA256 = "ca5da0492f9e3008d1adf3a9f0b8d6ea15b4aced4004bfa9e212432df36a4b92"
+SMOKE_CSV_SHA256 = "a709bb1d90c4594fe87754a6ceca9bdae3b7cde8659876a7ce81699a766c8d64"
+SMOKE_JSON_SHA256 = "070a9e7d0ffe182086af103878e2562679d73bb819ad357789016f8104ee84c2"
 # sha256 of the seed-7, two-trial, full-registry report: the aggregates over
 # several rows (min/max, medians, maxima by K, fits) enter these bytes
-TWO_TRIAL_CSV_SHA256 = "e2d40c3fc9fbc02e2335c7932328d983be8866434e5f752bf9fc3f5844fbecb7"
-TWO_TRIAL_JSON_SHA256 = "08dc16f1d609814efb896c1c43973495ec4b236b6c0fe5c730076db7262e8e12"
+TWO_TRIAL_CSV_SHA256 = "7493546fc408cf2d1f7ee897de8e53b879b21156e2e6584504cc526e7e472c8b"
+TWO_TRIAL_JSON_SHA256 = "89cd65db6a1f0c661e380f331159d49729b69ddb53d53ccef287469517b9012f"
 
 
 def smoke_config(**kw):

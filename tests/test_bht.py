@@ -100,6 +100,62 @@ class TestKernelOracle:
         assert 0.0 <= discrepancy <= 0.1
 
 
+def roll_kernel(f, g):
+    """The quadrature summed shift by shift with np.roll copies."""
+    n = f.grid.sample_count
+    fs, gs = f.samples, g.samples
+    out = np.zeros(n, dtype=complex)
+    for j in range(1, n // 4 + 1):
+        out += (np.roll(fs, j) * np.roll(gs, -j) - np.roll(fs, -j) * np.roll(gs, j)) / j
+    return out
+
+
+def direct_multiplier(f, g):
+    """-i pi sum_{i,j} F_i G_j sgn(m_i - m_j) e_{i+j} / n**2, every bin."""
+    n = f.grid.sample_count
+    m = f.grid.frequencies()
+    F, G = np.fft.fft(f.samples), np.fft.fft(g.samples)
+    x = np.arange(n)
+    pairs = F[:, None] * G[None, :] * np.sign(m[:, None] - m[None, :])
+    waves = np.exp(2j * np.pi * (m[:, None, None] + m[None, :, None]) * x / n)
+    return -1j * np.pi * np.einsum("ij,ijx->x", pairs, waves) / n ** 2
+
+
+class TestOraclePair:
+    def test_kernel_equals_roll_loop(self):
+        g = SampleGrid(2048, 1.0)
+        fa, _ = modulated_bump(g, 5)
+        gb, _ = modulated_bump(g, 25)
+        for f, h in ((fa, gb), (gb, fa), (fa, fa)):
+            assert np.array_equal(bht_kernel(f, h).samples, roll_kernel(f, h))
+
+    def test_spectral_matches_direct_double_sum(self):
+        g = SampleGrid(64, 1.0)
+        rng = np.random.default_rng(3)
+        F = rng.normal(size=64) + 1j * rng.normal(size=64)
+        F[::5] *= 1e-16  # bins below the 1e-14 activity threshold
+        f = GridFunction(g, np.fft.ifft(F))
+        h = GridFunction(g, rng.normal(size=64) + 1j * rng.normal(size=64))
+        for a, b in ((f, h), (h, f)):
+            want = direct_multiplier(a, b)
+            got = bht_spectral(a, b).samples
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_spectral_equal_frequencies_vanish(self):
+        # sgn(0) = 0: one mode against itself has no output, and two modes
+        # meet only through their unequal pairs
+        g = SampleGrid(64, 1.0)
+        x = g.points()
+        mode = GridFunction(g, np.exp(2j * np.pi * 7 * x))
+        assert np.abs(bht_spectral(mode, mode).samples).max() <= 1e-12
+        two = GridFunction(g, np.exp(2j * np.pi * 3 * x) + np.exp(-2j * np.pi * 5 * x))
+        want = direct_multiplier(two, two)
+        assert np.abs(want).max() <= 1e-12  # sgn(3 + 5) and sgn(-5 - 3) cancel
+        assert np.abs(bht_spectral(two, two).samples).max() <= 1e-12
+        zero = GridFunction(g, np.zeros(64, dtype=complex))
+        assert np.array_equal(bht_spectral(zero, two).samples, np.zeros(64))
+
+
 class TestModelOperator:
     def test_empty_collection(self):
         g = SampleGrid(512, 1.0)

@@ -15,6 +15,7 @@ from wavetile.grid import (
     littlewood_paley,
     max_scale,
     scale_range,
+    scales_reaching,
 )
 
 
@@ -141,4 +142,46 @@ class TestFractionalDerivative:
 def test_band_limit_detection():
     g = SampleGrid(128)
     f = band_limited(g, 5, 17)
-    assert band_limit(f) == 17
+    assert band_limit(g, np.fft.fft(f.samples)) == 17
+
+
+def test_band_limit_reads_2d_and_vector_spectra():
+    g = SampleGrid(64, dimension=2)
+    spec = np.zeros((64, 64, 3), dtype=complex)
+    spec[5, -9, 2] = 1.0
+    spec[-20, 3, 2] = 0.9e-12  # below 1e-12 of its component's peak
+    assert band_limit(g, spec) == 9
+    # each component is read against its own peak, however small
+    spec[1, 14, 0] = 1e-20
+    assert band_limit(g, spec) == 14
+    assert band_limit(g, np.zeros((64, 64))) == 0
+
+
+class TestScalesReaching:
+    GRID = SampleGrid(128)
+
+    @pytest.mark.parametrize("band, want", [
+        (8, range(0, 4)),     # Q_4 vanishes on |m| <= 2**3
+        (9, range(0, 5)),
+        (64, range(0, 6)),    # n/2 reaches every scale of the budget
+        (0, range(0, 1)),     # the first scale always stays
+    ])
+    def test_cut_of_the_budget(self, band, want):
+        assert scale_range(self.GRID) == range(0, 6)
+        assert scales_reaching(self.GRID, scale_range(self.GRID), band) == want
+
+    def test_period_and_shorter_ranges(self):
+        g = SampleGrid(512, 4.0)
+        assert scales_reaching(g, scale_range(g), 32) == range(-2, 4)
+        assert scales_reaching(g, range(-2, 2), 512) == range(-2, 2)
+
+    def test_dropped_annuli_vanish_on_the_band(self):
+        for g in (SampleGrid(128), SampleGrid(512, 4.0)):
+            for band in (3, 8, 17, 40):
+                ks = scale_range(g)
+                kept = scales_reaching(g, ks, band)
+                m = np.abs(g.frequencies()) <= band
+                assert kept[0] == ks[0]
+                for k in ks[1:]:
+                    q = _projection_values(g.sample_count, g.period_length, k, "Q")
+                    assert (k in kept) == bool(np.any(q[m] != 0))

@@ -9,8 +9,10 @@ from wavetile.errors import AliasingError, ShapeError
 from wavetile.grid import (
     GridFunction,
     SampleGrid,
+    band_limit,
     littlewood_paley,
     scale_range,
+    scales_reaching,
 )
 from wavetile.norms import MeasurableSet
 from wavetile.operators import (
@@ -359,6 +361,79 @@ class TestTensorParaproduct:
     def test_needs_2d(self):
         with pytest.raises(ValueError):
             tensor_paraproduct(band_limited(GRID, 32, 10), band_limited(GRID, 33, 10))
+
+
+def stacked(grid, seed, band, components):
+    """``components`` band-limited draws along one trailing vector axis."""
+    return GridFunction(grid, np.stack(
+        [band_limited(grid, seed + c, band).samples for c in range(components)], axis=-1))
+
+
+class TestBandBoundedScales:
+    """Both operators stop at the last scale whose annulus reaches their
+    inputs' band; the projection routes sum the whole budget."""
+
+    @pytest.mark.parametrize("grid", [
+        SampleGrid(512, 1.0), SampleGrid(64, 1.0, dimension=2),
+        SampleGrid(512, 4.0), SampleGrid(64, 4.0, dimension=2),
+    ])
+    def test_telescoping_matches_full_range_route(self, grid):
+        band = grid.sample_count // 16
+        full = scale_range(grid)
+        assert scales_reaching(grid, full, band).stop < full.stop
+        f, h = band_limited(grid, 50, band), band_limited(grid, 51, band)
+        parts = telescoping_decomposition(f, h)
+        want = telescope_route(f, h)
+        for got, ref in zip(parts, want):
+            assert np.linalg.norm(got.samples - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("grid, components", [
+        (SampleGrid(128, 1.0, dimension=2), 0),
+        (SampleGrid(128, 4.0, dimension=2), 0),
+        (SampleGrid(64, 1.0, dimension=2), 3),
+    ])
+    def test_tensor_matches_full_range_route(self, grid, components):
+        band = grid.sample_count // 16
+        full = scale_range(grid)
+        assert scales_reaching(grid, full, band).stop < full.stop - 1
+        if components:
+            f, h = stacked(grid, 60, band, components), stacked(grid, 70, band, components)
+        else:
+            f, h = band_limited(grid, 60, band), band_limited(grid, 70, band)
+        got = tensor_paraproduct(f, h).samples
+        want = tensor_route(f, h)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_tensor_component_read_against_its_own_peak(self):
+        # a faint broadband component keeps the scales its band reaches
+        grid = SampleGrid(64, 1.0, dimension=2)
+        f = stacked(grid, 80, 4, 2)
+        h = stacked(grid, 90, 4, 2)
+        f.samples[..., 1] = 1e-14 * band_limited(grid, 82, 16).samples
+        got = tensor_paraproduct(f, h).samples[..., 1]
+        want = tensor_route(GridFunction(grid, f.samples[..., 1]),
+                            GridFunction(grid, h.samples[..., 1]))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_tail_just_under_the_threshold(self):
+        # a tail at |m| = 100 of 0.9e-12 of the spectral peak is not read as
+        # band, so scales 6 and 7, which reach it, are dropped: the parts
+        # lose its round-off-sized contribution and nothing more
+        grid = SampleGrid(512, 1.0)
+        f, h = band_limited(grid, 52, 32), band_limited(grid, 53, 32)
+        spec = np.fft.fft(f.samples)
+        spec[[100, -100]] = 0.9e-12 * np.abs(spec).max()
+        f = GridFunction(grid, np.fft.ifft(spec))
+        assert band_limit(grid, np.fft.fft(f.samples)) == 32
+        assert scales_reaching(grid, scale_range(grid), 32) == range(0, 6)
+        parts = telescoping_decomposition(f, h)
+        want = telescope_route(f, h)
+        deviation = max(np.linalg.norm(got.samples - ref) / np.linalg.norm(ref)
+                        for got, ref in zip(parts, want))
+        assert deviation <= 1e-11
+        total = sum(p.samples for p in parts)
+        product = f.samples * h.samples
+        assert np.linalg.norm(total - product) <= 1e-11 * np.linalg.norm(product)
 
 
 class TestBilinearityAcrossOperators:

@@ -6,8 +6,8 @@ import pytest
 
 from wavetile.dyadic import DyadicInterval, build_rank_one_tiles, grid_dyadic_family
 from wavetile.errors import ExponentConstraintError, ShapeError
-from wavetile.grid import GridFunction, SampleGrid
-from wavetile.norms import INF, MixedNormSpec
+from wavetile.grid import GridFunction, SampleGrid, fractional_derivative
+from wavetile.norms import INF, MixedNormSpec, mixed_norm
 from wavetile.operators import (
     BHTModelSpec,
     LeibnizExponents,
@@ -154,7 +154,43 @@ class TestVectorAxesOperators:
             assert not out.samples.any()
 
 
+def leibniz_route(alpha, beta, exps, f, g):
+    """Both sides with every derivative field built from scratch."""
+
+    def d(h, a, b):
+        out = h
+        if a > 0:
+            out = fractional_derivative(out, a, axis=1)
+        if b > 0:
+            out = fractional_derivative(out, b, axis=2)
+        return out
+
+    product = GridFunction(f.grid, f.samples * g.samples)
+    lhs = mixed_norm(d(product, alpha, beta), MixedNormSpec((exps.s1, exps.s2)))
+    splits = (
+        ((alpha, beta), (0.0, 0.0)),
+        ((0.0, 0.0), (alpha, beta)),
+        ((alpha, 0.0), (0.0, beta)),
+        ((0.0, beta), (alpha, 0.0)),
+    )
+    terms = []
+    for ((af, bf), (ag, bg)), (px, py, qx, qy) in zip(splits, exps.pairs):
+        nf = mixed_norm(d(f, af, bf), MixedNormSpec((px, py)))
+        ng = mixed_norm(d(g, ag, bg), MixedNormSpec((qx, qy)))
+        terms.append(nf * ng)
+    return lhs, tuple(terms)
+
+
 class TestLeibnizSides:
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5, 1.5), (0.0, 0.75)])
+    def test_equals_field_by_field_route(self, alpha, beta):
+        g2 = SampleGrid(64, 1.0, dimension=2)
+        f, g = band_limited(g2, 40, 6), band_limited(g2, 41, 6)
+        exps = LeibnizExponents(2, 3, (
+            (4, 6, 4, 6), (3, 4, 6, 12), (INF, 6, 2, 6), (6, INF, 3, 3),
+        ))
+        assert leibniz_sides(alpha, beta, exps, f, g) == leibniz_route(alpha, beta, exps, f, g)
+
     def test_constant_second_factor_first_term_dominates(self):
         g2 = SampleGrid(128, 1.0, dimension=2)
         f = band_limited(g2, 6, 8)
