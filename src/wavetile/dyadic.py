@@ -265,14 +265,12 @@ class _Band(NamedTuple):
     """A position-0 packet's spectrum on its open frequency window.
 
     ``support`` holds the FFT bins of the integer frequencies strictly inside
-    the window, ``residues`` those bins modulo the number of positions at the
-    packet's scale, and ``values`` the spectrum there.  Outside the open
-    window the clipped profile is cos(pi/2)**order (about 1e-130 of its
-    peak), far below round-off, so those bins are dropped.
+    the window and ``values`` the spectrum there.  Outside the open window
+    the clipped profile is cos(pi/2)**order (about 1e-130 of its peak), far
+    below round-off, so those bins are dropped.
     """
 
     support: np.ndarray
-    residues: np.ndarray
     values: np.ndarray
 
 
@@ -281,12 +279,11 @@ def _window_band(grid: SampleGrid, scale: int, block: int) -> _Band:
 
     Values are the cosine-power profile times the centering phase, divided
     by the L2 norm that Parseval gives for the inverse transform.  The block
-    window is ``positions`` wide with ends on multiples of it, so the
-    residues of the support are distinct.
+    window is one position count wide with ends on multiples of it, so the
+    support is distinct modulo the position count.
     """
     lo, hi = _block_window(grid, scale, block)
     n = grid.sample_count
-    positions = n // _stride(grid, scale)
     freqs = np.arange(int(lo) + 1, int(hi))
     center_f = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -294,7 +291,7 @@ def _window_band(grid: SampleGrid, scale: int, block: int) -> _Band:
     center = 0.5 * 2.0 ** (-scale)
     values *= np.exp(-2j * np.pi * freqs * center / grid.period_length)
     values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.spacing / n)
-    band = _Band(freqs % n, freqs % positions, values)
+    band = _Band(freqs % n, values)
     for arr in band:
         arr.flags.writeable = False
     return band
@@ -305,48 +302,120 @@ def _column(values: np.ndarray, ndim: int) -> np.ndarray:
     return values.reshape(values.shape + (1,) * (ndim - 1))
 
 
-def _correlate(
-    grid: SampleGrid, f_hat: np.ndarray, band: _Band, scale: int, shift_n: int = 0
-) -> np.ndarray:
-    """<f, base translated to position p + shift_n> for every position p.
-
-    ``f_hat`` is the ``np.fft.fft`` of f along axis 0 (trailing vector axes
-    pass through) and ``band`` the position-0 packet's.  Sampling the
-    circular correlation every stride folds its spectrum onto the residues
-    mod the position count, and the band's residues are distinct: one short
-    inverse FFT per scale.
-    """
-    stride = _stride(grid, scale)
-    folded = np.zeros((grid.sample_count // stride,) + f_hat.shape[1:], dtype=complex)
-    folded[band.residues] = f_hat[band.support] * _column(np.conj(band.values), f_hat.ndim)
-    coefs = np.fft.ifft(folded, axis=0) * (grid.spacing / stride)
-    return np.roll(coefs, -shift_n, axis=0) if shift_n else coefs
-
-
-def _synthesize(grid: SampleGrid, layers, vector_shape: tuple[int, ...]) -> GridFunction:
-    """sum over (weights, band) layers of sum_p weights[p] * base translated
-    to position p, where ``band`` is the base packet's.
-
-    ``weights`` has shape ``(positions, *vector_shape)``.  Its short FFT,
-    read at the band's residues, is the spectrum of the strided weights on
-    the band; the layers share a single inverse FFT.
-    """
-    out_spec = np.zeros((grid.sample_count,) + vector_shape, dtype=complex)
-    for weights, band in layers:
-        w_hat = np.fft.fft(weights, axis=0)
-        out_spec[band.support] += w_hat[band.residues] * _column(band.values, w_hat.ndim)
-    return GridFunction(grid, np.fft.ifft(out_spec, axis=0))
-
-
-def _vector_shape(weights: dict) -> tuple[int, ...]:
-    """Trailing vector shape of per-layer weights; scalar when there are none."""
-    return next(iter(weights.values())).shape[1:] if weights else ()
-
-
 @lru_cache(maxsize=2048)
 def _base_packet(n, period, scale, flavor):
     """Band of the packet for position 0 of the given scale."""
     return _window_band(SampleGrid(n, period), scale, _PACKET_BLOCKS[flavor])
+
+
+class _SweepPlan(NamedTuple):
+    """The layers of one sweep folded onto a single short transform.
+
+    ``positions`` is P, the finest layer's position count, which every
+    coarser count divides; layer i's positions sit every ``steps[i]`` rows
+    of a length-P transform.  ``bins`` and ``values`` are the layers' bands
+    one after another in layer order, and ``folded`` is each bin's flat
+    index into a ``(P, layers)`` array: row bin mod P, column its layer.
+    """
+
+    positions: int
+    steps: tuple[int, ...]
+    bins: np.ndarray
+    folded: np.ndarray
+    values: np.ndarray
+
+
+@lru_cache(maxsize=512)
+def _sweep_plan(n, period, route, layers) -> _SweepPlan:
+    """The frozen plan of a sweep over a nonempty tuple of layers.
+
+    ``route`` is a packet flavor, whose layers are scales, or a tile slot,
+    whose layers are (scale, freq_index) pairs.
+    """
+    grid = SampleGrid(n, period)
+    if isinstance(route, str):
+        scales = layers
+        bands = [_base_packet(n, period, j, route) for j in layers]
+    else:
+        scales = [j for j, _ in layers]
+        bands = [_tile_base_packet(n, period, j, l, route) for j, l in layers]
+    strides = [_stride(grid, j) for j in scales]
+    finest = min(strides)
+    positions = n // finest
+    plan = _SweepPlan(
+        positions,
+        tuple(s // finest for s in strides),
+        np.concatenate([b.support for b in bands]),
+        np.concatenate([
+            b.support % positions * len(layers) + i for i, b in enumerate(bands)
+        ]),
+        np.concatenate([b.values for b in bands]),
+    )
+    for arr in (plan.bins, plan.folded, plan.values):
+        arr.flags.writeable = False
+    return plan
+
+
+def _sweep(
+    grid: SampleGrid, f: GridFunction, route, layers: Iterable, shift_n: int = 0
+) -> dict:
+    """{layer: <f, base translated to position p + shift_n> for every
+    position p} over the ``layers`` of a :func:`_sweep_plan`.
+
+    Sampling the circular correlation with the position-0 packet every
+    stride folds its spectrum onto the residues mod the position count.
+    Folding every layer mod the finest count P instead and reading layer i
+    every P/P_i rows gives its length-P_i transform times P/P_i, so one
+    inverse FFT of length P serves the sweep, and every layer takes the
+    finest layer's factor spacing / stride.
+    """
+    layers = tuple(layers)
+    if not layers:
+        return {}
+    n = grid.sample_count
+    plan = _sweep_plan(n, grid.period_length, route, layers)
+    f_hat = np.fft.fft(f.samples, axis=0)
+    vshape = f_hat.shape[1:]
+    folded = np.zeros((plan.positions * len(layers),) + vshape, dtype=complex)
+    folded[plan.folded] = f_hat[plan.bins] * _column(np.conj(plan.values), f_hat.ndim)
+    coefs = np.fft.ifft(folded.reshape((plan.positions, len(layers)) + vshape), axis=0)
+    factor = grid.spacing / (n // plan.positions)
+    out = {}
+    for i, (layer, step) in enumerate(zip(layers, plan.steps)):
+        c = coefs[::step, i] * factor
+        out[layer] = np.roll(c, -shift_n, axis=0) if shift_n else c
+    return out
+
+
+def _sweep_synthesize(grid: SampleGrid, plan: _SweepPlan, stacked: np.ndarray) -> GridFunction:
+    """The adjoint of :func:`_sweep`: the sum over layers i and positions p
+    of ``stacked[p * steps[i], i]`` times layer i's base translated to
+    position p.  ``stacked`` has shape ``(P, layers, *vector_shape)``.
+
+    The length-P FFT of weights placed every P/P_i rows is their length-P_i
+    FFT repeated, so reading it at the bins mod P gives the spectrum of the
+    strided weights on each band.  Bands of different layers overlap, so
+    they add unbuffered, in layer order; the layers share a single inverse
+    FFT.
+    """
+    vshape = stacked.shape[2:]
+    w_hat = np.fft.fft(stacked, axis=0).reshape((-1,) + vshape)
+    out_spec = np.zeros((grid.sample_count,) + vshape, dtype=complex)
+    np.add.at(out_spec, plan.bins, w_hat[plan.folded] * _column(plan.values, w_hat.ndim))
+    return GridFunction(grid, np.fft.ifft(out_spec, axis=0))
+
+
+def _layer_synthesize(grid: SampleGrid, route, weights: dict) -> GridFunction:
+    """:func:`_sweep_synthesize` of ``weights[layer]``, one entry per
+    position of that layer along axis 0."""
+    if not weights:
+        return GridFunction(grid, np.zeros(grid.sample_count, dtype=complex))
+    vshape = next(iter(weights.values())).shape[1:]
+    plan = _sweep_plan(grid.sample_count, grid.period_length, route, tuple(weights))
+    stacked = np.zeros((plan.positions, len(weights)) + vshape, dtype=complex)
+    for i, (w, step) in enumerate(zip(weights.values(), plan.steps)):
+        stacked[::step, i] = w
+    return _sweep_synthesize(grid, plan, stacked)
 
 
 class WavePacketFamily:
@@ -355,8 +424,11 @@ class WavePacketFamily:
     Packets at one scale are exact translates of each other, so coefficient
     extraction for a full scale is a single circular correlation, and its
     adjoint, synthesis from per-position weights, a single convolution; both
-    run on the packet's band.  Inputs and weights may carry trailing vector
-    axes: transforms run along axis 0 and the rest broadcast.
+    run on the packet's band.  A sweep folds all its scales onto the finest
+    scale's position count, so it costs one FFT of the input and one short
+    transform, and synthesis one short transform and one inverse FFT.
+    Inputs and weights may carry trailing vector axes: transforms run along
+    axis 0 and the rest broadcast.
     """
 
     def __init__(self, grid: SampleGrid, intervals: list[DyadicInterval], flavor: str):
@@ -366,11 +438,6 @@ class WavePacketFamily:
         self.intervals = list(intervals)
         self.flavor = flavor
         grid.log2_period()
-
-    def _base(self, scale: int) -> _Band:
-        return _base_packet(
-            self.grid.sample_count, self.grid.period_length, scale, self.flavor
-        )
 
     def _layout(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """(scale, list indices, positions) per scale of the interval list,
@@ -395,10 +462,7 @@ class WavePacketFamily:
     ) -> dict[int, np.ndarray]:
         """{j: <f, packet((j, p + shift_n))> for every position p} over the
         given scales; f is transformed once for all of them."""
-        f_hat = np.fft.fft(f.samples, axis=0)
-        return {
-            j: _correlate(self.grid, f_hat, self._base(j), j, shift_n) for j in scales
-        }
+        return _sweep(self.grid, f, self.flavor, scales, shift_n)
 
     def coefficients(self, f: GridFunction) -> np.ndarray:
         """<f, packet(I)> aligned with the interval list (axis 0)."""
@@ -415,11 +479,7 @@ class WavePacketFamily:
         The adjoint of :meth:`scale_coefficients`: ``weights[j]`` has one
         entry per position at scale j along axis 0.
         """
-        return _synthesize(
-            self.grid,
-            ((w, self._base(j)) for j, w in weights.items()),
-            _vector_shape(weights),
-        )
+        return _layer_synthesize(self.grid, self.flavor, weights)
 
     def synthesize(self, weights: np.ndarray) -> GridFunction:
         """sum_I w_I packet(I) over the interval list.
@@ -427,15 +487,21 @@ class WavePacketFamily:
         The adjoint of :meth:`coefficients`; repeated intervals add up, in
         list order.  ``weights`` has shape ``(len(intervals), *vector_shape)``.
         """
-        kappa = self.grid.log2_period()
+        grid = self.grid
         weights = np.asarray(weights)
         vshape = weights.shape[1:]
-        layers = []
-        for j, idx, pos in self._layout():
-            arr = np.zeros((2 ** (j + kappa),) + vshape, dtype=complex)
-            np.add.at(arr, pos, weights[idx])  # unbuffered: in list order
-            layers.append((arr, self._base(j)))
-        return _synthesize(self.grid, layers, vshape)
+        layout = self._layout()
+        if not layout:
+            return GridFunction(grid, np.zeros((grid.sample_count,) + vshape, dtype=complex))
+        plan = _sweep_plan(
+            grid.sample_count, grid.period_length, self.flavor,
+            tuple(j for j, _, _ in layout),
+        )
+        stacked = np.zeros((plan.positions, len(layout)) + vshape, dtype=complex)
+        for i, ((_, idx, pos), step) in enumerate(zip(layout, plan.steps)):
+            # unbuffered: in list order
+            np.add.at(stacked[::step, i], pos, weights[idx])
+        return _sweep_synthesize(grid, plan, stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +570,7 @@ def tile_scale_coefficients(
 ) -> dict[tuple[int, int], np.ndarray]:
     """{(j, l): <f, packet> for all spatial positions of that layer} over the
     given (scale, freq_index) layers; f is transformed once for all of them."""
-    n, period = grid.sample_count, grid.period_length
-    f_hat = np.fft.fft(f.samples, axis=0)
-    return {
-        (j, l): _correlate(grid, f_hat, _tile_base_packet(n, period, j, l, slot), j)
-        for j, l in layers
-    }
+    return _sweep(grid, f, slot, layers)
 
 
 def tile_scale_synthesize(
@@ -520,8 +581,4 @@ def tile_scale_synthesize(
 
     The adjoint of :func:`tile_scale_coefficients`, one layer per key.
     """
-    n, period = grid.sample_count, grid.period_length
-    return _synthesize(grid, (
-        (w, _tile_base_packet(n, period, j, l, slot))
-        for (j, l), w in weights.items()
-    ), _vector_shape(weights))
+    return _layer_synthesize(grid, slot, weights)

@@ -7,7 +7,8 @@ coefficients is
     Pi(f, g) = sum_I c_I |I|^(-1/2) <f, phi1_I> <g, phi2_I> phi3_I,
 
 with phi1 a non-lacunary packet and phi2, phi3 lacunary ones.  Evaluation
-is grouped per scale, so the whole sum costs a few FFTs per scale
+is grouped per scale and each packet sweep takes one short transform for
+all of its scales, so the whole sum costs a few FFTs per call
 irrespective of the family size.
 """
 

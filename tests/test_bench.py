@@ -236,12 +236,12 @@ class TestTrialRows:
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
 
 # sha256 of the seed-7, one-trial, full-registry report
-SMOKE_CSV_SHA256 = "a709bb1d90c4594fe87754a6ceca9bdae3b7cde8659876a7ce81699a766c8d64"
-SMOKE_JSON_SHA256 = "070a9e7d0ffe182086af103878e2562679d73bb819ad357789016f8104ee84c2"
+SMOKE_CSV_SHA256 = "9fc6ae86f5987424eae0cc55cdb832a8059dfdc30e195e4227c1afd7c769529f"
+SMOKE_JSON_SHA256 = "95f7289e51c6a9e2aad0454de175756f513d04fe27753c008dc82a23a0d539bb"
 # sha256 of the seed-7, two-trial, full-registry report: the aggregates over
 # several rows (min/max, medians, maxima by K, fits) enter these bytes
-TWO_TRIAL_CSV_SHA256 = "7493546fc408cf2d1f7ee897de8e53b879b21156e2e6584504cc526e7e472c8b"
-TWO_TRIAL_JSON_SHA256 = "89cd65db6a1f0c661e380f331159d49729b69ddb53d53ccef287469517b9012f"
+TWO_TRIAL_CSV_SHA256 = "9431434e5aaa9df3c7e9f8a803649c31a4c599d0f0b8006eb5c13b049a2a17b1"
+TWO_TRIAL_JSON_SHA256 = "72e7a72485ddbf4d9037ce20480edd3e83d57b9de67ccd60cabf2b7c8c983250"
 
 
 def smoke_config(**kw):
@@ -492,8 +492,9 @@ class TestCampaignContracts:
         caches = lru_caches()
         assert sorted(caches) == [
             "wavetile.analysis._bump_spectrum", "wavetile.dyadic._base_packet",
-            "wavetile.dyadic._tile_base_packet", "wavetile.dyadic._torus_bump_cached",
-            "wavetile.grid._band", "wavetile.grid._projection_values",
+            "wavetile.dyadic._sweep_plan", "wavetile.dyadic._tile_base_packet",
+            "wavetile.dyadic._torus_bump_cached", "wavetile.grid._band",
+            "wavetile.grid._projection_values",
         ]
         for cache in caches.values():
             cache.cache_clear()

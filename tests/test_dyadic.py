@@ -160,11 +160,9 @@ class TestSharedSpectrumPath:
         f = self._input(11)
         coefs = fam.coefficients(f)
         kappa = self.GRID.log2_period()
+        sweeps = fam.scale_coefficients(f, [3, 2, 4])
         want = np.array([
-            fam.scale_coefficients(f, [iv.scale])[iv.scale][
-                iv.position % 2 ** (iv.scale + kappa)
-            ]
-            for iv in self.FAMILY
+            sweeps[iv.scale][iv.position % 2 ** (iv.scale + kappa)] for iv in self.FAMILY
         ])
         assert np.array_equal(coefs, want)
 
@@ -194,8 +192,7 @@ class TestSharedSpectrumPath:
         assert np.array_equal(np.sort(band.support), np.flatnonzero((lo < m) & (m < hi)))
         positions = g.sample_count // dyadic._stride(g, scale)
         assert len(band.support) == positions - 1
-        assert np.array_equal(band.residues, band.support % positions)
-        assert len(np.unique(band.residues)) == len(band.residues)
+        assert len(np.unique(band.support % positions)) == len(band.support)
         spectrum = np.zeros(g.sample_count, dtype=complex)
         spectrum[band.support] = band.values
         return spectrum
@@ -349,6 +346,150 @@ class TestFoldedSweeps:
             coefs = tile_scale_coefficients(g, h, layers, slot)
             rhs = sum(np.sum(w[key] * np.conj(coefs[key])) for key in layers)
             assert abs(lhs - rhs) < 1e-12
+
+
+def _correlate(grid, f_hat, band, scale, shift_n=0):
+    """Per-scale oracle: one inverse FFT of the band folded onto the scale's
+    own position count."""
+    stride = dyadic._stride(grid, scale)
+    positions = grid.sample_count // stride
+    folded = np.zeros((positions,) + f_hat.shape[1:], dtype=complex)
+    conj = np.conj(band.values).reshape((-1,) + (1,) * (f_hat.ndim - 1))
+    folded[band.support % positions] = f_hat[band.support] * conj
+    coefs = np.fft.ifft(folded, axis=0) * (grid.spacing / stride)
+    return np.roll(coefs, -shift_n, axis=0) if shift_n else coefs
+
+
+def _synthesize(grid, layers, vector_shape):
+    """Per-scale oracle: one FFT of each layer's weights, read at its band
+    mod its position count; the layers share one inverse FFT."""
+    out_spec = np.zeros((grid.sample_count,) + vector_shape, dtype=complex)
+    for weights, band in layers:
+        w_hat = np.fft.fft(weights, axis=0)
+        values = band.values.reshape((-1,) + (1,) * (w_hat.ndim - 1))
+        out_spec[band.support] += w_hat[band.support % len(weights)] * values
+    return GridFunction(grid, np.fft.ifft(out_spec, axis=0))
+
+
+class TestBatchedSweeps:
+    """A sweep folds all its layers onto the finest position count and
+    takes one short transform each way; the per-scale transforms of
+    :func:`_correlate` and :func:`_synthesize` are the oracle.  One layer
+    takes the oracle's arithmetic exactly; several differ by round-off,
+    bounded at 1e-14 of the peak."""
+
+    TOL = 1e-14
+
+    @staticmethod
+    def _sweep_case(n, period, flavor, vshape):
+        g = SampleGrid(n, period)
+        scales = list(range(min_packet_scale(g), dyadic.max_scale(g) + 1))
+        bands = {j: dyadic._base_packet(n, period, j, flavor) for j in scales}
+        f = _random_function(g, n + len(vshape), vshape)
+        return g, WavePacketFamily(g, [], flavor), scales, bands, f
+
+    @staticmethod
+    def _close(got, want, tol):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("vshape", [(), (16,)])
+    @pytest.mark.parametrize("period", [1.0, 4.0])
+    @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
+    def test_packet_sweeps_match_per_scale_oracle(self, flavor, period, vshape):
+        g, fam, scales, bands, f = self._sweep_case(256, period, flavor, vshape)
+        f_hat = np.fft.fft(f.samples, axis=0)
+        for shift_n in (0, 5):
+            sweeps = fam.scale_coefficients(f, scales, shift_n)
+            assert list(sweeps) == scales
+            for j in scales:
+                want = _correlate(g, f_hat, bands[j], j, shift_n)
+                one = fam.scale_coefficients(f, [j], shift_n)[j]
+                assert np.array_equal(one, want)
+                self._close(sweeps[j], want, self.TOL)
+        # the adjoint, on the sweep's own coefficients
+        layers = [(sweeps[j], bands[j]) for j in scales]
+        want = _synthesize(g, layers, vshape).samples
+        self._close(fam.scale_synthesize(sweeps).samples, want, self.TOL)
+        for j in scales:
+            one = fam.scale_synthesize({j: sweeps[j]}).samples
+            assert np.array_equal(one, _synthesize(g, [(sweeps[j], bands[j])], vshape).samples)
+
+    @pytest.mark.parametrize("vshape", [(), (16,)])
+    def test_interval_synthesize_matches_per_scale_oracle(self, vshape):
+        g = SampleGrid(512, 4.0)
+        kappa = g.log2_period()
+        family = TestSharedSpectrumPath.FAMILY + [DyadicInterval(-1, 1), DyadicInterval(5, 100)]
+        fam = WavePacketFamily(g, family, "non-lacunary")
+        w = _random_function(SampleGrid(16, 1.0), 31, vshape).samples[: len(family)]
+        by_scale = {}
+        for iv, wi in zip(family, w):
+            arr = by_scale.setdefault(
+                iv.scale, np.zeros((2 ** (iv.scale + kappa),) + vshape, dtype=complex)
+            )
+            arr[iv.position % len(arr)] += wi
+        layers = [
+            (arr, dyadic._base_packet(512, 4.0, j, "non-lacunary"))
+            for j, arr in by_scale.items()
+        ]
+        self._close(fam.synthesize(w).samples, _synthesize(g, layers, vshape).samples, self.TOL)
+
+    @pytest.mark.parametrize("vshape", [(), (16,)])
+    @pytest.mark.parametrize("period", [1.0, 4.0])
+    def test_tile_sweeps_match_per_scale_oracle(self, period, vshape):
+        g = SampleGrid(512, period)
+        n = g.sample_count
+        # several frequency indices per scale, negative ones included
+        layers = [(j, l) for j in (3, 4, 5) for l in (-2, 0, 1, 3)]
+        layers = [(j, l) for j, l in layers if 2 ** j * period * (l + 3) <= n // 2]
+        f = _random_function(g, 40, vshape)
+        f_hat = np.fft.fft(f.samples, axis=0)
+        for slot in (1, 2, 3):
+            bands = {key: dyadic._tile_base_packet(n, period, *key, slot) for key in layers}
+            sweeps = tile_scale_coefficients(g, f, layers, slot)
+            assert list(sweeps) == layers
+            for (j, l), band in bands.items():
+                want = _correlate(g, f_hat, band, j)
+                one = tile_scale_coefficients(g, f, [(j, l)], slot)[(j, l)]
+                assert np.array_equal(one, want)
+                self._close(sweeps[(j, l)], want, self.TOL)
+            want = _synthesize(g, [(sweeps[key], bands[key]) for key in layers], vshape)
+            self._close(tile_scale_synthesize(g, sweeps, slot).samples, want.samples, self.TOL)
+            key = layers[-1]
+            one = tile_scale_synthesize(g, {key: sweeps[key]}, slot).samples
+            assert np.array_equal(one, _synthesize(g, [(sweeps[key], bands[key])], vshape).samples)
+
+    def test_empty_sweeps_keep_shapes(self):
+        g = SampleGrid(256, 1.0)
+        f = _random_function(g, 41, (2, 3))
+        for flavor in ("lacunary", "non-lacunary"):
+            fam = WavePacketFamily(g, [], flavor)
+            assert fam.scale_coefficients(f, []) == {}
+            assert fam.coefficients(f).shape == (0, 2, 3)
+            out = fam.scale_synthesize({})
+            assert out.samples.shape == (256,) and not out.samples.any()
+        assert tile_scale_coefficients(g, f, [], 1) == {}
+        out = tile_scale_synthesize(g, {}, 3)
+        assert out.samples.shape == (256,) and not out.samples.any()
+
+    def test_plans_are_frozen_and_fold_distinct_rows(self):
+        g = SampleGrid(256, 2.0)
+        n, period = g.sample_count, g.period_length
+        for route, bands in (
+            ("lacunary", {j: dyadic._base_packet(n, period, j, "lacunary") for j in (4, 1, 2)}),
+            (2, {key: dyadic._tile_base_packet(n, period, *key, 2)
+                 for key in ((3, 1), (3, 2), (4, 0))}),
+        ):
+            plan = dyadic._sweep_plan(n, period, route, tuple(bands))
+            for arr in (plan.bins, plan.folded, plan.values):
+                assert not arr.flags.writeable
+            assert plan.positions == 2 ** (4 + 1)
+            # layer i's bins fold to rows bin mod P of column i, no two to one cell
+            bins = np.concatenate([b.support for b in bands.values()])
+            column = np.repeat(np.arange(len(bands)), [len(b.support) for b in bands.values()])
+            assert np.array_equal(plan.bins, bins)
+            assert np.array_equal(plan.folded, bins % plan.positions * len(bands) + column)
+            assert len(np.unique(plan.folded)) == len(plan.folded)
 
 
 class TestVectorAxes:
