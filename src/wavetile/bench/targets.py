@@ -359,12 +359,8 @@ def _run_alpha_coefficients(cfg, cap):
         bounds[alpha] = bound
         rows.append(TrialRow(2 * t, 0, bound, cap, bound / cap,
                              {"alpha": alpha, "check": "decay-bound"}))
-        t5 = operators.alpha_symbol_coefficients(alpha, scale=5)
-        drift = float(np.max(np.abs(table - t5)))
-        rows.append(TrialRow(2 * t + 1, 0, drift, 1e-10, drift / 1e-10,
-                             {"alpha": alpha, "check": "scale-independence"}))
     return _bounded(rows, {"decay_bounds": {str(a): b for a, b in bounds.items()},
-                           "cap": cap, "scale_tolerance": 1e-10})
+                           "cap": cap})
 
 
 def _shifted_ratios(n: int, grid: SampleGrid, seed: int) -> dict:
@@ -414,7 +410,6 @@ def _run_bht_multiplier(cfg, cap):
     from ..grid import low_pass_profile
 
     window = low_pass_profile((x - 0.5) / 0.12)
-    rows = []
     a, b = 5, 25
     fa = GridFunction(grid, window * np.exp(2j * np.pi * a * x))
     gb = GridFunction(grid, window * np.exp(2j * np.pi * b * x))
@@ -423,32 +418,11 @@ def _run_bht_multiplier(cfg, cap):
     idx = slice(center - n // 128, center + n // 128)
     predicted = 1j * np.pi * np.sign(b - a) * np.exp(
         2j * np.pi * (a + b) * x[idx]) * window[idx] ** 2
-    got = quad.samples[idx]
-    rel = float(np.max(np.abs(got - predicted)) / np.max(np.abs(predicted)))
-    rows.append(TrialRow(0, 0, rel, 0.03, rel / 0.03, {"check": "modulus-pi"}))
-
-    swapped = operators.bht_kernel(gb, fa)
-    sign_flip = float(
-        np.max(np.abs(swapped.samples[idx] + got))
-        / np.max(np.abs(predicted))
-    )
-    rows.append(TrialRow(1, 0, sign_flip, 0.06, sign_flip / 0.06,
-                         {"check": "sign-flip"}))
-
-    equal = operators.bht_kernel(fa, fa)
-    scale = lp_norm(fa, INF) ** 2
-    equal_mag = float(np.max(np.abs(equal.samples[idx]))) / scale
-    rows.append(TrialRow(2, 0, equal_mag, 0.05, equal_mag / 0.05,
-                         {"check": "sgn-zero-on-diagonal"}))
-
-    even = GridFunction(grid, window.astype(complex))
-    even_out = operators.bht_kernel(even, even)
-    center_val = abs(even_out.samples[center]) / lp_norm(even, INF) ** 2
-    rows.append(TrialRow(3, 0, center_val, 1e-8, center_val / 1e-8,
-                         {"check": "even-symmetry-zero"}))
+    rel = float(np.max(np.abs(quad.samples[idx] - predicted)) / np.max(np.abs(predicted)))
     spectral = operators.bht_spectral(fa, gb)
     discrepancy = (quad - spectral).norm2() / spectral.norm2()
-    return _bounded(rows, {"spectral_discrepancy": discrepancy})
+    return _bounded([TrialRow(0, 0, rel, 0.03, rel / 0.03, {"check": "modulus-pi"})],
+                    {"spectral_discrepancy": discrepancy})
 
 
 def _run_bht_local_l2(cfg, cap):
@@ -531,12 +505,6 @@ def _run_range_consistency(cfg, cap):
     return _bounded(rows, {"grid_points": checked, "mismatches": mismatches})
 
 
-def _dilate_x(f: GridFunction, factor: int) -> GridFunction:
-    n = f.grid.sample_count
-    idx = (np.arange(n) * factor) % n
-    return GridFunction(f.grid, f.samples[idx, :])
-
-
 def _run_leibniz(cfg, cap):
     n = 256
     grid = SampleGrid(n, 1.0, dimension=2)
@@ -549,24 +517,7 @@ def _run_leibniz(cfg, cap):
         lhs, terms = operators.leibniz_sides(alpha, beta, exps, f, g)
         return [(lhs, sum(terms), {})]
 
-    ratio_rows = _trial_rows(cfg, "leibniz-mixed", 20, trial)
-    # dilation stability on a few pairs: the gate, while the cap reads the ratio rows
-    drift_rows = []
-    for t, seed in enumerate(cfg.seeds("leibniz-mixed/dilation", cfg.trial_count(3))):
-        f = generate_trial("band_limited", seed, {"grid": grid, "band": n // 64})
-        g = generate_trial("band_limited", seed, {"grid": grid, "band": n // 64}, role="g")
-        lhs, terms = operators.leibniz_sides(alpha, beta, exps, f, g)
-        base = lhs / sum(terms)
-        for dil in (2, 4, 8):
-            fd, gd = _dilate_x(f, dil), _dilate_x(g, dil)
-            lhs_d, terms_d = operators.leibniz_sides(alpha, beta, exps, fd, gd)
-            drift = abs(lhs_d / sum(terms_d) / base - 1.0)
-            drift_rows.append(TrialRow(100 + t * 10 + dil, seed, drift, 0.25,
-                                       drift / 0.25, {"dilation": dil}))
-    drifts = [row.lhs for row in drift_rows]
-    rows, agg, passed = _capped(ratio_rows, cap, all(d <= 0.25 for d in drifts),
-                                max_dilation_drift=max(drifts), drift_cap=0.25)
-    return rows + drift_rows, agg, passed
+    return _capped(_trial_rows(cfg, "leibniz-mixed", 20, trial), cap)
 
 
 def _local_sizes(funcs, family, root) -> list[float]:
@@ -788,7 +739,7 @@ REGISTRY: dict[str, InequalityTarget] = {t.name: t for t in (
                      "||(sum |g_k|^r2)^(1/r2)||_q, uniformly in K",
                      _run_vv_paraproduct, 1.0),
     InequalityTarget("alpha-coefficients",
-                     "|c_n| (1+|n|)^(1+alpha) bounded, coefficients scale-invariant",
+                     "|c_n| (1+|n|)^(1+alpha) bounded",
                      _run_alpha_coefficients, 4.0),
     InequalityTarget("shifted-growth",
                      "L2 norms of shifted maximal/square/paraproduct grow at most like "
@@ -806,7 +757,7 @@ REGISTRY: dict[str, InequalityTarget] = {t.name: t for t in (
                      _run_range_consistency, None),
     InequalityTarget("leibniz-mixed",
                      "||D1^a D2^b (fg)||_{s1,s2} <= C sum of four derivative-norm "
-                     "products; ratio stable under dyadic dilation",
+                     "products",
                      _run_leibniz, 1.0),
     InequalityTarget("trilinear-size-energy",
                      "|Lambda(f,g,h)| <= C prod size^(2/3) energy^(1/3)",

@@ -123,10 +123,6 @@ class GridFunction:
     def vector_shape(self) -> tuple[int, ...]:
         return self.samples.shape[self.grid.dimension:]
 
-    @property
-    def spatial_axes(self) -> tuple[int, ...]:
-        return tuple(range(self.grid.dimension))
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.grid, self.samples + other.samples)
 

@@ -250,7 +250,6 @@ def classical_paraproduct(
     f: GridFunction,
     g: GridFunction,
     which: str = "qpq",
-    axis: int = 0,
     scales: range | None = None,
 ) -> GridFunction:
     """Convolution-form paraproduct with an outer projection.
@@ -269,10 +268,10 @@ def classical_paraproduct(
     out = np.zeros_like(f.samples)
     slot_f, slot_g, outer = which[0].upper(), which[1].upper(), which[2].upper()
     for k in scales:
-        u = littlewood_paley(f, k, slot_f, axis=axis)
-        v = littlewood_paley(g, k, slot_g, axis=axis)
+        u = littlewood_paley(f, k, slot_f)
+        v = littlewood_paley(g, k, slot_g)
         prod = GridFunction(grid, u.samples * v.samples)
-        out += littlewood_paley(prod, k, outer, axis=axis).samples
+        out += littlewood_paley(prod, k, outer).samples
     return GridFunction(grid, out)
 
 
@@ -310,22 +309,18 @@ _QUAD_POINTS = 1 << 17
 _N_LIMIT = 256
 
 
-def alpha_symbol_coefficients(alpha: float, scale: int = 0) -> np.ndarray:
+def alpha_symbol_coefficients(alpha: float) -> np.ndarray:
     """Fourier coefficients c_n, |n| <= 256, of the normalized symbol.
 
     The symbol is rho(u) = |u|^alpha * lowpass(u) expanded periodically on
     the window u in [-4, 4), wide enough to cover the spectrum of any
-    single-scale product.  It is evaluated in the rescaled form
-    |2^k u|^alpha / 2^(k alpha) at k = ``scale``, which is exact at k = 0 and
-    equal up to round-off at any other k: the coefficients are
-    scale-invariant by construction.
+    single-scale product.
 
     Returns the array [c_-256, ..., c_0, ..., c_256].
     """
     nq = _QUAD_POINTS
     u = -4.0 + 8.0 * np.arange(nq) / nq
-    xi = u * 2.0 ** scale
-    vals = (np.abs(xi) ** alpha / 2.0 ** (scale * alpha)) * low_pass_profile(u)
+    vals = np.abs(u) ** alpha * low_pass_profile(u)
     coefs = np.fft.fft(vals) / nq
     ns = np.arange(-_N_LIMIT, _N_LIMIT + 1)
     sign = np.where(ns % 2 == 0, 1.0, -1.0)  # phase from the window offset

@@ -285,18 +285,13 @@ class TestShiftedParaproduct:
 
 
 class TestAlphaSymbolCoefficients:
-    def test_coefficient_decay_and_scale_invariance(self):
+    def test_coefficient_decay(self):
         for alpha in (0.25, 0.5, 1.0):
             table = alpha_symbol_coefficients(alpha)
             ns = np.arange(-256, 257)
             weighted = np.abs(table) * (1 + np.abs(ns)) ** (1 + alpha)
             assert np.isfinite(weighted.max())
             assert weighted.max() <= 4.0
-            drift = np.abs(
-                alpha_symbol_coefficients(alpha, scale=0)
-                - alpha_symbol_coefficients(alpha, scale=5)
-            ).max()
-            assert drift <= 1e-10
 
 
 def tensor_route(f, h):
@@ -353,8 +348,8 @@ class TestTensorParaproduct:
         out = tensor_paraproduct(f, h)
         full = scale_range(g2)
         ks = range(full.start, full.stop - 1)
-        px = classical_paraproduct(a, c, "qpq", axis=0, scales=ks)
-        py = classical_paraproduct(b, d, "pqq", axis=0, scales=ks)
+        px = classical_paraproduct(a, c, "qpq", scales=ks)
+        py = classical_paraproduct(b, d, "pqq", scales=ks)
         want = GridFunction(g2, np.outer(px.samples, py.samples))
         assert (out - want).norm2() <= 1e-10 * want.norm2()
 

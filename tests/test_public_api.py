@@ -3,8 +3,10 @@ defaulted parameter a call that passes it.
 
 A name listed in a module's ``__all__`` must be read (as an ``ast.Name`` or
 the attribute of an ``ast.Attribute``) somewhere under ``src/wavetile``, or
-be kept below with its reason.  Subpackage and submodule names listed by a
-package ``__init__`` are modules, not functions, and are not checked.
+be kept below with its reason; so must each public method or property of a
+class there, kept as ``Class.method``.  Subpackage and submodule names
+listed by a package ``__init__`` are modules, not functions, and are not
+checked.
 
 A parameter with a default, of a function in a module's ``__all__`` or of a
 public method of a class there, must be passed by some call under
@@ -31,6 +33,11 @@ KEEP = {
     "target_names": "the only public function of bench.targets, a module the "
                     "perfbench layer tracer lists and test_benchmark_hooks "
                     "requires to have one",
+    "GridFunction.inner": "the L^2 pairing of the tests' coefficient and adjoint oracles",
+    "WavePacketFamily.packet": "one packet on the grid, the oracle of the swept "
+                               "coefficients and syntheses",
+    "ExponentTuple.admissible": "the Hoelder check of targets that read their "
+                                "exponents as data (ROADMAP)",
 }
 
 
@@ -46,9 +53,10 @@ UNPASSED = {
     "major_subset_L1(C)": "the L^1 route of the weak dualization of operator outputs (ROADMAP)",
     "dualize_weak_via_Lr(C)": "the one-set oracle's threshold constant, which the tests vary",
     "classical_paraproduct(which)": "the oracle's three slot orders",
-    "classical_paraproduct(axis)": "the oracle along either axis of a 2d grid",
     "classical_paraproduct(scales)": "the oracle on the tensor paraproduct's scales",
     "range_grid_mismatches(repaired)": "the printed case table's mismatch count",
+    "littlewood_paley(axis)": "the tests' 2d telescoping and tensor oracles, which "
+                              "project along the second axis",
 }
 
 
@@ -67,6 +75,17 @@ def _public_names(path, tree):
                          and not (path.parent / f"{n}.py").is_file()]
             return names
     return []
+
+
+def _public_methods(path, tree):
+    """(class name, method node) per public method or property of a class
+    in the module's ``__all__``."""
+    public = set(_public_names(path, tree))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in public:
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield node.name, method
 
 
 def _read_names(trees):
@@ -92,11 +111,25 @@ def test_every_public_name_is_read_or_kept():
     assert unread == []
 
 
+def test_every_public_method_is_read_or_kept():
+    modules = _modules()
+    read = _read_names(modules.values())
+    unread = [
+        f"{path.relative_to(PACKAGE)}: {cls}.{method.name}"
+        for path, tree in modules.items()
+        for cls, method in _public_methods(path, tree)
+        if method.name not in read and f"{cls}.{method.name}" not in KEEP
+    ]
+    assert unread == []
+
+
 def test_keep_table_holds_only_unread_public_names():
     modules = _modules()
     read = _read_names(modules.values())
     public = {name for path, tree in modules.items() for name in _public_names(path, tree)}
-    assert sorted(n for n in KEEP if n in read or n not in public) == []
+    public |= {f"{cls}.{method.name}" for path, tree in modules.items()
+               for cls, method in _public_methods(path, tree)}
+    assert sorted(n for n in KEEP if n not in public or n.rpartition(".")[2] in read) == []
 
 
 def _defaulted(fn, offset):
@@ -118,14 +151,11 @@ def _defaulted_parameters(modules):
             if isinstance(node, ast.FunctionDef) and node.name in public:
                 for param, index in _defaulted(node, 0):
                     out[f"{node.name}({param})"] = (node.name, param, index)
-            if isinstance(node, ast.ClassDef) and node.name in public:
-                for method in node.body:
-                    if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
-                        continue
-                    static = any(getattr(d, "id", None) == "staticmethod"
-                                 for d in method.decorator_list)
-                    for param, index in _defaulted(method, 0 if static else 1):
-                        out[f"{node.name}.{method.name}({param})"] = (method.name, param, index)
+        for cls, method in _public_methods(path, tree):
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in method.decorator_list)
+            for param, index in _defaulted(method, 0 if static else 1):
+                out[f"{cls}.{method.name}({param})"] = (method.name, param, index)
     return out
 
 

@@ -213,6 +213,21 @@ class TestLeibnizSides:
             lhs, terms = leibniz_sides(1.0, 1.0, exps, f, g)
             assert lhs <= sum(terms)
 
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_ratio_invariant_under_x_dilation(self, k):
+        """f(x) -> f(kx mod 1) scales every side by k^alpha and keeps each
+        norm, so the ratio holds to round-off while the band stays resolved."""
+        n = 256
+        g2 = SampleGrid(n, 1.0, dimension=2)
+        exps = LeibnizExponents.symmetric(2, 2)
+        f, g = band_limited(g2, 50, n // 64), band_limited(g2, 51, n // 64)
+        lhs, terms = leibniz_sides(1, 1, exps, f, g)
+        dilate = (np.arange(n) * k) % n
+        fk = GridFunction(g2, f.samples[dilate])
+        gk = GridFunction(g2, g.samples[dilate])
+        lhs_k, terms_k = leibniz_sides(1, 1, exps, fk, gk)
+        assert lhs_k / sum(terms_k) == pytest.approx(lhs / sum(terms), rel=1e-12)
+
     def test_constraint_violation_named(self):
         g2 = SampleGrid(128, 1.0, dimension=2)
         f = band_limited(g2, 30, 8)
