@@ -13,19 +13,15 @@ at parse time with the key or field named; ``grid_size`` must be a power of
 two >= 32.  Caps are the registry's, one per target.
 
 Identical config + seed reproduce byte-identical reports: all randomness is
-Philox counter-based, trials execute in a fixed order (parallel workers only
-change wall time, never ordering), and floats are serialized with repr.
-The thread count comes exclusively from the WAVETILE_THREADS environment
-variable.
+Philox counter-based, targets and their trials run one after another in a
+fixed order, and floats are serialized with repr.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .targets import REGISTRY, TargetResult
@@ -128,22 +124,10 @@ class CampaignReport:
         return all(r.passed and r.error is None for r in self.results)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("WAVETILE_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"WAVETILE_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
 def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
-    """Execute every configured target; errors abort the target only."""
-    workers = _thread_count()
-
-    def run_one(name: str) -> TargetResult:
+    """Execute every configured target in order; errors abort the target only."""
+    results = []
+    for name in cfg.targets:
         target = REGISTRY[name]
         t0 = time.perf_counter()
         error = None
@@ -152,12 +136,6 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
         except Exception:
             rows, aggregates, passed = [], {}, False
             error = traceback.format_exc(limit=3)
-        return TargetResult(name, target.statement, rows, aggregates, passed, error,
-                            time.perf_counter() - t0)
-
-    if workers == 1:
-        results = [run_one(name) for name in cfg.targets]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, cfg.targets))
+        results.append(TargetResult(name, target.statement, rows, aggregates, passed,
+                                    error, time.perf_counter() - t0))
     return CampaignReport(asdict(cfg), results)

@@ -2,9 +2,10 @@
 
 Subcommands:
   run <config>       execute a campaign; exit 0 iff every target passed, 1 if
-                     one failed, 2 if the config cannot be read or parsed or
-                     WAVETILE_THREADS is not a positive integer; each
-                     target's seconds, rows and max_ratio/cap go to stderr
+                     one failed, 2 before any target starts if the config
+                     cannot be read or parsed or its output directory cannot
+                     be made; each target's seconds, rows and max_ratio/cap
+                     go to stderr
   list-targets       print the registry with one-line statements
   range "<query>"    evaluate an exponent-range membership query
   decompose-demo     run a small stopping-time decomposition, print its JSON
@@ -57,12 +58,11 @@ def _cmd_run(args) -> int:
         cfg = parse_config(Path(args.config).read_text())
         if args.out:
             cfg.out = args.out
-        # run_campaign raises ValueError only for a bad WAVETILE_THREADS,
-        # before any target starts
-        report = run_campaign(cfg)
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"wavetile run: {exc}", file=sys.stderr)
         return 2
+    report = run_campaign(cfg)
     paths = emit_report(report, cfg.out)
     for result in report.results:
         status = "PASS" if result.passed and result.error is None else "FAIL"

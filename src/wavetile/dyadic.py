@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ScaleBudgetError
+from .errors import ScaleBudgetError, ShapeError
 from .grid import GridFunction, SampleGrid, max_scale, scale_range
 
 __all__ = [
@@ -48,10 +48,6 @@ class DyadicInterval:
     @property
     def length(self) -> float:
         return 2.0 ** (-self.scale)
-
-    @property
-    def left(self) -> float:
-        return self.position * self.length
 
     def parent(self) -> "DyadicInterval":
         return DyadicInterval(self.scale - 1, self.position >> 1)
@@ -489,6 +485,10 @@ class WavePacketFamily:
         """
         grid = self.grid
         weights = np.asarray(weights)
+        if weights.shape[:1] != (len(self.intervals),):
+            raise ShapeError(
+                f"weights of shape {weights.shape} for {len(self.intervals)} intervals"
+            )
         vshape = weights.shape[1:]
         layout = self._layout()
         if not layout:

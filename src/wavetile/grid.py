@@ -148,15 +148,6 @@ class GridFunction:
         )
 
 
-def from_callable(grid: SampleGrid, fn) -> GridFunction:
-    """Sample a callable of the coordinate(s)."""
-    if grid.dimension == 1:
-        return GridFunction(grid, np.asarray(fn(grid.points()), dtype=complex))
-    x = grid.points()[:, None]
-    y = grid.points()[None, :]
-    return GridFunction(grid, np.asarray(fn(x, y), dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # Bump profiles
 # ---------------------------------------------------------------------------

@@ -308,20 +308,6 @@ class TestCampaign:
         assert by_name["weak-dualization"].error is None
         assert not report.passed
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-    def test_bad_thread_count_rejected_before_any_target(self, raw, monkeypatch):
-        from wavetile.bench import targets as targets_mod
-
-        ran = []
-        spy = targets_mod.InequalityTarget(
-            "telescope-1d", "spy", lambda cfg, cap: ran.append(cfg), None
-        )
-        monkeypatch.setitem(targets_mod.REGISTRY, "telescope-1d", spy)
-        monkeypatch.setenv("WAVETILE_THREADS", raw)
-        with pytest.raises(ValueError, match=f"WAVETILE_THREADS .* got '{raw}'"):
-            run_campaign(ExperimentConfig(targets=("telescope-1d",)))
-        assert ran == []
-
 
 class TestCli:
     def run_cli(self, *args):
@@ -406,20 +392,36 @@ class TestCli:
         assert all(word in out.err for word in named)
         assert "Traceback" not in out.err
 
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_bad_thread_count_exits_2(self, raw, tmp_path, monkeypatch, capsys):
+    def test_unusable_out_exits_2_before_any_target(self, tmp_path, monkeypatch, capsys):
+        from wavetile.bench import targets as targets_mod
+        from wavetile.bench.cli import main
+
+        ran = []
+        spy = targets_mod.InequalityTarget(
+            "telescope-1d", "spy", lambda cfg, cap: ran.append(cfg), None
+        )
+        monkeypatch.setitem(targets_mod.REGISTRY, "telescope-1d", spy)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(f"trials = 1\ntargets = telescope-1d\nout = {taken}\n")
+        assert main(["run", str(cfg)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("wavetile run: ")
+        assert str(taken) in out.err and "Traceback" not in out.err
+        assert ran == []
+
+    def test_leftover_thread_variable_changes_nothing(self, tmp_path, monkeypatch, capsys):
         from wavetile.bench.cli import main
 
         cfg = tmp_path / "smoke.cfg"
-        cfg.write_text(f"trials = 1\ntargets = telescope-1d\nout = {tmp_path / 'reports'}\n")
-        monkeypatch.setenv("WAVETILE_THREADS", raw)
-        assert main(["run", str(cfg)]) == 2
-        out = capsys.readouterr()
-        assert out.out == "" and "Traceback" not in out.err
-        assert out.err == (
-            f"wavetile run: WAVETILE_THREADS must be a positive integer, got {raw!r}\n"
-        )
-        assert not (tmp_path / "reports").exists()
+        cfg.write_text("trials = 1\ntargets = telescope-1d\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setenv("WAVETILE_THREADS", "abc")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "leftover")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert ((tmp_path / "leftover" / "campaign.csv").read_bytes()
+                == (tmp_path / "plain" / "campaign.csv").read_bytes())
 
     def test_run_writes_one_timing_line_per_target_to_stderr(self, tmp_path, capsys):
         import hashlib
@@ -563,16 +565,6 @@ class TestDeterminismContracts:
         # both wrapped names are the ones in use: each records a draw
         assert wrappers == {generate, targets}
         assert not repeated, repeated[:5]
-
-    def test_parallel_execution_reproduces_serial_reports(self, monkeypatch):
-        from wavetile.bench import run_campaign
-        from wavetile.bench.report import render_csv, render_json
-
-        serial = run_campaign(smoke_config())
-        monkeypatch.setenv("WAVETILE_THREADS", "4")
-        parallel = run_campaign(smoke_config())
-        assert render_csv(serial) == render_csv(parallel)
-        assert render_json(serial) == render_json(parallel)
 
     def test_aggregates_recomputable_from_rows(self):
         from wavetile.bench import run_campaign

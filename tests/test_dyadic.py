@@ -17,7 +17,7 @@ from wavetile.dyadic import (
     tile_scale_coefficients,
     tile_scale_synthesize,
 )
-from wavetile.errors import ScaleBudgetError
+from wavetile.errors import ScaleBudgetError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid
 
 
@@ -123,6 +123,16 @@ class TestWavePackets:
         coefs = fam.coefficients(f)
         for iv, c in zip(family, coefs):
             assert abs(c - f.inner(fam.packet(iv))) < 1e-12
+
+    @pytest.mark.parametrize("count", [11, 5])
+    def test_synthesize_rejects_weights_of_another_length(self, count):
+        g = SampleGrid(64, 1.0)
+        family = [DyadicInterval(2, m) for m in range(4)] + [DyadicInterval(3, 0),
+                                                             DyadicInterval(3, 5)]
+        fam = WavePacketFamily(g, family, "lacunary")
+        with pytest.raises(ShapeError, match=rf"\({count},\) for 6 intervals"):
+            fam.synthesize(np.ones(count, dtype=complex))
+        assert fam.synthesize(np.ones(6, dtype=complex)).samples.any()
 
     def test_too_coarse_scale_rejected(self):
         g = SampleGrid(256, 1.0)

@@ -11,12 +11,16 @@ from wavetile.grid import (
     _projection_values,
     band_limit,
     fractional_derivative,
-    from_callable,
     littlewood_paley,
     max_scale,
     scale_range,
     scales_reaching,
 )
+
+
+def from_callable(grid, fn):
+    """Sample a callable of the coordinate on a 1d grid."""
+    return GridFunction(grid, np.asarray(fn(grid.points()), dtype=complex))
 
 
 def band_limited(grid, seed, band):

@@ -9,7 +9,7 @@ from wavetile import norms
 from wavetile.bench import ExperimentConfig, generate_trial
 from wavetile.dyadic import DyadicInterval, torus_bump_samples
 from wavetile.errors import MajorSubsetError
-from wavetile.grid import GridFunction, SampleGrid, from_callable
+from wavetile.grid import GridFunction, SampleGrid
 from wavetile.norms import (
     INF,
     ExponentTuple,
@@ -23,6 +23,8 @@ from wavetile.norms import (
     mixed_norm,
     weak_lp_norm,
 )
+
+from test_grid import from_callable
 
 
 def random_step(grid, seed, depth=4):

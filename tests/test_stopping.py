@@ -13,9 +13,11 @@ from wavetile.bench.generate import generate_trial
 from wavetile.bench.targets import _stopping_checks
 from wavetile.dyadic import DyadicInterval
 from wavetile.errors import ScaleBudgetError
-from wavetile.grid import GridFunction, SampleGrid, from_callable
+from wavetile.grid import GridFunction, SampleGrid
 from wavetile.norms import MeasurableSet, lp_norm
 from wavetile.dyadic import torus_bump_samples
+
+from test_grid import from_callable
 
 GOLDEN = Path(__file__).parent / "data" / "stopping_golden.json"
 
