@@ -321,15 +321,20 @@ def fractional_derivative(f: GridFunction, alpha: float, axis: int = 1) -> GridF
 # Spectral support
 # ---------------------------------------------------------------------------
 
+def _active_bins(spec: np.ndarray, axes: tuple[int, ...]) -> list[np.ndarray]:
+    """For each of ``axes``, which of its bins hold an entry of ``spec``
+    above 1e-12 of that component's peak: the floor that tells a band from
+    round-off.  The peak is taken over ``axes``, per index of the others
+    (the vector axes of a spectrum)."""
+    mag = np.abs(spec)
+    active = mag > 1e-12 * mag.max(axis=axes, keepdims=True)
+    return [active.any(axis=tuple(a for a in range(active.ndim) if a != ax)) for ax in axes]
+
+
 def band_limit(grid: SampleGrid, spec: np.ndarray) -> int:
     """Largest |m|, along any spatial axis, at which some component of
     ``spec`` (a spectrum with the spatial axes leading, any vector axes
     after them) carries mass above 1e-12 of that component's peak; 0 for a
     zero spectrum."""
-    spatial = tuple(range(grid.dimension))
-    mag = np.abs(spec)
-    active = mag > 1e-12 * mag.max(axis=spatial, keepdims=True)
-    hit = np.zeros(grid.sample_count, dtype=bool)
-    for ax in spatial:
-        hit |= active.any(axis=tuple(a for a in range(active.ndim) if a != ax))
+    hit = np.logical_or.reduce(_active_bins(spec, tuple(range(grid.dimension))))
     return int(np.abs(grid.frequencies())[hit].max(initial=0))

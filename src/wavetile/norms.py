@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MajorSubsetError, ShapeError
-from .grid import GridFunction
+from .grid import GridFunction, SampleGrid
 
 __all__ = [
     "INF",
@@ -184,16 +184,21 @@ def weak_lp_norm(f: GridFunction, p: Exponent) -> float:
 
 def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
     """Iterated norm over all axes of f, innermost (last axis) first."""
-    ndim = f.samples.ndim
+    return _iterated_norm(np.abs(f.samples), f.grid, spec)
+
+
+def _iterated_norm(vals: np.ndarray, grid: SampleGrid, spec: MixedNormSpec) -> float:
+    """:func:`mixed_norm` of a function on ``grid`` whose moduli are
+    ``vals``, for callers that hold the moduli and no ``GridFunction``."""
+    ndim = vals.ndim
     if spec.depth != ndim:
         raise ShapeError(
             f"spec depth {spec.depth} does not match array rank {ndim}"
         )
-    vals = np.abs(f.samples)
-    dx = f.grid.spacing
+    dx = grid.spacing
     for axis in range(ndim - 1, -1, -1):
         r = spec.exponents[axis]
-        w = dx if axis < f.grid.dimension else 1.0
+        w = dx if axis < grid.dimension else 1.0
         if r == INF:
             vals = vals.max(axis=axis)
         else:

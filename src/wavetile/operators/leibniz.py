@@ -9,6 +9,15 @@ splitting the derivatives as (both, none), (none, both), (x on f / y on g),
 and (y on f / x on g).  Every term carries its own Hoelder pair; the target
 exponents must satisfy s1 > 1/(1+alpha) and s2 > max(1/(1+alpha),
 1/(1+beta)), else the assignment is rejected naming the violated constraint.
+
+The derivative fields are built on their input's band.  A real field takes
+one rfft along the second axis; the columns up to that axis's band go on
+to the first axis's fft, and the rows beyond the first axis's band are
+dropped, both bands read with ``band_limit``'s floor (1e-12 of the peak).
+Each field D1^a D2^b h multiplies that block by |m1|**a |m2|**b, then takes
+one ifft over the kept columns and one irfft back to the n x n grid.  A
+complex input is the sum of its real and imaginary parts, each taken
+through the same route.
 """
 
 from __future__ import annotations
@@ -16,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import ExponentConstraintError
-from ..grid import GridFunction, fractional_derivative
-from ..norms import Exponent, MixedNormSpec, mixed_norm, recip
+import numpy as np
+
+from ..errors import ExponentConstraintError, ShapeError
+from ..grid import GridFunction, SampleGrid, _active_bins
+from ..norms import Exponent, MixedNormSpec, _iterated_norm, recip
 
 __all__ = ["LeibnizExponents", "leibniz_sides"]
 
@@ -68,6 +79,40 @@ def _check_constraints(alpha: float, beta: float, exps: LeibnizExponents):
         )
 
 
+def _band_spectrum(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Spectrum of a real n x n field on its band, given |m| in fft order:
+    one rfft along the second axis, the first axis's fft on the columns up
+    to that axis's band, and the rows beyond the first axis's band set to
+    zero."""
+    half = np.fft.rfft(h, axis=1)
+    cols = np.flatnonzero(_active_bins(half, (0, 1))[1])  # rfft bin index = |m2|
+    spec = np.fft.fft(half[:, : cols.max(initial=0) + 1], axis=0)
+    spec[m > m[_active_bins(spec, (0, 1))[0]].max(initial=0)] = 0
+    return spec
+
+
+class _Fields:
+    """The moduli of the derivative fields D1^a D2^b h of one n x n input,
+    built from the band of each of its real parts."""
+
+    def __init__(self, grid: SampleGrid, h: np.ndarray):
+        self.h = h
+        self.m = np.abs(grid.frequencies())
+        parts = (h.real, h.imag) if h.imag.any() else (h.real,)
+        self.spectra = [_band_spectrum(part, self.m) for part in parts]
+
+    def __call__(self, a: float, b: float) -> np.ndarray:
+        if a == b == 0:
+            return np.abs(self.h)
+        m = self.m
+        # fractional_derivative's multiplier |m|**a, whose 0**0 = 1 keeps
+        # the identity at a = 0
+        re, *im = (np.fft.irfft(np.fft.ifft(spec * m[:, None] ** a * m[: spec.shape[1]] ** b,
+                                            axis=0), len(m), axis=1)
+                   for spec in self.spectra)
+        return np.hypot(re, im[0]) if im else np.abs(re, out=re)
+
+
 def leibniz_sides(
     alpha: float,
     beta: float,
@@ -75,31 +120,30 @@ def leibniz_sides(
     f: GridFunction,
     g: GridFunction,
 ) -> tuple[float, tuple[float, float, float, float]]:
-    """Evaluate lhs and the four rhs products of the two-parameter rule."""
+    """Evaluate lhs and the four rhs products of the two-parameter rule.
+
+    f, g and f g each take one forward transform on their band (one rfft,
+    then the first axis's fft on the band's columns); each derivative field
+    is one short ifft over those columns and one irfft back to n x n, and
+    the mixed norms are taken of the fields' moduli."""
     if f.grid.dimension != 2:
         raise ValueError("the two-parameter rule needs 2d inputs")
+    if f.vector_shape or g.vector_shape:
+        raise ShapeError("the two-parameter rule takes scalar inputs")
     _check_constraints(alpha, beta, exps)
 
-    def d1(h):
-        return fractional_derivative(h, alpha, axis=1) if alpha > 0 else h
+    grid = f.grid
+    lhs = _iterated_norm(_Fields(grid, f.samples * g.samples)(alpha, beta), grid,
+                         MixedNormSpec((exps.s1, exps.s2)))
 
-    def d2(h):
-        return fractional_derivative(h, beta, axis=2) if beta > 0 else h
-
-    def fields(h):
-        """h and its derivatives by the axes they act on; D1 h is computed
-        once and differentiated again for D1 D2 h."""
-        h1 = d1(h)
-        return {"": h, "x": h1, "y": d2(h), "xy": d2(h1)}
-
-    product = GridFunction(f.grid, f.samples * g.samples)
-    lhs = mixed_norm(d2(d1(product)), MixedNormSpec((exps.s1, exps.s2)))
-
-    f_fields, g_fields = fields(f), fields(g)
-    splits = (("xy", ""), ("", "xy"), ("x", "y"), ("y", "x"))
+    f_fields, g_fields = _Fields(grid, f.samples), _Fields(grid, g.samples)
+    # (f's, g's) derivative exponents per term: (both, none), (none, both),
+    # (x on f, y on g), (y on f, x on g)
+    splits = (((alpha, beta), (0, 0)), ((0, 0), (alpha, beta)),
+              ((alpha, 0), (0, beta)), ((0, beta), (alpha, 0)))
     terms = []
     for (af, ag), (px, py, qx, qy) in zip(splits, exps.pairs):
-        nf = mixed_norm(f_fields[af], MixedNormSpec((px, py)))
-        ng = mixed_norm(g_fields[ag], MixedNormSpec((qx, qy)))
+        nf = _iterated_norm(f_fields(*af), grid, MixedNormSpec((px, py)))
+        ng = _iterated_norm(g_fields(*ag), grid, MixedNormSpec((qx, qy)))
         terms.append(nf * ng)
     return lhs, tuple(terms)

@@ -236,12 +236,12 @@ class TestTrialRows:
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
 
 # sha256 of the seed-7, one-trial, full-registry report
-SMOKE_CSV_SHA256 = "a46640f29d333333f5e8be67005c61079aa107fcb6eba8949cf7a7764c942d7b"
-SMOKE_JSON_SHA256 = "6741fb7997586ebf8732b13a365fc7acea477d8619eca7c6e2f68041c03e643d"
+SMOKE_CSV_SHA256 = "037184fac9a6d22854dbeeab741cc81b427222d41486622728209bf6f347f72f"
+SMOKE_JSON_SHA256 = "b39a37242a85f2a337a0ef41c6fda279c6e4a64c6b507783138369d012b6dac2"
 # sha256 of the seed-7, two-trial, full-registry report: the aggregates over
 # several rows (min/max, medians, maxima by K, fits) enter these bytes
-TWO_TRIAL_CSV_SHA256 = "ad614c484076268073f3f321cc675cef50201ba4535de432d26cded8a39c57b7"
-TWO_TRIAL_JSON_SHA256 = "d7b32f679da7d610e9cd84b968d64a60713cf1f4a6dae62ba3cf5ae88a978745"
+TWO_TRIAL_CSV_SHA256 = "749d07d2f54c75eb64fc0a2b52d77c2e6a4ca07754743efdc49faeb93fca065b"
+TWO_TRIAL_JSON_SHA256 = "5bf2e0e3d0aeaa2fcada165cb4b9e7c4e4769a0c516a3cd843e1e2f64e601089"
 
 
 def smoke_config(**kw):

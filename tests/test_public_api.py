@@ -34,6 +34,8 @@ KEEP = {
     "target_names": "the only public function of bench.targets, a module the "
                     "perfbench layer tracer lists and test_benchmark_hooks "
                     "requires to have one",
+    "fractional_derivative": "the one-axis oracle of leibniz_sides, which builds "
+                             "its derivative fields on each input's band",
     "GridFunction.inner": "the L^2 pairing of the tests' coefficient and adjoint oracles",
     "WavePacketFamily.packet": "one packet on the grid, the oracle of the swept "
                                "coefficients and syntheses",
@@ -62,6 +64,8 @@ UNPASSED = {
     "range_grid_mismatches(repaired)": "the printed case table's mismatch count",
     "littlewood_paley(axis)": "the tests' 2d telescoping and tensor oracles, which "
                               "project along the second axis",
+    "fractional_derivative(axis)": "the one-axis oracle of leibniz_sides, which "
+                                   "builds its derivative fields on each input's band",
     "main(argv)": "the console script calls main() on sys.argv; the tests pass their own",
 }
 

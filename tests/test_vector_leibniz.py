@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wavetile.bench import generate_trial
 from wavetile.dyadic import DyadicInterval, build_rank_one_tiles, grid_dyadic_family
 from wavetile.errors import ExponentConstraintError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid, fractional_derivative
@@ -181,15 +182,65 @@ def leibniz_route(alpha, beta, exps, f, g):
     return lhs, tuple(terms)
 
 
+ROUTE_GRID = SampleGrid(64, 1.0, dimension=2)
+ROUTE_EXPS = LeibnizExponents(2, 3, (
+    (4, 6, 4, 6), (3, 4, 6, 12), (INF, 6, 2, 6), (6, INF, 3, 3),
+))
+
+
+def assert_matches_route(alpha, beta, f, g):
+    """leibniz_sides on its band route against every field built from
+    scratch, side by side; the two routes round differently."""
+    lhs, terms = leibniz_sides(alpha, beta, ROUTE_EXPS, f, g)
+    want_lhs, want_terms = leibniz_route(alpha, beta, ROUTE_EXPS, f, g)
+    assert lhs == pytest.approx(want_lhs, rel=1e-12)
+    assert terms == pytest.approx(want_terms, rel=1e-12)
+
+
 class TestLeibnizSides:
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5, 1.5), (0.0, 0.75)])
     def test_equals_field_by_field_route(self, alpha, beta):
-        g2 = SampleGrid(64, 1.0, dimension=2)
-        f, g = band_limited(g2, 40, 6), band_limited(g2, 41, 6)
-        exps = LeibnizExponents(2, 3, (
-            (4, 6, 4, 6), (3, 4, 6, 12), (INF, 6, 2, 6), (6, INF, 3, 3),
-        ))
-        assert leibniz_sides(alpha, beta, exps, f, g) == leibniz_route(alpha, beta, exps, f, g)
+        f, g = band_limited(ROUTE_GRID, 40, 6), band_limited(ROUTE_GRID, 41, 6)
+        assert_matches_route(alpha, beta, f, g)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.75), (0.5, 1.5)])
+    @pytest.mark.parametrize("case", ["white-noise", "complex", "real-part", "imaginary-part",
+                                      "constant", "constant-second", "zero", "zero-second"])
+    def test_more_inputs_match_route(self, case, alpha, beta):
+        """White noise, whose band reaches Nyquist, so nothing is pruned; a
+        complex input and its real and purely imaginary parts; constant and
+        zero inputs, whose band is 0, in either slot."""
+        f, g = band_limited(ROUTE_GRID, 42, 6), band_limited(ROUTE_GRID, 43, 6)
+        noise = np.random.default_rng(12).standard_normal((2, 64, 64))
+        flat, zero = (GridFunction(ROUTE_GRID, np.full((64, 64), v)) for v in (2.5, 0.0))
+        pair = {
+            "white-noise": [GridFunction(ROUTE_GRID, h) for h in noise],
+            "complex": (f, g),
+            "real-part": (GridFunction(ROUTE_GRID, f.samples.real), g),
+            "imaginary-part": (GridFunction(ROUTE_GRID, 1j * f.samples.imag), g),
+            "constant": (flat, g),
+            "constant-second": (g, flat),
+            "zero": (zero, g),
+            "zero-second": (g, zero),
+        }[case]
+        assert_matches_route(alpha, beta, *pair)
+
+    def test_fft_work_below_half_of_sixteen_full_transforms(self, monkeypatch):
+        """One 256**2, band-8 call transforms at most 8 n**2 input points:
+        the single-axis route made 16 full-size transforms."""
+        n = 256
+        g2 = SampleGrid(n, 1.0, dimension=2)
+        f, g = (generate_trial("band_limited", 1, {"grid": g2, "band": 8}, role=role)
+                for role in (None, "g"))
+        points = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                     "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
+            def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
+                points.append(np.asarray(a).size)
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        leibniz_sides(1.0, 1.0, LeibnizExponents.symmetric(2, 2), f, g)
+        assert 0 < sum(points) <= 16 * n * n / 2
 
     def test_constant_second_factor_first_term_dominates(self):
         g2 = SampleGrid(128, 1.0, dimension=2)
@@ -227,6 +278,11 @@ class TestLeibnizSides:
         gk = GridFunction(g2, g.samples[dilate])
         lhs_k, terms_k = leibniz_sides(1, 1, exps, fk, gk)
         assert lhs_k / sum(terms_k) == pytest.approx(lhs / sum(terms), rel=1e-12)
+
+    def test_vector_axes_rejected(self):
+        f = band_limited(ROUTE_GRID, 45, 6, (2,))
+        with pytest.raises(ShapeError, match="scalar"):
+            leibniz_sides(1.0, 1.0, ROUTE_EXPS, f, f)
 
     def test_constraint_violation_named(self):
         g2 = SampleGrid(128, 1.0, dimension=2)
