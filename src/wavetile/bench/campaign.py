@@ -65,9 +65,9 @@ class ExperimentConfig:
         return max(1, min(default, self.trials))
 
     def seeds(self, label: str, count: int) -> list[int]:
-        """Seeds of the trials t < ``count`` of the group ``label`` (a registry
-        name, suffixed for a target's further groups): 63-bit hashes of
-        (campaign seed, label, t), so no two groups or trials share one."""
+        """Seeds of the trials t < ``count`` labelled ``label`` (a registry
+        name, or the CLI's ``decompose-demo``): 63-bit hashes of (campaign
+        seed, label, t), so no two targets or trials share one."""
         keys = (f"{self.seed}|{label}|{t}".encode() for t in range(count))
         return [int.from_bytes(hashlib.blake2b(k, digest_size=8).digest(), "big") >> 1
                 for k in keys]

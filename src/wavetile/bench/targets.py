@@ -13,9 +13,12 @@ aggregates dict and its verdict.  ``run_campaign`` builds the
 ``TargetResult`` from these and the registry entry's name and statement.
 
 Trial seeds come from ``cfg.seeds(label, count)``, labelled by the registry
-name (suffixed, as ``/K=4``, for a target's further groups), and each input
-by its role: none for the first, then ``g``, ``h``; the sets ``F``, ``G``,
-``E`` (E~) and ``E1``..``E3``; vector components ``f{k}``, ``g{k}``.
+name, and each input by its role: none for the first, then ``g``, ``h``; the
+sets ``F``, ``G``, ``E`` (E~) and ``E1``..``E3``; vector components ``f{k}``,
+``g{k}``.  A swept value (vv-paraproduct's K, bht-local-l2's tile tier,
+shifted-growth's n, localized-operator's eps) is a row param: a trial draws
+its inputs once and gives one row per value, so each per-value statistic
+reads the rows whose params carry that value.
 """
 
 from __future__ import annotations
@@ -87,6 +90,12 @@ def _nonempty(rows: list[TrialRow]) -> list[TrialRow]:
     return rows
 
 
+def _ratios_where(rows: list[TrialRow], **params) -> list[float]:
+    """Ratios of the rows whose params include ``params``, one swept value's
+    group; a group with no rows raises."""
+    return [r.ratio for r in _nonempty([r for r in rows if params.items() <= r.params.items()])]
+
+
 def _capped(rows: list[TrialRow], cap: float, gate: bool = True, **extra):
     """Ratio-cap verdict: pass iff every row's ratio is at most ``cap`` and
     ``gate`` (the target's further check) holds; a nan ratio fails and is
@@ -100,16 +109,6 @@ def _bounded(rows: list[TrialRow], aggregates: dict, gate: bool = True):
     bound) is at most 1 and ``gate`` holds; a nan ratio fails, and no rows
     at all raise."""
     return rows, aggregates, all(r.ratio <= 1.0 for r in _nonempty(rows)) and gate
-
-
-def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    xm, ym = xs.mean(), ys.mean()
-    denom = np.sum((xs - xm) ** 2)
-    if denom == 0:
-        return 0.0
-    return float(np.sum((xs - xm) * (ys - ym)) / denom)
 
 
 def _subfamily(rng, root: dyadic.DyadicInterval, depth: int):
@@ -303,45 +302,40 @@ def _run_size_energy(cfg, cap):
                    monotone_decay=monotone)
 
 
-def _vv_ratio(grid, base, seed, K, r1, r2, r, p, q, s, band):
-    fs = generate_trial("band_limited", seed,
-                        {"grid": grid, "band": band, "vector_shape": (K,)})
-    gs = generate_trial("band_limited", seed,
-                        {"grid": grid, "band": band, "vector_shape": (K,)}, role="g")
+_VV_KS = (1, 2, 4, 8, 16)
+
+
+def _vv_sides(grid, base, seed) -> list[tuple]:
+    """One vv-paraproduct trial: f and g with 16 components band-limited to
+    n/8 and one random subfamily of ``base``, drawn once; each K applies the
+    paraproduct to the first K components and gives (||out||_{L^s l^r},
+    ||f||_{L^p l^r1} ||g||_{L^q l^r2}, {"K": K})."""
+    params = {"grid": grid, "band": grid.sample_count // 8, "vector_shape": (_VV_KS[-1],)}
+    fs, gs = (generate_trial("band_limited", seed, params, role=role) for role in (None, "g"))
     rng = rng_for(seed, 13)
     keep = rng.random(len(base)) < 0.8
     family = [iv for iv, k in zip(base, keep) if k]
     coeffs = rng.uniform(0.3, 1.0, len(family))
-    spec = operators.ParaproductSpec(grid, family, coeffs)
-    out, (n_out, n_f, n_g) = operators.vector_valued_apply(
-        partial(operators.discretized_paraproduct, spec), fs, gs,
-        MixedNormSpec((p, r1)), MixedNormSpec((q, r2)), MixedNormSpec((s, r)),
-    )
-    if n_f == 0 or n_g == 0:
-        return None
-    return n_out / (n_f * n_g)
+    out = operators.discretized_paraproduct(operators.ParaproductSpec(grid, family, coeffs),
+                                            fs, gs)
+    spec_f = spec_g = MixedNormSpec((4, Fraction(3, 2)))  # (p, r1) = (q, r2)
+    spec_out = MixedNormSpec((2, Fraction(3, 4)))  # (s, r)
+
+    def norm(h, spec, K):
+        return mixed_norm(GridFunction(grid, h.samples[:, :K]), spec)
+
+    return [(norm(out, spec_out, K), norm(fs, spec_f, K) * norm(gs, spec_g, K), {"K": K})
+            for K in _VV_KS]
 
 
 def _run_vv_paraproduct(cfg, cap):
     grid = SampleGrid(cfg.grid_size, 1.0)
     base = dyadic.grid_dyadic_family(grid, range(1, min(8, max_scale(grid) + 1)))
-    r1, r2, r = Fraction(3, 2), Fraction(3, 2), Fraction(3, 4)
-    p, q, s = 4, 4, 2
-    Ks = [1, 2, 4, 8, 16]
-    rows = []
-    maxima = []
-    for K in Ks:
-        def trial(t, seed):
-            ratio = _vv_ratio(grid, base, seed, K, r1, r2, r, p, q, s,
-                              band=grid.sample_count // 8)
-            return [] if ratio is None else [(ratio, 1.0, {"K": K})]
-
-        group = _trial_rows(cfg, f"vv-paraproduct/K={K}", 40, trial)
-        maxima.append(float(np.max([row.ratio for row in group])))
-        rows.extend(group)
-    slope = _slope(np.log([float(k) for k in Ks]), np.log(maxima))
-    # the growth fit needs a stable empirical sup; below 10 seeds per K the
-    # slope is reported but not gated on
+    rows = _trial_rows(cfg, "vv-paraproduct", 40, lambda t, seed: _vv_sides(grid, base, seed))
+    maxima = [float(np.max(_ratios_where(rows, K=K))) for K in _VV_KS]
+    slope = float(np.polyfit(np.log(_VV_KS), np.log(maxima), 1)[0])
+    # the growth fit needs a stable empirical sup; below 10 trials the slope
+    # is reported but not gated on
     slope_gated = cfg.trial_count(40) >= 10
     return _capped(rows, cap, abs(slope) <= 0.1 or not slope_gated,
                    maxima_by_K=maxima, log_slope=slope, slope_window=0.1,
@@ -357,50 +351,46 @@ def _run_alpha_coefficients(cfg, cap):
         weighted = np.abs(table) * (1.0 + np.abs(ns)) ** (1.0 + alpha)
         bound = float(weighted.max())
         bounds[alpha] = bound
-        rows.append(TrialRow(2 * t, 0, bound, cap, bound / cap,
+        rows.append(TrialRow(t, 0, bound, cap, bound / cap,
                              {"alpha": alpha, "check": "decay-bound"}))
     return _bounded(rows, {"decay_bounds": {str(a): b for a, b in bounds.items()},
                            "cap": cap})
 
 
-def _shifted_ratios(n: int, grid: SampleGrid, seed: int) -> dict:
-    """One trial of shifted-growth, one f and g for all three operators:
-    ||T_n f||_2 / ||f||_2 for the maximal and square operators,
-    ||Pi_n(f, g)||_2 / (||f||_4 ||g||_4) for the paraproduct; an operator
-    whose denominator vanishes is left out."""
+_SHIFTS = (1, 2, 4, 8, 16, 32, 64)
+
+
+def _shifted_sides(grid: SampleGrid, seed: int) -> list[tuple]:
+    """One trial of shifted-growth, one f and g for every shift n and all
+    three operators: ||T_n f||_2 over ||f||_2 for the maximal and square
+    operators, ||Pi_n(f, g)||_2 over ||f||_4 ||g||_4 for the paraproduct."""
     f = generate_trial("band_limited", seed, {"grid": grid, "band": 64})
     g = generate_trial("band_limited", seed, {"grid": grid, "band": 64}, role="g")
-    out = {}
-    if n2 := lp_norm(f, 2):
-        out["maximal"] = lp_norm(analysis.maximal(f, n), 2) / n2
-        out["square"] = lp_norm(analysis.shifted_square(f, n), 2) / n2
-    if denom := lp_norm(f, 4) * lp_norm(g, 4):
-        out["paraproduct"] = lp_norm(operators.shifted_paraproduct(n, f, g), 2) / denom
-    return out
+    f2, f4g4 = lp_norm(f, 2), lp_norm(f, 4) * lp_norm(g, 4)
+    sides = []
+    for n in _SHIFTS:
+        sides += [
+            (lp_norm(analysis.maximal(f, n), 2), f2, {"op": "maximal", "n": n}),
+            (lp_norm(analysis.shifted_square(f, n), 2), f2, {"op": "square", "n": n}),
+            (lp_norm(operators.shifted_paraproduct(n, f, g), 2), f4g4,
+             {"op": "paraproduct", "n": n}),
+        ]
+    return sides
 
 
 def _run_shifted_growth(cfg, kappa_cap):
     grid = SampleGrid(512, 1.0)
-    ns = [1, 2, 4, 8, 16, 32, 64]
-    seeds = {n: cfg.seeds(f"shifted-growth/n={n}", cfg.trial_count(10)) for n in ns}
-    trials = {n: [_shifted_ratios(n, grid, s) for s in seeds[n]] for n in ns}
-    rows = []
-    fits = {}
-    passed = True
-    for op_name in ("maximal", "square", "paraproduct"):
-        maxima = []
-        for i, n in enumerate(ns):
-            vals = [ratios[op_name] for ratios in trials[n] if op_name in ratios]
-            mx, med = max(vals), float(np.median(vals))
-            maxima.append(mx)
-            rows.append(TrialRow(i, seeds[n][0], mx, med, mx / max(med, 1e-300),
-                                 {"op": op_name, "n": n}))
-        xs = np.log(np.log(1.0 + np.array(ns, dtype=float)))
-        kappa = _slope(xs, np.log(maxima))
-        fits[op_name] = kappa
-        passed = passed and kappa <= kappa_cap
-    agg = {"kappa_fits": fits, "kappa_cap": kappa_cap, "ns": ns}
-    return rows, agg, passed
+    rows = _trial_rows(cfg, "shifted-growth", 10, lambda t, seed: _shifted_sides(grid, seed))
+    xs = np.log(np.log(1.0 + np.array(_SHIFTS, dtype=float)))
+    maxima, medians, fits = {}, {}, {}
+    for op in ("maximal", "square", "paraproduct"):
+        groups = [_ratios_where(rows, op=op, n=n) for n in _SHIFTS]
+        maxima[op] = [float(np.max(group)) for group in groups]
+        medians[op] = [float(np.median(group)) for group in groups]
+        fits[op] = float(np.polyfit(xs, np.log(maxima[op]), 1)[0])
+    agg = {"kappa_fits": fits, "kappa_cap": kappa_cap, "ns": list(_SHIFTS),
+           "maxima_by_n": maxima, "medians_by_n": medians}
+    return rows, agg, all(kappa <= kappa_cap for kappa in fits.values())
 
 
 def _run_bht_multiplier(cfg, cap):
@@ -428,24 +418,19 @@ def _run_bht_multiplier(cfg, cap):
 def _run_bht_local_l2(cfg, cap):
     grid = SampleGrid(1024, 1.0)
     tiers = [1, 4, 16]  # tile count quadruples tier to tier
-    rows = []
-    medians = []
-    for freqs in tiers:
-        tiles = dyadic.build_rank_one_tiles(grid, range(2, 5), range(0, freqs))
-        spec = operators.BHTModelSpec(grid, tiles)
+    tile_sets = [dyadic.build_rank_one_tiles(grid, range(2, 5), range(0, freqs))
+                 for freqs in tiers]
+    specs = [operators.BHTModelSpec(grid, tiles) for tiles in tile_sets]
 
-        def trial(t, seed):
-            f = generate_trial("band_limited", seed, {"grid": grid, "band": 12})
-            g = generate_trial("band_limited", seed, {"grid": grid, "band": 12}, role="g")
-            denom = lp_norm(f, 2) * lp_norm(g, 2)
-            if denom == 0:
-                return []
-            ratio = lp_norm(operators.bht_model(spec, f, g), 1) / denom
-            return [(ratio, 1.0, {"tiles": len(tiles)})]
+    def trial(t, seed):
+        f = generate_trial("band_limited", seed, {"grid": grid, "band": 12})
+        g = generate_trial("band_limited", seed, {"grid": grid, "band": 12}, role="g")
+        denom = lp_norm(f, 2) * lp_norm(g, 2)
+        return [(lp_norm(operators.bht_model(spec, f, g), 1), denom, {"tiles": len(spec.tiles)})
+                for spec in specs]
 
-        group = _trial_rows(cfg, f"bht-local-l2/tiles={len(tiles)}", 34, trial)
-        medians.append(float(np.median([row.ratio for row in group])))
-        rows.extend(group)
+    rows = _trial_rows(cfg, "bht-local-l2", 34, trial)
+    medians = [float(np.median(_ratios_where(rows, tiles=len(spec.tiles)))) for spec in specs]
     growth_ok = all(
         medians[i + 1] <= medians[i] * 1.25 + 1e-12 for i in range(len(medians) - 1)
     )
@@ -593,9 +578,10 @@ _LOCALIZED_EXPONENTS = (1.5, 1.5, 0.75)  # (r1, r2, r)
 _EPS_VALUES = (0.01, 0.05, 0.1)  # localized-operator's exponent losses
 
 
-def _localized_operator_rows(cfg, eps, label, default_trials, K):
-    """Rows of the l^r-valued localized paraproduct on K components; at
-    K = 1 the l^r sums are absolute values, the scalar operator."""
+def _localized_operator_rows(cfg, eps_values, label, default_trials, K):
+    """Rows of the l^r-valued localized paraproduct on K components, one
+    per exponent loss eps of each trial; at K = 1 the l^r sums are absolute
+    values, the scalar operator."""
     r1, r2, r = _LOCALIZED_EXPONENTS
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)
@@ -616,25 +602,26 @@ def _localized_operator_rows(cfg, eps, label, default_trials, K):
         fs, gs = (GridFunction(grid, np.stack(comps, axis=-1)) for comps in (comps_f, comps_g))
         # components first, as the l^e sums reduce axis 0
         outs = operators.localized_paraproduct(spec, loc, fs, gs).samples.T
-        rhs = (
-            sF ** max(1.0 - 1.0 / r1 - eps, 0.0)
-            * sG ** max(1.0 - 1.0 / r2 - eps, 0.0)
-            * sE ** max(1.0 / r - eps, 0.0)
-            * _lr_of_lr(grid, comps_f, r1, bump) * _lr_of_lr(grid, comps_g, r2, bump)
-        )
-        return [(_lr_of_lr(grid, outs, r), rhs, {"eps": eps})]
+        lhs = _lr_of_lr(grid, outs, r)
+        norm_f, norm_g = _lr_of_lr(grid, comps_f, r1, bump), _lr_of_lr(grid, comps_g, r2, bump)
+        return [(lhs,
+                 sF ** max(1.0 - 1.0 / r1 - eps, 0.0)
+                 * sG ** max(1.0 - 1.0 / r2 - eps, 0.0)
+                 * sE ** max(1.0 / r - eps, 0.0)
+                 * norm_f * norm_g,
+                 {"eps": eps})
+                for eps in eps_values]
 
     return _trial_rows(cfg, label, default_trials, trial)
 
 
 def _run_localized_operator(cfg, cap):
-    rows = [row for eps in _EPS_VALUES for row in
-            _localized_operator_rows(cfg, eps, f"localized-operator/eps={eps!r}", 34, 1)]
+    rows = _localized_operator_rows(cfg, _EPS_VALUES, "localized-operator", 34, 1)
     return _capped(rows, cap, eps_values=list(_EPS_VALUES))
 
 
 def _run_vv_localized(cfg, cap):
-    rows = _localized_operator_rows(cfg, 0.05, "vv-localized", 30, 4)
+    rows = _localized_operator_rows(cfg, (0.05,), "vv-localized", 30, 4)
     return _capped(rows, cap, K=4)
 
 

@@ -236,12 +236,12 @@ class TestTrialRows:
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
 
 # sha256 of the seed-7, one-trial, full-registry report
-SMOKE_CSV_SHA256 = "037184fac9a6d22854dbeeab741cc81b427222d41486622728209bf6f347f72f"
-SMOKE_JSON_SHA256 = "b39a37242a85f2a337a0ef41c6fda279c6e4a64c6b507783138369d012b6dac2"
+SMOKE_CSV_SHA256 = "c565834107964dba781abe8a72b5490a55dfd4c12ade25a871d640ceba06992a"
+SMOKE_JSON_SHA256 = "4abcb641140aafc498d64e2b38f4f2ab94c6650b460780498d87d72269886c76"
 # sha256 of the seed-7, two-trial, full-registry report: the aggregates over
 # several rows (min/max, medians, maxima by K, fits) enter these bytes
-TWO_TRIAL_CSV_SHA256 = "749d07d2f54c75eb64fc0a2b52d77c2e6a4ca07754743efdc49faeb93fca065b"
-TWO_TRIAL_JSON_SHA256 = "5bf2e0e3d0aeaa2fcada165cb4b9e7c4e4769a0c516a3cd843e1e2f64e601089"
+TWO_TRIAL_CSV_SHA256 = "8365bc460d85abe4c786d82f7f4663906f38aa63f7960b8e0042554f0e174170"
+TWO_TRIAL_JSON_SHA256 = "894daff0b61219520c1b4a0f58e57dbe12515a33879465014354b7f399c57ae3"
 
 
 def smoke_config(**kw):
@@ -594,18 +594,49 @@ class TestDeterminismContracts:
 
 class TestRowReexecution:
     def test_vv_row_recomputable_in_isolation(self):
-        from fractions import Fraction
-
-        from wavetile.bench.targets import _vv_ratio
+        from wavetile.bench.targets import _vv_sides
         from wavetile.dyadic import grid_dyadic_family
         from wavetile.grid import SampleGrid
 
         cfg = ExperimentConfig(seed=7, trials=3, grid_size=512, targets=("vv-paraproduct",))
         result = run_campaign(cfg).results[0]
-        row = result.rows[4]
+        trial = [row for row in result.rows if row.trial == 1]
         grid = SampleGrid(512, 1.0)
-        again = _vv_ratio(
-            grid, grid_dyadic_family(grid, range(1, 8)), row.seed, row.params["K"],
-            Fraction(3, 2), Fraction(3, 2), Fraction(3, 4), 4, 4, 2, band=512 // 8,
-        )
-        assert again == pytest.approx(row.ratio, rel=1e-12)
+        again = _vv_sides(grid, grid_dyadic_family(grid, range(1, 8)), trial[0].seed)
+        assert [row.params["K"] for row in trial] == [1, 2, 4, 8, 16]
+        assert again == [(row.lhs, row.rhs, row.params) for row in trial]
+
+
+class TestSweptValues:
+    @pytest.mark.parametrize("name, key, values", [
+        ("vv-paraproduct", ("K",), [(1,), (2,), (4,), (8,), (16,)]),
+        ("bht-local-l2", ("tiles",), [(28,), (112,), (448,)]),
+        ("shifted-growth", ("op", "n"),
+         [(op, n) for n in (1, 2, 4, 8, 16, 32, 64)
+          for op in ("maximal", "square", "paraproduct")]),
+        ("localized-operator", ("eps",), [(0.01,), (0.05,), (0.1,)]),
+    ])
+    def test_one_draw_gives_a_row_per_swept_value(self, name, key, values):
+        """A trial draws its inputs once, under the target's own label, and
+        evaluates every swept value on them."""
+        cfg = ExperimentConfig(seed=7, trials=2, targets=(name,))
+        result = run_campaign(cfg).results[0]
+        assert result.error is None, result.error
+        seeds = cfg.seeds(name, 2)
+        for t in range(2):
+            rows = [row for row in result.rows if row.trial == t]
+            assert {row.seed for row in rows} == {seeds[t]}
+            assert [tuple(row.params[k] for k in key) for row in rows] == values
+
+    def test_empty_swept_group_names_the_reason(self, monkeypatch):
+        from wavetile.bench import targets
+
+        def component_0_zeroed(*args, **kwargs):
+            f = generate_trial(*args, **kwargs)
+            f.samples[:, 0] = 0.0
+            return f
+
+        # every K = 1 row has rhs 0 and is dropped; the larger K keep theirs
+        monkeypatch.setattr(targets, "generate_trial", component_0_zeroed)
+        with pytest.raises(ValueError, match="every trial was dropped"):
+            targets._run_vv_paraproduct(ExperimentConfig(seed=7, trials=2, grid_size=256), 1.0)
