@@ -68,11 +68,10 @@ def average_single(
     f: GridFunction,
     interval: DyadicInterval,
     M: int = _M,
-    shift_n: int = 0,
 ) -> float:
-    """(1/|I|) * integral |f| chi(I + shift_n |I|)^M, by direct quadrature."""
+    """(1/|I|) * integral |f| chi(I)^M, by direct quadrature."""
     _require_1d(f)
-    w = torus_bump_samples(f.grid, interval, M, shift_n)
+    w = torus_bump_samples(f.grid, interval, M)
     dx = f.grid.spacing
     return float(np.dot(np.abs(f.samples), w).real * dx / interval.length)
 

@@ -59,10 +59,9 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
 
     def trial_count(self, default: int) -> int:
-        """A target's trial count: its default, lowered to ``trials`` if set."""
-        if self.trials is None:
-            return default
-        return max(1, min(default, self.trials))
+        """A target's trial count: its default, lowered to ``trials`` if set
+        (a seed-free target's 0 stays 0)."""
+        return default if self.trials is None else min(default, self.trials)
 
     def seeds(self, label: str, count: int) -> list[int]:
         """Seeds of the trials t < ``count`` labelled ``label`` (a registry
@@ -132,7 +131,8 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignReport:
         t0 = time.perf_counter()
         error = None
         try:
-            rows, aggregates, passed = target.runner(cfg, target.cap)
+            seeds = cfg.seeds(name, cfg.trial_count(target.trials))
+            rows, aggregates, passed = target.runner(cfg, seeds, target.cap)
         except Exception:
             rows, aggregates, passed = [], {}, False
             error = traceback.format_exc(limit=3)

@@ -6,19 +6,24 @@ applies its acceptance policy: a ratio cap (the registry entry's ``cap``,
 statement is uniformity over a structural parameter, a no-growth check
 across that parameter.  Caps encode measured headroom, not proven constants.
 
-A runner is ``runner(cfg, cap) -> (rows, aggregates, passed)``: it takes the
-campaign's ``ExperimentConfig`` and the target's cap (the entry's ``cap``,
-``None`` when the verdict reads none) and returns its ``TrialRow`` list, its
-aggregates dict and its verdict.  ``run_campaign`` builds the
-``TargetResult`` from these and the registry entry's name and statement.
+A runner is ``runner(cfg, seeds, cap) -> (rows, aggregates, passed)``: it
+takes the campaign's ``ExperimentConfig``, its trial seeds and the target's
+cap (the entry's ``cap``, ``None`` when the verdict reads none) and returns
+its ``TrialRow`` list, its aggregates dict and its verdict.  ``run_campaign``
+builds the ``TargetResult`` from these and the registry entry's name and
+statement.
 
-Trial seeds come from ``cfg.seeds(label, count)``, labelled by the registry
-name, and each input by its role: none for the first, then ``g``, ``h``; the
-sets ``F``, ``G``, ``E`` (E~) and ``E1``..``E3``; vector components ``f{k}``,
-``g{k}``.  A swept value (vv-paraproduct's K, bht-local-l2's tile tier,
-shifted-growth's n, localized-operator's eps) is a row param: a trial draws
-its inputs once and gives one row per value, so each per-value statistic
-reads the rows whose params carry that value.
+The entry's ``trials`` is the target's trial count, lowered to the config's
+``trials`` if set, and ``run_campaign`` alone turns it into seeds:
+``cfg.seeds(name, cfg.trial_count(entry.trials))``, labelled by the registry
+name.  The three targets that read no seed declare ``trials=0`` and get
+none.  Within a trial each input is drawn under its role: none for the
+first, then ``g``, ``h``; the sets ``F``, ``G``, ``E`` (E~) and
+``E1``..``E3``; vector components ``f{k}``, ``g{k}``.  A swept value
+(vv-paraproduct's K, bht-local-l2's tile tier, shifted-growth's n,
+localized-operator's eps) is a row param: a trial draws its inputs once and
+gives one row per value, so each per-value statistic reads the rows whose
+params carry that value.
 """
 
 from __future__ import annotations
@@ -70,15 +75,15 @@ class InequalityTarget:
     statement: str
     runner: Callable
     cap: float | None
+    trials: int
 
 
-def _trial_rows(cfg: ExperimentConfig, label: str, default_trials: int,
-                trial: Callable) -> list[TrialRow]:
-    """Rows of the trials labelled ``label``: ``trial(t, seed)`` returns its
+def _trial_rows(seeds: list[int], trial: Callable) -> list[TrialRow]:
+    """Rows of the trials with these seeds: ``trial(t, seed)`` returns its
     ``(lhs, rhs, params)`` triples; a degenerate one, with rhs 0, is dropped."""
     return [
         TrialRow(t, seed, lhs, rhs, lhs / rhs, params)
-        for t, seed in enumerate(cfg.seeds(label, cfg.trial_count(default_trials)))
+        for t, seed in enumerate(seeds)
         for lhs, rhs, params in trial(t, seed)
         if rhs != 0
     ]
@@ -129,8 +134,8 @@ def _subfamily(rng, root: dyadic.DyadicInterval, depth: int):
 # Individual targets
 # ---------------------------------------------------------------------------
 
-def _run_telescope(cfg: ExperimentConfig, cap: None, *, dims: int, n: int, tol: float,
-                   label: str, default_trials: int):
+def _run_telescope(cfg: ExperimentConfig, seeds: list[int], cap: None, *, dims: int, n: int,
+                   tol: float):
     grid = SampleGrid(n, 1.0, dimension=dims)
 
     def trial(t, seed):
@@ -143,14 +148,14 @@ def _run_telescope(cfg: ExperimentConfig, cap: None, *, dims: int, n: int, tol: 
         product = GridFunction(grid, f.samples * g.samples)
         return [((total - product).norm2() / product.norm2(), tol, {"n": n})]
 
-    rows = _trial_rows(cfg, label, default_trials, trial)
+    rows = _trial_rows(seeds, trial)
     return _bounded(rows, {"max_residual": max(r.lhs for r in rows), "tolerance": tol})
 
 
 _C_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def _run_weak_dualization(cfg, cap):
+def _run_weak_dualization(cfg, seeds, cap):
     grid = SampleGrid(512, 1.0)
     r, p, C = 0.5, 1.0, 4.0
     fails = 0
@@ -169,7 +174,7 @@ def _run_weak_dualization(cfg, cap):
                       default=_C_LADDER[0])
         return [(best, weak_lp_norm(f, p), {"r": r, "p": p, "smallest_major_C": trial_c})]
 
-    rows = _trial_rows(cfg, "weak-dualization", 50, trial)
+    rows = _trial_rows(seeds, trial)
     ratios = [row.ratio for row in _nonempty(rows)]
     passed = (
         fails == 0
@@ -199,11 +204,11 @@ def _random_stopping_config(seed: int, grid: SampleGrid, depth: int):
     return family, E1, E2, E3, root
 
 
-def _run_stopping(cfg, cap):
+def _run_stopping(cfg, seeds, cap):
     grid = SampleGrid(512, 4.0)
     rows = []
     checks_ok = True
-    for t, seed in enumerate(cfg.seeds("stopping-invariants", cfg.trial_count(100))):
+    for t, seed in enumerate(seeds):
         depth = 3 + (t % 3)  # depths 3..5
         family, E1, E2, E3, root = _random_stopping_config(seed, grid, depth)
         try:
@@ -262,7 +267,7 @@ def _stopping_checks(forest, family, E1, E2) -> dict:
             "d_decay": decay_ok}
 
 
-def _run_size_energy(cfg, cap):
+def _run_size_energy(cfg, seeds, cap):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(0, 0)
     kinds = (("step", "depth", 4), ("bump_train", "count", 3), ("band_limited", "band", 24))
@@ -282,7 +287,7 @@ def _run_size_energy(cfg, cap):
                         {"check": f"energy-{flavor}"}))
         return out
 
-    rows = _trial_rows(cfg, "size-energy", 100, trial)
+    rows = _trial_rows(seeds, trial)
     # far-support decay sweep (period large enough that no torus wrap helps)
     decay_grid = SampleGrid(4096, 64.0)
     ks = [1, 2, 3, 4, 5]
@@ -328,21 +333,21 @@ def _vv_sides(grid, base, seed) -> list[tuple]:
             for K in _VV_KS]
 
 
-def _run_vv_paraproduct(cfg, cap):
+def _run_vv_paraproduct(cfg, seeds, cap):
     grid = SampleGrid(cfg.grid_size, 1.0)
     base = dyadic.grid_dyadic_family(grid, range(1, min(8, max_scale(grid) + 1)))
-    rows = _trial_rows(cfg, "vv-paraproduct", 40, lambda t, seed: _vv_sides(grid, base, seed))
+    rows = _trial_rows(seeds, lambda t, seed: _vv_sides(grid, base, seed))
     maxima = [float(np.max(_ratios_where(rows, K=K))) for K in _VV_KS]
     slope = float(np.polyfit(np.log(_VV_KS), np.log(maxima), 1)[0])
     # the growth fit needs a stable empirical sup; below 10 trials the slope
     # is reported but not gated on
-    slope_gated = cfg.trial_count(40) >= 10
+    slope_gated = len(seeds) >= 10
     return _capped(rows, cap, abs(slope) <= 0.1 or not slope_gated,
                    maxima_by_K=maxima, log_slope=slope, slope_window=0.1,
                    slope_gated=slope_gated)
 
 
-def _run_alpha_coefficients(cfg, cap):
+def _run_alpha_coefficients(cfg, seeds, cap):
     rows = []
     bounds = {}
     for t, alpha in enumerate((0.25, 0.5, 1.0)):
@@ -378,9 +383,9 @@ def _shifted_sides(grid: SampleGrid, seed: int) -> list[tuple]:
     return sides
 
 
-def _run_shifted_growth(cfg, kappa_cap):
+def _run_shifted_growth(cfg, seeds, kappa_cap):
     grid = SampleGrid(512, 1.0)
-    rows = _trial_rows(cfg, "shifted-growth", 10, lambda t, seed: _shifted_sides(grid, seed))
+    rows = _trial_rows(seeds, lambda t, seed: _shifted_sides(grid, seed))
     xs = np.log(np.log(1.0 + np.array(_SHIFTS, dtype=float)))
     maxima, medians, fits = {}, {}, {}
     for op in ("maximal", "square", "paraproduct"):
@@ -393,7 +398,7 @@ def _run_shifted_growth(cfg, kappa_cap):
     return rows, agg, all(kappa <= kappa_cap for kappa in fits.values())
 
 
-def _run_bht_multiplier(cfg, cap):
+def _run_bht_multiplier(cfg, seeds, cap):
     n = 2048
     grid = SampleGrid(n, 1.0)
     x = grid.points()
@@ -415,7 +420,7 @@ def _run_bht_multiplier(cfg, cap):
                     {"spectral_discrepancy": discrepancy})
 
 
-def _run_bht_local_l2(cfg, cap):
+def _run_bht_local_l2(cfg, seeds, cap):
     grid = SampleGrid(1024, 1.0)
     tiers = [1, 4, 16]  # tile count quadruples tier to tier
     tile_sets = [dyadic.build_rank_one_tiles(grid, range(2, 5), range(0, freqs))
@@ -429,46 +434,19 @@ def _run_bht_local_l2(cfg, cap):
         return [(lp_norm(operators.bht_model(spec, f, g), 1), denom, {"tiles": len(spec.tiles)})
                 for spec in specs]
 
-    rows = _trial_rows(cfg, "bht-local-l2", 34, trial)
+    rows = _trial_rows(seeds, trial)
     medians = [float(np.median(_ratios_where(rows, tiles=len(spec.tiles)))) for spec in specs]
     growth_ok = all(
         medians[i + 1] <= medians[i] * 1.25 + 1e-12 for i in range(len(medians) - 1)
     )
-    growth_gated = cfg.trial_count(34) >= 10
+    growth_gated = len(seeds) >= 10
     return _capped(rows, cap, growth_ok or not growth_gated,
                    medians_by_tier=medians, tile_tiers=tiers, no_growth=growth_ok,
                    growth_gated=growth_gated)
 
 
-def _run_range_consistency(cfg, cap):
-    step = 24
-    from ..operators.ranges import (
-        _case_member,
-        _case_member_grid,
-        _theta_feasible,
-        _theta_feasible_grid,
-    )
-
-    checked, mismatches = operators.range_grid_mismatches(step)
-
-    # the scalar Fraction routes check the vector ones, route by route, on a
-    # seeded sample of the same grid
-    rng = rng_for(cfg.seeds("range-consistency", 1)[0], 24)
-    a, b, c, d = rng.integers(0, step, size=(4, 2400))
-    keep = (a + b > 0) & (2 * (a + b) < 3 * step) & (c + d > 0)
-    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-    rho_num, outer_num = (a, b, step - a - b), (c, d, step - c - d)
-    feasible = _theta_feasible_grid(rho_num, outer_num, step)
-    table = _case_member_grid(rho_num, outer_num, step)
-    fr = [Fraction(i, step) for i in range(step)]
-    for i in range(a.size):
-        rho1, rho2, o1, o2 = fr[a[i]], fr[b[i]], fr[c[i]], fr[d[i]]
-        rho = (rho1, rho2, 1 - rho1 - rho2)
-        outer = (o1, o2, 1 - o1 - o2)
-        feas, _ = _theta_feasible(rho, outer)
-        member, _ = _case_member(rho, outer, repaired=True)
-        if feas != feasible[i] or member != table[i]:
-            mismatches += 1
+def _run_range_consistency(cfg, seeds, cap):
+    checked, mismatches = operators.range_grid_mismatches(24)
 
     # third example: 1/q = 4/5 >= 3/4 fails case (ii); p = 10 is the
     # Hoelder-consistent outer exponent for (q, s) = (5/4, 10/9)
@@ -490,7 +468,7 @@ def _run_range_consistency(cfg, cap):
     return _bounded(rows, {"grid_points": checked, "mismatches": mismatches})
 
 
-def _run_leibniz(cfg, cap):
+def _run_leibniz(cfg, seeds, cap):
     n = 256
     grid = SampleGrid(n, 1.0, dimension=2)
     alpha = beta = 1.0
@@ -502,7 +480,7 @@ def _run_leibniz(cfg, cap):
         lhs, terms = operators.leibniz_sides(alpha, beta, exps, f, g)
         return [(lhs, sum(terms), {})]
 
-    return _capped(_trial_rows(cfg, "leibniz-mixed", 20, trial), cap)
+    return _capped(_trial_rows(seeds, trial), cap)
 
 
 def _local_sizes(funcs, family, root) -> list[float]:
@@ -510,7 +488,7 @@ def _local_sizes(funcs, family, root) -> list[float]:
     return [analysis.size_tilde(h, family, I0=root, M=4).value for h in funcs]
 
 
-def _run_trilinear_size_energy(cfg, cap):
+def _run_trilinear_size_energy(cfg, seeds, cap):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(0, 0)
 
@@ -527,11 +505,10 @@ def _run_trilinear_size_energy(cfg, cap):
             rhs *= s ** (2.0 / 3.0) * e ** (1.0 / 3.0)
         return [(lam, rhs, {})]
 
-    return _capped(_trial_rows(cfg, "trilinear-size-energy", 100, trial), cap,
-                   theta=[1 / 3, 1 / 3, 1 / 3])
+    return _capped(_trial_rows(seeds, trial), cap, theta=[1 / 3, 1 / 3, 1 / 3])
 
 
-def _run_localized_trilinear(cfg, cap):
+def _run_localized_trilinear(cfg, seeds, cap):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)  # [1/2, 1)
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
@@ -547,10 +524,10 @@ def _run_localized_trilinear(cfg, cap):
             rhs *= st ** (2.0 / 3.0) * lp_norm(func, 1, weight=bump) ** (1.0 / 3.0)
         return [(lam, rhs, {})]
 
-    return _capped(_trial_rows(cfg, "localized-trilinear", 100, trial), cap)
+    return _capped(_trial_rows(seeds, trial), cap)
 
 
-def _run_local_l1(cfg, cap):
+def _run_local_l1(cfg, seeds, cap):
     grid = SampleGrid(512, 4.0)
     root = dyadic.DyadicInterval(1, 1)
 
@@ -565,7 +542,7 @@ def _run_local_l1(cfg, cap):
         rhs = math.prod(_local_sizes((f, g, Et.indicator), family, root)) * root.length
         return [(lhs, rhs, {})]
 
-    return _capped(_trial_rows(cfg, "local-l1", 100, trial), cap)
+    return _capped(_trial_rows(seeds, trial), cap)
 
 
 def _lr_of_lr(grid, comps, e, weight=None) -> float:
@@ -578,7 +555,7 @@ _LOCALIZED_EXPONENTS = (1.5, 1.5, 0.75)  # (r1, r2, r)
 _EPS_VALUES = (0.01, 0.05, 0.1)  # localized-operator's exponent losses
 
 
-def _localized_operator_rows(cfg, eps_values, label, default_trials, K):
+def _localized_operator_rows(seeds, eps_values, K):
     """Rows of the l^r-valued localized paraproduct on K components, one
     per exponent loss eps of each trial; at K = 1 the l^r sums are absolute
     values, the scalar operator."""
@@ -612,20 +589,20 @@ def _localized_operator_rows(cfg, eps_values, label, default_trials, K):
                  {"eps": eps})
                 for eps in eps_values]
 
-    return _trial_rows(cfg, label, default_trials, trial)
+    return _trial_rows(seeds, trial)
 
 
-def _run_localized_operator(cfg, cap):
-    rows = _localized_operator_rows(cfg, _EPS_VALUES, "localized-operator", 34, 1)
+def _run_localized_operator(cfg, seeds, cap):
+    rows = _localized_operator_rows(seeds, _EPS_VALUES, 1)
     return _capped(rows, cap, eps_values=list(_EPS_VALUES))
 
 
-def _run_vv_localized(cfg, cap):
-    rows = _localized_operator_rows(cfg, (0.05,), "vv-localized", 30, 4)
+def _run_vv_localized(cfg, seeds, cap):
+    rows = _localized_operator_rows(seeds, (0.05,), 4)
     return _capped(rows, cap, K=4)
 
 
-def _run_bht_localized(cfg, cap):
+def _run_bht_localized(cfg, seeds, cap):
     grid = SampleGrid(512, 1.0)
     root = dyadic.DyadicInterval(1, 1)
     bump = GridFunction(grid, dyadic.torus_bump_samples(grid, root, 4).astype(complex))
@@ -655,10 +632,10 @@ def _run_bht_localized(cfg, cap):
         )
         return [(lhs, rhs, {})]
 
-    return _capped(_trial_rows(cfg, "bht-localized", 50, trial), cap, theta=theta)
+    return _capped(_trial_rows(seeds, trial), cap, theta=theta)
 
 
-def _run_tensor_mixed_norm(cfg, cap):
+def _run_tensor_mixed_norm(cfg, seeds, cap):
     n = 128
     grid = SampleGrid(n, 1.0, dimension=2)
 
@@ -670,11 +647,11 @@ def _run_tensor_mixed_norm(cfg, cap):
         rhs = mixed_norm(f, MixedNormSpec((4, 4))) * mixed_norm(g, MixedNormSpec((4, 4)))
         return [(lhs, rhs, {})]
 
-    return _capped(_trial_rows(cfg, "tensor-mixed-norm", 50, trial), cap,
+    return _capped(_trial_rows(seeds, trial), cap,
                    exponents={"p": [4, 4], "q": [4, 4], "s": [2, 2]})
 
 
-def _run_depth2_vv(cfg, cap):
+def _run_depth2_vv(cfg, seeds, cap):
     grid = SampleGrid(512, 1.0)
     K1 = K2 = 3
     fam = dyadic.grid_dyadic_family(grid, range(1, 6))
@@ -694,7 +671,7 @@ def _run_depth2_vv(cfg, cap):
         )
         return [(n_out, n_f * n_g, {"K": [K1, K2]})]
 
-    return _capped(_trial_rows(cfg, "depth2-vv", 10, trial), cap,
+    return _capped(_trial_rows(seeds, trial), cap,
                    inner_tuples={"R1": ["inf", 2], "R2": [2, "inf"], "R": [2, 2]})
 
 
@@ -705,73 +682,71 @@ def _run_depth2_vv(cfg, cap):
 REGISTRY: dict[str, InequalityTarget] = {t.name: t for t in (
     InequalityTarget("telescope-1d",
                      "f*g = sum_k [Q_k f P_k g + P_k f Q_k g + Q_k f Q_k g] + coarse block",
-                     partial(_run_telescope, dims=1, n=4096, tol=1e-10, label="telescope-1d",
-                             default_trials=3), None),
+                     partial(_run_telescope, dims=1, n=4096, tol=1e-10), None, trials=3),
     InequalityTarget("telescope-2d",
                      "f*g equals the nine bi-parameter terms plus the coarse remainder",
-                     partial(_run_telescope, dims=2, n=256, tol=1e-9, label="telescope-2d",
-                             default_trials=2), None),
+                     partial(_run_telescope, dims=2, n=256, tol=1e-9), None, trials=2),
     InequalityTarget("weak-dualization",
                      "||f||_{p,inf} ~ sup_E inf_{major E~} ||f 1_E~||_r / |E|^(1/r-1/p)",
-                     _run_weak_dualization, None),
+                     _run_weak_dualization, None, trials=50),
     InequalityTarget("stopping-invariants",
                      "triple stopping time: exact partition, per-level disjointness, "
                      "sum |I| <= C 2^n ||1_E chi||_1",
-                     _run_stopping, 8.0),
+                     _run_stopping, 8.0, trials=100),
     InequalityTarget("size-energy",
                      "size <= C sup-average and energy <= C ||f||_1",
-                     _run_size_energy, 4.0),
+                     _run_size_energy, 4.0, trials=100),
     InequalityTarget("vv-paraproduct",
                      "||(sum |Pi(f_k,g_k)|^r)^(1/r)||_s <= C ||(sum |f_k|^r1)^(1/r1)||_p "
                      "||(sum |g_k|^r2)^(1/r2)||_q, uniformly in K",
-                     _run_vv_paraproduct, 1.0),
+                     _run_vv_paraproduct, 1.0, trials=40),
     InequalityTarget("alpha-coefficients",
                      "|c_n| (1+|n|)^(1+alpha) bounded",
-                     _run_alpha_coefficients, 4.0),
+                     _run_alpha_coefficients, 4.0, trials=0),
     InequalityTarget("shifted-growth",
                      "L2 norms of shifted maximal/square/paraproduct grow at most like "
                      "C log^kappa(1+|n|), kappa <= 2.5",
-                     _run_shifted_growth, 2.5),
+                     _run_shifted_growth, 2.5, trials=10),
     InequalityTarget("bht-multiplier",
                      "p.v. integral f(x-t)g(x+t) dt/t acts as -i pi sgn(xi-eta)",
-                     _run_bht_multiplier, None),
+                     _run_bht_multiplier, None, trials=0),
     InequalityTarget("bht-local-l2",
                      "||BHT_P(f,g)||_1 <= C ||f||_2 ||g||_2, uniform as tiles quadruple",
-                     _run_bht_local_l2, 2.0),
+                     _run_bht_local_l2, 2.0, trials=34),
     InequalityTarget("range-consistency",
                      "case table for the admissible exponent region agrees with exact "
                      "theta-feasibility on the step-1/24 rational grid",
-                     _run_range_consistency, None),
+                     _run_range_consistency, None, trials=0),
     InequalityTarget("leibniz-mixed",
                      "||D1^a D2^b (fg)||_{s1,s2} <= C sum of four derivative-norm "
                      "products",
-                     _run_leibniz, 1.0),
+                     _run_leibniz, 1.0, trials=20),
     InequalityTarget("trilinear-size-energy",
                      "|Lambda(f,g,h)| <= C prod size^(2/3) energy^(1/3)",
-                     _run_trilinear_size_energy, 8.0),
+                     _run_trilinear_size_energy, 8.0, trials=100),
     InequalityTarget("localized-trilinear",
                      "|Lambda_I0(f,g,h)| <= C prod size~^(2/3) ||. chi_I0||_1^(1/3)",
-                     _run_localized_trilinear, 8.0),
+                     _run_localized_trilinear, 8.0, trials=100),
     InequalityTarget("local-l1",
                      "||Pi_I0(f,g) 1_E~||_1 <= C size~ f size~ g size~ 1_E~ |I0|",
-                     _run_local_l1, 4.0),
+                     _run_local_l1, 4.0, trials=100),
     InequalityTarget("localized-operator",
                      "||Pi_I0^{F,G,E~}(f,g)||_r <= C prod size~^(exponent-eps) "
                      "||f chi||_r1 ||g chi||_r2 at (3/2,3/2,3/4)",
-                     _run_localized_operator, 4.0),
+                     _run_localized_operator, 4.0, trials=34),
     InequalityTarget("vv-localized",
                      "l^r-valued localized paraproduct bound at (3/2,3/2,3/4), K=4",
-                     _run_vv_localized, 4.0),
+                     _run_vv_localized, 4.0, trials=30),
     InequalityTarget("bht-localized",
                      "||BHT_I0^{F,G,E~}(f,g)||_1 <= C prod size~^((1+theta)/2 - 1/r_i) "
                      "||f chi||_2 ||g chi||_2",
-                     _run_bht_localized, 4.0),
+                     _run_bht_localized, 4.0, trials=50),
     InequalityTarget("tensor-mixed-norm",
                      "||Pi x Pi(f,g)||_{L2 L2} <= C ||f||_{L4 L4} ||g||_{L4 L4}",
-                     _run_tensor_mixed_norm, 1.0),
+                     _run_tensor_mixed_norm, 1.0, trials=50),
     InequalityTarget("depth2-vv",
                      "depth-2 vector-valued paraproduct bound with the (inf,2) pattern",
-                     _run_depth2_vv, 1.0),
+                     _run_depth2_vv, 1.0, trials=10),
 )}
 
 

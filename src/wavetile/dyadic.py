@@ -138,9 +138,8 @@ def torus_bump_samples(
     grid: SampleGrid,
     interval: DyadicInterval,
     decay_exponent: int,
-    shift_n: int = 0,
 ) -> np.ndarray:
-    """Samples of the periodized adapted bump of I + shift_n*|I| on the torus.
+    """Samples of the periodized adapted bump of I on the torus.
 
     Distance is measured on the torus by summing the line bump over w
     period wraps on each side, with w the fewest that put the first dropped
@@ -152,7 +151,7 @@ def torus_bump_samples(
     """
     return _torus_bump_cached(
         grid.sample_count, grid.period_length, interval.scale,
-        interval.position + shift_n, decay_exponent,
+        interval.position, decay_exponent,
     )
 
 
@@ -448,10 +447,10 @@ class WavePacketFamily:
             layout.append((j, idx, positions[idx] % (2 ** (j + kappa))))
         return layout
 
-    def packet(self, interval: DyadicInterval, shift_n: int = 0) -> GridFunction:
-        """The packet of I + shift_n |I|, built directly (no packet cache)."""
+    def packet(self, interval: DyadicInterval) -> GridFunction:
+        """The packet of I, built directly (no packet cache)."""
         block = _PACKET_BLOCKS[self.flavor]
-        return _window_packet(self.grid, interval.scale, block, interval.position + shift_n)
+        return _window_packet(self.grid, interval.scale, block, interval.position)
 
     def scale_coefficients(
         self, f: GridFunction, scales: Iterable[int], shift_n: int = 0

@@ -314,7 +314,7 @@ class TestMaximal:
         f = band_limited(g, 20, 30)
         out = maximal(f, 3)
         iv = DyadicInterval(3, 5)
-        val = average_single(f, iv, 10, shift_n=3)
+        val = average_single(f, DyadicInterval(iv.scale, iv.position + 3), 10)
         x_in = int(iv.position * iv.length / g.spacing) + 1
         assert out.samples.real[x_in] >= val - 1e-12
 
@@ -327,7 +327,8 @@ class TestMaximal:
         want = np.zeros(g.sample_count)
         for iv in grid_dyadic_family(g):
             idx = interval_indices(g, iv)
-            want[idx] = np.maximum(want[idx], average_single(f, iv, 10, shift_n))
+            shifted = DyadicInterval(iv.scale, iv.position + shift_n)
+            want[idx] = np.maximum(want[idx], average_single(f, shifted, 10))
         got = maximal(f, shift_n).samples.real
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 

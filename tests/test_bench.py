@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import json
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from wavetile.bench import (
     run_campaign,
 )
 from wavetile.bench.report import emit_report
+from wavetile.bench.targets import InequalityTarget
 from wavetile.errors import InfeasibleMeasureError
 from wavetile.grid import SampleGrid
 
@@ -132,8 +135,6 @@ class TestConfig:
     def test_every_config_field_is_set_by_a_campaign(self):
         """A field that no shipped config and no benchmark campaign sets is a
         knob that does nothing."""
-        import ast
-        import dataclasses
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[1]
@@ -214,7 +215,7 @@ class TestCappedVerdict:
 
         monkeypatch.setattr(targets, "weak_lp_norm", lambda f, p: 0.0)  # every rhs 0
         with pytest.raises(ValueError, match="every trial was dropped"):
-            targets._run_weak_dualization(ExperimentConfig(seed=7, trials=1), None)
+            targets._run_weak_dualization(ExperimentConfig(seed=7), [7], None)
 
 
 class TestTrialRows:
@@ -224,13 +225,58 @@ class TestTrialRows:
         def trial(t, seed):
             return [(float(t + 1), 0.0 if t == 1 else 2.0, {"t": t})]
 
-        cfg = ExperimentConfig(seed=7)
-        rows = _trial_rows(cfg, "label", 3, trial)
-        seeds = cfg.seeds("label", 3)
+        rows = _trial_rows([11, 12, 13], trial)
         assert [(r.trial, r.seed, r.lhs, r.rhs, r.ratio, r.params) for r in rows] == [
-            (0, seeds[0], 1.0, 2.0, 0.5, {"t": 0}),
-            (2, seeds[2], 3.0, 2.0, 1.5, {"t": 2}),
+            (0, 11, 1.0, 2.0, 0.5, {"t": 0}),
+            (2, 13, 3.0, 2.0, 1.5, {"t": 2}),
         ]
+
+
+class TestTrialSeeds:
+    """``run_campaign`` alone turns (campaign seed, registry name, trial
+    count) into trial seeds; a runner only reads the seeds it is given."""
+
+    @pytest.mark.parametrize("trials", [None, 1, 3])
+    def test_each_runner_gets_its_seeds_and_cap(self, trials, monkeypatch):
+        from wavetile.bench import targets
+
+        got = {}
+        for name, entry in REGISTRY.items():
+            def spy(cfg, seeds, cap, name=name):
+                got[name] = (seeds, cap)
+                return [], {}, True
+            monkeypatch.setitem(targets.REGISTRY, name, dataclasses.replace(entry, runner=spy))
+        cfg = ExperimentConfig(seed=11, trials=trials)
+        assert run_campaign(cfg).passed
+        assert got == {name: (cfg.seeds(name, cfg.trial_count(entry.trials)), entry.cap)
+                       for name, entry in REGISTRY.items()}
+
+    def test_runners_derive_no_seeds(self):
+        from pathlib import Path
+
+        from wavetile.bench import targets
+
+        tree = ast.parse(Path(targets.__file__).read_text())
+        calls = sorted(node.func.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr in ("seeds", "trial_count"))
+        assert calls == []
+
+    def test_every_target_names_its_trial_count(self):
+        field = next(f for f in dataclasses.fields(InequalityTarget) if f.name == "trials")
+        assert field.default is dataclasses.MISSING
+        seed_free = {"alpha-coefficients", "bht-multiplier", "range-consistency"}
+        assert {name for name, entry in REGISTRY.items() if entry.trials == 0} == seed_free
+        assert all(entry.trials >= 1 for name, entry in REGISTRY.items()
+                   if name not in seed_free)
+
+    def test_seed_free_targets_read_no_seed(self):
+        names = tuple(name for name, entry in REGISTRY.items() if entry.trials == 0)
+        one, other = (run_campaign(ExperimentConfig(seed=s, targets=names)).results
+                      for s in (7, 11))
+        for a, b in zip(one, other):
+            assert a.error is None and b.error is None, a.name
+            assert a.rows == b.rows and a.aggregates == b.aggregates, a.name
 
 
 SMOKE_TARGETS = ("telescope-1d", "alpha-coefficients", "weak-dualization")
@@ -297,7 +343,7 @@ class TestCampaign:
         from wavetile.bench import targets as targets_mod
 
         bad = targets_mod.InequalityTarget(
-            "telescope-1d", "boom", lambda cfg, cap: 1 / 0, None
+            "telescope-1d", "boom", lambda cfg, seeds, cap: 1 / 0, None, trials=3
         )
         monkeypatch.setitem(targets_mod.REGISTRY, "telescope-1d", bad)
         report = run_campaign(smoke_config())
@@ -398,7 +444,7 @@ class TestCli:
 
         ran = []
         spy = targets_mod.InequalityTarget(
-            "telescope-1d", "spy", lambda cfg, cap: ran.append(cfg), None
+            "telescope-1d", "spy", lambda cfg, seeds, cap: ran.append(cfg), None, trials=3
         )
         monkeypatch.setitem(targets_mod.REGISTRY, "telescope-1d", spy)
         taken = tmp_path / "taken"
@@ -475,15 +521,17 @@ class TestCampaignContracts:
         report = run_campaign(ExperimentConfig(targets=()))
         assert report.results == [] and report.passed
 
-    def test_every_cap_can_fail(self):
+    def test_every_cap_can_fail(self, monkeypatch):
         capped = [name for name, t in REGISTRY.items() if t.cap is not None]
         assert len(capped) == 15
         tiny = 1e-12
         for name in capped:
-            _, aggregates, passed = REGISTRY[name].runner(
-                ExperimentConfig(seed=7, trials=1), tiny)
-            assert not passed, name
-            assert aggregates.get("cap", aggregates.get("kappa_cap")) == tiny, name
+            monkeypatch.setitem(REGISTRY, name, dataclasses.replace(REGISTRY[name], cap=tiny))
+        report = run_campaign(ExperimentConfig(seed=7, trials=1, targets=tuple(capped)))
+        for result in report.results:
+            assert result.error is None and not result.passed, result.name
+            aggregates = result.aggregates
+            assert aggregates.get("cap", aggregates.get("kappa_cap")) == tiny, result.name
 
     def test_registry_smoke_one_trial_under_budget(self):
         import hashlib
@@ -577,8 +625,6 @@ class TestDeterminismContracts:
                 )
 
     def test_cli_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        import dataclasses
-
         from wavetile.bench.cli import main
 
         monkeypatch.setitem(REGISTRY, "size-energy",
@@ -639,4 +685,4 @@ class TestSweptValues:
         # every K = 1 row has rhs 0 and is dropped; the larger K keep theirs
         monkeypatch.setattr(targets, "generate_trial", component_0_zeroed)
         with pytest.raises(ValueError, match="every trial was dropped"):
-            targets._run_vv_paraproduct(ExperimentConfig(seed=7, trials=2, grid_size=256), 1.0)
+            targets._run_vv_paraproduct(ExperimentConfig(seed=7, grid_size=256), [7, 8], 1.0)

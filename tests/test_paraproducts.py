@@ -271,7 +271,8 @@ class TestShiftedParaproduct:
             got = shifted_paraproduct(n, f, g, scales=scales)
             want = sum(
                 iv.length ** -1.0
-                * f.inner(psi.packet(iv, shift_n=n)) * g.inner(psi.packet(iv, shift_n=n))
+                * f.inner(psi.packet(DyadicInterval(iv.scale, iv.position + n)))
+                * g.inner(psi.packet(DyadicInterval(iv.scale, iv.position + n)))
                 * phi.packet(iv).samples
                 for iv in grid_dyadic_family(GRID, scales)
             )

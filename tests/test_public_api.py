@@ -51,8 +51,6 @@ KEEP = {
 # Defaulted parameters that no call in the package passes, each with the
 # reason it stays.
 UNPASSED = {
-    "average_single(shift_n)": "the shifted-average oracle of maximal's shifted sweep",
-    "WavePacketFamily.packet(shift_n)": "the shifted-packet oracle of the shifted sweeps",
     "size_single(family)": "the lacunary flavor of the one-interval size oracle",
     "shifted_square(scales)": "the tests' restriction to scales a translation preserves",
     "shifted_paraproduct(scales)": "the tests' direct-sum oracle on a few scales",

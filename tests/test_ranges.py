@@ -126,6 +126,24 @@ class TestGridRoutes:
             assert table == _case_member(rho, outer, repaired=True)[0]
             assert literal == _case_member(rho, outer, repaired=False)[0]
 
+    def test_vector_routes_match_scalar_routes_on_a_step_24_sample(self):
+        # step 8 has no thirds; a fixed sample of the step-1/24 grid covers them
+        step = 24
+        a, b, c, d = np.random.default_rng(24).integers(0, step, size=(4, 3000))
+        keep = (a + b > 0) & (2 * (a + b) < 3 * step) & (c + d > 0)
+        a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+        assert a.size > 2000
+        rho_num, outer_num = (a, b, step - a - b), (c, d, step - c - d)
+        feasible = _theta_feasible_grid(rho_num, outer_num, step)
+        table = _case_member_grid(rho_num, outer_num, step)
+        literal = _case_member_grid(rho_num, outer_num, step, repaired=False)
+        for i in range(a.size):
+            rho = tuple(Fraction(int(x[i]), step) for x in rho_num)
+            outer = tuple(Fraction(int(x[i]), step) for x in outer_num)
+            assert feasible[i] == _theta_feasible(rho, outer)[0]
+            assert table[i] == _case_member(rho, outer, repaired=True)[0]
+            assert literal[i] == _case_member(rho, outer, repaired=False)[0]
+
     def test_literal_table_fails_the_grid_check(self):
         assert range_grid_mismatches(24) == (292675, 0)
         assert range_grid_mismatches(24, repaired=False) == (292675, 3278)

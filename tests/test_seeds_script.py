@@ -2,7 +2,8 @@
 and writes each target's verdicts and aggregate quantiles.
 
 No other test runs the script; this runs it at two seeds and one trial per
-target and checks its record against the campaigns it ran.
+target and checks its record against the campaigns it ran.  A seed-free
+target (registry ``trials == 0``) is run and recorded once.
 """
 
 import json
@@ -39,12 +40,17 @@ def test_seeds_script_records_every_target_at_every_seed(tmp_path):
                    for s, rep in reports.items()}
         want = {str(s): "PASS" if r.passed and r.error is None else "FAIL"
                 for s, r in results.items()}
+        scalars = {key: float(value) for key, value in results[1].aggregates.items()
+                   if isinstance(value, (int, float)) and not isinstance(value, bool)}
+        assert entry["seed_free"] == (REGISTRY[name].trials == 0), name
+        if entry["seed_free"]:
+            assert set(want.values()) == {entry["verdict"]}, name
+            assert entry["aggregates"] == scalars, name
+            continue
         assert entry["verdicts"] == want, name
         assert entry["passes"] == list(want.values()).count("PASS")
         # the scalar numeric aggregates, and only those, get quantiles
-        scalars = {key for key, value in results[1].aggregates.items()
-                   if isinstance(value, (int, float)) and not isinstance(value, bool)}
-        assert set(entry["aggregates"]) == scalars, name
+        assert set(entry["aggregates"]) == set(scalars), name
         for key, q in entry["aggregates"].items():
             xs = sorted(float(r.aggregates[key]) for r in results.values())
             assert q == {"min": xs[0], "median": (xs[0] + xs[1]) / 2, "max": xs[1]}
