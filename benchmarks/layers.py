@@ -1,7 +1,7 @@
 """Layer micro-benchmark: packet sweeps and synthesis, chi-weighted
-averages, one stopping sweep, one weak-norm dualization sweep,
-Littlewood-Paley products, the Leibniz sides, the BHT oracle pair and the
-range grid.
+averages, one stopping sweep, size and energy from one sweep, one weak-norm
+dualization sweep, Littlewood-Paley products, the Leibniz sides, the BHT
+oracle pair and the range grid.
 
     PYTHONPATH=src python3 benchmarks/layers.py [--repeats 9] [--json FILE]
 
@@ -19,13 +19,16 @@ Each is timed for a scalar input and for K = 16 components, the latter as
 one call on an ``(n, 16)`` input (the packet engine takes trailing vector
 axes).
 
-Two more layers run on the stopping-invariants grid (n = 512, period 4):
+Three more layers run on the stopping-invariants grid (n = 512, period 4):
 
 * ``chi_average``: ``size(f, family, "modified", M=4)`` of a step function
   over the full dyadic tree four levels below [0, 1), the supremum of the
   chi-weighted averages size-energy takes;
 * ``stopping_sweep``: ``stopping_decompose`` of one stopping-invariants
-  configuration (seed 7, depth 5), exceptional set and level sweeps.
+  configuration (seed 7, depth 5), exceptional set and level sweeps;
+* ``size_energy``: ``size_energy(f, tree, flavor)`` for each packet flavor
+  (the ``packets`` field), size and energy from one sweep, over the same
+  tree and a band-24 band-limited input (size-energy's third kind).
 
 One times the weak-norm dualization on the weak-dualization grid (n = 512,
 period 1):
@@ -67,7 +70,7 @@ import time
 
 import numpy as np
 
-from wavetile.analysis import size, stopping_decompose
+from wavetile.analysis import size, size_energy, stopping_decompose
 from wavetile.bench import ExperimentConfig, generate_trial
 from wavetile.bench.targets import _random_stopping_config
 from wavetile.dyadic import (
@@ -132,7 +135,8 @@ def _timed(call, repeats: int) -> dict:
 
 
 def _average_rows(repeats: int) -> list[dict]:
-    """The chi-average and stopping-sweep rows on the stopping grid."""
+    """The chi-average, stopping-sweep and size-energy rows on the stopping
+    grid."""
     grid = SampleGrid(512, 4.0)
     f = generate_trial("step", 5, {"grid": grid, "depth": 4})
     tree = [DyadicInterval(j, m) for j in range(5) for m in range(2 ** j)]
@@ -147,6 +151,13 @@ def _average_rows(repeats: int) -> list[dict]:
     for layer, intervals, call in cases:
         row = {"layer": layer, "n": grid.sample_count, "K": 1,
                "intervals": len(intervals), "repeats": repeats, **_timed(call, repeats)}
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    g = generate_trial("band_limited", 5, {"grid": grid, "band": 24})
+    for flavor in ("non-lacunary", "lacunary"):
+        row = {"layer": "size_energy", "packets": flavor, "n": grid.sample_count, "K": 1,
+               "intervals": len(tree), "repeats": repeats,
+               **_timed(lambda: size_energy(g, tree, flavor), repeats)}
         print(json.dumps(row), flush=True)
         rows.append(row)
     return rows

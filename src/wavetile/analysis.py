@@ -43,6 +43,7 @@ __all__ = [
     "size_single",
     "size_tilde",
     "energy",
+    "size_energy",
     "maximal",
     "shifted_square",
     "exceptional_set",
@@ -138,8 +139,9 @@ def _local_square_function(
     """sqrt(sum over I in family, I <= root of |<f, psi_I>|^2 / |I| * 1_I),
     members accumulated in family order.
 
-    Transforms f for this root alone; :func:`size` and :func:`energy` take
-    every root at once through :func:`_lacunary_weak_norms` instead.
+    Transforms f for this root alone; :func:`size`, :func:`energy` and
+    :func:`size_energy` take every root at once through
+    :func:`_lacunary_weak_norms` instead.
     """
     grid = f.grid
     members = [iv for iv in family if root.contains(iv)]
@@ -191,6 +193,31 @@ def _lacunary_weak_norms(f: GridFunction, family: list[DyadicInterval]) -> list[
     return [float(v) for v in cand.max(axis=1)]
 
 
+def _packet_values(
+    f: GridFunction,
+    family: list[DyadicInterval],
+    flavor: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-interval size and energy quantities of one packet flavor, f
+    swept once: |<f, psi_I>| / |I|^(1/2) for both (non-lacunary), or the
+    local square function's weak L^1 norm divided by |I| for the size and
+    by |I|^(1/2) for the energy (lacunary)."""
+    _require_1d(f)
+    if flavor == "non-lacunary":
+        vals = _non_lacunary_values(f, family)
+        return vals, vals
+    if flavor == "lacunary":
+        norms = np.array(_lacunary_weak_norms(f, family))
+        lengths = np.array([iv.length for iv in family])
+        return norms / lengths, norms / np.sqrt(lengths)
+    raise ValueError(f"unknown packet flavor {flavor!r}")
+
+
+def _size_report(family: list[DyadicInterval], vals: np.ndarray) -> SizeReport:
+    best = int(np.argmax(vals))
+    return SizeReport(float(vals[best]), family[best])
+
+
 def size(
     f: GridFunction,
     family: list[DyadicInterval],
@@ -202,15 +229,9 @@ def size(
         raise ValueError("size of an empty family is undefined")
     if flavor == "modified":
         vals = _averages(f, family, M)
-    elif flavor == "non-lacunary":
-        vals = _non_lacunary_values(f, family)
-    elif flavor == "lacunary":
-        norms = _lacunary_weak_norms(f, family)
-        vals = [nrm / iv.length for iv, nrm in zip(family, norms)]
     else:
-        raise ValueError(f"unknown size flavor {flavor!r}")
-    best = int(np.argmax(vals))
-    return SizeReport(float(vals[best]), family[best])
+        vals = _packet_values(f, family, flavor)[0]
+    return _size_report(family, vals)
 
 
 def size_tilde(
@@ -256,26 +277,8 @@ def _greedy_disjoint(intervals: list[DyadicInterval]) -> list[DyadicInterval]:
     return out
 
 
-def energy(
-    f: GridFunction,
-    family: list[DyadicInterval],
-    flavor: str = "non-lacunary",
-) -> EnergyReport:
-    """sup over levels n and disjoint subfamilies D of 2^n sum |I|.
-
-    Candidate thresholds are the realized dyadic levels of the per-interval
-    coefficients; for each, a maximal disjoint subfamily is extracted
-    greedily (coarsest first), which is exact for dyadic families.
-    """
-    if not family:
-        raise ValueError("energy of an empty family is undefined")
-    if flavor == "non-lacunary":
-        cvals = _non_lacunary_values(f, family)
-    elif flavor == "lacunary":
-        norms = _lacunary_weak_norms(f, family)
-        cvals = np.array([nrm / math.sqrt(iv.length) for iv, nrm in zip(family, norms)])
-    else:
-        raise ValueError(f"unknown energy flavor {flavor!r}")
+def _energy_report(family: list[DyadicInterval], cvals: np.ndarray) -> EnergyReport:
+    """The energy given each interval's coefficient (see :func:`energy`)."""
     positive = cvals > 0
     if not positive.any():
         return EnergyReport(0.0, 0, ())
@@ -290,6 +293,35 @@ def energy(
         if value > best_value:
             best_value, best_level, best_family = value, n, tuple(disjoint)
     return EnergyReport(best_value, best_level, best_family)
+
+
+def energy(
+    f: GridFunction,
+    family: list[DyadicInterval],
+    flavor: str = "non-lacunary",
+) -> EnergyReport:
+    """sup over levels n and disjoint subfamilies D of 2^n sum |I|.
+
+    Candidate thresholds are the realized dyadic levels of the per-interval
+    coefficients; for each, a maximal disjoint subfamily is extracted
+    greedily (coarsest first), which is exact for dyadic families.
+    """
+    if not family:
+        raise ValueError("energy of an empty family is undefined")
+    return _energy_report(family, _packet_values(f, family, flavor)[1])
+
+
+def size_energy(
+    f: GridFunction,
+    family: list[DyadicInterval],
+    flavor: str,
+) -> tuple[SizeReport, EnergyReport]:
+    """``(size(f, family, flavor), energy(f, family, flavor))`` of a packet
+    flavor, from one sweep of f."""
+    if not family:
+        raise ValueError("size and energy of an empty family are undefined")
+    sizes, energies = _packet_values(f, family, flavor)
+    return _size_report(family, sizes), _energy_report(family, energies)
 
 
 # ---------------------------------------------------------------------------

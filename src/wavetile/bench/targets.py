@@ -281,10 +281,9 @@ def _run_size_energy(cfg, seeds, cap):
         l1 = lp_norm(f, 1)
         out = []
         for flavor in ("non-lacunary", "lacunary"):
-            out.append((analysis.size(f, family, flavor).value, sup_avg,
-                        {"check": f"size-{flavor}"}))
-            out.append((analysis.energy(f, family, flavor).value, l1,
-                        {"check": f"energy-{flavor}"}))
+            s, e = analysis.size_energy(f, family, flavor)
+            out.append((s.value, sup_avg, {"check": f"size-{flavor}"}))
+            out.append((e.value, l1, {"check": f"energy-{flavor}"}))
         return out
 
     rows = _trial_rows(seeds, trial)
@@ -500,9 +499,8 @@ def _run_trilinear_size_energy(cfg, seeds, cap):
         lam = abs(operators.trilinear_form(spec, f, g, h))
         rhs = 1.0
         for func, flavor in ((f, "non-lacunary"), (g, "lacunary"), (h, "lacunary")):
-            s = analysis.size(func, family, flavor).value
-            e = analysis.energy(func, family, flavor).value
-            rhs *= s ** (2.0 / 3.0) * e ** (1.0 / 3.0)
+            s, e = analysis.size_energy(func, family, flavor)
+            rhs *= s.value ** (2.0 / 3.0) * e.value ** (1.0 / 3.0)
         return [(lam, rhs, {})]
 
     return _capped(_trial_rows(seeds, trial), cap, theta=[1 / 3, 1 / 3, 1 / 3])

@@ -518,18 +518,14 @@ def _slot_block(freq_index: int, slot: int) -> int:
 class Tritile:
     """Three frequency tiles over one spatial interval, one degree of freedom.
 
-    The frequency intervals are the consecutive blocks
-    ``omega_s = [(freq_index + s - 1) * 2**j, (freq_index + s) * 2**j)`` for
-    slots s = 1, 2, 3, where ``2**-j`` is the spatial length.
+    Slot s = 1, 2, 3 is the frequency block ``freq_index + s - 1`` of the
+    spatial interval's scale (:func:`_slot_block`): the consecutive windows
+    ``[(freq_index + s - 1) * 2**j, (freq_index + s) * 2**j)``, where
+    ``2**-j`` is the spatial length.
     """
 
     spatial: DyadicInterval
     freq_index: int
-
-    def omega(self, slot: int) -> tuple[float, float]:
-        step = 2.0 ** self.spatial.scale
-        block = _slot_block(self.freq_index, slot)
-        return block * step, (block + 1) * step
 
 
 def build_rank_one_tiles(

@@ -16,6 +16,7 @@ from wavetile.analysis import (
     maximal,
     shifted_square,
     size,
+    size_energy,
     size_single,
     size_tilde,
 )
@@ -27,7 +28,10 @@ from wavetile.dyadic import (
     interval_indices,
     torus_bump_samples,
 )
-from wavetile.errors import MajorSubsetError
+from wavetile.bench import generate_trial
+from wavetile.bench.generate import rng_for
+from wavetile.bench.targets import _subfamily
+from wavetile.errors import MajorSubsetError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid, max_scale
 from wavetile.norms import MeasurableSet, lp_norm, weak_lp_norm
 
@@ -137,6 +141,67 @@ class TestLacunarySharedCoefficients:
                 patch.setattr(analysis, "_lacunary_weak_norms", per_root)
                 recomputed = energy(f, family, "lacunary")
             assert shared == recomputed
+
+
+class TestSizeEnergy:
+    """size_energy gives size and energy of a packet flavor from one sweep,
+    equal to the two separate calls bit for bit."""
+
+    GRID = SampleGrid(512, 4.0)  # size-energy's grid
+    KINDS = (("step", "depth", 4), ("bump_train", "count", 3), ("band_limited", "band", 24))
+    FLAVORS = ("non-lacunary", "lacunary")
+
+    def _cases(self):
+        for seed in (3, 4, 5):
+            family = _subfamily(rng_for(seed, 5), DyadicInterval(0, 0), 4)
+            for kind, key, value in self.KINDS:
+                yield generate_trial(kind, seed, {"grid": self.GRID, key: value}), family
+
+    def test_equals_size_and_energy(self):
+        for f, family in self._cases():
+            for flavor in self.FLAVORS:
+                got = size_energy(f, family, flavor)
+                assert got == (size(f, family, flavor), energy(f, family, flavor))
+
+    def test_one_evaluation_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(analysis, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("_lacunary_weak_norms", "_non_lacunary_values"):
+            monkeypatch.setattr(analysis, name, counted(name))
+        f, family = next(self._cases())
+        for flavor, name in zip(self.FLAVORS, ("_non_lacunary_values", "_lacunary_weak_norms")):
+            calls.clear()
+            size_energy(f, family, flavor)
+            assert calls == [name]
+
+    def test_errors_match_energy(self):
+        f, family = next(self._cases())
+        for args in (([], "lacunary"), (family, "modified"), (family, "bogus")):
+            with pytest.raises(ValueError):
+                energy(f, *args)
+            with pytest.raises(ValueError):
+                size_energy(f, *args)
+
+    def test_vector_and_2d_inputs_name_the_shape(self):
+        family = subtree(DyadicInterval(0, 0), 2)
+        rng = np.random.default_rng(9)
+        inputs = [GridFunction(self.GRID, rng.normal(size=(512, K)).astype(complex))
+                  for K in (3, len(family))]
+        inputs.append(GridFunction(SampleGrid(64, 4.0, dimension=2),
+                                   rng.normal(size=(64, 64)).astype(complex)))
+        for f in inputs:
+            for flavor in self.FLAVORS:
+                for call in (size, energy, size_energy):
+                    with pytest.raises(ShapeError, match="scalar 1d"):
+                        call(f, family, flavor)
 
 
 class TestBatchedWeakNorms:

@@ -30,6 +30,13 @@ def full_tree(root, depth):
     return out
 
 
+def slot_window(tile, slot):
+    """Frequency window of one tile slot, in cycles per unit length."""
+    step = 2.0 ** tile.spatial.scale
+    block = dyadic._slot_block(tile.freq_index, slot)
+    return block * step, (block + 1) * step
+
+
 def endpoints(iv):
     # exact rational endpoints, the oracle's ground truth
     length = Fraction(1, 2 ** iv.scale) if iv.scale >= 0 else Fraction(2 ** -iv.scale)
@@ -255,7 +262,7 @@ class TestSharedSpectrumPath:
                     lo, hi = windows[l + slot - 1]
                     band = dyadic._tile_base_packet(n, period, j, l, slot)
                     self._band_spectrum(g, band, j, lo, hi)
-                    omega = Tritile(DyadicInterval(j, 0), l).omega(slot)
+                    omega = slot_window(Tritile(DyadicInterval(j, 0), l), slot)
                     assert (omega[0] * period, omega[1] * period) == (lo, hi)
 
     def test_budget_checks_on_both_routes(self):
@@ -562,7 +569,7 @@ class TestTritiles:
         assert len(tiles) == (8 + 16) * 3
         for t in tiles[:20]:
             for slot in (1, 2, 3):
-                lo, hi = t.omega(slot)
+                lo, hi = slot_window(t, slot)
                 assert (hi - lo) * t.spatial.length == pytest.approx(1.0)
 
     def test_frequency_blocks_pairwise_disjoint(self):
@@ -572,7 +579,7 @@ class TestTritiles:
         rng = np.random.default_rng(7)
         sample = [tiles[i] for i in rng.integers(0, len(tiles), 100)]
         for t in sample:
-            windows = [t.omega(s) for s in (1, 2, 3)]
+            windows = [slot_window(t, s) for s in (1, 2, 3)]
             for (a1, b1), (a2, b2) in itertools.combinations(windows, 2):
                 assert min(b1, b2) <= max(a1, a2)
 
