@@ -21,7 +21,7 @@ axes).
 
 Three more layers run on the stopping-invariants grid (n = 512, period 4):
 
-* ``chi_average``: ``size(f, family, "modified", M=4)`` of a step function
+* ``chi_average``: ``size(f, family, M=4)`` of a step function
   over the full dyadic tree four levels below [0, 1), the supremum of the
   chi-weighted averages size-energy takes;
 * ``stopping_sweep``: ``stopping_decompose`` of one stopping-invariants
@@ -143,7 +143,7 @@ def _average_rows(repeats: int) -> list[dict]:
     seed = ExperimentConfig(seed=7).seeds("stopping-invariants", 1)[0]
     family, E1, E2, E3, root = _random_stopping_config(seed, grid, 5)
     cases = (
-        ("chi_average", tree, lambda: size(f, tree, "modified", M=4)),
+        ("chi_average", tree, lambda: size(f, tree, M=4)),
         ("stopping_sweep", family,
          lambda: stopping_decompose(family, E1, E2, E3, root)),
     )

@@ -25,12 +25,11 @@ from .dyadic import (
     WavePacketFamily,
     _stride,
     collection_plus,
-    interval_indices,
     torus_bump_samples,
 )
 from .errors import MajorSubsetError, ScaleBudgetError, ShapeError
 from .grid import GridFunction, SampleGrid, max_scale, scale_range
-from .norms import MeasurableSet, lp_norm, weak_lp_norm
+from .norms import MeasurableSet, lp_norm
 
 __all__ = [
     "SizeReport",
@@ -40,7 +39,6 @@ __all__ = [
     "LevelSelection",
     "StoppingForest",
     "size",
-    "size_single",
     "size_tilde",
     "energy",
     "size_energy",
@@ -98,26 +96,6 @@ class SizeReport:
     witness: DyadicInterval
 
 
-def size_single(
-    f: GridFunction,
-    interval: DyadicInterval,
-    flavor: str,
-    family: list[DyadicInterval] | None = None,
-) -> float:
-    """The quantity whose supremum over the collection defines the size
-    (the modified flavor at the default exponent, unshifted)."""
-    if flavor == "modified":
-        return average_single(f, interval)
-    if flavor == "non-lacunary":
-        return float(_non_lacunary_values(f, [interval])[0])
-    if flavor == "lacunary":
-        if family is None:
-            raise ValueError("lacunary size needs the ambient family")
-        sq = _local_square_function(f, family, interval)
-        return weak_lp_norm(sq, 1) / interval.length
-    raise ValueError(f"unknown size flavor {flavor!r}")
-
-
 def _non_lacunary_values(f: GridFunction, family: list[DyadicInterval]) -> np.ndarray:
     """|<f, psi_I>| / |I|^(1/2) for each I in the family (non-lacunary
     packets): the quantity of the non-lacunary size and energy."""
@@ -129,26 +107,6 @@ def _square_terms(f: GridFunction, family: list[DyadicInterval]) -> list[float]:
     """|<f, psi_I>|^2 / |I| for each I in the family (lacunary packets)."""
     coefs = WavePacketFamily(f.grid, family, "lacunary").coefficients(f)
     return [abs(c) ** 2 / iv.length for iv, c in zip(family, coefs)]
-
-
-def _local_square_function(
-    f: GridFunction,
-    family: list[DyadicInterval],
-    root: DyadicInterval,
-) -> GridFunction:
-    """sqrt(sum over I in family, I <= root of |<f, psi_I>|^2 / |I| * 1_I),
-    members accumulated in family order.
-
-    Transforms f for this root alone; :func:`size`, :func:`energy` and
-    :func:`size_energy` take every root at once through
-    :func:`_lacunary_weak_norms` instead.
-    """
-    grid = f.grid
-    members = [iv for iv in family if root.contains(iv)]
-    acc = np.zeros(grid.sample_count)
-    for iv, term in zip(members, _square_terms(f, members)):
-        acc[interval_indices(grid, iv)] += term
-    return GridFunction(grid, np.sqrt(acc).astype(complex))
 
 
 def _containment(roots: list[DyadicInterval], members: list[DyadicInterval]) -> np.ndarray:
@@ -168,9 +126,9 @@ def _lacunary_weak_norms(f: GridFunction, family: list[DyadicInterval]) -> list[
 
     All roots at once: each member's term goes into the row of every root
     containing it, members in family order, so each (root, sample) entry
-    sums exactly as :func:`_local_square_function` does; then each row is
-    sorted once for the weak norm, as :func:`~wavetile.norms.weak_lp_norm`
-    evaluates it at p = 1.
+    sums as one root's square function accumulated alone would; then each
+    row is sorted once for the weak norm, as
+    :func:`~wavetile.norms.weak_lp_norm` evaluates it at p = 1.
     """
     grid = f.grid
     n = grid.sample_count
@@ -193,26 +151,6 @@ def _lacunary_weak_norms(f: GridFunction, family: list[DyadicInterval]) -> list[
     return [float(v) for v in cand.max(axis=1)]
 
 
-def _packet_values(
-    f: GridFunction,
-    family: list[DyadicInterval],
-    flavor: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The per-interval size and energy quantities of one packet flavor, f
-    swept once: |<f, psi_I>| / |I|^(1/2) for both (non-lacunary), or the
-    local square function's weak L^1 norm divided by |I| for the size and
-    by |I|^(1/2) for the energy (lacunary)."""
-    _require_1d(f)
-    if flavor == "non-lacunary":
-        vals = _non_lacunary_values(f, family)
-        return vals, vals
-    if flavor == "lacunary":
-        norms = np.array(_lacunary_weak_norms(f, family))
-        lengths = np.array([iv.length for iv in family])
-        return norms / lengths, norms / np.sqrt(lengths)
-    raise ValueError(f"unknown packet flavor {flavor!r}")
-
-
 def _size_report(family: list[DyadicInterval], vals: np.ndarray) -> SizeReport:
     best = int(np.argmax(vals))
     return SizeReport(float(vals[best]), family[best])
@@ -221,17 +159,13 @@ def _size_report(family: list[DyadicInterval], vals: np.ndarray) -> SizeReport:
 def size(
     f: GridFunction,
     family: list[DyadicInterval],
-    flavor: str,
     M: int = _M,
 ) -> SizeReport:
-    """Supremum of the per-interval size quantity over the family."""
+    """Supremum of the chi-averages over the family (the modified size);
+    the packet sizes come from :func:`size_energy`."""
     if not family:
         raise ValueError("size of an empty family is undefined")
-    if flavor == "modified":
-        vals = _averages(f, family, M)
-    else:
-        vals = _packet_values(f, family, flavor)[0]
-    return _size_report(family, vals)
+    return _size_report(family, _averages(f, family, M))
 
 
 def size_tilde(
@@ -247,7 +181,7 @@ def size_tilde(
     plus = collection_plus(family, I0)
     if not plus:
         raise ValueError("no enlarged intervals: family lies outside 3*I0")
-    return size(f, plus, "modified", M)
+    return size(f, plus, M)
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +229,15 @@ def _energy_report(family: list[DyadicInterval], cvals: np.ndarray) -> EnergyRep
     return EnergyReport(best_value, best_level, best_family)
 
 
-def energy(
-    f: GridFunction,
-    family: list[DyadicInterval],
-    flavor: str = "non-lacunary",
-) -> EnergyReport:
-    """sup over levels n and disjoint subfamilies D of 2^n sum |I|.
+def energy(f: GridFunction, family: list[DyadicInterval]) -> EnergyReport:
+    """The non-lacunary energy: sup over levels n and disjoint subfamilies
+    D of 2^n sum |I|.
 
     Candidate thresholds are the realized dyadic levels of the per-interval
     coefficients; for each, a maximal disjoint subfamily is extracted
     greedily (coarsest first), which is exact for dyadic families.
     """
-    if not family:
-        raise ValueError("energy of an empty family is undefined")
-    return _energy_report(family, _packet_values(f, family, flavor)[1])
+    return size_energy(f, family, "non-lacunary")[1]
 
 
 def size_energy(
@@ -316,11 +245,24 @@ def size_energy(
     family: list[DyadicInterval],
     flavor: str,
 ) -> tuple[SizeReport, EnergyReport]:
-    """``(size(f, family, flavor), energy(f, family, flavor))`` of a packet
-    flavor, from one sweep of f."""
+    """The size and the energy of f over the family for a packet flavor,
+    from one sweep of f.
+
+    Per interval both read |<f, psi_I>| / |I|^(1/2) (non-lacunary), or the
+    local square function's weak L^1 norm, divided by |I| for the size and
+    by |I|^(1/2) for the energy (lacunary).
+    """
     if not family:
         raise ValueError("size and energy of an empty family are undefined")
-    sizes, energies = _packet_values(f, family, flavor)
+    _require_1d(f)
+    if flavor == "non-lacunary":
+        sizes = energies = _non_lacunary_values(f, family)
+    elif flavor == "lacunary":
+        norms = np.array(_lacunary_weak_norms(f, family))
+        lengths = np.array([iv.length for iv in family])
+        sizes, energies = norms / lengths, norms / np.sqrt(lengths)
+    else:
+        raise ValueError(f"unknown packet flavor {flavor!r}")
     return _size_report(family, sizes), _energy_report(family, energies)
 
 

@@ -277,7 +277,7 @@ def _run_size_energy(cfg, seeds, cap):
         family = _subfamily(rng, root, 4)
         kind, key, value = kinds[t % 3]
         f = generate_trial(kind, seed, {"grid": grid, key: value})
-        sup_avg = analysis.size(f, family, "modified", M=4).value
+        sup_avg = analysis.size(f, family, M=4).value
         l1 = lp_norm(f, 1)
         out = []
         for flavor in ("non-lacunary", "lacunary"):
@@ -297,7 +297,7 @@ def _run_size_energy(cfg, seeds, cap):
         center = 0.5 + (2.0 ** k - 1)
         supp = np.abs(x - center) < 0.5
         f = GridFunction(decay_grid, supp.astype(complex))
-        decay_vals.append(analysis.energy(f, family, "non-lacunary").value)
+        decay_vals.append(analysis.energy(f, family).value)
     monotone = all(
         decay_vals[i + 1] <= decay_vals[i] * (1 + 1e-9) or decay_vals[i + 1] < 1e-12
         for i in range(len(ks) - 1)

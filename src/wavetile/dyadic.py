@@ -65,9 +65,6 @@ class DyadicInterval:
             return False
         return (other.position >> d) == self.position
 
-    def disjoint(self, other: "DyadicInterval") -> bool:
-        return not (self.contains(other) or other.contains(self))
-
 
 def _tripled_contains(i0: DyadicInterval, j: DyadicInterval) -> bool:
     """Exact test J <= 3*I0 (the concentric tripled interval)."""
@@ -239,23 +236,6 @@ def _stride(grid: SampleGrid, scale: int) -> int:
     return round(2.0 ** (-scale) / grid.spacing)
 
 
-def _window_packet(grid: SampleGrid, scale: int, block: int, position: int) -> GridFunction:
-    """L2-normalized packet of the interval (scale, position), built from
-    samples: the position-0 packet, centered at |I|/2 with the cosine-power
-    window on the frequency block as spectrum, moved by whole strides."""
-    lo, hi = _block_window(grid, scale, block)
-    m = grid.frequencies()
-    center_f = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    prof = packet_profile((m - center_f) / half).astype(complex)
-    center = 0.5 * 2.0 ** (-scale)
-    prof *= np.exp(-2j * np.pi * m * center / grid.period_length)
-    samples = np.fft.ifft(prof)
-    nrm = np.sqrt(np.sum(np.abs(samples) ** 2) * grid.spacing)
-    shift = position * _stride(grid, scale)
-    return GridFunction(grid, np.roll(samples / nrm, shift % grid.sample_count))
-
-
 class _Band(NamedTuple):
     """A position-0 packet's spectrum on its open frequency window.
 
@@ -270,7 +250,9 @@ class _Band(NamedTuple):
 
 
 def _window_band(grid: SampleGrid, scale: int, block: int) -> _Band:
-    """The frozen band of the position-0 packet :func:`_window_packet` builds.
+    """The frozen band of the position-0 packet of one frequency block: the
+    packet centered at |I|/2, with the cosine-power window on the block as
+    spectrum.
 
     Values are the cosine-power profile times the centering phase, divided
     by the L2 norm that Parseval gives for the inverse transform.  The block
@@ -364,6 +346,8 @@ def _sweep(
     inverse FFT of length P serves the sweep, and every layer takes the
     finest layer's factor spacing / stride.
     """
+    if f.grid != grid or grid.dimension != 1:
+        raise ShapeError(f"a packet sweep reads functions on its 1d grid {grid}, got {f.grid}")
     layers = tuple(layers)
     if not layers:
         return {}
@@ -446,11 +430,6 @@ class WavePacketFamily:
             idx = np.flatnonzero(scales == j)
             layout.append((j, idx, positions[idx] % (2 ** (j + kappa))))
         return layout
-
-    def packet(self, interval: DyadicInterval) -> GridFunction:
-        """The packet of I, built directly (no packet cache)."""
-        block = _PACKET_BLOCKS[self.flavor]
-        return _window_packet(self.grid, interval.scale, block, interval.position)
 
     def scale_coefficients(
         self, f: GridFunction, scales: Iterable[int], shift_n: int = 0
@@ -545,13 +524,6 @@ def build_rank_one_tiles(
             for m in range(2 ** (j + kappa)):
                 tiles.append(Tritile(DyadicInterval(j, m), l))
     return tiles
-
-
-def tile_packet(grid: SampleGrid, tile: Tritile, slot: int) -> GridFunction:
-    """L2-normalized wave packet adapted to one tile slot, built directly
-    (no packet cache)."""
-    block = _slot_block(tile.freq_index, slot)
-    return _window_packet(grid, tile.spatial.scale, block, tile.spatial.position)
 
 
 @lru_cache(maxsize=4096)

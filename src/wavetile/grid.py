@@ -124,28 +124,30 @@ class GridFunction:
         return self.samples.shape[self.grid.dimension:]
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
+        _require_same_grid(self, other)
         return GridFunction(self.grid, self.samples + other.samples)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
+        _require_same_grid(self, other)
         return GridFunction(self.grid, self.samples - other.samples)
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
+            _require_same_grid(self, other)
             return GridFunction(self.grid, self.samples * other.samples)
         return GridFunction(self.grid, self.samples * other)
 
     __rmul__ = __mul__
 
-    def inner(self, other: "GridFunction") -> complex:
-        """Hermitian pairing <self, other> with the grid measure."""
-        return complex(
-            np.sum(self.samples * np.conj(other.samples)) * self.grid.cell_measure
-        )
-
     def norm2(self) -> float:
         return float(
             np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.cell_measure)
         )
+
+
+def _require_same_grid(f: GridFunction, g: GridFunction):
+    if f.grid != g.grid:
+        raise ShapeError(f"functions on different grids: {f.grid} and {g.grid}")
 
 
 # ---------------------------------------------------------------------------

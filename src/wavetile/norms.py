@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MajorSubsetError, ShapeError
-from .grid import GridFunction, SampleGrid
+from .grid import GridFunction, SampleGrid, _require_same_grid
 
 __all__ = [
     "INF",
@@ -28,7 +28,6 @@ __all__ = [
     "MixedNormSpec",
     "MeasurableSet",
     "lp_norm",
-    "distribution_function",
     "weak_lp_norm",
     "mixed_norm",
     "dualize_weak_via_Lr",
@@ -148,6 +147,7 @@ def lp_norm(
     """(integral |f w|^p)**(1/p) with the grid measure; max norm for p = inf."""
     vals = np.abs(f.samples)
     if weight is not None:
+        _require_same_grid(f, weight)
         vals = vals * np.abs(weight.samples)
     if p == INF:
         return float(vals.max())
@@ -155,13 +155,6 @@ def lp_norm(
     if pf <= 0:
         raise ValueError("p must be positive")
     return float((np.sum(vals ** pf) * f.grid.cell_measure) ** (1.0 / pf))
-
-
-def distribution_function(f: GridFunction, lam: float) -> float:
-    """Measure of {|f| > lam}."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return float(np.sum(np.abs(f.samples) > lam) * f.grid.cell_measure)
 
 
 def weak_lp_norm(f: GridFunction, p: Exponent) -> float:
@@ -174,6 +167,8 @@ def weak_lp_norm(f: GridFunction, p: Exponent) -> float:
     if p == INF:
         return lp_norm(f, INF)
     pf = float(p)
+    if pf <= 0:
+        raise ValueError("p must be positive")
     sorted_vals = np.sort(np.abs(f.samples), axis=None)[::-1]
     if sorted_vals[0] == 0:
         return 0.0
@@ -256,6 +251,8 @@ def _lr_ratios(
     """||f 1_E~||_r / |E|^(1/r - 1/p) of each trimmed set.  The set axis comes
     first, so each set's sum runs over one contiguous row and rounds as the
     one-set sum of :func:`lp_norm` does."""
+    if not r > 0:
+        raise ValueError("r must be positive")
     rows = (len(trimmed), f.samples.size)
     mags = np.abs(f.samples)
     if r == INF:

@@ -6,7 +6,6 @@ from .paraproducts import (
     LocalizationSpec,
     ParaproductSpec,
     alpha_symbol_coefficients,
-    classical_paraproduct,
     discretized_paraproduct,
     localized_paraproduct,
     shifted_paraproduct,
@@ -39,7 +38,6 @@ __all__ = [
     "bht_model",
     "bht_spectral",
     "bht_range_membership",
-    "classical_paraproduct",
     "discretized_paraproduct",
     "format_range_query",
     "leibniz_sides",

@@ -1,5 +1,5 @@
-"""Paraproducts (discretized, localized, telescoping, classical, shifted,
-tensor) and the Fourier coefficients of the finite-decay symbol.
+"""Paraproducts (discretized, localized, telescoping, shifted, tensor) and
+the Fourier coefficients of the finite-decay symbol.
 
 The discretized paraproduct attached to an interval family and bounded
 coefficients is
@@ -28,7 +28,6 @@ from ..grid import (
     _band_blocks,
     _projection_values,
     band_limit,
-    littlewood_paley,
     low_pass_profile,
     max_scale,
     scale_range,
@@ -43,7 +42,6 @@ __all__ = [
     "trilinear_form",
     "localized_paraproduct",
     "telescoping_decomposition",
-    "classical_paraproduct",
     "shifted_paraproduct",
     "alpha_symbol_coefficients",
     "tensor_paraproduct",
@@ -244,35 +242,6 @@ def telescoping_decomposition(f: GridFunction, g: GridFunction) -> list[GridFunc
                                   * proj_g[tuple(pieces[i][1] for i in c)] for c in combos))
             _scatter_add(spectra[term], blocks, np.fft.fftn(acc, out=acc))
     return [GridFunction(grid, _inverse(s)) for s in spectra]
-
-
-def classical_paraproduct(
-    f: GridFunction,
-    g: GridFunction,
-    which: str = "qpq",
-    scales: range | None = None,
-) -> GridFunction:
-    """Convolution-form paraproduct with an outer projection.
-
-    ``which`` spells the three projections (f-slot, g-slot, outer):
-    "qpq" is sum_k Q_k(Q_k f P_k g), "pqq" is sum_k Q_k(P_k f Q_k g), and
-    "qqp" is sum_k P_k(Q_k f Q_k g).  Scales default to the budget minus the
-    top scale so the inner products stay below Nyquist.
-    """
-    if which not in ("qpq", "pqq", "qqp"):
-        raise ValueError("which must be 'qpq', 'pqq', or 'qqp'")
-    grid = f.grid
-    if scales is None:
-        full = scale_range(grid)
-        scales = range(full.start, full.stop - 1)
-    out = np.zeros_like(f.samples)
-    slot_f, slot_g, outer = which[0].upper(), which[1].upper(), which[2].upper()
-    for k in scales:
-        u = littlewood_paley(f, k, slot_f)
-        v = littlewood_paley(g, k, slot_g)
-        prod = GridFunction(grid, u.samples * v.samples)
-        out += littlewood_paley(prod, k, outer).samples
-    return GridFunction(grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,153 @@
+"""Direct routes that the tests check the package's swept ones against.
+
+No campaign path runs these: each builds its quantity the plain way (one
+packet from samples, one interval's square function, one projection per
+scale), so it shares no cache, plan or batching with the route under test.
+"""
+
+import numpy as np
+
+from wavetile.analysis import _non_lacunary_values, _square_terms, average_single
+from wavetile.dyadic import (
+    _PACKET_BLOCKS,
+    DyadicInterval,
+    Tritile,
+    WavePacketFamily,
+    _block_window,
+    _slot_block,
+    _stride,
+    interval_indices,
+    packet_profile,
+)
+from wavetile.grid import GridFunction, SampleGrid, littlewood_paley, scale_range
+from wavetile.norms import weak_lp_norm
+
+
+# ---------------------------------------------------------------------------
+# Grid functions and intervals
+# ---------------------------------------------------------------------------
+
+def inner(f: GridFunction, g: GridFunction) -> complex:
+    """Hermitian pairing <f, g> with the grid measure."""
+    return complex(np.sum(f.samples * np.conj(g.samples)) * f.grid.cell_measure)
+
+
+def disjoint(a: DyadicInterval, b: DyadicInterval) -> bool:
+    return not (a.contains(b) or b.contains(a))
+
+
+def distribution_function(f: GridFunction, lam: float) -> float:
+    """Measure of {|f| > lam}."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    return float(np.sum(np.abs(f.samples) > lam) * f.grid.cell_measure)
+
+
+# ---------------------------------------------------------------------------
+# Packets, one at a time
+# ---------------------------------------------------------------------------
+
+def _window_packet(grid: SampleGrid, scale: int, block: int, position: int) -> GridFunction:
+    """L2-normalized packet of the interval (scale, position), built from
+    samples: the position-0 packet, centered at |I|/2 with the cosine-power
+    window on the frequency block as spectrum, moved by whole strides."""
+    lo, hi = _block_window(grid, scale, block)
+    m = grid.frequencies()
+    center_f = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    prof = packet_profile((m - center_f) / half).astype(complex)
+    center = 0.5 * 2.0 ** (-scale)
+    prof *= np.exp(-2j * np.pi * m * center / grid.period_length)
+    samples = np.fft.ifft(prof)
+    nrm = np.sqrt(np.sum(np.abs(samples) ** 2) * grid.spacing)
+    shift = position * _stride(grid, scale)
+    return GridFunction(grid, np.roll(samples / nrm, shift % grid.sample_count))
+
+
+def packet(family: WavePacketFamily, interval: DyadicInterval) -> GridFunction:
+    """The packet of I in the family's flavor, built directly (no packet cache)."""
+    block = _PACKET_BLOCKS[family.flavor]
+    return _window_packet(family.grid, interval.scale, block, interval.position)
+
+
+def tile_packet(grid: SampleGrid, tile: Tritile, slot: int) -> GridFunction:
+    """L2-normalized wave packet adapted to one tile slot, built directly
+    (no packet cache)."""
+    block = _slot_block(tile.freq_index, slot)
+    return _window_packet(grid, tile.spatial.scale, block, tile.spatial.position)
+
+
+# ---------------------------------------------------------------------------
+# Sizes, one interval at a time
+# ---------------------------------------------------------------------------
+
+def local_square_function(
+    f: GridFunction,
+    family: list[DyadicInterval],
+    root: DyadicInterval,
+) -> GridFunction:
+    """sqrt(sum over I in family, I <= root of |<f, psi_I>|^2 / |I| * 1_I),
+    members accumulated in family order.
+
+    Transforms f for this root alone; ``analysis.size_energy`` takes every
+    root at once through ``analysis._lacunary_weak_norms`` instead.
+    """
+    grid = f.grid
+    members = [iv for iv in family if root.contains(iv)]
+    acc = np.zeros(grid.sample_count)
+    for iv, term in zip(members, _square_terms(f, members)):
+        acc[interval_indices(grid, iv)] += term
+    return GridFunction(grid, np.sqrt(acc).astype(complex))
+
+
+def size_single(
+    f: GridFunction,
+    interval: DyadicInterval,
+    flavor: str,
+    family: list[DyadicInterval] | None = None,
+) -> float:
+    """The quantity whose supremum over the collection defines the size
+    (the modified flavor at the default exponent, unshifted)."""
+    if flavor == "modified":
+        return average_single(f, interval)
+    if flavor == "non-lacunary":
+        return float(_non_lacunary_values(f, [interval])[0])
+    if flavor == "lacunary":
+        if family is None:
+            raise ValueError("lacunary size needs the ambient family")
+        sq = local_square_function(f, family, interval)
+        return weak_lp_norm(sq, 1) / interval.length
+    raise ValueError(f"unknown size flavor {flavor!r}")
+
+
+# ---------------------------------------------------------------------------
+# Paraproducts in convolution form
+# ---------------------------------------------------------------------------
+
+def classical_paraproduct(
+    f: GridFunction,
+    g: GridFunction,
+    which: str = "qpq",
+    scales: range | None = None,
+) -> GridFunction:
+    """Convolution-form paraproduct with an outer projection.
+
+    ``which`` spells the three projections (f-slot, g-slot, outer):
+    "qpq" is sum_k Q_k(Q_k f P_k g), "pqq" is sum_k Q_k(P_k f Q_k g), and
+    "qqp" is sum_k P_k(Q_k f Q_k g).  Scales default to the budget minus the
+    top scale so the inner products stay below Nyquist.
+    """
+    if which not in ("qpq", "pqq", "qqp"):
+        raise ValueError("which must be 'qpq', 'pqq', or 'qqp'")
+    grid = f.grid
+    if scales is None:
+        full = scale_range(grid)
+        scales = range(full.start, full.stop - 1)
+    out = np.zeros_like(f.samples)
+    slot_f, slot_g, outer = which[0].upper(), which[1].upper(), which[2].upper()
+    for k in scales:
+        u = littlewood_paley(f, k, slot_f)
+        v = littlewood_paley(g, k, slot_g)
+        prod = GridFunction(grid, u.samples * v.samples)
+        out += littlewood_paley(prod, k, outer).samples
+    return GridFunction(grid, out)

@@ -9,7 +9,6 @@ from wavetile.analysis import (
     _containment,
     _greedy_disjoint,
     _lacunary_weak_norms,
-    _local_square_function,
     average_single,
     energy,
     exceptional_set,
@@ -17,7 +16,6 @@ from wavetile.analysis import (
     shifted_square,
     size,
     size_energy,
-    size_single,
     size_tilde,
 )
 from wavetile.dyadic import (
@@ -35,6 +33,7 @@ from wavetile.errors import MajorSubsetError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid, max_scale
 from wavetile.norms import MeasurableSet, lp_norm, weak_lp_norm
 
+from oracles import disjoint, local_square_function, size_single
 from test_grid import from_callable
 
 
@@ -62,11 +61,19 @@ def band_limited(grid, seed, band):
     return GridFunction(grid, np.fft.ifft(spec) * math.sqrt(n))
 
 
+def swept_size(f, family, flavor):
+    """The size of one flavor by its one route: size for the modified
+    flavor, size_energy for the packet flavors."""
+    if flavor == "modified":
+        return size(f, family)
+    return size_energy(f, family, flavor)[0]
+
+
 class TestSize:
     def test_indicator_over_itself(self):
         g = SampleGrid(2048, 32.0)
         ind = from_callable(g, lambda x: (x < 1).astype(float))
-        rep = size(ind, [DyadicInterval(0, 0)], "modified")
+        rep = size(ind, [DyadicInterval(0, 0)])
         assert rep.value == pytest.approx(1.0, abs=1e-10)
         assert rep.witness == DyadicInterval(0, 0)
 
@@ -74,7 +81,7 @@ class TestSize:
         # direct quadrature of the bump tail brackets the average
         g = SampleGrid(4096, 32.0)
         f = from_callable(g, lambda x: ((x >= 10) & (x < 11)).astype(float))
-        rep = size(f, [DyadicInterval(0, 0)], "modified", M=10)
+        rep = size(f, [DyadicInterval(0, 0)], M=10)
         l1 = lp_norm(f, 1)
         assert 11.0 ** -10 * l1 <= rep.value <= 10.0 ** -10 * l1
 
@@ -83,7 +90,7 @@ class TestSize:
         family = subtree(DyadicInterval(0, 0), 4)
         f = band_limited(g, 5, 40)
         for flavor in ("modified", "non-lacunary", "lacunary"):
-            rep = size(f, family, flavor)
+            rep = swept_size(f, family, flavor)
             brute = max(
                 size_single(f, iv, flavor, family=family) for iv in family
             )
@@ -94,7 +101,7 @@ class TestSize:
         family = subtree(DyadicInterval(0, 0), 3)
         f = band_limited(g, 6, 30)
         for flavor in ("modified", "non-lacunary", "lacunary"):
-            rep = size(f, family, flavor)
+            rep = swept_size(f, family, flavor)
             again = size_single(f, rep.witness, flavor, family=family)
             assert abs(again - rep.value) <= 1e-12 * max(rep.value, 1e-30)
 
@@ -104,18 +111,19 @@ class TestSize:
         f = band_limited(g, 7, 40)
         sub = family[::2]
         for flavor in ("modified", "non-lacunary"):
-            assert size(f, sub, flavor).value <= size(f, family, flavor).value * (1 + 1e-12)
+            assert (swept_size(f, sub, flavor).value
+                    <= swept_size(f, family, flavor).value * (1 + 1e-12))
 
     def test_empty_family_rejected(self):
         g = SampleGrid(512, 4.0)
         f = band_limited(g, 8, 10)
         with pytest.raises(ValueError):
-            size(f, [], "modified")
+            size(f, [])
 
 
 class TestLacunarySharedCoefficients:
-    """size and energy share one set of lacunary coefficients across roots;
-    both must equal the per-root recomputation bit for bit."""
+    """The lacunary size and energy share one set of coefficients across
+    roots; both must equal the per-root recomputation bit for bit."""
 
     GRID = SampleGrid(512, 4.0)
 
@@ -124,28 +132,28 @@ class TestLacunarySharedCoefficients:
             family = pruned_subtree(DyadicInterval(0, 0), 4, seed)
             f = band_limited(self.GRID, 20 + seed, 40)
             brute = max(size_single(f, iv, "lacunary", family=family) for iv in family)
-            assert size(f, family, "lacunary").value == brute
+            assert size_energy(f, family, "lacunary")[0].value == brute
 
     def test_energy_equals_per_root_recomputation(self, monkeypatch):
         def per_root(f, family):
             return [
-                weak_lp_norm(_local_square_function(f, family, root), 1)
+                weak_lp_norm(local_square_function(f, family, root), 1)
                 for root in family
             ]
 
         for seed in (1, 2, 3):
             family = pruned_subtree(DyadicInterval(0, 0), 4, seed)
             f = band_limited(self.GRID, 30 + seed, 40)
-            shared = energy(f, family, "lacunary")
+            shared = size_energy(f, family, "lacunary")[1]
             with monkeypatch.context() as patch:
                 patch.setattr(analysis, "_lacunary_weak_norms", per_root)
-                recomputed = energy(f, family, "lacunary")
+                recomputed = size_energy(f, family, "lacunary")[1]
             assert shared == recomputed
 
 
 class TestSizeEnergy:
-    """size_energy gives size and energy of a packet flavor from one sweep,
-    equal to the two separate calls bit for bit."""
+    """size_energy gives the size and the energy of a packet flavor from one
+    sweep; its size equals the one-interval oracle's supremum bit for bit."""
 
     GRID = SampleGrid(512, 4.0)  # size-energy's grid
     KINDS = (("step", "depth", 4), ("bump_train", "count", 3), ("band_limited", "band", 24))
@@ -157,11 +165,11 @@ class TestSizeEnergy:
             for kind, key, value in self.KINDS:
                 yield generate_trial(kind, seed, {"grid": self.GRID, key: value}), family
 
-    def test_equals_size_and_energy(self):
+    def test_size_equals_one_interval_oracle(self):
         for f, family in self._cases():
             for flavor in self.FLAVORS:
-                got = size_energy(f, family, flavor)
-                assert got == (size(f, family, flavor), energy(f, family, flavor))
+                got = size_energy(f, family, flavor)[0].value
+                assert got == max(size_single(f, iv, flavor, family) for iv in family)
 
     def test_one_evaluation_per_call(self, monkeypatch):
         calls = []
@@ -184,9 +192,9 @@ class TestSizeEnergy:
 
     def test_errors_match_energy(self):
         f, family = next(self._cases())
+        with pytest.raises(ValueError):
+            energy(f, [])
         for args in (([], "lacunary"), (family, "modified"), (family, "bogus")):
-            with pytest.raises(ValueError):
-                energy(f, *args)
             with pytest.raises(ValueError):
                 size_energy(f, *args)
 
@@ -198,10 +206,12 @@ class TestSizeEnergy:
         inputs.append(GridFunction(SampleGrid(64, 4.0, dimension=2),
                                    rng.normal(size=(64, 64)).astype(complex)))
         for f in inputs:
+            for call in (size, energy):
+                with pytest.raises(ShapeError, match="scalar 1d"):
+                    call(f, family)
             for flavor in self.FLAVORS:
-                for call in (size, energy, size_energy):
-                    with pytest.raises(ShapeError, match="scalar 1d"):
-                        call(f, family, flavor)
+                with pytest.raises(ShapeError, match="scalar 1d"):
+                    size_energy(f, family, flavor)
 
 
 class TestBatchedWeakNorms:
@@ -225,7 +235,7 @@ class TestBatchedWeakNorms:
             family += [family[i] for i in rng.integers(0, len(family), 3)]  # repeats
             family = [family[i] for i in rng.permutation(len(family))]
             f = band_limited(g, 60 + seed, 50)
-            want = [weak_lp_norm(_local_square_function(f, family, root), 1) for root in family]
+            want = [weak_lp_norm(local_square_function(f, family, root), 1) for root in family]
             assert _lacunary_weak_norms(f, family) == want
 
 
@@ -262,7 +272,7 @@ class TestSizeTilde:
         for seed in range(20):
             f = band_limited(g, seed, 30)
             st_val = size_tilde(f, family, I0=DyadicInterval(0, 0)).value
-            sz = size(f, family, "modified").value
+            sz = size(f, family).value
             worst = min(worst, st_val / sz)
             assert st_val >= sz * (1 - 1e-12)
         assert worst >= 1.0 - 1e-12  # family+ contains the family itself
@@ -298,11 +308,11 @@ class TestEnergy:
         g = SampleGrid(512, 4.0)
         family = subtree(DyadicInterval(0, 0), 4)
         f = band_limited(g, 9, 40)
-        rep = energy(f, family, "non-lacunary")
+        rep = energy(f, family)
         total = sum(iv.length for iv in rep.witness_family)
         assert rep.value == pytest.approx(2.0 ** rep.witness_level * total, rel=1e-12)
         for a, b in zip(rep.witness_family, rep.witness_family[1:]):
-            assert a.disjoint(b)
+            assert disjoint(a, b)
 
     def test_bounded_by_l1(self):
         g = SampleGrid(512, 4.0)
@@ -320,7 +330,7 @@ class TestEnergy:
         g = SampleGrid(64, 1.0)
         monkeypatch.setattr(WavePacketFamily, "coefficients", lambda self, f: np.array([c]))
         zero = GridFunction(g, np.zeros(64, dtype=complex))
-        rep = energy(zero, [DyadicInterval(0, 0)], "non-lacunary")
+        rep = energy(zero, [DyadicInterval(0, 0)])
         assert rep.value == want and rep.witness_family == (DyadicInterval(0, 0),)
 
     def test_greedy_matches_tree_dp_oracle(self):
@@ -349,7 +359,7 @@ class TestEnergy:
         for k in range(1, 6):
             center = 0.5 + (2.0 ** k - 1)
             f = from_callable(g, lambda x, c=center: (np.abs(x - c) < 0.5).astype(float))
-            vals.append(energy(f, family, "non-lacunary").value)
+            vals.append(energy(f, family).value)
         for a, b in zip(vals, vals[1:]):
             assert b <= a * (1 + 1e-9) or b < 1e-12
 
@@ -465,7 +475,7 @@ class TestDimensionGuards:
         with pytest.raises(ShapeError):
             maximal(f, 0)
         with pytest.raises(ShapeError):
-            size(f, [DyadicInterval(2, 0)], "modified")
+            size(f, [DyadicInterval(2, 0)])
 
 
 def _brute_torus_distance(grid, mask):

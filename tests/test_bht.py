@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from wavetile.dyadic import build_rank_one_tiles, tile_packet
-from wavetile.errors import AliasingError
+from wavetile.dyadic import build_rank_one_tiles
+from wavetile.errors import AliasingError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid, low_pass_profile
 from wavetile.norms import lp_norm
 from wavetile.operators import BHTModelSpec, bht_kernel, bht_model, bht_spectral
+
+from oracles import inner, tile_packet
 
 
 def modulated_bump(grid, freq, width=0.12):
@@ -170,6 +172,21 @@ class TestModelOperator:
         with pytest.raises(ValueError, match="power-of-two period, got 3.0"):
             bht_model(BHTModelSpec(g, tiles), f, f)
 
+    def test_inputs_on_another_grid_raise(self):
+        g = SampleGrid(512, 1.0)
+        tiles = build_rank_one_tiles(g, range(3, 5), range(0, 2))
+        rng = np.random.default_rng(4)
+        f = GridFunction(g, rng.normal(size=512).astype(complex))
+        big = GridFunction(SampleGrid(1024, 1.0), rng.normal(size=1024).astype(complex))
+        for args in ((big, big), (f, big), (big, f)):
+            with pytest.raises(ShapeError):
+                bht_model(BHTModelSpec(g, tiles), *args)
+        plane = SampleGrid(64, 1.0, dimension=2)
+        f2 = GridFunction(plane, rng.normal(size=(64, 64)).astype(complex))
+        with pytest.raises(ShapeError):
+            bht_model(BHTModelSpec(plane, build_rank_one_tiles(
+                SampleGrid(64, 1.0), range(2, 3), range(0, 1))), f2, f2)
+
     def test_single_tile_rank_one(self):
         g = SampleGrid(512, 1.0)
         rng = np.random.default_rng(0)
@@ -184,7 +201,7 @@ class TestModelOperator:
             for tile in tiles:
                 p1, p2, p3 = (tile_packet(g, tile, s) for s in (1, 2, 3))
                 want = want + (
-                    tile.spatial.length ** -0.5 * f.inner(p1) * h.inner(p2) * p3.samples
+                    tile.spatial.length ** -0.5 * inner(f, p1) * inner(h, p2) * p3.samples
                 )
             assert np.abs(out.samples - want).max() <= 1e-12
 

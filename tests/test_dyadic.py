@@ -13,12 +13,13 @@ from wavetile.dyadic import (
     collection_plus,
     grid_dyadic_family,
     min_packet_scale,
-    tile_packet,
     tile_scale_coefficients,
     tile_scale_synthesize,
 )
 from wavetile.errors import ScaleBudgetError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid
+
+from oracles import disjoint, inner, packet, tile_packet
 
 
 def full_tree(root, depth):
@@ -53,7 +54,7 @@ class TestIntervalGeometry:
     def test_nesting_trichotomy_exhaustive_depth6(self):
         family = full_tree(DyadicInterval(0, 0), 6)
         for a, b in itertools.combinations(family, 2):
-            relations = [a.disjoint(b), a.contains(b), b.contains(a)]
+            relations = [disjoint(a, b), a.contains(b), b.contains(a)]
             assert sum(relations) == 1
 
     def test_indices_list_each_sample_once(self):
@@ -114,7 +115,7 @@ class TestWavePackets:
         g = SampleGrid(512, 1.0)
         for flavor, lo, hi in (("lacunary", 8, 16), ("non-lacunary", 0, 8)):
             fam = WavePacketFamily(g, [DyadicInterval(3, 1)], flavor)
-            pk = fam.packet(DyadicInterval(3, 1))
+            pk = packet(fam, DyadicInterval(3, 1))
             assert abs(pk.norm2() - 1.0) < 1e-10
             spec = np.abs(np.fft.fft(pk.samples))
             m = g.frequencies()
@@ -129,7 +130,7 @@ class TestWavePackets:
         fam = WavePacketFamily(g, family, "lacunary")
         coefs = fam.coefficients(f)
         for iv, c in zip(family, coefs):
-            assert abs(c - f.inner(fam.packet(iv))) < 1e-12
+            assert abs(c - inner(f, packet(fam, iv))) < 1e-12
 
     @pytest.mark.parametrize("count", [11, 5])
     def test_synthesize_rejects_weights_of_another_length(self, count):
@@ -146,7 +147,7 @@ class TestWavePackets:
         assert min_packet_scale(g) == 1
         fam = WavePacketFamily(g, [], "lacunary")
         with pytest.raises(ScaleBudgetError):
-            fam.packet(DyadicInterval(0, 0))
+            packet(fam, DyadicInterval(0, 0))
 
     def test_non_dyadic_period_rejected(self):
         g = SampleGrid(256, 3.0)
@@ -224,7 +225,7 @@ class TestSharedSpectrumPath:
             spectrum = self._band_spectrum(g, band, iv.scale, lo, hi)
             shift = iv.position * dyadic._stride(g, iv.scale)
             want = np.roll(np.fft.ifft(spectrum), shift % g.sample_count)
-            assert np.abs(fam.packet(iv).samples - want).max() <= 1e-12
+            assert np.abs(packet(fam, iv).samples - want).max() <= 1e-12
 
     def test_direct_tile_packet_matches_cached_spectrum(self):
         g = self.GRID
@@ -271,7 +272,7 @@ class TestSharedSpectrumPath:
         fam = WavePacketFamily(g, [], "lacunary")
         top = dyadic.max_scale(g)
         with pytest.raises(ScaleBudgetError, match="exceeds budget"):
-            fam.packet(DyadicInterval(top + 1, 0))
+            packet(fam, DyadicInterval(top + 1, 0))
         with pytest.raises(ScaleBudgetError, match="exceeds budget"):
             fam.scale_coefficients(f, [top + 1])
         # slot 1 of frequency index 0 at scale 7 is [0, 128], inside Nyquist
@@ -327,7 +328,7 @@ class TestFoldedSweeps:
             coefs = fam.coefficients(f)
         for iv, c in zip(family, coefs):
             shifted = DyadicInterval(iv.scale, iv.position + shift_n)
-            assert abs(c - f.inner(fam.packet(shifted))) < 1e-12
+            assert abs(c - inner(f, packet(fam, shifted))) < 1e-12
 
     @pytest.mark.parametrize("freq_index", [-3, 2])
     def test_tile_coefficients_match_inner_products(self, freq_index):
@@ -338,7 +339,7 @@ class TestFoldedSweeps:
                 coefs = tile_scale_coefficients(g, f, [(j, freq_index)], slot)[(j, freq_index)]
                 for p in (0, 3, 2 ** j - 1):
                     pk = tile_packet(g, Tritile(DyadicInterval(j, p), freq_index), slot)
-                    assert abs(coefs[p] - f.inner(pk)) < 1e-12
+                    assert abs(coefs[p] - inner(f, pk)) < 1e-12
 
     @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
     def test_synthesize_is_adjoint_of_coefficients(self, flavor):
@@ -348,7 +349,7 @@ class TestFoldedSweeps:
         rng = np.random.default_rng(7)
         w = rng.normal(size=len(family)) + 1j * rng.normal(size=len(family))
         h = _random_function(g, 8)
-        lhs = fam.synthesize(w).inner(h)
+        lhs = inner(fam.synthesize(w), h)
         rhs = np.sum(w * np.conj(fam.coefficients(h)))
         assert abs(lhs - rhs) < 1e-12
 
@@ -360,7 +361,7 @@ class TestFoldedSweeps:
         for slot in (1, 2, 3):
             w = {(j, l): rng.normal(size=2 ** j) + 1j * rng.normal(size=2 ** j)
                  for j, l in layers}
-            lhs = tile_scale_synthesize(g, w, slot).inner(h)
+            lhs = inner(tile_scale_synthesize(g, w, slot), h)
             coefs = tile_scale_coefficients(g, h, layers, slot)
             rhs = sum(np.sum(w[key] * np.conj(coefs[key])) for key in layers)
             assert abs(lhs - rhs) < 1e-12
@@ -560,6 +561,44 @@ class TestVectorAxes:
         out = fam.synthesize(np.zeros((0, 2, 3), dtype=complex))
         assert out.samples.shape == (self.GRID.sample_count, 2, 3)
         assert not out.samples.any()
+
+
+class TestSweepGrid:
+    """Every coefficient route sweeps on its own 1d grid: an input on any
+    other grid, or on a 2d grid, raises instead of being read as samples of
+    the sweep's grid or as a vector axis."""
+
+    GRID = SampleGrid(512, 1.0)
+
+    def _inputs(self):
+        rng = np.random.default_rng(31)
+        other = SampleGrid(1024, 1.0)
+        plane = SampleGrid(512, 1.0, dimension=2)
+        return [GridFunction(other, rng.normal(size=1024).astype(complex)),
+                GridFunction(SampleGrid(512, 4.0), rng.normal(size=512).astype(complex)),
+                GridFunction(plane, rng.normal(size=(512, 512)).astype(complex))]
+
+    def test_packet_sweeps_reject_another_grid(self):
+        family = full_tree(DyadicInterval(1, 0), 3) + full_tree(DyadicInterval(1, 1), 3)
+        for flavor in ("non-lacunary", "lacunary"):
+            fam = WavePacketFamily(self.GRID, family, flavor)
+            for f in self._inputs():
+                with pytest.raises(ShapeError, match="packet sweep"):
+                    fam.coefficients(f)
+                with pytest.raises(ShapeError, match="packet sweep"):
+                    fam.scale_coefficients(f, [2, 3])
+
+    def test_tile_sweeps_reject_another_grid(self):
+        for f in self._inputs():
+            for slot in (1, 2, 3):
+                with pytest.raises(ShapeError, match="packet sweep"):
+                    tile_scale_coefficients(self.GRID, f, [(3, 1)], slot)
+
+    def test_2d_grid_of_its_own_rejected(self):
+        plane = SampleGrid(64, 1.0, dimension=2)
+        f = GridFunction(plane, np.ones((64, 64), dtype=complex))
+        with pytest.raises(ShapeError, match="packet sweep"):
+            WavePacketFamily(plane, [DyadicInterval(2, 0)], "lacunary").coefficients(f)
 
 
 class TestTritiles:

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ class TestGridConstruction:
     def test_spacing(self):
         g = SampleGrid(64, 2.0)
         assert g.spacing == 2.0 / 64
+
+
+class TestArithmetic:
+    def test_operands_on_different_grids_raise(self):
+        a = GridFunction(SampleGrid(64, 1.0), np.arange(64, dtype=complex))
+        for grid in (SampleGrid(64, 4.0), SampleGrid(128, 1.0), SampleGrid(64, 1.0, dimension=2)):
+            b = GridFunction(grid, np.ones(grid.spatial_shape, dtype=complex))
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(ShapeError, match="different grids"):
+                    op(a, b)
+                with pytest.raises(ShapeError, match="different grids"):
+                    op(b, a)
 
 
 class TestLittlewoodPaley:

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from wavetile import norms
 from wavetile.bench import ExperimentConfig, generate_trial
 from wavetile.dyadic import DyadicInterval, torus_bump_samples
-from wavetile.errors import MajorSubsetError
+from wavetile.errors import MajorSubsetError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid
 from wavetile.norms import (
     INF,
     ExponentTuple,
     MeasurableSet,
     MixedNormSpec,
-    distribution_function,
     dualize_superlevel_sets,
     dualize_weak_via_Lr,
     lp_norm,
@@ -24,6 +23,7 @@ from wavetile.norms import (
     weak_lp_norm,
 )
 
+from oracles import distribution_function
 from test_grid import from_callable
 
 
@@ -55,6 +55,14 @@ class TestLpNorm:
         fine = SampleGrid(4096, 4.0)
         quad = float(np.sum(torus_bump_samples(fine, iv, 10)) * fine.spacing)
         assert got == pytest.approx(quad, rel=1e-3)
+
+
+    def test_weight_on_another_grid_raises(self):
+        f = GridFunction(SampleGrid(64, 1.0), np.ones(64, dtype=complex))
+        for grid in (SampleGrid(64, 4.0), SampleGrid(128, 1.0)):
+            w = GridFunction(grid, np.ones(grid.sample_count, dtype=complex))
+            with pytest.raises(ShapeError, match="different grids"):
+                lp_norm(f, 2, weight=w)
 
 
 class TestDistributionFunction:
@@ -106,6 +114,13 @@ class TestWeakNorm:
             f = random_step(g, seed)
             for p in (0.75, 1, 2, 3):
                 assert weak_lp_norm(f, p) <= lp_norm(f, p) * (1 + 1e-12)
+
+
+    @pytest.mark.parametrize("p", [0, -1, Fraction(-1, 2), -INF])
+    def test_nonpositive_exponent_rejected(self, p):
+        f = GridFunction(SampleGrid(64, 1.0), np.ones(64, dtype=complex))
+        with pytest.raises(ValueError, match="p must be positive"):
+            weak_lp_norm(f, p)
 
 
 class TestMixedNorm:
@@ -213,6 +228,16 @@ class TestWeakDualization:
         zero = GridFunction(g, np.zeros(64, dtype=complex))
         tilde, ratio = dualize_weak_via_Lr(zero, E, 0.5, 1, 4.0)
         assert ratio == 0.0 and tilde.measure == E.measure
+
+    def test_nonpositive_exponents_rejected(self):
+        g = SampleGrid(64, 1.0)
+        f = GridFunction(g, np.arange(64, dtype=complex))
+        E = MeasurableSet(GridFunction(g, np.ones(64, dtype=complex)))
+        for r, p, name in ((0, 1, "r"), (-1, 1, "r"), (2, 0, "p"), (2, -1, "p")):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                dualize_superlevel_sets(f, r, p, 4.0)
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                dualize_weak_via_Lr(f, E, r, p)
 
     def test_majorness_failure_reports_ratio(self):
         g = SampleGrid(64, 1.0)

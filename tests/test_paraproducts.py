@@ -19,7 +19,6 @@ from wavetile.operators import (
     LocalizationSpec,
     ParaproductSpec,
     alpha_symbol_coefficients,
-    classical_paraproduct,
     discretized_paraproduct,
     localized_paraproduct,
     shifted_paraproduct,
@@ -27,6 +26,8 @@ from wavetile.operators import (
     tensor_paraproduct,
     trilinear_form,
 )
+
+from oracles import classical_paraproduct, inner, packet
 
 
 def band_limited(grid, seed, band):
@@ -78,8 +79,8 @@ class TestDiscretizedParaproduct:
             out = discretized_paraproduct(spec, f, g)
             expected = sum(
                 c * iv.length ** -0.5
-                * f.inner(fam1.packet(iv)) * g.inner(fam2.packet(iv))
-                * fam2.packet(iv).samples
+                * inner(f, packet(fam1, iv)) * inner(g, packet(fam2, iv))
+                * packet(fam2, iv).samples
                 for iv, c in zip(family, coeffs)
             )
             assert np.abs(out.samples - expected).max() < 1e-12
@@ -124,7 +125,7 @@ class TestTrilinearForm:
             g = band_limited(GRID, 200 + seed, 60)
             h = band_limited(GRID, 300 + seed, 60)
             lam = trilinear_form(spec, f, g, h)
-            pairing = discretized_paraproduct(spec, f, g).inner(h)
+            pairing = inner(discretized_paraproduct(spec, f, g), h)
             assert abs(lam - pairing) <= 1e-10 * max(abs(pairing), 1e-20)
 
 
@@ -271,9 +272,9 @@ class TestShiftedParaproduct:
             got = shifted_paraproduct(n, f, g, scales=scales)
             want = sum(
                 iv.length ** -1.0
-                * f.inner(psi.packet(DyadicInterval(iv.scale, iv.position + n)))
-                * g.inner(psi.packet(DyadicInterval(iv.scale, iv.position + n)))
-                * phi.packet(iv).samples
+                * inner(f, packet(psi, DyadicInterval(iv.scale, iv.position + n)))
+                * inner(g, packet(psi, DyadicInterval(iv.scale, iv.position + n)))
+                * packet(phi, iv).samples
                 for iv in grid_dyadic_family(GRID, scales)
             )
             assert np.abs(got.samples - want).max() <= 1e-12 * np.abs(want).max()
@@ -283,6 +284,30 @@ class TestShiftedParaproduct:
         big = shifted_paraproduct(7, f, g, scales=range(3, 4))
         wrapped = shifted_paraproduct(7 + 8, f, g, scales=range(3, 4))
         assert (big - wrapped).norm2() <= 1e-12 * big.norm2()
+
+
+class TestGridChecks:
+    """The packet paraproducts read their inputs on the spec's (or the first
+    input's) 1d grid; an input on another grid raises."""
+
+    def test_inputs_on_another_grid_raise(self):
+        spec = default_spec()
+        f = band_limited(GRID, 1, 40)
+        big = band_limited(SampleGrid(1024, 1.0), 2, 40)
+        for args in ((big, big), (f, big), (big, f)):
+            with pytest.raises(ShapeError):
+                discretized_paraproduct(spec, *args)
+        for args in ((big, f, f), (f, big, f), (f, f, big)):
+            with pytest.raises(ShapeError):
+                trilinear_form(spec, *args)
+        with pytest.raises(ShapeError):
+            shifted_paraproduct(0, f, big)
+
+    def test_2d_inputs_raise(self):
+        plane = SampleGrid(64, 1.0, dimension=2)
+        f = band_limited(plane, 3, 8)
+        with pytest.raises(ShapeError):
+            shifted_paraproduct(0, f, f)
 
 
 class TestAlphaSymbolCoefficients:

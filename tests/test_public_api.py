@@ -14,21 +14,22 @@ A parameter with a default, of a public function or of a public method of a
 public class, must be passed by some call under ``src/wavetile`` whose
 callee has the same name (by keyword, or by position at its index), or be
 kept below with its reason: a default that nothing overrides is a constant.
+
+The tests' direct oracles live in ``tests/oracles.py``; none of their names
+may be defined in the package too, so a second copy cannot creep back.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wavetile"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 # Names that nothing in the package reads, each with the reason it stays.
 KEEP = {
     "ExponentTuple": "the Hoelder check of targets that read their exponents as data (ROADMAP)",
     "major_subset_L1": "the L^1 route of the weak dualization of operator outputs (ROADMAP)",
     "dualize_weak_via_Lr": "the one-set form of dualize_superlevel_sets and its test oracle",
-    "distribution_function": "oracle of the weak-norm threshold tests",
-    "size_single": "one-interval oracle of the swept size",
-    "classical_paraproduct": "convolution-form oracle of the telescoping and tensor paraproducts",
     "literal_disagreement_levels": "records where the paper's printed case table "
                                    "disagrees with the linear system",
     "target_names": "the only public function of bench.targets, a module the "
@@ -36,13 +37,9 @@ KEEP = {
                     "requires to have one",
     "fractional_derivative": "the one-axis oracle of leibniz_sides, which builds "
                              "its derivative fields on each input's band",
-    "GridFunction.inner": "the L^2 pairing of the tests' coefficient and adjoint oracles",
-    "WavePacketFamily.packet": "one packet on the grid, the oracle of the swept "
-                               "coefficients and syntheses",
-    "tile_packet": "one tile packet on the grid, the oracle of the tile sweeps",
-    "DyadicInterval.disjoint": "the tests' pairwise-disjointness oracle of energy "
-                               "witnesses, stopping selections and the trichotomy, "
-                               "independent of analysis._containment",
+    "littlewood_paley": "one projection at one scale, the oracle of the banded "
+                        "telescoping and tensor projections and a perfbench "
+                        "layer row",
     "ExponentTuple.admissible": "the Hoelder check of targets that read their "
                                 "exponents as data (ROADMAP)",
 }
@@ -51,14 +48,11 @@ KEEP = {
 # Defaulted parameters that no call in the package passes, each with the
 # reason it stays.
 UNPASSED = {
-    "size_single(family)": "the lacunary flavor of the one-interval size oracle",
     "shifted_square(scales)": "the tests' restriction to scales a translation preserves",
     "shifted_paraproduct(scales)": "the tests' direct-sum oracle on a few scales",
     "exceptional_set(C)": "the tests reach MajorSubsetError through a vanishing constant",
     "major_subset_L1(C)": "the L^1 route of the weak dualization of operator outputs (ROADMAP)",
     "dualize_weak_via_Lr(C)": "the one-set oracle's threshold constant, which the tests vary",
-    "classical_paraproduct(which)": "the oracle's three slot orders",
-    "classical_paraproduct(scales)": "the oracle on the tensor paraproduct's scales",
     "range_grid_mismatches(repaired)": "the printed case table's mismatch count",
     "littlewood_paley(axis)": "the tests' 2d telescoping and tensor oracles, which "
                               "project along the second axis",
@@ -217,3 +211,16 @@ def test_every_defaulted_parameter_is_passed_or_kept():
 def test_unpassed_table_holds_only_unpassed_parameters():
     unpassed = set(_unpassed(_modules()))
     assert sorted(key for key in UNPASSED if key not in unpassed) == []
+
+
+def _defined(tree, top_level):
+    """Names of the functions and classes defined in ``tree``: at the top
+    level only, or at any depth (methods and nested functions too)."""
+    nodes = tree.body if top_level else ast.walk(tree)
+    return {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_no_oracle_is_defined_in_the_package():
+    oracles = _defined(ast.parse(ORACLES.read_text()), top_level=True)
+    package = set().union(*(_defined(tree, top_level=False) for tree in _modules().values()))
+    assert sorted(oracles & package) == []

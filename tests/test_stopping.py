@@ -17,6 +17,7 @@ from wavetile.grid import GridFunction, SampleGrid
 from wavetile.norms import MeasurableSet, lp_norm
 from wavetile.dyadic import torus_bump_samples
 
+from oracles import disjoint
 from test_grid import from_callable
 
 GOLDEN = Path(__file__).parent / "data" / "stopping_golden.json"
@@ -60,7 +61,7 @@ def verify_forest(forest, family, E1, E2, M=10):
     for ivs in by_level.values():
         for i in range(len(ivs)):
             for j in range(i + 1, len(ivs)):
-                assert ivs[i].disjoint(ivs[j])
+                assert disjoint(ivs[i], ivs[j])
     # level bracket and per-axis size bound; the third axis runs at 2M
     indicators = {
         1: (E1.indicator, M),
