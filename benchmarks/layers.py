@@ -19,11 +19,13 @@ Each is timed for a scalar input and for K = 16 components, the latter as
 one call on an ``(n, 16)`` input (the packet engine takes trailing vector
 axes).
 
-Three more layers run on the stopping-invariants grid (n = 512, period 4):
+Four more layers run on the stopping-invariants grid (n = 512, period 4):
 
-* ``chi_average``: ``size(f, family, M=4)`` of a step function
-  over the full dyadic tree four levels below [0, 1), the supremum of the
-  chi-weighted averages size-energy takes;
+* ``torus_bump``: ``torus_bump_samples`` at M = 4 of every interval of the
+  full dyadic tree four levels below [0, 1), the bumps size-energy weighs
+  by, timed cold: both bump caches are cleared before each call;
+* ``chi_average``: ``size(f, family, M=4)`` of a step function over the
+  same tree, the supremum of the chi-weighted averages size-energy takes;
 * ``stopping_sweep``: ``stopping_decompose`` of one stopping-invariants
   configuration (seed 7, depth 5), exceptional set and level sweeps;
 * ``size_energy``: ``size_energy(f, tree, flavor)`` for each packet flavor
@@ -53,7 +55,8 @@ BHT oracle pair and the exhaustive range grid:
   step-1/24 grid (range-consistency).
 
 Every timing is a median (with quartiles) over ``--repeats`` calls after one
-warm-up call, so the packet caches are full and only the sweep is timed.
+warm-up call, so the packet caches are full and only the sweep is timed
+(``torus_bump`` alone times the cache misses).
 One JSON line per case goes to stdout, and ``--json`` writes them all with
 the Python, numpy and CPU figures.
 """
@@ -70,6 +73,7 @@ import time
 
 import numpy as np
 
+from wavetile import dyadic
 from wavetile.analysis import size, size_energy, stopping_decompose
 from wavetile.bench import ExperimentConfig, generate_trial
 from wavetile.bench.targets import _random_stopping_config
@@ -79,6 +83,7 @@ from wavetile.dyadic import (
     min_packet_scale,
     tile_scale_coefficients,
     tile_scale_synthesize,
+    torus_bump_samples,
 )
 from wavetile.grid import GridFunction, SampleGrid, low_pass_profile, max_scale
 from wavetile.norms import dualize_superlevel_sets
@@ -123,10 +128,17 @@ def _cases(grid: SampleGrid):
            lambda w: tile_scale_synthesize(grid, w, 3))
 
 
-def _timed(call, repeats: int) -> dict:
+def _warm():
+    """No set-up: the caches stay full between calls."""
+
+
+def _timed(call, repeats: int, setup=_warm) -> dict:
+    """Quartiles of ``call``'s time; ``setup`` runs untimed before each call."""
+    setup()
     call()  # warm-up: fills the packet and bump caches
     samples = []
     for _ in range(repeats):
+        setup()
         start = time.perf_counter()
         call()
         samples.append(time.perf_counter() - start)
@@ -134,23 +146,30 @@ def _timed(call, repeats: int) -> dict:
     return {"median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3}
 
 
+def _clear_bump_caches():
+    dyadic._torus_bump_cached.cache_clear()
+    dyadic._bump_offsets.cache_clear()
+
+
 def _average_rows(repeats: int) -> list[dict]:
-    """The chi-average, stopping-sweep and size-energy rows on the stopping
-    grid."""
+    """The torus-bump, chi-average, stopping-sweep and size-energy rows on
+    the stopping grid."""
     grid = SampleGrid(512, 4.0)
     f = generate_trial("step", 5, {"grid": grid, "depth": 4})
     tree = [DyadicInterval(j, m) for j in range(5) for m in range(2 ** j)]
     seed = ExperimentConfig(seed=7).seeds("stopping-invariants", 1)[0]
     family, E1, E2, E3, root = _random_stopping_config(seed, grid, 5)
     cases = (
-        ("chi_average", tree, lambda: size(f, tree, M=4)),
+        ("torus_bump", tree, lambda: [torus_bump_samples(grid, iv, 4) for iv in tree],
+         _clear_bump_caches),
+        ("chi_average", tree, lambda: size(f, tree, M=4), _warm),
         ("stopping_sweep", family,
-         lambda: stopping_decompose(family, E1, E2, E3, root)),
+         lambda: stopping_decompose(family, E1, E2, E3, root), _warm),
     )
     rows = []
-    for layer, intervals, call in cases:
-        row = {"layer": layer, "n": grid.sample_count, "K": 1,
-               "intervals": len(intervals), "repeats": repeats, **_timed(call, repeats)}
+    for layer, intervals, call, setup in cases:
+        row = {"layer": layer, "n": grid.sample_count, "K": 1, "intervals": len(intervals),
+               "repeats": repeats, **_timed(call, repeats, setup)}
         print(json.dumps(row), flush=True)
         rows.append(row)
     g = generate_trial("band_limited", 5, {"grid": grid, "band": 24})

@@ -136,7 +136,8 @@ def torus_bump_samples(
     interval: DyadicInterval,
     decay_exponent: int,
 ) -> np.ndarray:
-    """Samples of the periodized adapted bump of I on the torus.
+    """Samples of the periodized adapted bump (1 + dist(x, I)/|I|)**-M of I
+    on the torus.
 
     Distance is measured on the torus by summing the line bump over w
     period wraps on each side, with w the fewest that put the first dropped
@@ -145,6 +146,13 @@ def torus_bump_samples(
     20,000-wrap sum on 512 points the relative error reaches 1.7e-6 at
     M = 4 (the whole torus, where the 64-wrap cap binds) and 2.4e-9 at
     M = 10 (fine intervals, 1/64 of the period long).
+
+    The bump depends on I's position only through the sample offset of its
+    left end, so every interval of one scale reads the same table of wrap
+    sums (:func:`_bump_offsets`), a slice of it starting at that offset.
+    The period must be a power of two and I at least one sample long; then
+    each term is the power of an exactly computed base, and the samples
+    are the wrap-by-wrap sum's to the bit.
     """
     return _torus_bump_cached(
         grid.sample_count, grid.period_length, interval.scale,
@@ -155,21 +163,42 @@ def torus_bump_samples(
 @lru_cache(maxsize=4096)
 def _torus_bump_cached(n, period, scale, position, decay_exponent):
     grid = SampleGrid(n, period)
-    x = grid.points()
+    grid.log2_period()  # raises on a period that is not a power of two
+    stride = _stride(grid, scale)
+    if stride == 0:
+        raise ScaleBudgetError(
+            f"interval {DyadicInterval(scale, position)} is shorter than one sample"
+        )
+    offset = position * stride % n
+    return _bump_offsets(n, period, scale, decay_exponent)[n - 1 - offset:2 * n - 1 - offset]
+
+
+@lru_cache(maxsize=128)
+def _bump_offsets(n, period, scale, decay_exponent):
+    """The torus bump of a scale's intervals at every signed sample offset
+    r from the left end, -n < r < n, as entry r + n - 1.
+
+    Entry r sums t(dist(r + nu*n, [0, s])) over the wraps nu = -w..w in
+    that order from zero, s the interval's stride in samples, and
+    t(d) = (1 + d*dx/|I|)**-M is read from one array of powers over every
+    distance the wraps reach.
+    """
+    grid = SampleGrid(n, period)
     length = 2.0 ** (-scale)
-    left = (position * length) % period
     ratio = period / length
     # wraps with ((w-1) * period / length) ** -M < 1e-16, capped at 64: this
     # bounds the first dropped term, not the dropped tail
     w = int(np.ceil((1e16) ** (1.0 / decay_exponent) / max(ratio, 1e-300))) + 2
     w = min(max(w, 1), 64)
-    total = np.zeros_like(x)
+    s = _stride(grid, scale)
+    powers = (1.0 + np.arange((w + 1) * n) * grid.spacing / length) ** (-decay_exponent)
+    r = np.arange(1 - n, n)
+    table = np.zeros(2 * n - 1)
     for nu in range(-w, w + 1):
-        xx = x + nu * period
-        dist = np.maximum(left - xx, 0.0) + np.maximum(xx - (left + length), 0.0)
-        total += (1.0 + dist / length) ** (-decay_exponent)
-    total.flags.writeable = False
-    return total
+        q = r + nu * n
+        table += powers[np.maximum(-q, 0) + np.maximum(q - s, 0)]
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

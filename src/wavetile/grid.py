@@ -145,9 +145,9 @@ class GridFunction:
         )
 
 
-def _require_same_grid(f: GridFunction, g: GridFunction):
+def _require_same_grid(f: GridFunction | SpectralMultiplier, g: GridFunction):
     if f.grid != g.grid:
-        raise ShapeError(f"functions on different grids: {f.grid} and {g.grid}")
+        raise ShapeError(f"operands on different grids: {f.grid} and {g.grid}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +233,7 @@ class SpectralMultiplier:
             raise ShapeError("multiplier length must equal sample_count")
 
     def apply(self, f: GridFunction, axis: int = 0) -> GridFunction:
+        _require_same_grid(self, f)
         if not 0 <= axis < f.grid.dimension:
             raise ShapeError(f"axis {axis} is not a spatial axis")
         spec = np.fft.fft(f.samples, axis=axis)

@@ -43,6 +43,28 @@ def distribution_function(f: GridFunction, lam: float) -> float:
     return float(np.sum(np.abs(f.samples) > lam) * f.grid.cell_measure)
 
 
+def torus_bump_direct(n, period, scale, position, decay_exponent):
+    """The periodized bump of I summed wrap by wrap: for nu = -w..w, the
+    line bump (1 + dist/|I|)**-M at the samples shifted by nu periods,
+    with the wrap count of ``dyadic.torus_bump_samples``."""
+    grid = SampleGrid(n, period)
+    x = grid.points()
+    length = 2.0 ** (-scale)
+    left = (position * length) % period
+    ratio = period / length
+    # wraps with ((w-1) * period / length) ** -M < 1e-16, capped at 64: this
+    # bounds the first dropped term, not the dropped tail
+    w = int(np.ceil((1e16) ** (1.0 / decay_exponent) / max(ratio, 1e-300))) + 2
+    w = min(max(w, 1), 64)
+    total = np.zeros_like(x)
+    for nu in range(-w, w + 1):
+        xx = x + nu * period
+        dist = np.maximum(left - xx, 0.0) + np.maximum(xx - (left + length), 0.0)
+        total += (1.0 + dist / length) ** (-decay_exponent)
+    total.flags.writeable = False
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Packets, one at a time
 # ---------------------------------------------------------------------------

@@ -542,9 +542,9 @@ class TestCampaignContracts:
         caches = lru_caches()
         assert sorted(caches) == [
             "wavetile.analysis._bump_spectrum", "wavetile.dyadic._base_packet",
-            "wavetile.dyadic._sweep_plan", "wavetile.dyadic._tile_base_packet",
-            "wavetile.dyadic._torus_bump_cached", "wavetile.grid._band",
-            "wavetile.grid._projection_values",
+            "wavetile.dyadic._bump_offsets", "wavetile.dyadic._sweep_plan",
+            "wavetile.dyadic._tile_base_packet", "wavetile.dyadic._torus_bump_cached",
+            "wavetile.grid._band", "wavetile.grid._projection_values",
         ]
         for cache in caches.values():
             cache.cache_clear()

@@ -15,11 +15,12 @@ from wavetile.dyadic import (
     min_packet_scale,
     tile_scale_coefficients,
     tile_scale_synthesize,
+    torus_bump_samples,
 )
 from wavetile.errors import ScaleBudgetError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid
 
-from oracles import disjoint, inner, packet, tile_packet
+from oracles import disjoint, inner, packet, tile_packet, torus_bump_direct
 
 
 def full_tree(root, depth):
@@ -108,6 +109,34 @@ class TestCollectionPlus:
                     j = j.parent()
             assert len(got) == len(set(got))
             assert set(got) == want
+
+
+class TestTorusBump:
+    @pytest.mark.parametrize("n", [8, 64, 512, 1024])
+    def test_equals_the_wrap_by_wrap_sum(self, n):
+        """Every bump read from a scale's offset table is the direct sum over
+        the wraps, bit for bit: from two scales coarser than the torus to
+        one sample, at positions on, next to and far outside the torus."""
+        for period in (0.5, 1.0, 4.0):
+            grid = SampleGrid(n, period)
+            finest = round(np.log2(n / period))
+            for scale in range(-grid.log2_period() - 2, finest + 1):
+                count = max(1, round(period * 2.0 ** scale))
+                positions = {0, 1, count - 1, count, -1, -count - 3, 3 * count + 2}
+                for M, position in itertools.product((2, 4, 10, 20), positions):
+                    got = torus_bump_samples(grid, DyadicInterval(scale, position), M)
+                    want = torus_bump_direct(n, period, scale, position, M)
+                    assert np.array_equal(got, want), (period, scale, position, M)
+
+    def test_interval_shorter_than_one_sample_raises(self):
+        grid = SampleGrid(64, 1.0)
+        torus_bump_samples(grid, DyadicInterval(6, 5), 4)
+        with pytest.raises(ScaleBudgetError, match="shorter than one sample"):
+            torus_bump_samples(grid, DyadicInterval(7, 5), 4)
+
+    def test_period_not_a_power_of_two_raises(self):
+        with pytest.raises(ValueError, match="power-of-two period"):
+            torus_bump_samples(SampleGrid(64, 3.0), DyadicInterval(2, 1), 4)
 
 
 class TestWavePackets:

@@ -8,6 +8,7 @@ from wavetile.errors import ScaleBudgetError, ShapeError
 from wavetile.grid import (
     GridFunction,
     SampleGrid,
+    SpectralMultiplier,
     _band,
     _projection_values,
     band_limit,
@@ -57,6 +58,15 @@ class TestArithmetic:
                     op(a, b)
                 with pytest.raises(ShapeError, match="different grids"):
                     op(b, a)
+
+    def test_multiplier_on_another_grid_raises(self):
+        """A multiplier reads its values as frequencies of its own grid, so
+        an input on another grid of the same length is refused."""
+        mult = SpectralMultiplier(SampleGrid(64, 1.0), np.ones(64))
+        for grid in (SampleGrid(64, 4.0), SampleGrid(64, 1.0, dimension=2)):
+            f = GridFunction(grid, np.ones(grid.spatial_shape, dtype=complex))
+            with pytest.raises(ShapeError, match="different grids"):
+                mult.apply(f)
 
 
 class TestLittlewoodPaley:

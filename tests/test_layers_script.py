@@ -1,7 +1,7 @@
-"""``benchmarks/layers.py`` runs end to end on the packet engine, the
-chi-weighted averages, the stopping sweep, the size-energy sweep, the
-weak-norm dualization sweep, the Littlewood-Paley products, the Leibniz
-sides, the BHT oracle pair and the range grid.
+"""``benchmarks/layers.py`` runs end to end on the packet engine, the cold
+torus bumps, the chi-weighted averages, the stopping sweep, the size-energy
+sweep, the weak-norm dualization sweep, the Littlewood-Paley products, the
+Leibniz sides, the BHT oracle pair and the range grid.
 
 The script imports these layers by name and is not run by any other test;
 this runs it with two repeats and checks its rows.
@@ -34,7 +34,8 @@ def test_layers_script_writes_one_row_per_case(tmp_path):
     want = set(itertools.product(
         ("packet_sweep", "packet_synth"), ("lacunary", "non-lacunary", "tile"),
         (512, 1024, 4096), (1, 16),
-    )) | {("chi_average", None, 512, 1), ("stopping_sweep", None, 512, 1),
+    )) | {("torus_bump", None, 512, 1), ("chi_average", None, 512, 1),
+          ("stopping_sweep", None, 512, 1),
           ("size_energy", "non-lacunary", 512, 1), ("size_energy", "lacunary", 512, 1),
           ("weak_dualization", None, 512, 1),
           ("telescope", None, 4096, 1), ("telescope", None, 256, 1),
@@ -44,7 +45,7 @@ def test_layers_script_writes_one_row_per_case(tmp_path):
     assert len(cases) == len(want) and set(cases) == want
     assert all(r["median_ms"] > 0 for r in rows)
     assert {r["layer"]: r["intervals"] for r in rows if "intervals" in r} == {
-        "chi_average": 31, "stopping_sweep": 42, "size_energy": 31,
+        "torus_bump": 31, "chi_average": 31, "stopping_sweep": 42, "size_energy": 31,
     }
     assert [(r["dimension"], r["band"]) for r in rows if "band" in r] == [
         (1, 512), (2, 32), (2, 8), (2, 8),
