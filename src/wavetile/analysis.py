@@ -27,7 +27,7 @@ from .dyadic import (
     collection_plus,
     torus_bump_samples,
 )
-from .errors import MajorSubsetError, ScaleBudgetError, ShapeError
+from .errors import MajorSubsetError, ShapeError
 from .grid import GridFunction, SampleGrid, max_scale, scale_range
 from .norms import MeasurableSet, lp_norm
 
@@ -295,9 +295,8 @@ def maximal(f: GridFunction, shift_n: int = 0) -> GridFunction:
     for j in scale_range(grid):
         spectrum = _bump_spectrum(n, grid.period_length, j, shift_n, _M)
         corr = np.fft.irfft(fa_hat * spectrum, n=n)
-        length = 2.0 ** (-j)
-        stride = round(length / grid.spacing)
-        avgs = np.maximum(corr[::stride] * grid.spacing / length, 0.0)
+        stride = _stride(grid, j)
+        avgs = np.maximum(corr[::stride] * grid.spacing / 2.0 ** (-j), 0.0)
         np.maximum(out, np.repeat(avgs, stride), out=out)
     return GridFunction(grid, out.astype(complex))
 
@@ -320,8 +319,7 @@ def shifted_square(
     acc = np.zeros(grid.sample_count)
     fam = WavePacketFamily(grid, [], "lacunary")
     for j, coefs in fam.scale_coefficients(f, scales, shift_n).items():
-        stride = grid.sample_count // len(coefs)
-        acc += np.repeat(np.abs(coefs) ** 2 / 2.0 ** (-j), stride)
+        acc += np.repeat(np.abs(coefs) ** 2 / 2.0 ** (-j), _stride(grid, j))
     return GridFunction(grid, np.sqrt(acc).astype(complex))
 
 
@@ -577,10 +575,8 @@ def stopping_decompose(
     buckets: dict[int, list[DyadicInterval]] = {}
     for iv in family:
         if iv.scale not in minima:
-            stride = _stride(grid, iv.scale)
-            if stride == 0:
-                raise ScaleBudgetError(f"interval {iv} is shorter than one sample")
-            minima[iv.scale] = dist.reshape(-1, min(stride, dist.size)).min(axis=1)
+            stride = min(_stride(grid, iv.scale), dist.size)
+            minima[iv.scale] = dist.reshape(-1, stride).min(axis=1)
         block_min = minima[iv.scale]
         d_iv = float(block_min[iv.position % len(block_min)])
         d = int(math.floor(math.log2(1.0 + d_iv / iv.length)))

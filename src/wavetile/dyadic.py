@@ -121,12 +121,7 @@ def grid_dyadic_family(
 
 def interval_indices(grid: SampleGrid, interval: DyadicInterval) -> np.ndarray:
     """Sample indices covered by an interval on the torus (wrapping allowed), each once."""
-    stride = interval.length / grid.spacing
-    if not float(stride).is_integer():
-        raise ScaleBudgetError(
-            f"interval {interval} does not align with the sample grid"
-        )
-    stride = int(stride)
+    stride = _stride(grid, interval.scale)
     start = interval.position * stride
     return (start + np.arange(min(stride, grid.sample_count))) % grid.sample_count
 
@@ -164,12 +159,7 @@ def torus_bump_samples(
 def _torus_bump_cached(n, period, scale, position, decay_exponent):
     grid = SampleGrid(n, period)
     grid.log2_period()  # raises on a period that is not a power of two
-    stride = _stride(grid, scale)
-    if stride == 0:
-        raise ScaleBudgetError(
-            f"interval {DyadicInterval(scale, position)} is shorter than one sample"
-        )
-    offset = position * stride % n
+    offset = position * _stride(grid, scale) % n
     return _bump_offsets(n, period, scale, decay_exponent)[n - 1 - offset:2 * n - 1 - offset]
 
 
@@ -261,8 +251,16 @@ _PACKET_BLOCKS = {"non-lacunary": 0, "lacunary": 1}
 
 
 def _stride(grid: SampleGrid, scale: int) -> int:
-    """Samples per interval at ``scale``: the step between packet translates."""
-    return round(2.0 ** (-scale) / grid.spacing)
+    """Samples per interval at ``scale``: the step between packet translates.
+
+    Raises unless the intervals are a whole number of samples long.
+    """
+    stride = 2.0 ** (-scale) / grid.spacing
+    if stride < 1:
+        raise ScaleBudgetError(f"intervals at scale {scale} are shorter than one sample")
+    if not stride.is_integer():
+        raise ScaleBudgetError(f"intervals at scale {scale} do not align with the sample grid")
+    return int(stride)
 
 
 class _Band(NamedTuple):

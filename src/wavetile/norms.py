@@ -1,7 +1,7 @@
 """Lebesgue, weak-Lebesgue, and iterated mixed quasinorms.
 
-Exponents in symbolic contexts (Hoelder scaling, admissibility, range
-queries) are exact rationals; ``math.inf`` stands for an infinite exponent.
+Exponents in symbolic contexts (Hoelder scaling, range queries) are exact
+rationals; ``math.inf`` stands for an infinite exponent.
 Norm values themselves are floating point.
 
 The mixed norm of a tuple ``R = (r1, ..., rn)`` is evaluated innermost-last:
@@ -41,7 +41,14 @@ Exponent = Fraction | int | float  # finite rational or math.inf
 
 
 def recip(p: Exponent) -> Fraction:
-    """Reciprocal as an exact rational; infinity maps to 0."""
+    """Reciprocal as an exact rational; infinity maps to 0.
+
+    The one rule from an exponent to a rational: a float is read as the
+    nearest fraction with denominator at most 1e9.  Exponents must be
+    positive.
+    """
+    if not p > 0:
+        raise ValueError(f"exponent {p} must be positive")
     if p == INF:
         return Fraction(0)
     if isinstance(p, float):
@@ -54,17 +61,14 @@ def dual_recip(p: Exponent) -> Fraction:
     return 1 - recip(p)
 
 
-def _is_admissible_reciprocals(a1: Fraction, a2: Fraction, a3: Fraction) -> bool:
-    if a1 + a2 + a3 != 1:
-        return False
-    if not all(-1 < a < 1 for a in (a1, a2, a3)):
-        return False
-    return sum(1 for a in (a1, a2, a3) if a <= 0) <= 1
+def _reciprocal_text(p: Exponent) -> str:
+    return f"1/({p})" if "/" in str(p) else f"1/{p}"
 
 
 @dataclass(frozen=True)
 class ExponentTuple:
-    """A Hoelder triple (p, q, s) with exact scaling 1/p + 1/q = 1/s."""
+    """A Hoelder triple (p, q, s) with exact scaling 1/p + 1/q = 1/s: the
+    one Hoelder check of every exponent tuple read as data."""
 
     p: Exponent
     q: Exponent
@@ -72,16 +76,8 @@ class ExponentTuple:
 
     def __post_init__(self):
         if recip(self.p) + recip(self.q) != recip(self.s):
-            raise ValueError(
-                f"Hoelder scaling violated: 1/{self.p} + 1/{self.q} != 1/{self.s}"
-            )
-
-    @property
-    def admissible(self) -> bool:
-        """(1/p, 1/q, 1/s') sums to 1, each in (-1, 1), at most one <= 0."""
-        return _is_admissible_reciprocals(
-            recip(self.p), recip(self.q), dual_recip(self.s)
-        )
+            p, q, s = (_reciprocal_text(e) for e in (self.p, self.q, self.s))
+            raise ValueError(f"Hoelder scaling violated: {p} + {q} != {s}")
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,6 @@ from .ranges import (
     RangeQuery,
     bht_range_membership,
     format_range_query,
-    literal_case_member,
-    literal_disagreement_levels,
     parse_range_query,
     range_grid_mismatches,
     scalar_range_member,
@@ -41,8 +39,6 @@ __all__ = [
     "discretized_paraproduct",
     "format_range_query",
     "leibniz_sides",
-    "literal_case_member",
-    "literal_disagreement_levels",
     "localized_paraproduct",
     "parse_range_query",
     "range_grid_mismatches",

@@ -23,13 +23,12 @@ through the same route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from ..errors import ExponentConstraintError, ShapeError
 from ..grid import GridFunction, SampleGrid, _active_bins
-from ..norms import Exponent, MixedNormSpec, _iterated_norm, recip
+from ..norms import Exponent, ExponentTuple, MixedNormSpec, _iterated_norm, recip
 
 __all__ = ["LeibnizExponents", "leibniz_sides"]
 
@@ -46,10 +45,8 @@ class LeibnizExponents:
         if len(self.pairs) != 4:
             raise ValueError("need exactly four Hoelder pairs")
         for px, py, qx, qy in self.pairs:
-            if recip(px) + recip(qx) != recip(self.s1):
-                raise ValueError(f"x-scaling violated: 1/{px}+1/{qx} != 1/{self.s1}")
-            if recip(py) + recip(qy) != recip(self.s2):
-                raise ValueError(f"y-scaling violated: 1/{py}+1/{qy} != 1/{self.s2}")
+            ExponentTuple(px, qx, self.s1)
+            ExponentTuple(py, qy, self.s2)
             for e in (px, py, qx, qy):
                 if recip(e) >= 1:
                     raise ValueError("factor exponents must exceed 1")
@@ -64,17 +61,17 @@ class LeibnizExponents:
 
 
 def _check_constraints(alpha: float, beta: float, exps: LeibnizExponents):
-    s1, s2 = Fraction(exps.s1), Fraction(exps.s2)
-    lo1 = Fraction(1) / (1 + Fraction(alpha).limit_denominator(10 ** 6))
-    lo2 = max(lo1, Fraction(1) / (1 + Fraction(beta).limit_denominator(10 ** 6)))
-    if not s1 > lo1:
+    # s > lo reads 1/s < 1/lo, which holds at s = inf as well
+    lo1 = recip(1 + alpha)
+    lo2 = max(lo1, recip(1 + beta))
+    if not recip(exps.s1) < 1 / lo1:
         raise ExponentConstraintError(
-            f"s1={s1} violates s1 > 1/(1+alpha) = {lo1}",
+            f"s1={exps.s1} violates s1 > 1/(1+alpha) = {lo1}",
             constraint="s1 > 1/(1+alpha)",
         )
-    if not s2 > lo2:
+    if not recip(exps.s2) < 1 / lo2:
         raise ExponentConstraintError(
-            f"s2={s2} violates s2 > max(1/(1+alpha), 1/(1+beta)) = {lo2}",
+            f"s2={exps.s2} violates s2 > max(1/(1+alpha), 1/(1+beta)) = {lo2}",
             constraint="s2 > max(1/(1+alpha), 1/(1+beta))",
         )
 

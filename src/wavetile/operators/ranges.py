@@ -11,13 +11,12 @@ an inner tuple (r1, r2, r) is decided two independent ways:
   with the same bounds for (1/p, 1/q, 1/s').
 
 The two routes must agree; a mismatch raises
-:class:`~wavetile.errors.RangeConsistencyError` (bug trap).  The table used
-by default carries a consistency repair in cases (ii)/(iii): the dual-side
-constraint 1/s' < 3/2 - 1/r1 (resp. 1/r2), present in cases (v)/(vi), is
-required there as well, since the linear system forces it.  The unrepaired
-inequalities remain available through ``literal_case_member`` and
-``literal_disagreement_levels`` for flagging queries where the two readings
-differ.
+:class:`~wavetile.errors.RangeConsistencyError` (bug trap).  The table
+carries a consistency repair in cases (ii)/(iii): the dual-side constraint
+1/s' < 3/2 - 1/r1 (resp. 1/r2), present in cases (v)/(vi), is required there
+as well, since the linear system forces it.  As printed, without it, the
+table disagrees with the system at 3,278 of the 292,675 points of the
+step-1/24 grid, a count ``TestGridRoutes`` in ``tests/test_ranges.py`` keeps.
 
 On a rational grid whose coordinates share one denominator both routes are
 integer inequalities over that denominator; ``range_grid_mismatches``
@@ -37,15 +36,13 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import RangeConsistencyError
-from ..norms import INF, Exponent, recip
+from ..norms import INF, Exponent, ExponentTuple, dual_recip, recip
 
 __all__ = [
     "RangeQuery",
     "RangeMembership",
     "bht_range_membership",
     "scalar_range_member",
-    "literal_case_member",
-    "literal_disagreement_levels",
     "range_grid_mismatches",
     "parse_range_query",
     "format_range_query",
@@ -79,17 +76,13 @@ class RangeQuery:
         if not (len(self.r1) == len(self.r2) == len(self.r) >= 1):
             raise ValueError("r1, r2, r must have equal positive depth")
         for a, b, c in zip(self.r1, self.r2, self.r):
-            ra, rb, rc = recip(a), recip(b), recip(c)
-            if ra + rb != rc:
-                raise ValueError(f"level scaling violated: 1/{a}+1/{b} != 1/{c}")
-            if not (0 <= ra < 1 and 0 <= rb < 1):
+            ExponentTuple(a, b, c)
+            if not (recip(a) < 1 and recip(b) < 1):
                 raise ValueError("inner exponents must satisfy 1 < r_i <= inf")
-            if not (0 < rc < THREE_HALVES):
+            if not (0 < recip(c) < THREE_HALVES):
                 raise ValueError("inner target must satisfy 2/3 < r < inf")
-        op, oq, os = recip(self.p), recip(self.q), recip(self.s)
-        if op + oq != os:
-            raise ValueError(f"outer scaling violated: 1/{self.p}+1/{self.q} != 1/{self.s}")
-        if not (0 <= op <= 1 and 0 <= oq <= 1):
+        ExponentTuple(self.p, self.q, self.s)
+        if not (recip(self.p) <= 1 and recip(self.q) <= 1):
             raise ValueError("outer p, q must satisfy 1 <= p, q <= inf")
 
     @property
@@ -98,11 +91,11 @@ class RangeQuery:
 
     def outer_reciprocals(self) -> tuple[Fraction, Fraction, Fraction]:
         """(1/p, 1/q, 1/s')."""
-        return recip(self.p), recip(self.q), 1 - recip(self.s)
+        return recip(self.p), recip(self.q), dual_recip(self.s)
 
     def level_reciprocals(self, j: int) -> tuple[Fraction, Fraction, Fraction]:
         """(1/r1, 1/r2, 1/r') at level j."""
-        return recip(self.r1[j]), recip(self.r2[j]), 1 - recip(self.r[j])
+        return recip(self.r1[j]), recip(self.r2[j]), dual_recip(self.r[j])
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +144,7 @@ def _in_range_bht(o1: Fraction, o2: Fraction, o3d: Fraction) -> bool:
     return o1 < 1 and o2 < 1 and -HALF < o3d < 1
 
 
-def _case_member(rho, outer, repaired: bool = True) -> tuple[bool, str]:
+def _case_member(rho, outer) -> tuple[bool, str]:
     rho1, rho2, rho3d = rho
     o1, o2, o3d = outer
     label = _classify(rho1, rho2, rho3d)
@@ -160,13 +153,9 @@ def _case_member(rho, outer, repaired: bool = True) -> tuple[bool, str]:
     if label == "i":
         ok = True
     elif label in ("ii", "v"):
-        ok = o2 < THREE_HALVES - rho1
-        if label == "v" or repaired:
-            ok = ok and o3d < THREE_HALVES - rho1
+        ok = o2 < THREE_HALVES - rho1 and o3d < THREE_HALVES - rho1
     elif label in ("iii", "vi"):
-        ok = o1 < THREE_HALVES - rho2
-        if label == "vi" or repaired:
-            ok = ok and o3d < THREE_HALVES - rho2
+        ok = o1 < THREE_HALVES - rho2 and o3d < THREE_HALVES - rho2
     elif label == "iv":
         rr = rho1 + rho2  # 1/r
         ok = o1 < HALF + rr and o2 < HALF + rr and o3d > -rr
@@ -178,11 +167,6 @@ def _case_member(rho, outer, repaired: bool = True) -> tuple[bool, str]:
             and o3d < 2 - rr
         )
     return ok, label
-
-
-def literal_case_member(rho, outer) -> tuple[bool, str]:
-    """The case table exactly as printed (no (ii)/(iii) repair)."""
-    return _case_member(rho, outer, repaired=False)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +187,12 @@ def _theta_feasible_grid(rho, outer, den):
     return lows < den
 
 
-def _case_member_grid(rho, outer, den, repaired: bool = True):
+def _case_member_grid(rho, outer, den):
     """Verdict of :func:`_case_member` at every point."""
     r1, r2, r3 = rho
     o1, o2, o3 = outer
     rr = r1 + r2
     big1, big2 = 2 * r1 > den, 2 * r2 > den
-    # the printed table waives the dual-side bound in cases (ii)/(iii)
-    waive = (r3 >= 0) & (not repaired)
     side1 = 2 * o2 < 3 * den - 2 * r1
     side2 = 2 * o1 < 3 * den - 2 * r2
     dual1 = 2 * o3 < 3 * den - 2 * r1
@@ -219,8 +201,8 @@ def _case_member_grid(rho, outer, den, repaired: bool = True):
         [big1 & big2, big1, big2, 2 * r3 > den],
         [
             side2 & side1 & (o3 < 2 * den - rr),                   # (vii)
-            side1 & (dual1 | waive),                               # (ii), (v)
-            side2 & (dual2 | waive),                               # (iii), (vi)
+            side1 & dual1,                                         # (ii), (v)
+            side2 & dual2,                                         # (iii), (vi)
             (2 * o1 < den + 2 * rr) & (2 * o2 < den + 2 * rr) & (o3 > -rr),  # (iv)
         ],
         default=True,                                              # (i)
@@ -247,15 +229,12 @@ def _grid_chunks(step: int):
         yield (np.full_like(b, a), b, step - a - b), outer
 
 
-def range_grid_mismatches(step: int, repaired: bool = True) -> tuple[int, int]:
-    """(points checked, points where the two routes disagree) on the step grid.
-
-    With ``repaired=False`` the case route is the printed table.
-    """
+def range_grid_mismatches(step: int) -> tuple[int, int]:
+    """(points checked, points where the two routes disagree) on the step grid."""
     checked = mismatches = 0
     for rho, outer in _grid_chunks(step):
         feasible = _theta_feasible_grid(rho, outer, step)
-        table = _case_member_grid(rho, outer, step, repaired)
+        table = _case_member_grid(rho, outer, step)
         checked += feasible.size
         mismatches += int(np.count_nonzero(feasible != table))
     return checked, mismatches
@@ -276,7 +255,7 @@ class RangeMembership:
 def scalar_range_member(rho, outer) -> tuple[bool, str, tuple | None]:
     """Single-level membership with the internal consistency trap."""
     feasible, theta = _theta_feasible(rho, outer)
-    table_ok, label = _case_member(rho, outer, repaired=True)
+    table_ok, label = _case_member(rho, outer)
     if feasible != table_ok:
         raise RangeConsistencyError(
             f"case table ({table_ok}) and theta feasibility ({feasible}) "
@@ -311,19 +290,6 @@ def bht_range_membership(query: RangeQuery) -> RangeMembership:
     member = member and chain_ok
     return RangeMembership(member, thetas if member else [None] * query.depth,
                            labels, chain_ok)
-
-
-def literal_disagreement_levels(query: RangeQuery) -> list[int]:
-    """Levels where the printed table and theta feasibility disagree."""
-    outer = query.outer_reciprocals()
-    out = []
-    for j in range(query.depth):
-        rho = query.level_reciprocals(j)
-        feasible, _ = _theta_feasible(rho, outer)
-        lit, _ = literal_case_member(rho, outer)
-        if feasible != lit:
-            out.append(j)
-    return out
 
 
 # ---------------------------------------------------------------------------

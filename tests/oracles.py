@@ -21,6 +21,7 @@ from wavetile.dyadic import (
 )
 from wavetile.grid import GridFunction, SampleGrid, littlewood_paley, scale_range
 from wavetile.norms import weak_lp_norm
+from wavetile.operators.ranges import _case_member_grid
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +174,21 @@ def classical_paraproduct(
         prod = GridFunction(grid, u.samples * v.samples)
         out += littlewood_paley(prod, k, outer).samples
     return GridFunction(grid, out)
+
+
+# ---------------------------------------------------------------------------
+# The range calculator's case table as printed
+# ---------------------------------------------------------------------------
+
+def printed_case_member_grid(rho, outer, den):
+    """Verdict of the case table exactly as printed, at every point of the
+    numerator arrays of ``ranges._case_member_grid``: the package's table
+    with the dual-side bound 1/s' < 3/2 - 1/r1 (resp. 1/r2) waived in
+    cases (ii) and (iii), where 1/r' >= 0."""
+    r1, r2, r3 = rho
+    o1, o2, o3 = outer
+    big1, big2 = 2 * r1 > den, 2 * r2 > den
+    in_range = (o1 < den) & (o2 < den) & (-den < 2 * o3) & (o3 < den)
+    side = np.where(big1, ~big2 & (2 * o2 < 3 * den - 2 * r1),
+                    big2 & (2 * o1 < 3 * den - 2 * r2))
+    return _case_member_grid(rho, outer, den) | (in_range & (r3 >= 0) & side)

@@ -65,6 +65,17 @@ class TestIntervalGeometry:
             idx = dyadic.interval_indices(grid, iv)
             assert len(idx) == len(set(idx.tolist())) == min(64, round(iv.length * 64))
 
+    def test_sub_sample_and_unaligned_intervals_raise(self):
+        grid = SampleGrid(64, 1.0)
+        assert dyadic._stride(grid, 6) == 1
+        for scale in (7, 8):
+            with pytest.raises(ScaleBudgetError, match="shorter than one sample"):
+                dyadic._stride(grid, scale)
+            with pytest.raises(ScaleBudgetError, match="shorter than one sample"):
+                dyadic.interval_indices(grid, DyadicInterval(scale, 0))
+        with pytest.raises(ScaleBudgetError, match="do not align"):
+            dyadic._stride(SampleGrid(64, 3.0), 0)
+
     def test_containment_matches_rational_oracle(self):
         family = full_tree(DyadicInterval(-2, 0), 4)  # includes negative scales
         for a, b in itertools.product(family, repeat=2):

@@ -200,17 +200,26 @@ class TestExponentAlgebra:
         with pytest.raises(ValueError):
             ExponentTuple(4, 4, 3)
 
-    def test_admissibility_flag(self):
-        assert ExponentTuple(4, 4, 2).admissible
-        assert ExponentTuple(2, 2, 1).admissible
-        # 1/s' = 1 - 3/2 = -1/2 and 1/p, 1/q > 0: still at most one nonpositive
-        assert ExponentTuple(Fraction(4, 3), Fraction(4, 3), Fraction(2, 3)).admissible
-        # p = inf and s' dual nonpositive gives two nonpositive entries
-        assert not ExponentTuple(INF, Fraction(2, 3), Fraction(2, 3)).admissible
-
     def test_infinite_exponents(self):
-        t = ExponentTuple(INF, 2, 2)
-        assert t.admissible
+        ExponentTuple(INF, 2, 2)
+        ExponentTuple(INF, INF, INF)
+        with pytest.raises(ValueError):
+            ExponentTuple(INF, 2, 4)
+
+    @pytest.mark.parametrize("p", [0, -2, Fraction(-1, 2), -1.5, -INF])
+    def test_non_positive_exponent_rejected(self, p):
+        with pytest.raises(ValueError, match="must be positive"):
+            norms.recip(p)
+
+    @pytest.mark.parametrize("triple", [(0, 2, 2), (-2, 2, INF), (2, 2, -1)])
+    def test_non_positive_tuple_rejected(self, triple):
+        with pytest.raises(ValueError, match="must be positive"):
+            ExponentTuple(*triple)
+
+    def test_hoelder_message_brackets_fractions(self):
+        with pytest.raises(ValueError) as err:
+            ExponentTuple(Fraction(5, 4), 4, 1)
+        assert str(err.value) == "Hoelder scaling violated: 1/(5/4) + 1/4 != 1/1"
 
 
 class TestWeakDualization:

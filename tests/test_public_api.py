@@ -27,11 +27,8 @@ ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 # Names that nothing in the package reads, each with the reason it stays.
 KEEP = {
-    "ExponentTuple": "the Hoelder check of targets that read their exponents as data (ROADMAP)",
     "major_subset_L1": "the L^1 route of the weak dualization of operator outputs (ROADMAP)",
     "dualize_weak_via_Lr": "the one-set form of dualize_superlevel_sets and its test oracle",
-    "literal_disagreement_levels": "records where the paper's printed case table "
-                                   "disagrees with the linear system",
     "target_names": "the only public function of bench.targets, a module the "
                     "perfbench layer tracer lists and test_benchmark_hooks "
                     "requires to have one",
@@ -40,8 +37,6 @@ KEEP = {
     "littlewood_paley": "one projection at one scale, the oracle of the banded "
                         "telescoping and tensor projections and a perfbench "
                         "layer row",
-    "ExponentTuple.admissible": "the Hoelder check of targets that read their "
-                                "exponents as data (ROADMAP)",
 }
 
 
@@ -53,7 +48,6 @@ UNPASSED = {
     "exceptional_set(C)": "the tests reach MajorSubsetError through a vanishing constant",
     "major_subset_L1(C)": "the L^1 route of the weak dualization of operator outputs (ROADMAP)",
     "dualize_weak_via_Lr(C)": "the one-set oracle's threshold constant, which the tests vary",
-    "range_grid_mismatches(repaired)": "the printed case table's mismatch count",
     "littlewood_paley(axis)": "the tests' 2d telescoping and tensor oracles, which "
                               "project along the second axis",
     "fractional_derivative(axis)": "the one-axis oracle of leibniz_sides, which "

@@ -10,8 +10,6 @@ from wavetile.operators import (
     RangeQuery,
     bht_range_membership,
     format_range_query,
-    literal_case_member,
-    literal_disagreement_levels,
     parse_range_query,
     range_grid_mismatches,
     scalar_range_member,
@@ -23,6 +21,8 @@ from wavetile.operators.ranges import (
     _theta_feasible,
     _theta_feasible_grid,
 )
+
+from oracles import printed_case_member_grid
 
 
 class TestWorkedExamples:
@@ -44,6 +44,14 @@ class TestWorkedExamples:
     def test_invalid_scaling_rejected(self):
         with pytest.raises(ValueError):
             parse_range_query("p=8 q=5/4 s=10/9 r1=4/3 r2=4 r=1")
+
+    @pytest.mark.parametrize("outer, inner", [
+        ({"p": 0, "q": 2, "s": 2}, {"r1": 2, "r2": 2, "r": 1}),
+        ({"p": 2, "q": 2, "s": 1}, {"r1": 2, "r2": -2, "r": INF}),
+    ])
+    def test_non_positive_exponent_rejected(self, outer, inner):
+        with pytest.raises(ValueError, match="must be positive"):
+            RangeQuery(**inner, **outer)
 
 
 class TestDualRouteAgreement:
@@ -78,15 +86,10 @@ class TestDualRouteAgreement:
         rho = (Fraction(9, 10), Fraction(1, 20), 1 - Fraction(19, 20))
         outer = (Fraction(1, 10), Fraction(1, 5), Fraction(7, 10))
         feasible, _ = _theta_feasible(rho, outer)
-        literal, label = literal_case_member(rho, outer)
-        repaired, _ = _case_member(rho, outer, repaired=True)
+        repaired, label = _case_member(rho, outer)
+        rho_num, outer_num = (np.array([int(x * 20) for x in t]) for t in (rho, outer))
+        literal = printed_case_member_grid(rho_num, outer_num, 20)
         assert label == "ii" and not feasible and literal and not repaired
-
-    def test_query_level_flagging(self):
-        q = parse_range_query("p=10 q=5 s=10/3 r1=10/9 r2=20 r=20/19")
-        assert literal_disagreement_levels(q) == [0]
-        clean = parse_range_query("p=2 q=2 s=1 r1=2 r2=2 r=1")
-        assert literal_disagreement_levels(clean) == []
 
 
 def fraction_grid(step):
@@ -114,17 +117,15 @@ class TestGridRoutes:
             verdicts = (
                 _theta_feasible_grid(rho, outer, step),
                 _case_member_grid(rho, outer, step),
-                _case_member_grid(rho, outer, step, repaired=False),
             )
             arrays = np.broadcast_arrays(*rho, *outer, *verdicts)
             for vals in zip(*(x.ravel().tolist() for x in arrays)):
                 point = tuple(Fraction(v, step) for v in vals[:6])
                 got.append(((point[:3], point[3:]), vals[6:]))
         assert [p for p, _ in got] == fraction_grid(step)
-        for (rho, outer), (feasible, table, literal) in got:
+        for (rho, outer), (feasible, table) in got:
             assert feasible == _theta_feasible(rho, outer)[0]
-            assert table == _case_member(rho, outer, repaired=True)[0]
-            assert literal == _case_member(rho, outer, repaired=False)[0]
+            assert table == _case_member(rho, outer)[0]
 
     def test_vector_routes_match_scalar_routes_on_a_step_24_sample(self):
         # step 8 has no thirds; a fixed sample of the step-1/24 grid covers them
@@ -136,17 +137,20 @@ class TestGridRoutes:
         rho_num, outer_num = (a, b, step - a - b), (c, d, step - c - d)
         feasible = _theta_feasible_grid(rho_num, outer_num, step)
         table = _case_member_grid(rho_num, outer_num, step)
-        literal = _case_member_grid(rho_num, outer_num, step, repaired=False)
         for i in range(a.size):
             rho = tuple(Fraction(int(x[i]), step) for x in rho_num)
             outer = tuple(Fraction(int(x[i]), step) for x in outer_num)
             assert feasible[i] == _theta_feasible(rho, outer)[0]
-            assert table[i] == _case_member(rho, outer, repaired=True)[0]
-            assert literal[i] == _case_member(rho, outer, repaired=False)[0]
+            assert table[i] == _case_member(rho, outer)[0]
 
     def test_literal_table_fails_the_grid_check(self):
         assert range_grid_mismatches(24) == (292675, 0)
-        assert range_grid_mismatches(24, repaired=False) == (292675, 3278)
+        mismatches = sum(
+            int(np.count_nonzero(_theta_feasible_grid(rho, outer, 24)
+                                 != printed_case_member_grid(rho, outer, 24)))
+            for rho, outer in _grid_chunks(24)
+        )
+        assert mismatches == 3278
 
     def test_runner_aggregates(self):
         from wavetile.bench import ExperimentConfig, run_campaign

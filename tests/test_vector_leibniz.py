@@ -305,3 +305,18 @@ class TestLeibnizSides:
             LeibnizExponents(2, 2, ((4, 4, 4, 4),) * 3)
         with pytest.raises(ValueError):
             LeibnizExponents(2, 2, ((3, 4, 4, 4),) * 4)
+
+    def test_zero_factor_exponent_rejected(self):
+        with pytest.raises(ValueError, match="exponent 0 must be positive"):
+            LeibnizExponents(2, 2, ((0, 4, 4, 4),) * 4)
+
+    def test_infinite_target_exponent(self):
+        f, g = band_limited(ROUTE_GRID, 60, 6), band_limited(ROUTE_GRID, 61, 6)
+        exps = LeibnizExponents.symmetric(INF, 2)
+        lhs, terms = leibniz_sides(1.0, 1.0, exps, f, g)
+        want_lhs, want_terms = leibniz_route(1.0, 1.0, exps, f, g)
+        assert lhs == pytest.approx(want_lhs, rel=1e-12)
+        assert terms == pytest.approx(want_terms, rel=1e-12)
+        with pytest.raises(ExponentConstraintError) as err:
+            leibniz_sides(1.0, 0.25, LeibnizExponents.symmetric(INF, Fraction(2, 3)), f, f)
+        assert err.value.constraint == "s2 > max(1/(1+alpha), 1/(1+beta))"
