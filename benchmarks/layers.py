@@ -1,7 +1,7 @@
-"""Layer micro-benchmark: packet sweeps and synthesis, chi-weighted
-averages, one stopping sweep, size and energy from one sweep, one weak-norm
-dualization sweep, Littlewood-Paley products, the Leibniz sides, the BHT
-oracle pair and the range grid.
+"""Layer micro-benchmark: packet sweeps and synthesis, the model sums,
+chi-weighted averages, one stopping sweep, size and energy from one sweep,
+one weak-norm dualization sweep, Littlewood-Paley products, the Leibniz
+sides, the BHT oracle pair and the range grid.
 
     PYTHONPATH=src python3 benchmarks/layers.py [--repeats 9] [--json FILE]
 
@@ -12,12 +12,26 @@ unit-period grid at n = 512, 1024 and 4096:
   layer, ``WavePacketFamily.scale_coefficients`` over all packet scales
   (lacunary and non-lacunary) and ``tile_scale_coefficients`` over
   (scale, frequency index) layers, slot 1;
-* ``synth``: the adjoint, ``WavePacketFamily.scale_synthesize`` and
-  ``tile_scale_synthesize`` (slot 3), of weights with those shapes.
+* ``synth``: the adjoint, ``WavePacketFamily.scale_synthesize`` on the
+  same route, and on slot 3 for the tile layers, of weights with those
+  shapes.
 
 Each is timed for a scalar input and for K = 16 components, the latter as
 one call on an ``(n, 16)`` input (the packet engine takes trailing vector
 axes).
+
+The ``model_sum`` rows time the three operators that sum over one packet
+family per call (the ``packets`` field names the operator, ``items`` its
+family size):
+
+* ``discretized_paraproduct`` on vv-paraproduct's 254-interval family
+  (scales 1-7 at n = 1024, coefficient 1) of inputs band-limited to n/8,
+  at K = 1 and K = 16;
+* ``trilinear_form`` on the full depth-4 tree under [0, 1) on
+  trilinear-size-energy's grid (n = 512, period 4), the tree its families
+  are drawn from, of band-40 inputs;
+* ``bht_model`` at bht-local-l2's three tile tiers (n = 1024, scales 2-4,
+  1, 4 and 16 frequency indices) of band-12 inputs.
 
 Four more layers run on the stopping-invariants grid (n = 512, period 4):
 
@@ -70,6 +84,7 @@ import platform
 import statistics
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -80,21 +95,27 @@ from wavetile.bench.targets import _random_stopping_config
 from wavetile.dyadic import (
     DyadicInterval,
     WavePacketFamily,
+    build_rank_one_tiles,
+    grid_dyadic_family,
     min_packet_scale,
     tile_scale_coefficients,
-    tile_scale_synthesize,
     torus_bump_samples,
 )
 from wavetile.grid import GridFunction, SampleGrid, low_pass_profile, max_scale
 from wavetile.norms import dualize_superlevel_sets
 from wavetile.operators import (
+    BHTModelSpec,
     LeibnizExponents,
+    ParaproductSpec,
     bht_kernel,
+    bht_model,
     bht_spectral,
+    discretized_paraproduct,
     leibniz_sides,
     range_grid_mismatches,
     telescoping_decomposition,
     tensor_paraproduct,
+    trilinear_form,
 )
 
 SIZES = (512, 1024, 4096)
@@ -115,17 +136,17 @@ def _tile_layers(grid: SampleGrid) -> list[tuple[int, int]]:
 
 
 def _cases(grid: SampleGrid):
-    """(layer, flavor, sweep(f), synth(weights), weights for f) per case."""
+    """(packets, sweep(f), synth(weights)) per case."""
     scales = range(min_packet_scale(grid), max_scale(grid) + 1)
+    fam = WavePacketFamily(grid, [])
     for flavor in ("lacunary", "non-lacunary"):
-        fam = WavePacketFamily(grid, [], flavor)
         yield (flavor,
-               lambda f, fam=fam: fam.scale_coefficients(f, scales),
-               fam.scale_synthesize)
+               lambda f, flavor=flavor: fam.scale_coefficients(f, scales, flavor),
+               lambda w, flavor=flavor: fam.scale_synthesize(w, flavor))
     layers = _tile_layers(grid)
     yield ("tile",
            lambda f: tile_scale_coefficients(grid, f, layers, 1),
-           lambda w: tile_scale_synthesize(grid, w, 3))
+           lambda w: fam.scale_synthesize(w, 3))
 
 
 def _warm():
@@ -149,6 +170,38 @@ def _timed(call, repeats: int, setup=_warm) -> dict:
 def _clear_bump_caches():
     dyadic._torus_bump_cached.cache_clear()
     dyadic._bump_offsets.cache_clear()
+
+
+def _band_limited(grid: SampleGrid, band: int, roles, vector_shape=()):
+    """One seed-1 band-limited draw per role."""
+    params = {"grid": grid, "band": band, "vector_shape": vector_shape}
+    return [generate_trial("band_limited", 1, params, role=role) for role in roles]
+
+
+def _model_sum_rows(repeats: int) -> list[dict]:
+    """The model-sum rows: one call of each operator on its target's family."""
+    grid = SampleGrid(1024, 1.0)
+    spec = ParaproductSpec.constant(grid, grid_dyadic_family(grid, range(1, 8)))
+    cases = [("discretized_paraproduct", components, len(spec.family),
+              partial(discretized_paraproduct, spec,
+                      *_band_limited(grid, 128, (None, "g"), vshape)))
+             for components, vshape in ((1, ()), (K, (K,)))]
+    tri_grid = SampleGrid(512, 4.0)
+    tree = [DyadicInterval(j, m) for j in range(5) for m in range(2 ** j)]
+    cases.append(("trilinear_form", 1, len(tree),
+                  partial(trilinear_form, ParaproductSpec.constant(tri_grid, tree),
+                          *_band_limited(tri_grid, 40, (None, "g", "h")))))
+    f, g = _band_limited(grid, 12, (None, "g"))
+    for freqs in (1, 4, 16):
+        bht = BHTModelSpec(grid, build_rank_one_tiles(grid, range(2, 5), range(0, freqs)))
+        cases.append(("bht_model", 1, len(bht.tiles), partial(bht_model, bht, f, g)))
+    rows = []
+    for name, components, items, call in cases:
+        row = {"layer": "model_sum", "packets": name, "n": call.args[1].grid.sample_count,
+               "K": components, "items": items, "repeats": repeats, **_timed(call, repeats)}
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
 
 
 def _average_rows(repeats: int) -> list[dict]:
@@ -251,7 +304,8 @@ def measure(repeats: int) -> list[dict]:
                            "repeats": repeats, **_timed(call, repeats)}
                     print(json.dumps(row), flush=True)
                     rows.append(row)
-    return rows + _average_rows(repeats) + _dualization_row(repeats) + _spectral_rows(repeats)
+    return (rows + _model_sum_rows(repeats) + _average_rows(repeats)
+            + _dualization_row(repeats) + _spectral_rows(repeats))
 
 
 def main(argv=None) -> int:

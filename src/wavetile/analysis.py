@@ -29,7 +29,7 @@ from .dyadic import (
 )
 from .errors import MajorSubsetError, ShapeError
 from .grid import GridFunction, SampleGrid, max_scale, scale_range
-from .norms import MeasurableSet, lp_norm
+from .norms import MeasurableSet, _weak_norms, lp_norm
 
 __all__ = [
     "SizeReport",
@@ -99,13 +99,13 @@ class SizeReport:
 def _non_lacunary_values(f: GridFunction, family: list[DyadicInterval]) -> np.ndarray:
     """|<f, psi_I>| / |I|^(1/2) for each I in the family (non-lacunary
     packets): the quantity of the non-lacunary size and energy."""
-    coefs = WavePacketFamily(f.grid, family, "non-lacunary").coefficients(f)
+    coefs = WavePacketFamily(f.grid, family).coefficients(f, "non-lacunary")
     return np.abs(coefs) / np.array([math.sqrt(iv.length) for iv in family])
 
 
 def _square_terms(f: GridFunction, family: list[DyadicInterval]) -> list[float]:
     """|<f, psi_I>|^2 / |I| for each I in the family (lacunary packets)."""
-    coefs = WavePacketFamily(f.grid, family, "lacunary").coefficients(f)
+    coefs = WavePacketFamily(f.grid, family).coefficients(f, "lacunary")
     return [abs(c) ** 2 / iv.length for iv, c in zip(family, coefs)]
 
 
@@ -127,8 +127,8 @@ def _lacunary_weak_norms(f: GridFunction, family: list[DyadicInterval]) -> list[
     All roots at once: each member's term goes into the row of every root
     containing it, members in family order, so each (root, sample) entry
     sums as one root's square function accumulated alone would; then each
-    row is sorted once for the weak norm, as
-    :func:`~wavetile.norms.weak_lp_norm` evaluates it at p = 1.
+    row's weak L^1 norm is :func:`~wavetile.norms.weak_lp_norm`'s rule,
+    ``norms._weak_norms``.
     """
     grid = f.grid
     n = grid.sample_count
@@ -146,9 +146,7 @@ def _lacunary_weak_norms(f: GridFunction, family: list[DyadicInterval]) -> list[
         (np.repeat(root, widths), (np.repeat(starts, widths) + offsets) % n),
         np.repeat(terms[member], widths),
     )
-    vals = np.sort(np.sqrt(acc), axis=1)[:, ::-1]
-    cand = vals * (np.arange(1, n + 1) * grid.cell_measure)
-    return [float(v) for v in cand.max(axis=1)]
+    return _weak_norms(np.sqrt(acc), grid.cell_measure, 1.0).tolist()
 
 
 def _size_report(family: list[DyadicInterval], vals: np.ndarray) -> SizeReport:
@@ -317,8 +315,8 @@ def shifted_square(
     if scales is None:
         scales = range(min_packet_scale(grid), max_scale(grid) + 1)
     acc = np.zeros(grid.sample_count)
-    fam = WavePacketFamily(grid, [], "lacunary")
-    for j, coefs in fam.scale_coefficients(f, scales, shift_n).items():
+    fam = WavePacketFamily(grid, [])
+    for j, coefs in fam.scale_coefficients(f, scales, "lacunary", shift_n).items():
         acc += np.repeat(np.abs(coefs) ** 2 / 2.0 ** (-j), _stride(grid, j))
     return GridFunction(grid, np.sqrt(acc).astype(complex))
 

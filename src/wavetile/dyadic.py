@@ -393,120 +393,110 @@ def _sweep(
     return out
 
 
-def _sweep_synthesize(grid: SampleGrid, plan: _SweepPlan, stacked: np.ndarray) -> GridFunction:
-    """The adjoint of :func:`_sweep`: the sum over layers i and positions p
-    of ``stacked[p * steps[i], i]`` times layer i's base translated to
-    position p.  ``stacked`` has shape ``(P, layers, *vector_shape)``.
+def _sweep_synthesize(grid: SampleGrid, route, weights: dict, vshape: tuple) -> GridFunction:
+    """The adjoint of :func:`_sweep`: the sum over layers and positions p of
+    ``weights[layer][p]`` (shape ``(P_i, *vshape)``) times the layer's base
+    translated to position p.
 
     The length-P FFT of weights placed every P/P_i rows is their length-P_i
     FFT repeated, so reading it at the bins mod P gives the spectrum of the
     strided weights on each band.  Bands of different layers overlap, so
-    they add unbuffered, in layer order; the layers share a single inverse
-    FFT.
+    they add unbuffered, in layer order; the layers share one inverse FFT.
     """
-    vshape = stacked.shape[2:]
+    if not weights:
+        return GridFunction(grid, np.zeros((grid.sample_count,) + vshape, dtype=complex))
+    plan = _sweep_plan(grid.sample_count, grid.period_length, route, tuple(weights))
+    stacked = np.zeros((plan.positions, len(weights)) + vshape, dtype=complex)
+    for i, (w, step) in enumerate(zip(weights.values(), plan.steps)):
+        stacked[::step, i] = w
     w_hat = np.fft.fft(stacked, axis=0).reshape((-1,) + vshape)
     out_spec = np.zeros((grid.sample_count,) + vshape, dtype=complex)
     np.add.at(out_spec, plan.bins, w_hat[plan.folded] * _column(plan.values, w_hat.ndim))
     return GridFunction(grid, np.fft.ifft(out_spec, axis=0))
 
 
-def _layer_synthesize(grid: SampleGrid, route, weights: dict) -> GridFunction:
-    """:func:`_sweep_synthesize` of ``weights[layer]``, one entry per
-    position of that layer along axis 0."""
-    if not weights:
-        return GridFunction(grid, np.zeros(grid.sample_count, dtype=complex))
-    vshape = next(iter(weights.values())).shape[1:]
-    plan = _sweep_plan(grid.sample_count, grid.period_length, route, tuple(weights))
-    stacked = np.zeros((plan.positions, len(weights)) + vshape, dtype=complex)
-    for i, (w, step) in enumerate(zip(weights.values(), plan.steps)):
-        stacked[::step, i] = w
-    return _sweep_synthesize(grid, plan, stacked)
+# Tile slots: phi1, phi2 and phi3 of a tritile.
+_TILE_SLOTS = (1, 2, 3)
 
 
 class WavePacketFamily:
-    """L2-normalized packets indexed by a family of dyadic intervals.
+    """L2-normalized packets indexed by dyadic intervals or by tritiles.
 
-    Packets at one scale are exact translates of each other, so coefficient
-    extraction for a full scale is a single circular correlation, and its
-    adjoint, synthesis from per-position weights, a single convolution; both
-    run on the packet's band.  A sweep folds all its scales onto the finest
-    scale's position count, so it costs one FFT of the input and one short
-    transform, and synthesis one short transform and one inverse FFT.
-    Inputs and weights may carry trailing vector axes: transforms run along
-    axis 0 and the rest broadcast.
+    Each call names its route: a packet flavor over intervals, or a tile
+    slot 1, 2 or 3 over tritiles; an empty family takes either.  A layer is
+    a scale for intervals and a (scale, freq_index) pair for tritiles, and
+    its packets are exact translates of each other.  A sweep folds all its
+    layers onto the finest layer's position count, so it costs one FFT of
+    the input and one short transform, and synthesis one short transform
+    and one inverse FFT.  Inputs and weights may carry trailing vector
+    axes: transforms run along axis 0 and the rest broadcast.
     """
 
-    def __init__(self, grid: SampleGrid, intervals: list[DyadicInterval], flavor: str):
-        if flavor not in _PACKET_BLOCKS:
-            raise ValueError(f"unknown packet flavor {flavor!r}")
+    def __init__(self, grid: SampleGrid, items: list):
         self.grid = grid
-        self.intervals = list(intervals)
-        self.flavor = flavor
-        grid.log2_period()
+        self.items = list(items)
+        kappa = grid.log2_period()
+        tiles = bool(self.items) and isinstance(self.items[0], Tritile)
+        flavors = tuple(_PACKET_BLOCKS)
+        self._routes = _TILE_SLOTS if tiles else flavors if self.items else flavors + _TILE_SLOTS
+        spatial = [t.spatial for t in self.items] if tiles else self.items
+        keys = ([(iv.scale, t.freq_index) for iv, t in zip(spatial, self.items)] if tiles
+                else [iv.scale for iv in spatial])
+        # layers in order of first appearance, and each item's layer
+        columns: dict = {}
+        col = np.array([columns.setdefault(k, len(columns)) for k in keys], dtype=np.int64)
+        self._layers = list(columns)
+        scales = np.array([k[0] for k in self._layers] if tiles else self._layers, dtype=np.int64)
+        # a scale past the packet budget gets one position here; its sweep raises
+        counts = 2 ** np.maximum(scales + kappa, 0)
+        self._offsets = np.concatenate([[0], np.cumsum(counts)])
+        positions = np.array([iv.position for iv in spatial], dtype=np.int64)
+        # each item's row among the layers' positions laid end to end
+        self._rows = self._offsets[col] + positions % counts[col]
 
-    def _layout(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """(scale, list indices, positions) per scale of the interval list,
-        scales in order of first appearance, indices in list order."""
-        kappa = self.grid.log2_period()
-        scales = np.array([iv.scale for iv in self.intervals], dtype=np.int64)
-        positions = np.array([iv.position for iv in self.intervals], dtype=np.int64)
-        uniq, first = np.unique(scales, return_index=True)
-        layout = []
-        for j in uniq[np.argsort(first)].tolist():
-            idx = np.flatnonzero(scales == j)
-            layout.append((j, idx, positions[idx] % (2 ** (j + kappa))))
-        return layout
+    def _route(self, route):
+        if route not in self._routes:
+            raise ValueError(f"route {route!r} does not fit this family: one of {self._routes}")
+        return route
 
-    def scale_coefficients(
-        self, f: GridFunction, scales: Iterable[int], shift_n: int = 0
-    ) -> dict[int, np.ndarray]:
-        """{j: <f, packet((j, p + shift_n))> for every position p} over the
-        given scales; f is transformed once for all of them."""
-        return _sweep(self.grid, f, self.flavor, scales, shift_n)
+    def scale_coefficients(self, f: GridFunction, layers: Iterable, route, shift_n: int = 0):
+        """{layer: <f, packet at position p + shift_n> for every position p}
+        over the given layers; f is transformed once for all of them."""
+        return _sweep(self.grid, f, self._route(route), layers, shift_n)
 
-    def coefficients(self, f: GridFunction) -> np.ndarray:
-        """<f, packet(I)> aligned with the interval list (axis 0)."""
-        layout = self._layout()
-        by_scale = self.scale_coefficients(f, [j for j, _, _ in layout])
-        out = np.empty((len(self.intervals),) + f.vector_shape, dtype=complex)
-        for j, idx, pos in layout:
-            out[idx] = by_scale[j][pos]
-        return out
+    def coefficients(self, f: GridFunction, route) -> np.ndarray:
+        """<f, packet> per item, aligned with the item list (axis 0)."""
+        by_layer = self.scale_coefficients(f, self._layers, route)
+        # the layers' positions end to end; the empty head keeps an empty
+        # family's vector shape
+        head = np.empty((0,) + f.vector_shape, dtype=complex)
+        return np.concatenate([head, *by_layer.values()])[self._rows]
 
-    def scale_synthesize(self, weights: dict[int, np.ndarray]) -> GridFunction:
-        """sum over scales j and positions p of weights[j][p] * packet((j, p)).
+    def scale_synthesize(self, weights: dict, route) -> GridFunction:
+        """sum over layers and positions p of weights[layer][p] times the
+        packet at position p.
 
-        The adjoint of :meth:`scale_coefficients`: ``weights[j]`` has one
-        entry per position at scale j along axis 0.
+        The adjoint of :meth:`scale_coefficients`: ``weights[layer]`` has one
+        entry per position of that layer along axis 0.
         """
-        return _layer_synthesize(self.grid, self.flavor, weights)
+        vshape = next(iter(weights.values())).shape[1:] if weights else ()
+        return _sweep_synthesize(self.grid, self._route(route), weights, vshape)
 
-    def synthesize(self, weights: np.ndarray) -> GridFunction:
-        """sum_I w_I packet(I) over the interval list.
+    def synthesize(self, weights: np.ndarray, route) -> GridFunction:
+        """sum over items of weight times packet.
 
-        The adjoint of :meth:`coefficients`; repeated intervals add up, in
-        list order.  ``weights`` has shape ``(len(intervals), *vector_shape)``.
+        The adjoint of :meth:`coefficients`; repeated items add up, in list
+        order.  ``weights`` has shape ``(len(items), *vector_shape)``.
         """
-        grid = self.grid
         weights = np.asarray(weights)
-        if weights.shape[:1] != (len(self.intervals),):
-            raise ShapeError(
-                f"weights of shape {weights.shape} for {len(self.intervals)} intervals"
-            )
+        if weights.shape[:1] != (len(self.items),):
+            raise ShapeError(f"weights of shape {weights.shape} for {len(self.items)} items")
         vshape = weights.shape[1:]
-        layout = self._layout()
-        if not layout:
-            return GridFunction(grid, np.zeros((grid.sample_count,) + vshape, dtype=complex))
-        plan = _sweep_plan(
-            grid.sample_count, grid.period_length, self.flavor,
-            tuple(j for j, _, _ in layout),
-        )
-        stacked = np.zeros((plan.positions, len(layout)) + vshape, dtype=complex)
-        for i, ((_, idx, pos), step) in enumerate(zip(layout, plan.steps)):
-            # unbuffered: in list order
-            np.add.at(stacked[::step, i], pos, weights[idx])
-        return _sweep_synthesize(grid, plan, stacked)
+        laid = np.zeros((self._offsets[-1],) + vshape, dtype=complex)
+        # unbuffered: in list order
+        np.add.at(laid, self._rows, weights)
+        by_layer = dict(zip(self._layers, np.split(laid, self._offsets[1:-1])))
+        return _sweep_synthesize(self.grid, self._route(route), by_layer, vshape)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +505,7 @@ class WavePacketFamily:
 
 def _slot_block(freq_index: int, slot: int) -> int:
     """Frequency block of tile slot s = 1, 2, 3: freq_index + s - 1."""
-    if slot not in (1, 2, 3):
+    if slot not in _TILE_SLOTS:
         raise ValueError("slot must be 1, 2, or 3")
     return freq_index + slot - 1
 
@@ -546,7 +536,7 @@ def build_rank_one_tiles(
     tiles = []
     for j in scales:
         for l in freq_range:
-            for slot in (1, 2, 3):
+            for slot in _TILE_SLOTS:
                 _block_window(grid, j, _slot_block(l, slot))
             for m in range(2 ** (j + kappa)):
                 tiles.append(Tritile(DyadicInterval(j, m), l))
@@ -566,13 +556,3 @@ def tile_scale_coefficients(
     given (scale, freq_index) layers; f is transformed once for all of them."""
     return _sweep(grid, f, slot, layers)
 
-
-def tile_scale_synthesize(
-    grid: SampleGrid, weights: dict[tuple[int, int], np.ndarray], slot: int
-) -> GridFunction:
-    """sum over layers (j, l) and positions p of weights[(j, l)][p] times the
-    slot packet of the tile over (j, p) with frequency index l.
-
-    The adjoint of :func:`tile_scale_coefficients`, one layer per key.
-    """
-    return _layer_synthesize(grid, slot, weights)

@@ -165,12 +165,16 @@ def weak_lp_norm(f: GridFunction, p: Exponent) -> float:
     pf = float(p)
     if pf <= 0:
         raise ValueError("p must be positive")
-    sorted_vals = np.sort(np.abs(f.samples), axis=None)[::-1]
-    if sorted_vals[0] == 0:
-        return 0.0
-    counts = np.arange(1, len(sorted_vals) + 1)
-    cand = sorted_vals * (counts * f.grid.cell_measure) ** (1.0 / pf)
-    return float(cand[sorted_vals > 0].max())
+    return float(_weak_norms(np.abs(f.samples).ravel(), f.grid.cell_measure, pf))
+
+
+def _weak_norms(mags: np.ndarray, cell: float, p: float) -> np.ndarray:
+    """max over values v of v * (cell * #{entries >= v})**(1/p) along the
+    last axis of the magnitudes ``mags``: the weak L^p norm of each row
+    (0 for a zero row)."""
+    vals = np.sort(mags, axis=-1)[..., ::-1]
+    counts = np.arange(1, vals.shape[-1] + 1)
+    return (vals * (counts * cell) ** (1.0 / p)).max(axis=-1)
 
 
 def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..dyadic import Tritile, tile_scale_coefficients, tile_scale_synthesize
+from ..dyadic import Tritile, WavePacketFamily, _column
 from ..errors import AliasingError
 from ..grid import GridFunction, SampleGrid
 
@@ -103,24 +103,11 @@ class BHTModelSpec:
 
 
 def bht_model(spec: BHTModelSpec, f: GridFunction, g: GridFunction) -> GridFunction:
-    """Rank-one model sum, grouped by (scale, frequency index) layers, and
-    componentwise over matching trailing vector axes of f and g."""
-    grid = spec.grid
-    if not spec.tiles:
-        return GridFunction(grid, np.zeros(f.samples.shape, dtype=complex))
-    layers: dict[tuple[int, int], list[int]] = {}
-    for tile in spec.tiles:
-        layers.setdefault((tile.spatial.scale, tile.freq_index), []).append(
-            tile.spatial.position
-        )
-    coef_f = tile_scale_coefficients(grid, f, layers, 1)
-    coef_g = tile_scale_coefficients(grid, g, layers, 2)
-    weights: dict[tuple[int, int], np.ndarray] = {}
-    for (j, l), positions in layers.items():
-        a, b = coef_f[(j, l)], coef_g[(j, l)]
-        p = np.array(positions) % len(a)
-        w = np.zeros(a.shape, dtype=complex)
-        # unbuffered, in tile order: a repeated tile adds its term again
-        np.add.at(w, p, a[p] * b[p] / np.sqrt(2.0 ** (-j)))
-        weights[(j, l)] = w
-    return tile_scale_synthesize(grid, weights, 3)
+    """Rank-one model sum over the tiles' packet family: slot-1 and slot-2
+    coefficients, then one slot-3 synthesis, componentwise over matching
+    trailing vector axes of f and g."""
+    fam = WavePacketFamily(spec.grid, spec.tiles)
+    a = fam.coefficients(f, 1)
+    b = fam.coefficients(g, 2)
+    sqrt_lengths = np.sqrt(np.array([t.spatial.length for t in spec.tiles]))
+    return fam.synthesize(a * b / _column(sqrt_lengths, a.ndim), 3)

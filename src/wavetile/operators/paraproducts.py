@@ -27,6 +27,7 @@ from ..grid import (
     SampleGrid,
     _band_blocks,
     _projection_values,
+    _require_same_grid,
     band_limit,
     low_pass_profile,
     max_scale,
@@ -96,11 +97,14 @@ class LocalizationSpec:
             raise ValueError("cutoff sets must share one grid")
 
 
-def _slot_weights(spec: ParaproductSpec, f: GridFunction, g: GridFunction):
-    """Per-interval weights c_I |I|^(-1/2) <f, phi1> <g, phi2>, interval
-    axis first and the inputs' vector axes after it."""
-    a = WavePacketFamily(spec.grid, spec.family, _SLOTS[0]).coefficients(f)
-    b = WavePacketFamily(spec.grid, spec.family, _SLOTS[1]).coefficients(g)
+def _slot_weights(
+    spec: ParaproductSpec, fam: WavePacketFamily, f: GridFunction, g: GridFunction
+):
+    """Per-interval weights c_I |I|^(-1/2) <f, phi1> <g, phi2> over the
+    spec's family ``fam``, interval axis first and the inputs' vector axes
+    after it."""
+    a = fam.coefficients(f, _SLOTS[0])
+    b = fam.coefficients(g, _SLOTS[1])
     sqrt_lengths = np.sqrt(np.array([iv.length for iv in spec.family]))
     return _column(spec.coefficients, a.ndim) * a * b / _column(sqrt_lengths, a.ndim)
 
@@ -110,10 +114,8 @@ def discretized_paraproduct(
 ) -> GridFunction:
     """sum_I c_I |I|^(-1/2) <f, phi1_I> <g, phi2_I> phi3_I, componentwise
     over matching trailing vector axes of f and g."""
-    if not spec.family:
-        return GridFunction(spec.grid, np.zeros(f.samples.shape, dtype=complex))
-    weights = _slot_weights(spec, f, g)
-    return WavePacketFamily(spec.grid, spec.family, _SLOTS[2]).synthesize(weights)
+    fam = WavePacketFamily(spec.grid, spec.family)
+    return fam.synthesize(_slot_weights(spec, fam, f, g), _SLOTS[2])
 
 
 def trilinear_form(
@@ -124,11 +126,9 @@ def trilinear_form(
     The third pairing is anti-linear in h, so the form equals the hermitian
     pairing <Pi(f, g), h> whenever slot 3 produces the output packets.
     """
-    if not spec.family:
-        return 0.0 + 0.0j
-    weights = _slot_weights(spec, f, g)
-    c3 = np.conj(WavePacketFamily(spec.grid, spec.family, _SLOTS[2]).coefficients(h))
-    return complex(np.sum(weights * c3))
+    fam = WavePacketFamily(spec.grid, spec.family)
+    weights = _slot_weights(spec, fam, f, g)
+    return complex(np.sum(weights * np.conj(fam.coefficients(h, _SLOTS[2]))))
 
 
 def localized_paraproduct(
@@ -140,6 +140,7 @@ def localized_paraproduct(
     """Pi restricted to the family inside I0, applied to the cut-off inputs,
     then multiplied by the indicator of the third set; vector axes of f and
     g are carried componentwise."""
+    _require_same_grid(spec, loc.F)
     restricted = spec.restricted(loc.I0)
     ndim = f.samples.ndim
     fF = GridFunction(f.grid, f.samples * _column(loc.F.mask, ndim))
@@ -261,11 +262,11 @@ def shifted_paraproduct(
         scales = range(min_packet_scale(grid), max_scale(grid) + 1)
     if not scales:
         return GridFunction(grid, np.zeros(f.samples.shape, dtype=complex))
-    fam = WavePacketFamily(grid, [], "lacunary")
-    a = fam.scale_coefficients(f, scales, shift_n=n)
-    b = fam.scale_coefficients(g, scales, shift_n=n)
+    fam = WavePacketFamily(grid, [])
+    a = fam.scale_coefficients(f, scales, "lacunary", shift_n=n)
+    b = fam.scale_coefficients(g, scales, "lacunary", shift_n=n)
     weights = {j: a[j] * b[j] / 2.0 ** (-j) for j in a}
-    return WavePacketFamily(grid, [], "non-lacunary").scale_synthesize(weights)
+    return fam.scale_synthesize(weights, "non-lacunary")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from wavetile.dyadic import (
     _PACKET_BLOCKS,
     DyadicInterval,
     Tritile,
-    WavePacketFamily,
     _block_window,
     _slot_block,
     _stride,
@@ -87,10 +86,9 @@ def _window_packet(grid: SampleGrid, scale: int, block: int, position: int) -> G
     return GridFunction(grid, np.roll(samples / nrm, shift % grid.sample_count))
 
 
-def packet(family: WavePacketFamily, interval: DyadicInterval) -> GridFunction:
-    """The packet of I in the family's flavor, built directly (no packet cache)."""
-    block = _PACKET_BLOCKS[family.flavor]
-    return _window_packet(family.grid, interval.scale, block, interval.position)
+def packet(grid: SampleGrid, interval: DyadicInterval, flavor: str) -> GridFunction:
+    """The packet of I on the route ``flavor``, built directly (no packet cache)."""
+    return _window_packet(grid, interval.scale, _PACKET_BLOCKS[flavor], interval.position)
 
 
 def tile_packet(grid: SampleGrid, tile: Tritile, slot: int) -> GridFunction:

@@ -328,7 +328,7 @@ class TestEnergy:
     def test_level_of_a_value_just_below_a_power_of_two(self, c, want, monkeypatch):
         # np.log2 rounds c up to the power of two, whose threshold c misses
         g = SampleGrid(64, 1.0)
-        monkeypatch.setattr(WavePacketFamily, "coefficients", lambda self, f: np.array([c]))
+        monkeypatch.setattr(WavePacketFamily, "coefficients", lambda self, f, route: np.array([c]))
         zero = GridFunction(g, np.zeros(64, dtype=complex))
         rep = energy(zero, [DyadicInterval(0, 0)])
         assert rep.value == want and rep.witness_family == (DyadicInterval(0, 0),)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from wavetile.dyadic import build_rank_one_tiles
+from wavetile.dyadic import WavePacketFamily, build_rank_one_tiles
 from wavetile.errors import AliasingError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid, low_pass_profile
 from wavetile.norms import lp_norm
-from wavetile.operators import BHTModelSpec, bht_kernel, bht_model, bht_spectral
+from wavetile.operators import BHTModelSpec, bht, bht_kernel, bht_model, bht_spectral
 
 from oracles import inner, tile_packet
 
@@ -164,6 +164,26 @@ class TestModelOperator:
         spec = BHTModelSpec(g, [])
         f = GridFunction(g, np.ones(512, dtype=complex))
         assert bht_model(spec, f, f).norm2() == 0.0
+
+    def test_empty_collection_checks_the_grid(self):
+        f = GridFunction(SampleGrid(256, 4.0), np.ones(256, dtype=complex))
+        with pytest.raises(ShapeError, match="packet sweep"):
+            bht_model(BHTModelSpec(SampleGrid(256, 1.0), []), f, f)
+
+    def test_one_packet_family_per_call(self, monkeypatch):
+        built = []
+
+        class Counted(WavePacketFamily):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(bht, "WavePacketFamily", Counted)
+        g = SampleGrid(512, 1.0)
+        spec = BHTModelSpec(g, build_rank_one_tiles(g, range(3, 5), range(0, 2)))
+        f = GridFunction(g, np.ones(512, dtype=complex))
+        bht_model(spec, f, f)
+        assert built == [(g, spec.tiles)]
 
     def test_non_dyadic_period_rejected(self):
         tiles = build_rank_one_tiles(SampleGrid(256, 1.0), range(2, 3), range(0, 1))

@@ -14,7 +14,6 @@ from wavetile.dyadic import (
     grid_dyadic_family,
     min_packet_scale,
     tile_scale_coefficients,
-    tile_scale_synthesize,
     torus_bump_samples,
 )
 from wavetile.errors import ScaleBudgetError, ShapeError
@@ -154,8 +153,7 @@ class TestWavePackets:
     def test_normalization_and_window(self):
         g = SampleGrid(512, 1.0)
         for flavor, lo, hi in (("lacunary", 8, 16), ("non-lacunary", 0, 8)):
-            fam = WavePacketFamily(g, [DyadicInterval(3, 1)], flavor)
-            pk = packet(fam, DyadicInterval(3, 1))
+            pk = packet(g, DyadicInterval(3, 1), flavor)
             assert abs(pk.norm2() - 1.0) < 1e-10
             spec = np.abs(np.fft.fft(pk.samples))
             m = g.frequencies()
@@ -167,32 +165,30 @@ class TestWavePackets:
         rng = np.random.default_rng(3)
         f = GridFunction(g, rng.normal(size=256) + 1j * rng.normal(size=256))
         family = [DyadicInterval(3, m) for m in range(8)] + [DyadicInterval(4, 5)]
-        fam = WavePacketFamily(g, family, "lacunary")
-        coefs = fam.coefficients(f)
+        coefs = WavePacketFamily(g, family).coefficients(f, "lacunary")
         for iv, c in zip(family, coefs):
-            assert abs(c - inner(f, packet(fam, iv))) < 1e-12
+            assert abs(c - inner(f, packet(g, iv, "lacunary"))) < 1e-12
 
     @pytest.mark.parametrize("count", [11, 5])
     def test_synthesize_rejects_weights_of_another_length(self, count):
         g = SampleGrid(64, 1.0)
         family = [DyadicInterval(2, m) for m in range(4)] + [DyadicInterval(3, 0),
                                                              DyadicInterval(3, 5)]
-        fam = WavePacketFamily(g, family, "lacunary")
-        with pytest.raises(ShapeError, match=rf"\({count},\) for 6 intervals"):
-            fam.synthesize(np.ones(count, dtype=complex))
-        assert fam.synthesize(np.ones(6, dtype=complex)).samples.any()
+        fam = WavePacketFamily(g, family)
+        with pytest.raises(ShapeError, match=rf"\({count},\) for 6 items"):
+            fam.synthesize(np.ones(count, dtype=complex), "lacunary")
+        assert fam.synthesize(np.ones(6, dtype=complex), "lacunary").samples.any()
 
     def test_too_coarse_scale_rejected(self):
         g = SampleGrid(256, 1.0)
         assert min_packet_scale(g) == 1
-        fam = WavePacketFamily(g, [], "lacunary")
         with pytest.raises(ScaleBudgetError):
-            packet(fam, DyadicInterval(0, 0))
+            packet(g, DyadicInterval(0, 0), "lacunary")
 
     def test_non_dyadic_period_rejected(self):
         g = SampleGrid(256, 3.0)
         with pytest.raises(ValueError, match="power-of-two period, got 3.0"):
-            WavePacketFamily(g, [DyadicInterval(2, 0)], "lacunary")
+            WavePacketFamily(g, [DyadicInterval(2, 0)])
         assert SampleGrid(256, 0.25).log2_period() == -2
 
 
@@ -214,18 +210,18 @@ class TestSharedSpectrumPath:
 
     @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
     def test_coefficients_gather_per_scale_sweeps(self, flavor):
-        fam = WavePacketFamily(self.GRID, self.FAMILY, flavor)
+        fam = WavePacketFamily(self.GRID, self.FAMILY)
         f = self._input(11)
-        coefs = fam.coefficients(f)
+        coefs = fam.coefficients(f, flavor)
         kappa = self.GRID.log2_period()
-        sweeps = fam.scale_coefficients(f, [3, 2, 4])
+        sweeps = fam.scale_coefficients(f, [3, 2, 4], flavor)
         want = np.array([
             sweeps[iv.scale][iv.position % 2 ** (iv.scale + kappa)] for iv in self.FAMILY
         ])
         assert np.array_equal(coefs, want)
 
     def test_synthesize_accumulates_repeats_in_list_order(self):
-        fam = WavePacketFamily(self.GRID, self.FAMILY, "non-lacunary")
+        fam = WavePacketFamily(self.GRID, self.FAMILY)
         # (3, 1) three times and (3, 17), which wraps onto it: in list order
         # ((1 + 1e16) - 1e16) + 0.5 == 0.5, in reverse order the sum is 1
         w = self._input(12).samples[: len(self.FAMILY)].copy()
@@ -238,8 +234,9 @@ class TestSharedSpectrumPath:
             )
             arr[iv.position % len(arr)] += wi
         assert by_scale[3][1] == 0.5
-        got = fam.synthesize(w)
-        assert np.array_equal(got.samples, fam.scale_synthesize(by_scale).samples)
+        got = fam.synthesize(w, "non-lacunary")
+        want = fam.scale_synthesize(by_scale, "non-lacunary")
+        assert np.array_equal(got.samples, want.samples)
 
     @staticmethod
     def _band_spectrum(g, band, scale, lo, hi):
@@ -258,14 +255,13 @@ class TestSharedSpectrumPath:
     @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
     def test_direct_packet_matches_cached_spectrum(self, flavor):
         g = self.GRID
-        fam = WavePacketFamily(g, [], flavor)
         for iv in (DyadicInterval(2, 3), DyadicInterval(4, 37), DyadicInterval(5, 0)):
             band = dyadic._base_packet(g.sample_count, g.period_length, iv.scale, flavor)
             lo, hi = dyadic._block_window(g, iv.scale, {"non-lacunary": 0, "lacunary": 1}[flavor])
             spectrum = self._band_spectrum(g, band, iv.scale, lo, hi)
             shift = iv.position * dyadic._stride(g, iv.scale)
             want = np.roll(np.fft.ifft(spectrum), shift % g.sample_count)
-            assert np.abs(packet(fam, iv).samples - want).max() <= 1e-12
+            assert np.abs(packet(g, iv, flavor).samples - want).max() <= 1e-12
 
     def test_direct_tile_packet_matches_cached_spectrum(self):
         g = self.GRID
@@ -309,12 +305,12 @@ class TestSharedSpectrumPath:
     def test_budget_checks_on_both_routes(self):
         g = SampleGrid(256, 1.0)
         f = GridFunction(g, np.ones(256, dtype=complex))
-        fam = WavePacketFamily(g, [], "lacunary")
+        fam = WavePacketFamily(g, [])
         top = dyadic.max_scale(g)
         with pytest.raises(ScaleBudgetError, match="exceeds budget"):
-            packet(fam, DyadicInterval(top + 1, 0))
+            packet(g, DyadicInterval(top + 1, 0), "lacunary")
         with pytest.raises(ScaleBudgetError, match="exceeds budget"):
-            fam.scale_coefficients(f, [top + 1])
+            fam.scale_coefficients(f, [top + 1], "lacunary")
         # slot 1 of frequency index 0 at scale 7 is [0, 128], inside Nyquist
         # but past the budget the packet route keeps
         fine = Tritile(DyadicInterval(top + 1, 0), 0)
@@ -323,7 +319,7 @@ class TestSharedSpectrumPath:
         with pytest.raises(ScaleBudgetError, match="exceeds budget"):
             tile_scale_coefficients(g, f, [(top + 1, 0)], 1)
         with pytest.raises(ScaleBudgetError, match="exceeds budget"):
-            tile_scale_synthesize(g, {(top + 1, 0): np.ones(2 ** (top + 1))}, 1)
+            fam.scale_synthesize({(top + 1, 0): np.ones(2 ** (top + 1))}, 1)
         # scale 0 on a unit period: the window [0, 1] holds no interior frequency
         coarse = Tritile(DyadicInterval(0, 0), 1)
         with pytest.raises(ScaleBudgetError, match="fewer than two frequencies"):
@@ -358,17 +354,17 @@ class TestFoldedSweeps:
             DyadicInterval(lo_scale, 0), DyadicInterval(lo_scale + 1, 1),
             DyadicInterval(lo_scale + 2, 3), DyadicInterval(dyadic.max_scale(g), 5),
         ]
-        fam = WavePacketFamily(g, family, flavor)
+        fam = WavePacketFamily(g, family)
         f = _random_function(g, 5)
         if shift_n:
             kappa = g.log2_period()
-            sweeps = fam.scale_coefficients(f, [iv.scale for iv in family], shift_n)
+            sweeps = fam.scale_coefficients(f, [iv.scale for iv in family], flavor, shift_n)
             coefs = [sweeps[iv.scale][iv.position % 2 ** (iv.scale + kappa)] for iv in family]
         else:
-            coefs = fam.coefficients(f)
+            coefs = fam.coefficients(f, flavor)
         for iv, c in zip(family, coefs):
             shifted = DyadicInterval(iv.scale, iv.position + shift_n)
-            assert abs(c - inner(f, packet(fam, shifted))) < 1e-12
+            assert abs(c - inner(f, packet(g, shifted, flavor))) < 1e-12
 
     @pytest.mark.parametrize("freq_index", [-3, 2])
     def test_tile_coefficients_match_inner_products(self, freq_index):
@@ -385,12 +381,12 @@ class TestFoldedSweeps:
     def test_synthesize_is_adjoint_of_coefficients(self, flavor):
         g = SampleGrid(256, 2.0)
         family = grid_dyadic_family(g, range(0, 5)) + [DyadicInterval(2, 3)]
-        fam = WavePacketFamily(g, family, flavor)
+        fam = WavePacketFamily(g, family)
         rng = np.random.default_rng(7)
         w = rng.normal(size=len(family)) + 1j * rng.normal(size=len(family))
         h = _random_function(g, 8)
-        lhs = inner(fam.synthesize(w), h)
-        rhs = np.sum(w * np.conj(fam.coefficients(h)))
+        lhs = inner(fam.synthesize(w, flavor), h)
+        rhs = np.sum(w * np.conj(fam.coefficients(h, flavor)))
         assert abs(lhs - rhs) < 1e-12
 
     def test_tile_synthesize_is_adjoint_of_tile_coefficients(self):
@@ -401,7 +397,7 @@ class TestFoldedSweeps:
         for slot in (1, 2, 3):
             w = {(j, l): rng.normal(size=2 ** j) + 1j * rng.normal(size=2 ** j)
                  for j, l in layers}
-            lhs = inner(tile_scale_synthesize(g, w, slot), h)
+            lhs = inner(WavePacketFamily(g, []).scale_synthesize(w, slot), h)
             coefs = tile_scale_coefficients(g, h, layers, slot)
             rhs = sum(np.sum(w[key] * np.conj(coefs[key])) for key in layers)
             assert abs(lhs - rhs) < 1e-12
@@ -445,7 +441,7 @@ class TestBatchedSweeps:
         scales = list(range(min_packet_scale(g), dyadic.max_scale(g) + 1))
         bands = {j: dyadic._base_packet(n, period, j, flavor) for j in scales}
         f = _random_function(g, n + len(vshape), vshape)
-        return g, WavePacketFamily(g, [], flavor), scales, bands, f
+        return g, WavePacketFamily(g, []), scales, bands, f
 
     @staticmethod
     def _close(got, want, tol):
@@ -459,19 +455,19 @@ class TestBatchedSweeps:
         g, fam, scales, bands, f = self._sweep_case(256, period, flavor, vshape)
         f_hat = np.fft.fft(f.samples, axis=0)
         for shift_n in (0, 5):
-            sweeps = fam.scale_coefficients(f, scales, shift_n)
+            sweeps = fam.scale_coefficients(f, scales, flavor, shift_n)
             assert list(sweeps) == scales
             for j in scales:
                 want = _correlate(g, f_hat, bands[j], j, shift_n)
-                one = fam.scale_coefficients(f, [j], shift_n)[j]
+                one = fam.scale_coefficients(f, [j], flavor, shift_n)[j]
                 assert np.array_equal(one, want)
                 self._close(sweeps[j], want, self.TOL)
         # the adjoint, on the sweep's own coefficients
         layers = [(sweeps[j], bands[j]) for j in scales]
         want = _synthesize(g, layers, vshape).samples
-        self._close(fam.scale_synthesize(sweeps).samples, want, self.TOL)
+        self._close(fam.scale_synthesize(sweeps, flavor).samples, want, self.TOL)
         for j in scales:
-            one = fam.scale_synthesize({j: sweeps[j]}).samples
+            one = fam.scale_synthesize({j: sweeps[j]}, flavor).samples
             assert np.array_equal(one, _synthesize(g, [(sweeps[j], bands[j])], vshape).samples)
 
     @pytest.mark.parametrize("vshape", [(), (16,)])
@@ -479,7 +475,7 @@ class TestBatchedSweeps:
         g = SampleGrid(512, 4.0)
         kappa = g.log2_period()
         family = TestSharedSpectrumPath.FAMILY + [DyadicInterval(-1, 1), DyadicInterval(5, 100)]
-        fam = WavePacketFamily(g, family, "non-lacunary")
+        fam = WavePacketFamily(g, family)
         w = _random_function(SampleGrid(16, 1.0), 31, vshape).samples[: len(family)]
         by_scale = {}
         for iv, wi in zip(family, w):
@@ -491,7 +487,8 @@ class TestBatchedSweeps:
             (arr, dyadic._base_packet(512, 4.0, j, "non-lacunary"))
             for j, arr in by_scale.items()
         ]
-        self._close(fam.synthesize(w).samples, _synthesize(g, layers, vshape).samples, self.TOL)
+        got = fam.synthesize(w, "non-lacunary").samples
+        self._close(got, _synthesize(g, layers, vshape).samples, self.TOL)
 
     @pytest.mark.parametrize("vshape", [(), (16,)])
     @pytest.mark.parametrize("period", [1.0, 4.0])
@@ -503,6 +500,7 @@ class TestBatchedSweeps:
         layers = [(j, l) for j, l in layers if 2 ** j * period * (l + 3) <= n // 2]
         f = _random_function(g, 40, vshape)
         f_hat = np.fft.fft(f.samples, axis=0)
+        fam = WavePacketFamily(g, [])
         for slot in (1, 2, 3):
             bands = {key: dyadic._tile_base_packet(n, period, *key, slot) for key in layers}
             sweeps = tile_scale_coefficients(g, f, layers, slot)
@@ -513,23 +511,21 @@ class TestBatchedSweeps:
                 assert np.array_equal(one, want)
                 self._close(sweeps[(j, l)], want, self.TOL)
             want = _synthesize(g, [(sweeps[key], bands[key]) for key in layers], vshape)
-            self._close(tile_scale_synthesize(g, sweeps, slot).samples, want.samples, self.TOL)
+            self._close(fam.scale_synthesize(sweeps, slot).samples, want.samples, self.TOL)
             key = layers[-1]
-            one = tile_scale_synthesize(g, {key: sweeps[key]}, slot).samples
+            one = fam.scale_synthesize({key: sweeps[key]}, slot).samples
             assert np.array_equal(one, _synthesize(g, [(sweeps[key], bands[key])], vshape).samples)
 
     def test_empty_sweeps_keep_shapes(self):
         g = SampleGrid(256, 1.0)
         f = _random_function(g, 41, (2, 3))
-        for flavor in ("lacunary", "non-lacunary"):
-            fam = WavePacketFamily(g, [], flavor)
-            assert fam.scale_coefficients(f, []) == {}
-            assert fam.coefficients(f).shape == (0, 2, 3)
-            out = fam.scale_synthesize({})
+        fam = WavePacketFamily(g, [])
+        for route in ("lacunary", "non-lacunary", 1, 2, 3):
+            assert fam.scale_coefficients(f, [], route) == {}
+            assert fam.coefficients(f, route).shape == (0, 2, 3)
+            out = fam.scale_synthesize({}, route)
             assert out.samples.shape == (256,) and not out.samples.any()
         assert tile_scale_coefficients(g, f, [], 1) == {}
-        out = tile_scale_synthesize(g, {}, 3)
-        assert out.samples.shape == (256,) and not out.samples.any()
 
     def test_plans_are_frozen_and_fold_distinct_rows(self):
         g = SampleGrid(256, 2.0)
@@ -566,17 +562,17 @@ class TestVectorAxes:
     @pytest.mark.parametrize("flavor", ["lacunary", "non-lacunary"])
     def test_coefficients_and_synthesize(self, vshape, flavor):
         g = self.GRID
-        fam = WavePacketFamily(g, self.FAMILY, flavor)
+        fam = WavePacketFamily(g, self.FAMILY)
         f = _random_function(g, 20, vshape)
         w = _random_function(SampleGrid(8, 1.0), 21, vshape).samples[: len(self.FAMILY)]
-        coefs = fam.coefficients(f)
-        out = fam.synthesize(w)
+        coefs = fam.coefficients(f, flavor)
+        out = fam.synthesize(w, flavor)
         assert coefs.shape == (len(self.FAMILY),) + vshape
         assert out.samples.shape == (g.sample_count,) + vshape
         for k in self._components(vshape):
             fk = GridFunction(g, f.samples[(slice(None),) + k])
-            assert np.array_equal(coefs[(slice(None),) + k], fam.coefficients(fk))
-            want = fam.synthesize(w[(slice(None),) + k]).samples
+            assert np.array_equal(coefs[(slice(None),) + k], fam.coefficients(fk, flavor))
+            want = fam.synthesize(w[(slice(None),) + k], flavor).samples
             assert np.array_equal(out.samples[(slice(None),) + k], want)
 
     @pytest.mark.parametrize("vshape", [(3,), (2, 3)])
@@ -584,21 +580,22 @@ class TestVectorAxes:
         g = self.GRID
         layers = [(2, -1), (3, 1)]
         f = _random_function(g, 22, vshape)
+        fam = WavePacketFamily(g, [])
         for slot in (1, 2, 3):
             coefs = tile_scale_coefficients(g, f, layers, slot)
-            out = tile_scale_synthesize(g, coefs, slot)
+            out = fam.scale_synthesize(coefs, slot)
             for k in self._components(vshape):
                 sel = (slice(None),) + k
                 fk = GridFunction(g, f.samples[sel])
                 scalar = tile_scale_coefficients(g, fk, layers, slot)
                 for key in layers:
                     assert np.array_equal(coefs[key][sel], scalar[key])
-                want = tile_scale_synthesize(g, scalar, slot).samples
+                want = fam.scale_synthesize(scalar, slot).samples
                 assert np.array_equal(out.samples[sel], want)
 
     def test_empty_family_keeps_vector_shape(self):
-        fam = WavePacketFamily(self.GRID, [], "lacunary")
-        out = fam.synthesize(np.zeros((0, 2, 3), dtype=complex))
+        fam = WavePacketFamily(self.GRID, [])
+        out = fam.synthesize(np.zeros((0, 2, 3), dtype=complex), "lacunary")
         assert out.samples.shape == (self.GRID.sample_count, 2, 3)
         assert not out.samples.any()
 
@@ -620,13 +617,13 @@ class TestSweepGrid:
 
     def test_packet_sweeps_reject_another_grid(self):
         family = full_tree(DyadicInterval(1, 0), 3) + full_tree(DyadicInterval(1, 1), 3)
+        fam = WavePacketFamily(self.GRID, family)
         for flavor in ("non-lacunary", "lacunary"):
-            fam = WavePacketFamily(self.GRID, family, flavor)
             for f in self._inputs():
                 with pytest.raises(ShapeError, match="packet sweep"):
-                    fam.coefficients(f)
+                    fam.coefficients(f, flavor)
                 with pytest.raises(ShapeError, match="packet sweep"):
-                    fam.scale_coefficients(f, [2, 3])
+                    fam.scale_coefficients(f, [2, 3], flavor)
 
     def test_tile_sweeps_reject_another_grid(self):
         for f in self._inputs():
@@ -638,7 +635,71 @@ class TestSweepGrid:
         plane = SampleGrid(64, 1.0, dimension=2)
         f = GridFunction(plane, np.ones((64, 64), dtype=complex))
         with pytest.raises(ShapeError, match="packet sweep"):
-            WavePacketFamily(plane, [DyadicInterval(2, 0)], "lacunary").coefficients(f)
+            WavePacketFamily(plane, [DyadicInterval(2, 0)]).coefficients(f, "lacunary")
+
+
+class TestTritileFamily:
+    """A family of tritiles takes the slot route: per tile, the layer sweep's
+    value at the tile's position, and synthesis its adjoint."""
+
+    GRID = SampleGrid(512, 2.0)
+    # two scales, several frequency indices, a repeated tile and positions
+    # past the position count that wrap
+    TILES = [Tritile(DyadicInterval(j, m), l) for j, m, l in (
+        (4, 3, 1), (3, 20, -2), (4, 3, 1), (5, 63, 0), (3, 4, -2), (4, 35, 1), (5, 1, 1),
+    )]
+
+    def test_coefficients_equal_layer_sweeps_per_tile(self):
+        g = self.GRID
+        fam = WavePacketFamily(g, self.TILES)
+        layers = list(dict.fromkeys((t.spatial.scale, t.freq_index) for t in self.TILES))
+        kappa = g.log2_period()
+        for vshape in ((), (3,)):
+            f = _random_function(g, 50 + len(vshape), vshape)
+            for slot in (1, 2, 3):
+                sweeps = tile_scale_coefficients(g, f, layers, slot)
+                want = np.array([
+                    sweeps[(t.spatial.scale, t.freq_index)][
+                        t.spatial.position % 2 ** (t.spatial.scale + kappa)]
+                    for t in self.TILES
+                ])
+                assert np.array_equal(fam.coefficients(f, slot), want)
+
+    def test_synthesize_is_adjoint_of_coefficients(self):
+        g = self.GRID
+        fam = WavePacketFamily(g, self.TILES)
+        rng = np.random.default_rng(52)
+        h = _random_function(g, 53)
+        for slot in (1, 2, 3):
+            w = rng.normal(size=len(self.TILES)) + 1j * rng.normal(size=len(self.TILES))
+            lhs = inner(fam.synthesize(w, slot), h)
+            rhs = np.sum(w * np.conj(fam.coefficients(h, slot)))
+            assert abs(lhs - rhs) < 1e-12
+
+    def test_route_must_fit_the_items(self):
+        g = self.GRID
+        f = _random_function(g, 54)
+        intervals = WavePacketFamily(g, [DyadicInterval(3, 1)])
+        tiles = WavePacketFamily(g, self.TILES[:1])
+        empty = WavePacketFamily(g, [])
+        calls = (
+            lambda fam, route: fam.coefficients(f, route),
+            lambda fam, route: fam.synthesize(np.ones(len(fam.items)), route),
+            lambda fam, route: fam.scale_coefficients(f, [], route),
+            lambda fam, route: fam.scale_synthesize({}, route),
+        )
+        refused = [(intervals, slot) for slot in (1, 2, 3)]
+        refused += [(tiles, flavor) for flavor in ("lacunary", "non-lacunary")]
+        refused += [(fam, route) for fam in (intervals, tiles, empty)
+                    for route in ("bht", "modified", 0, 4, None)]
+        for call in calls:
+            for fam, route in refused:
+                with pytest.raises(ValueError, match="does not fit this family"):
+                    call(fam, route)
+            for route in ("lacunary", "non-lacunary", 1, 2, 3):
+                call(empty, route)
+            call(intervals, "lacunary")
+            call(tiles, 3)
 
 
 class TestTritiles:

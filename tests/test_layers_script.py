@@ -1,5 +1,5 @@
-"""``benchmarks/layers.py`` runs end to end on the packet engine, the cold
-torus bumps, the chi-weighted averages, the stopping sweep, the size-energy
+"""``benchmarks/layers.py`` runs end to end on the packet engine, the model
+sums, the cold torus bumps, the chi-weighted averages, the stopping sweep, the size-energy
 sweep, the weak-norm dualization sweep, the Littlewood-Paley products, the
 Leibniz sides, the BHT oracle pair and the range grid.
 
@@ -30,18 +30,25 @@ def test_layers_script_writes_one_row_per_case(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(out.read_text())["rows"]
-    cases = [(r["layer"], r.get("packets"), r.get("n"), r.get("K")) for r in rows]
+    cases = [(r["layer"], r.get("packets"), r.get("n"), r.get("K"), r.get("items"))
+             for r in rows]
     want = set(itertools.product(
         ("packet_sweep", "packet_synth"), ("lacunary", "non-lacunary", "tile"),
-        (512, 1024, 4096), (1, 16),
-    )) | {("torus_bump", None, 512, 1), ("chi_average", None, 512, 1),
-          ("stopping_sweep", None, 512, 1),
-          ("size_energy", "non-lacunary", 512, 1), ("size_energy", "lacunary", 512, 1),
-          ("weak_dualization", None, 512, 1),
-          ("telescope", None, 4096, 1), ("telescope", None, 256, 1),
-          ("tensor", None, 128, 1), ("leibniz_sides", None, 256, 1),
-          ("bht_kernel", None, 2048, 1), ("bht_spectral", None, 2048, 1),
-          ("range_grid", None, None, None)}
+        (512, 1024, 4096), (1, 16), (None,),
+    )) | {("model_sum", "discretized_paraproduct", 1024, 1, 254),
+          ("model_sum", "discretized_paraproduct", 1024, 16, 254),
+          ("model_sum", "trilinear_form", 512, 1, 31),
+          ("model_sum", "bht_model", 1024, 1, 28), ("model_sum", "bht_model", 1024, 1, 112),
+          ("model_sum", "bht_model", 1024, 1, 448),
+          ("torus_bump", None, 512, 1, None), ("chi_average", None, 512, 1, None),
+          ("stopping_sweep", None, 512, 1, None),
+          ("size_energy", "non-lacunary", 512, 1, None),
+          ("size_energy", "lacunary", 512, 1, None),
+          ("weak_dualization", None, 512, 1, None),
+          ("telescope", None, 4096, 1, None), ("telescope", None, 256, 1, None),
+          ("tensor", None, 128, 1, None), ("leibniz_sides", None, 256, 1, None),
+          ("bht_kernel", None, 2048, 1, None), ("bht_spectral", None, 2048, 1, None),
+          ("range_grid", None, None, None, None)}
     assert len(cases) == len(want) and set(cases) == want
     assert all(r["median_ms"] > 0 for r in rows)
     assert {r["layer"]: r["intervals"] for r in rows if "intervals" in r} == {

@@ -21,6 +21,7 @@ from wavetile.operators import (
     alpha_symbol_coefficients,
     discretized_paraproduct,
     localized_paraproduct,
+    paraproducts,
     shifted_paraproduct,
     telescoping_decomposition,
     tensor_paraproduct,
@@ -64,8 +65,6 @@ class TestDiscretizedParaproduct:
 
     def test_single_interval_matches_inner_products(self):
         f, g = band_limited(GRID, 3, 60), band_limited(GRID, 4, 60)
-        fam1 = WavePacketFamily(GRID, [], "non-lacunary")
-        fam2 = WavePacketFamily(GRID, [], "lacunary")
         # one interval; then two scales, a repeated interval, and position
         # 9 >= 2**3 that wraps onto position 1 of the torus
         cases = [
@@ -79,8 +78,9 @@ class TestDiscretizedParaproduct:
             out = discretized_paraproduct(spec, f, g)
             expected = sum(
                 c * iv.length ** -0.5
-                * inner(f, packet(fam1, iv)) * inner(g, packet(fam2, iv))
-                * packet(fam2, iv).samples
+                * inner(f, packet(GRID, iv, "non-lacunary"))
+                * inner(g, packet(GRID, iv, "lacunary"))
+                * packet(GRID, iv, "lacunary").samples
                 for iv, c in zip(family, coeffs)
             )
             assert np.abs(out.samples - expected).max() < 1e-12
@@ -266,15 +266,13 @@ class TestShiftedParaproduct:
         # n = 0 is the unshifted paraproduct; n = 3 moves both pairings
         scales = range(2, 5)
         f, g = band_limited(GRID, 22, 60), band_limited(GRID, 23, 60)
-        psi = WavePacketFamily(GRID, [], "lacunary")
-        phi = WavePacketFamily(GRID, [], "non-lacunary")
         for n in (0, 3):
             got = shifted_paraproduct(n, f, g, scales=scales)
             want = sum(
                 iv.length ** -1.0
-                * inner(f, packet(psi, DyadicInterval(iv.scale, iv.position + n)))
-                * inner(g, packet(psi, DyadicInterval(iv.scale, iv.position + n)))
-                * packet(phi, iv).samples
+                * inner(f, packet(GRID, DyadicInterval(iv.scale, iv.position + n), "lacunary"))
+                * inner(g, packet(GRID, DyadicInterval(iv.scale, iv.position + n), "lacunary"))
+                * packet(GRID, iv, "non-lacunary").samples
                 for iv in grid_dyadic_family(GRID, scales)
             )
             assert np.abs(got.samples - want).max() <= 1e-12 * np.abs(want).max()
@@ -308,6 +306,42 @@ class TestGridChecks:
         f = band_limited(plane, 3, 8)
         with pytest.raises(ShapeError):
             shifted_paraproduct(0, f, f)
+
+    # an empty family reads its inputs on the spec's grid like any other
+    EMPTY = ParaproductSpec(SampleGrid(256, 1.0), [], [])
+
+    def test_empty_family_paraproduct_checks_the_grid(self):
+        f = band_limited(SampleGrid(256, 4.0), 4, 20)
+        with pytest.raises(ShapeError, match="packet sweep"):
+            discretized_paraproduct(self.EMPTY, f, f)
+
+    def test_empty_family_trilinear_form_checks_the_grid(self):
+        f = band_limited(SampleGrid(256, 4.0), 5, 20)
+        with pytest.raises(ShapeError, match="packet sweep"):
+            trilinear_form(self.EMPTY, f, f, f)
+
+    def test_cutoff_sets_on_another_grid_raise(self):
+        spec = default_spec(2)
+        f, g = band_limited(GRID, 6, 40), band_limited(GRID, 7, 40)
+        ones = MeasurableSet(GridFunction(SampleGrid(512, 4.0), np.ones(512, dtype=complex)))
+        loc = LocalizationSpec(DyadicInterval(0, 0), ones, ones, ones)
+        with pytest.raises(ShapeError, match="different grids"):
+            localized_paraproduct(spec, loc, f, g)
+
+
+@pytest.mark.parametrize("op, inputs", [(discretized_paraproduct, 2), (trilinear_form, 3)])
+def test_one_packet_family_per_call(op, inputs, monkeypatch):
+    built = []
+
+    class Counted(WavePacketFamily):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(paraproducts, "WavePacketFamily", Counted)
+    spec = default_spec(2)
+    op(spec, *(band_limited(GRID, 8 + k, 40) for k in range(inputs)))
+    assert built == [(spec.grid, spec.family)]
 
 
 class TestAlphaSymbolCoefficients:

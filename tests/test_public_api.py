@@ -37,6 +37,9 @@ KEEP = {
     "littlewood_paley": "one projection at one scale, the oracle of the banded "
                         "telescoping and tensor projections and a perfbench "
                         "layer row",
+    "tile_scale_coefficients": "the slot sweep over given (scale, freq_index) layers, "
+                               "a perfbench layer row; bht_model sweeps through "
+                               "its WavePacketFamily",
 }
 
 
