@@ -30,8 +30,9 @@ family size):
 * ``trilinear_form`` on the full depth-4 tree under [0, 1) on
   trilinear-size-energy's grid (n = 512, period 4), the tree its families
   are drawn from, of band-40 inputs;
-* ``bht_model`` at bht-local-l2's three tile tiers (n = 1024, scales 2-4,
-  1, 4 and 16 frequency indices) of band-12 inputs.
+* ``bht_model`` on ``ParaproductSpec.constant`` of bht-local-l2's three
+  tile tiers (n = 1024, scales 2-4, 1, 4 and 16 frequency indices) of
+  band-12 inputs.
 
 Four more layers run on the stopping-invariants grid (n = 512, period 4):
 
@@ -104,7 +105,6 @@ from wavetile.dyadic import (
 from wavetile.grid import GridFunction, SampleGrid, low_pass_profile, max_scale
 from wavetile.norms import dualize_superlevel_sets
 from wavetile.operators import (
-    BHTModelSpec,
     LeibnizExponents,
     ParaproductSpec,
     bht_kernel,
@@ -193,8 +193,9 @@ def _model_sum_rows(repeats: int) -> list[dict]:
                           *_band_limited(tri_grid, 40, (None, "g", "h")))))
     f, g = _band_limited(grid, 12, (None, "g"))
     for freqs in (1, 4, 16):
-        bht = BHTModelSpec(grid, build_rank_one_tiles(grid, range(2, 5), range(0, freqs)))
-        cases.append(("bht_model", 1, len(bht.tiles), partial(bht_model, bht, f, g)))
+        bht = ParaproductSpec.constant(
+            grid, build_rank_one_tiles(grid, range(2, 5), range(0, freqs)))
+        cases.append(("bht_model", 1, len(bht.family), partial(bht_model, bht, f, g)))
     rows = []
     for name, components, items, call in cases:
         row = {"layer": "model_sum", "packets": name, "n": call.args[1].grid.sample_count,

@@ -424,17 +424,17 @@ def _run_bht_local_l2(cfg, seeds, cap):
     tiers = [1, 4, 16]  # tile count quadruples tier to tier
     tile_sets = [dyadic.build_rank_one_tiles(grid, range(2, 5), range(0, freqs))
                  for freqs in tiers]
-    specs = [operators.BHTModelSpec(grid, tiles) for tiles in tile_sets]
+    specs = [operators.ParaproductSpec.constant(grid, tiles) for tiles in tile_sets]
 
     def trial(t, seed):
         f = generate_trial("band_limited", seed, {"grid": grid, "band": 12})
         g = generate_trial("band_limited", seed, {"grid": grid, "band": 12}, role="g")
         denom = lp_norm(f, 2) * lp_norm(g, 2)
-        return [(lp_norm(operators.bht_model(spec, f, g), 1), denom, {"tiles": len(spec.tiles)})
+        return [(lp_norm(operators.bht_model(spec, f, g), 1), denom, {"tiles": len(spec.family)})
                 for spec in specs]
 
     rows = _trial_rows(seeds, trial)
-    medians = [float(np.median(_ratios_where(rows, tiles=len(spec.tiles)))) for spec in specs]
+    medians = [float(np.median(_ratios_where(rows, tiles=len(spec.family)))) for spec in specs]
     growth_ok = all(
         medians[i + 1] <= medians[i] * 1.25 + 1e-12 for i in range(len(medians) - 1)
     )
@@ -610,19 +610,16 @@ def _run_bht_localized(cfg, seeds, cap):
     expo1 = (1 + theta) / 2 - 1 / r1  # exponents of the local sizes
     expo3 = (1 + theta) / 2 - 0.0  # 1/r' = 0 at r = 1
     tiles = dyadic.build_rank_one_tiles(grid, range(3, 6), range(0, 4))
-    tiles = [tt for tt in tiles if root.contains(tt.spatial)]
-    spec = operators.BHTModelSpec(grid, tiles)
-    spatial = [tt.spatial for tt in tiles]
+    spec = operators.ParaproductSpec.constant(grid, tiles).restricted(root)
+    spatial = [tt.spatial for tt in spec.family]
 
     def trial(t, seed):
         F, G, Et = (generate_trial("dyadic_union", seed, {"grid": grid, "measure": 0.25},
                                    role=role) for role in ("F", "G", "E"))
         f = generate_trial("bump_train", seed, {"grid": grid, "count": 2})
         g = generate_trial("bump_train", seed, {"grid": grid, "count": 2}, role="g")
-        fF = GridFunction(grid, f.samples * F.mask)
-        gG = GridFunction(grid, g.samples * G.mask)
-        out = operators.bht_model(spec, fF, gG)
-        lhs = lp_norm(GridFunction(grid, out.samples * Et.mask), r)
+        loc = operators.LocalizationSpec(root, F, G, Et)
+        lhs = lp_norm(operators.localized_paraproduct(spec, loc, f, g), r)
         sF, sG, sE = _local_sizes((F.indicator, G.indicator, Et.indicator), spatial, root)
         rhs = (
             sF ** expo1 * sG ** expo1 * sE ** expo3

@@ -419,6 +419,15 @@ def _sweep_synthesize(grid: SampleGrid, route, weights: dict, vshape: tuple) -> 
 _TILE_SLOTS = (1, 2, 3)
 
 
+def _spatial_intervals(items: list) -> tuple[bool, list[DyadicInterval]]:
+    """Whether ``items`` are tritiles, and each item's spatial interval; a
+    mix of dyadic intervals and tritiles raises."""
+    tiles = [isinstance(item, Tritile) for item in items]
+    if any(tiles) and not all(tiles):
+        raise ValueError("items mix dyadic intervals and tritiles: give one kind")
+    return any(tiles), [t.spatial for t in items] if any(tiles) else items
+
+
 class WavePacketFamily:
     """L2-normalized packets indexed by dyadic intervals or by tritiles.
 
@@ -436,10 +445,9 @@ class WavePacketFamily:
         self.grid = grid
         self.items = list(items)
         kappa = grid.log2_period()
-        tiles = bool(self.items) and isinstance(self.items[0], Tritile)
+        tiles, spatial = _spatial_intervals(self.items)
         flavors = tuple(_PACKET_BLOCKS)
         self._routes = _TILE_SLOTS if tiles else flavors if self.items else flavors + _TILE_SLOTS
-        spatial = [t.spatial for t in self.items] if tiles else self.items
         keys = ([(iv.scale, t.freq_index) for iv, t in zip(spatial, self.items)] if tiles
                 else [iv.scale for iv in spatial])
         # layers in order of first appearance, and each item's layer

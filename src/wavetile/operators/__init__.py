@@ -1,11 +1,12 @@
 """Bilinear operators: paraproducts, BHT, vector-valued wrappers, ranges."""
 
-from .bht import BHTModelSpec, bht_kernel, bht_model, bht_spectral
+from .bht import bht_kernel, bht_spectral
 from .leibniz import LeibnizExponents, leibniz_sides
 from .paraproducts import (
     LocalizationSpec,
     ParaproductSpec,
     alpha_symbol_coefficients,
+    bht_model,
     discretized_paraproduct,
     localized_paraproduct,
     shifted_paraproduct,
@@ -25,7 +26,6 @@ from .ranges import (
 from .vector import vector_valued_apply
 
 __all__ = [
-    "BHTModelSpec",
     "LeibnizExponents",
     "LocalizationSpec",
     "ParaproductSpec",

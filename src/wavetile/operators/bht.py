@@ -1,4 +1,5 @@
-"""Bilinear Hilbert transform: principal-value quadrature and model sums.
+"""Bilinear Hilbert transform: the principal-value quadrature and its
+spectral reference.
 
 The quadrature oracle computes
 
@@ -7,24 +8,19 @@ The quadrature oracle computes
 on a zero-padded line window (the inputs must live in the middle quarter of
 the period so no pair (x - t, x + t) wraps), pairing +-t nodes so the odd
 kernel cancels exactly.  The spectral reference applies the bilinear
-multiplier -i pi sgn(xi - eta) directly; sgn(0) = 0.  The model operator is
-the rank-one tile sum
-
-    BHT_P(f, g) = sum_P |I_P|^(-1/2) <f, phi1_P> <g, phi2_P> phi3_P.
+multiplier -i pi sgn(xi - eta) directly; sgn(0) = 0.  The model operator
+BHT_P is the model sum over tritiles, ``paraproducts.bht_model``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..dyadic import Tritile, WavePacketFamily, _column
 from ..errors import AliasingError
-from ..grid import GridFunction, SampleGrid
+from ..grid import GridFunction
 
-__all__ = ["bht_kernel", "bht_spectral", "BHTModelSpec", "bht_model"]
+__all__ = ["bht_kernel", "bht_spectral"]
 
 
 def _check_padding(f: GridFunction):
@@ -92,22 +88,3 @@ def bht_spectral(f: GridFunction, g: GridFunction) -> GridFunction:
         # a sum, not a BLAS product: BLAS threads contend with other processes
         H += terms.sum(axis=0)
     return GridFunction(grid, np.fft.ifft(H) * (-1j * np.pi / n))
-
-
-@dataclass
-class BHTModelSpec:
-    """Tile collection of a rank-one model on one grid."""
-
-    grid: SampleGrid
-    tiles: list[Tritile]
-
-
-def bht_model(spec: BHTModelSpec, f: GridFunction, g: GridFunction) -> GridFunction:
-    """Rank-one model sum over the tiles' packet family: slot-1 and slot-2
-    coefficients, then one slot-3 synthesis, componentwise over matching
-    trailing vector axes of f and g."""
-    fam = WavePacketFamily(spec.grid, spec.tiles)
-    a = fam.coefficients(f, 1)
-    b = fam.coefficients(g, 2)
-    sqrt_lengths = np.sqrt(np.array([t.spatial.length for t in spec.tiles]))
-    return fam.synthesize(a * b / _column(sqrt_lengths, a.ndim), 3)

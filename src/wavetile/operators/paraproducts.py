@@ -1,14 +1,16 @@
-"""Paraproducts (discretized, localized, telescoping, shifted, tensor) and
-the Fourier coefficients of the finite-decay symbol.
+"""Model sums (discretized, localized, BHT model), the telescoping, shifted
+and tensor paraproducts, and the Fourier coefficients of the finite-decay
+symbol.
 
-The discretized paraproduct attached to an interval family and bounded
-coefficients is
+A model sum attached to a family of items P and bounded coefficients is
 
-    Pi(f, g) = sum_I c_I |I|^(-1/2) <f, phi1_I> <g, phi2_I> phi3_I,
+    T(f, g) = sum_P c_P |I_P|^(-1/2) <f, phi1_P> <g, phi2_P> phi3_P.
 
-with phi1 a non-lacunary packet and phi2, phi3 lacunary ones.  Evaluation
-is grouped per scale and each packet sweep takes one short transform for
-all of its scales, so the whole sum costs a few FFTs per call
+Over dyadic intervals it is the discretized paraproduct Pi, with phi1 a
+non-lacunary packet and phi2, phi3 lacunary ones; over tritiles it is the
+BHT model BHT_P, with phi_s the packet of the tile's s-th frequency block
+and I_P its spatial interval.  Each packet sweep takes one short transform
+for all of its layers, so the whole sum costs a few FFTs per call
 irrespective of the family size.
 """
 
@@ -20,7 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from ..dyadic import DyadicInterval, WavePacketFamily, _column, min_packet_scale
+from ..dyadic import (_TILE_SLOTS, DyadicInterval, Tritile, WavePacketFamily, _column,
+                      _spatial_intervals, min_packet_scale)
 from ..errors import AliasingError, ShapeError
 from ..grid import (
     GridFunction,
@@ -42,44 +45,46 @@ __all__ = [
     "discretized_paraproduct",
     "trilinear_form",
     "localized_paraproduct",
+    "bht_model",
     "telescoping_decomposition",
     "shifted_paraproduct",
     "alpha_symbol_coefficients",
     "tensor_paraproduct",
 ]
 
-# Packet flavor of each slot: phi1 non-lacunary, phi2 and phi3 lacunary.
-_SLOTS = ("non-lacunary", "lacunary", "lacunary")
+# Packet flavor of each slot over intervals: phi1 non-lacunary, phi2 and
+# phi3 lacunary.  Over tritiles slot s is the tile slot s.
+_INTERVAL_SLOTS = ("non-lacunary", "lacunary", "lacunary")
 
 
 @dataclass
 class ParaproductSpec:
-    """Interval family and per-interval coefficients."""
+    """A model sum's items, dyadic intervals (Pi) or tritiles (BHT_P), and
+    one coefficient per item."""
 
     grid: SampleGrid
-    family: list[DyadicInterval]
+    family: list[DyadicInterval | Tritile]
     coefficients: np.ndarray
 
     def __post_init__(self):
         if self.grid.dimension != 1:
-            raise ValueError("discretized paraproducts live on 1d grids")
+            raise ValueError("model sums live on 1d grids")
         self.family = list(self.family)
         self.coefficients = np.asarray(self.coefficients, dtype=complex)
         if self.coefficients.shape != (len(self.family),):
-            raise ValueError("one coefficient per interval required")
+            raise ValueError("one coefficient per item required")
+        tiles, self._spatial = _spatial_intervals(self.family)
+        self._routes = _TILE_SLOTS if tiles else _INTERVAL_SLOTS
 
     @classmethod
-    def constant(cls, grid: SampleGrid, family: list[DyadicInterval]) -> "ParaproductSpec":
-        """Coefficient 1 on every interval."""
+    def constant(cls, grid: SampleGrid, family: list) -> "ParaproductSpec":
+        """Coefficient 1 on every item; over tritiles, the BHT model."""
         return cls(grid, family, np.ones(len(family), dtype=complex))
 
     def restricted(self, I0: DyadicInterval) -> "ParaproductSpec":
-        keep = [i for i, iv in enumerate(self.family) if I0.contains(iv)]
-        return ParaproductSpec(
-            self.grid,
-            [self.family[i] for i in keep],
-            self.coefficients[keep],
-        )
+        """The items whose spatial interval lies in I0, in order."""
+        keep = [i for i, iv in enumerate(self._spatial) if I0.contains(iv)]
+        return ParaproductSpec(self.grid, [self.family[i] for i in keep], self.coefficients[keep])
 
 
 @dataclass
@@ -100,35 +105,35 @@ class LocalizationSpec:
 def _slot_weights(
     spec: ParaproductSpec, fam: WavePacketFamily, f: GridFunction, g: GridFunction
 ):
-    """Per-interval weights c_I |I|^(-1/2) <f, phi1> <g, phi2> over the
-    spec's family ``fam``, interval axis first and the inputs' vector axes
+    """Per-item weights c_P |I_P|^(-1/2) <f, phi1_P> <g, phi2_P> over the
+    spec's family ``fam``, item axis first and the inputs' vector axes
     after it."""
-    a = fam.coefficients(f, _SLOTS[0])
-    b = fam.coefficients(g, _SLOTS[1])
-    sqrt_lengths = np.sqrt(np.array([iv.length for iv in spec.family]))
+    a = fam.coefficients(f, spec._routes[0])
+    b = fam.coefficients(g, spec._routes[1])
+    sqrt_lengths = np.sqrt(np.array([iv.length for iv in spec._spatial]))
     return _column(spec.coefficients, a.ndim) * a * b / _column(sqrt_lengths, a.ndim)
 
 
 def discretized_paraproduct(
     spec: ParaproductSpec, f: GridFunction, g: GridFunction
 ) -> GridFunction:
-    """sum_I c_I |I|^(-1/2) <f, phi1_I> <g, phi2_I> phi3_I, componentwise
+    """sum_P c_P |I_P|^(-1/2) <f, phi1_P> <g, phi2_P> phi3_P, componentwise
     over matching trailing vector axes of f and g."""
     fam = WavePacketFamily(spec.grid, spec.family)
-    return fam.synthesize(_slot_weights(spec, fam, f, g), _SLOTS[2])
+    return fam.synthesize(_slot_weights(spec, fam, f, g), spec._routes[2])
 
 
 def trilinear_form(
     spec: ParaproductSpec, f: GridFunction, g: GridFunction, h: GridFunction
 ) -> complex:
-    """sum_I c_I |I|^(-1/2) <f, phi1> <g, phi2> <phi3, h>.
+    """sum_P c_P |I_P|^(-1/2) <f, phi1_P> <g, phi2_P> <phi3_P, h>.
 
     The third pairing is anti-linear in h, so the form equals the hermitian
-    pairing <Pi(f, g), h> whenever slot 3 produces the output packets.
+    pairing <T(f, g), h> whenever slot 3 produces the output packets.
     """
     fam = WavePacketFamily(spec.grid, spec.family)
     weights = _slot_weights(spec, fam, f, g)
-    return complex(np.sum(weights * np.conj(fam.coefficients(h, _SLOTS[2]))))
+    return complex(np.sum(weights * np.conj(fam.coefficients(h, spec._routes[2]))))
 
 
 def localized_paraproduct(
@@ -137,9 +142,9 @@ def localized_paraproduct(
     f: GridFunction,
     g: GridFunction,
 ) -> GridFunction:
-    """Pi restricted to the family inside I0, applied to the cut-off inputs,
-    then multiplied by the indicator of the third set; vector axes of f and
-    g are carried componentwise."""
+    """The model sum over the items inside I0, applied to the cut-off
+    inputs, then multiplied by the indicator of the third set; vector axes
+    of f and g are carried componentwise."""
     _require_same_grid(spec, loc.F)
     restricted = spec.restricted(loc.I0)
     ndim = f.samples.ndim
@@ -147,6 +152,12 @@ def localized_paraproduct(
     gG = GridFunction(g.grid, g.samples * _column(loc.G.mask, ndim))
     out = discretized_paraproduct(restricted, fF, gG)
     return GridFunction(out.grid, out.samples * _column(loc.Etilde.mask, ndim))
+
+
+def bht_model(spec: ParaproductSpec, f: GridFunction, g: GridFunction) -> GridFunction:
+    """BHT_P(f, g) over a tile spec, ``ParaproductSpec.constant(grid, tiles)``:
+    the model sum under the name of its perfbench layer metric."""
+    return discretized_paraproduct(spec, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +271,7 @@ def shifted_paraproduct(
     grid = f.grid
     if scales is None:
         scales = range(min_packet_scale(grid), max_scale(grid) + 1)
+    _require_same_grid(f, g)
     if not scales:
         return GridFunction(grid, np.zeros(f.samples.shape, dtype=complex))
     fam = WavePacketFamily(grid, [])

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from wavetile.dyadic import WavePacketFamily, build_rank_one_tiles
-from wavetile.errors import AliasingError, ShapeError
+from wavetile.dyadic import DyadicInterval, build_rank_one_tiles
+from wavetile.errors import AliasingError
 from wavetile.grid import GridFunction, SampleGrid, low_pass_profile
-from wavetile.norms import lp_norm
-from wavetile.operators import BHTModelSpec, bht, bht_kernel, bht_model, bht_spectral
+from wavetile.norms import MeasurableSet, lp_norm
+from wavetile.operators import (
+    LocalizationSpec,
+    ParaproductSpec,
+    bht_kernel,
+    bht_model,
+    bht_spectral,
+    localized_paraproduct,
+    trilinear_form,
+)
 
 from oracles import inner, tile_packet
 
@@ -159,53 +167,19 @@ class TestOraclePair:
 
 
 class TestModelOperator:
-    def test_empty_collection(self):
-        g = SampleGrid(512, 1.0)
-        spec = BHTModelSpec(g, [])
-        f = GridFunction(g, np.ones(512, dtype=complex))
-        assert bht_model(spec, f, f).norm2() == 0.0
+    """BHT_P is the model sum of a tile spec, ``ParaproductSpec.constant``
+    over tritiles, so it has the paraproduct's trilinear form and
+    localization."""
 
-    def test_empty_collection_checks_the_grid(self):
-        f = GridFunction(SampleGrid(256, 4.0), np.ones(256, dtype=complex))
-        with pytest.raises(ShapeError, match="packet sweep"):
-            bht_model(BHTModelSpec(SampleGrid(256, 1.0), []), f, f)
-
-    def test_one_packet_family_per_call(self, monkeypatch):
-        built = []
-
-        class Counted(WavePacketFamily):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(bht, "WavePacketFamily", Counted)
-        g = SampleGrid(512, 1.0)
-        spec = BHTModelSpec(g, build_rank_one_tiles(g, range(3, 5), range(0, 2)))
-        f = GridFunction(g, np.ones(512, dtype=complex))
-        bht_model(spec, f, f)
-        assert built == [(g, spec.tiles)]
+    GRID = SampleGrid(512, 1.0)
+    TILES = build_rank_one_tiles(GRID, range(3, 6), range(0, 4))
 
     def test_non_dyadic_period_rejected(self):
         tiles = build_rank_one_tiles(SampleGrid(256, 1.0), range(2, 3), range(0, 1))
         g = SampleGrid(256, 3.0)
         f = GridFunction(g, np.ones(256, dtype=complex))
         with pytest.raises(ValueError, match="power-of-two period, got 3.0"):
-            bht_model(BHTModelSpec(g, tiles), f, f)
-
-    def test_inputs_on_another_grid_raise(self):
-        g = SampleGrid(512, 1.0)
-        tiles = build_rank_one_tiles(g, range(3, 5), range(0, 2))
-        rng = np.random.default_rng(4)
-        f = GridFunction(g, rng.normal(size=512).astype(complex))
-        big = GridFunction(SampleGrid(1024, 1.0), rng.normal(size=1024).astype(complex))
-        for args in ((big, big), (f, big), (big, f)):
-            with pytest.raises(ShapeError):
-                bht_model(BHTModelSpec(g, tiles), *args)
-        plane = SampleGrid(64, 1.0, dimension=2)
-        f2 = GridFunction(plane, rng.normal(size=(64, 64)).astype(complex))
-        with pytest.raises(ShapeError):
-            bht_model(BHTModelSpec(plane, build_rank_one_tiles(
-                SampleGrid(64, 1.0), range(2, 3), range(0, 1))), f2, f2)
+            bht_model(ParaproductSpec.constant(g, tiles), f, f)
 
     def test_single_tile_rank_one(self):
         g = SampleGrid(512, 1.0)
@@ -216,7 +190,7 @@ class TestModelOperator:
         layer_b = build_rank_one_tiles(g, range(4, 5), range(1, 2))
         # one tile, then two (scale, freq) layers with a repeated tile
         for tiles in ([layer_a[3]], [layer_a[3], layer_b[5], layer_a[3], layer_a[6]]):
-            out = bht_model(BHTModelSpec(g, tiles), f, h)
+            out = bht_model(ParaproductSpec.constant(g, tiles), f, h)
             want = 0
             for tile in tiles:
                 p1, p2, p3 = (tile_packet(g, tile, s) for s in (1, 2, 3))
@@ -228,7 +202,7 @@ class TestModelOperator:
     def test_local_l2_sample_bound(self):
         g = SampleGrid(1024, 1.0)
         tiles = build_rank_one_tiles(g, range(2, 5), range(0, 4))
-        spec = BHTModelSpec(g, tiles)
+        spec = ParaproductSpec.constant(g, tiles)
         rng = np.random.default_rng(1)
         worst = 0.0
         for seed in range(20):
@@ -245,16 +219,40 @@ class TestModelOperator:
             worst = max(worst, lp_norm(bht_model(spec, f, h), 1) / denom)
         assert worst <= 2.0
 
-    def test_bilinearity(self):
-        g = SampleGrid(512, 1.0)
-        tiles = build_rank_one_tiles(g, range(3, 5), range(0, 2))
-        spec = BHTModelSpec(g, tiles)
-        rng = np.random.default_rng(2)
-        f = GridFunction(g, rng.normal(size=512).astype(complex))
-        h = GridFunction(g, rng.normal(size=512).astype(complex))
-        assert np.array_equal(
-            bht_model(spec, 2.0 * f, h).samples, 2.0 * bht_model(spec, f, h).samples
-        )
+    def test_trilinear_form_pairs_with_model_output(self):
+        spec = ParaproductSpec.constant(self.GRID, self.TILES)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            f, g, h = (GridFunction(self.GRID, rng.normal(size=512) + 1j * rng.normal(size=512))
+                       for _ in range(3))
+            pairing = inner(bht_model(spec, f, g), h)
+            assert abs(trilinear_form(spec, f, g, h) - pairing) <= 1e-12 * abs(pairing)
+
+    def test_restricted_keeps_tiles_inside_root_in_order(self):
+        root = DyadicInterval(1, 1)
+        tiles = self.TILES[::-1] + self.TILES[:3]
+        spec = ParaproductSpec(self.GRID, tiles, np.arange(len(tiles)))
+        inside = spec.restricted(root)
+        keep = [i for i, t in enumerate(tiles) if root.contains(t.spatial)]
+        assert 0 < len(keep) < len(tiles)
+        assert inside.family == [tiles[i] for i in keep]
+        assert np.array_equal(inside.coefficients, keep)
+
+    def test_localized_equals_hand_localization(self):
+        # the cut-offs and the tile filter written out, as a caller would
+        root = DyadicInterval(1, 1)
+        rng = np.random.default_rng(6)
+        f, g = (GridFunction(self.GRID, rng.normal(size=512) + 1j * rng.normal(size=512))
+                for _ in range(2))
+        F, G, Et = (MeasurableSet(GridFunction(self.GRID, (rng.random(512) < 0.5) * (1 + 0j)))
+                    for _ in range(3))
+        out = localized_paraproduct(ParaproductSpec.constant(self.GRID, self.TILES),
+                                    LocalizationSpec(root, F, G, Et), f, g)
+        inside = [t for t in self.TILES if root.contains(t.spatial)]
+        hand = bht_model(ParaproductSpec.constant(self.GRID, inside),
+                         GridFunction(self.GRID, f.samples * F.mask),
+                         GridFunction(self.GRID, g.samples * G.mask))
+        assert np.array_equal(out.samples, hand.samples * Et.mask)
 
 
 def test_kernel_rejects_2d():

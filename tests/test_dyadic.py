@@ -701,6 +701,12 @@ class TestTritileFamily:
             call(intervals, "lacunary")
             call(tiles, 3)
 
+    def test_mixed_items_rejected(self):
+        tile = self.TILES[0]
+        for items in ([DyadicInterval(2, 1), tile], [tile, DyadicInterval(2, 1)]):
+            with pytest.raises(ValueError, match="mix dyadic intervals and tritiles"):
+                WavePacketFamily(self.GRID, items)
+
 
 class TestTritiles:
     def test_count_and_invariants(self):

@@ -4,7 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavetile.dyadic import DyadicInterval, WavePacketFamily, grid_dyadic_family
+from wavetile.dyadic import (
+    DyadicInterval,
+    WavePacketFamily,
+    build_rank_one_tiles,
+    grid_dyadic_family,
+)
 from wavetile.errors import AliasingError, ShapeError
 from wavetile.grid import (
     GridFunction,
@@ -19,6 +24,7 @@ from wavetile.operators import (
     LocalizationSpec,
     ParaproductSpec,
     alpha_symbol_coefficients,
+    bht_model,
     discretized_paraproduct,
     localized_paraproduct,
     paraproducts,
@@ -48,13 +54,24 @@ def band_limited(grid, seed, band):
 GRID = SampleGrid(512, 1.0)
 
 
-def default_spec(seed=0, scales=range(2, 7)):
+def random_spec(family, seed):
+    """A spec on GRID over ``family`` with seeded random coefficients."""
     rng = np.random.default_rng(seed)
-    family = grid_dyadic_family(GRID, scales)
     coeffs = rng.uniform(0.2, 1.0, len(family)) * np.exp(
         2j * np.pi * rng.random(len(family))
     )
     return ParaproductSpec(GRID, family, coeffs)
+
+
+def default_spec(seed=0, scales=range(2, 7)):
+    """An interval spec: the paraproduct Pi."""
+    return random_spec(grid_dyadic_family(GRID, scales), seed)
+
+
+def tile_spec(seed=0):
+    """A tile spec over two scales and two frequency indices: a weighted
+    BHT model."""
+    return random_spec(build_rank_one_tiles(GRID, range(3, 5), range(0, 2)), seed)
 
 
 class TestDiscretizedParaproduct:
@@ -86,16 +103,16 @@ class TestDiscretizedParaproduct:
             assert np.abs(out.samples - expected).max() < 1e-12
 
     def test_bilinearity(self):
-        spec = default_spec()
         f, g = band_limited(GRID, 5, 60), band_limited(GRID, 6, 60)
         h = band_limited(GRID, 7, 60)
-        base = discretized_paraproduct(spec, f, g)
-        scaled = discretized_paraproduct(spec, 2.0 * f, g)
-        assert np.array_equal(scaled.samples, 2.0 * base.samples)
-        summed = discretized_paraproduct(spec, f + h, g)
-        split = discretized_paraproduct(spec, f, g) + discretized_paraproduct(spec, h, g)
-        scale = max(np.abs(summed.samples).max(), 1e-30)
-        assert np.abs(summed.samples - split.samples).max() <= 1e-12 * scale
+        for spec in (default_spec(), tile_spec()):
+            base = discretized_paraproduct(spec, f, g)
+            scaled = discretized_paraproduct(spec, 2.0 * f, g)
+            assert np.array_equal(scaled.samples, 2.0 * base.samples)
+            summed = discretized_paraproduct(spec, f + h, g)
+            split = discretized_paraproduct(spec, f, g) + discretized_paraproduct(spec, h, g)
+            scale = max(np.abs(summed.samples).max(), 1e-30)
+            assert np.abs(summed.samples - split.samples).max() <= 1e-12 * scale
 
     def test_output_spectrum_in_slot3_windows(self):
         spec = default_spec(scales=range(3, 6))
@@ -284,44 +301,32 @@ class TestShiftedParaproduct:
         assert (big - wrapped).norm2() <= 1e-12 * big.norm2()
 
 
-class TestGridChecks:
-    """The packet paraproducts read their inputs on the spec's (or the first
-    input's) 1d grid; an input on another grid raises."""
-
-    def test_inputs_on_another_grid_raise(self):
-        spec = default_spec()
-        f = band_limited(GRID, 1, 40)
-        big = band_limited(SampleGrid(1024, 1.0), 2, 40)
-        for args in ((big, big), (f, big), (big, f)):
-            with pytest.raises(ShapeError):
-                discretized_paraproduct(spec, *args)
-        for args in ((big, f, f), (f, big, f), (f, f, big)):
-            with pytest.raises(ShapeError):
-                trilinear_form(spec, *args)
-        with pytest.raises(ShapeError):
-            shifted_paraproduct(0, f, big)
-
-    def test_2d_inputs_raise(self):
-        plane = SampleGrid(64, 1.0, dimension=2)
-        f = band_limited(plane, 3, 8)
-        with pytest.raises(ShapeError):
-            shifted_paraproduct(0, f, f)
+class _ModelSumGridChecks:
+    """A model sum reads its inputs on the spec's 1d grid, over intervals or
+    tritiles alike; an input or a cutoff set on another grid raises.
+    Subclasses name the spec kind and its model sum."""
 
     # an empty family reads its inputs on the spec's grid like any other
     EMPTY = ParaproductSpec(SampleGrid(256, 1.0), [], [])
 
+    def test_inputs_on_another_grid_raise(self):
+        spec = self.make_spec()
+        f = band_limited(GRID, 1, 40)
+        big = band_limited(SampleGrid(1024, 1.0), 2, 40)
+        for args in ((big, big), (f, big), (big, f)):
+            with pytest.raises(ShapeError):
+                self.model_sum(spec, *args)
+        for args in ((big, f, f), (f, big, f), (f, f, big)):
+            with pytest.raises(ShapeError):
+                trilinear_form(spec, *args)
+
     def test_empty_family_paraproduct_checks_the_grid(self):
         f = band_limited(SampleGrid(256, 4.0), 4, 20)
         with pytest.raises(ShapeError, match="packet sweep"):
-            discretized_paraproduct(self.EMPTY, f, f)
-
-    def test_empty_family_trilinear_form_checks_the_grid(self):
-        f = band_limited(SampleGrid(256, 4.0), 5, 20)
-        with pytest.raises(ShapeError, match="packet sweep"):
-            trilinear_form(self.EMPTY, f, f, f)
+            self.model_sum(self.EMPTY, f, f)
 
     def test_cutoff_sets_on_another_grid_raise(self):
-        spec = default_spec(2)
+        spec = self.make_spec(2)
         f, g = band_limited(GRID, 6, 40), band_limited(GRID, 7, 40)
         ones = MeasurableSet(GridFunction(SampleGrid(512, 4.0), np.ones(512, dtype=complex)))
         loc = LocalizationSpec(DyadicInterval(0, 0), ones, ones, ones)
@@ -329,8 +334,48 @@ class TestGridChecks:
             localized_paraproduct(spec, loc, f, g)
 
 
-@pytest.mark.parametrize("op, inputs", [(discretized_paraproduct, 2), (trilinear_form, 3)])
-def test_one_packet_family_per_call(op, inputs, monkeypatch):
+class TestGridChecks(_ModelSumGridChecks):
+    """The model-sum checks over an interval spec, and the shifted
+    paraproduct, which reads its inputs on the first input's 1d grid."""
+
+    make_spec = staticmethod(default_spec)
+    model_sum = staticmethod(discretized_paraproduct)
+
+    def test_2d_inputs_raise(self):
+        plane = SampleGrid(64, 1.0, dimension=2)
+        f = band_limited(plane, 3, 8)
+        with pytest.raises(ShapeError):
+            shifted_paraproduct(0, f, f)
+
+    def test_empty_family_trilinear_form_checks_the_grid(self):
+        f = band_limited(SampleGrid(256, 4.0), 5, 20)
+        with pytest.raises(ShapeError, match="packet sweep"):
+            trilinear_form(self.EMPTY, f, f, f)
+
+    def test_shifted_inputs_on_another_grid_raise(self):
+        # an empty scale range checks the grid too
+        f = band_limited(SampleGrid(256, 1.0), 8, 20)
+        g = band_limited(SampleGrid(256, 4.0), 9, 20)
+        for scales in (None, range(2, 4), range(0)):
+            with pytest.raises(ShapeError, match="different grids"):
+                shifted_paraproduct(0, f, g, scales=scales)
+
+
+class TestGridChecksOnTiles(_ModelSumGridChecks):
+    """The model-sum checks over a tile spec, whose model sum is BHT_P."""
+
+    make_spec = staticmethod(tile_spec)
+    model_sum = staticmethod(bht_model)
+
+
+@pytest.mark.parametrize("op, inputs, make_spec", [
+    pytest.param(discretized_paraproduct, 2, default_spec, id="discretized_paraproduct-2"),
+    pytest.param(trilinear_form, 3, default_spec, id="trilinear_form-3"),
+    pytest.param(discretized_paraproduct, 2, tile_spec, id="discretized_paraproduct-2-tiles"),
+    pytest.param(trilinear_form, 3, tile_spec, id="trilinear_form-3-tiles"),
+    pytest.param(bht_model, 2, tile_spec, id="bht_model-2-tiles"),
+])
+def test_one_packet_family_per_call(op, inputs, make_spec, monkeypatch):
     built = []
 
     class Counted(WavePacketFamily):
@@ -339,7 +384,7 @@ def test_one_packet_family_per_call(op, inputs, monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(paraproducts, "WavePacketFamily", Counted)
-    spec = default_spec(2)
+    spec = make_spec(2)
     op(spec, *(band_limited(GRID, 8 + k, 40) for k in range(inputs)))
     assert built == [(spec.grid, spec.family)]
 
@@ -519,6 +564,9 @@ class TestBilinearityAcrossOperators:
 
 
 def test_paraproduct_spec_rejects_2d_grid():
+    # over intervals or tritiles alike, at construction
     g2 = SampleGrid(32, 1.0, dimension=2)
-    with pytest.raises(ValueError):
-        ParaproductSpec.constant(g2, [DyadicInterval(2, 0)])
+    tiles = build_rank_one_tiles(SampleGrid(32, 1.0), range(2, 3), range(0, 1))
+    for family in ([DyadicInterval(2, 0)], tiles):
+        with pytest.raises(ValueError, match="model sums live on 1d grids"):
+            ParaproductSpec.constant(g2, family)

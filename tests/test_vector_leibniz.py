@@ -10,7 +10,6 @@ from wavetile.errors import ExponentConstraintError, ShapeError
 from wavetile.grid import GridFunction, SampleGrid, fractional_derivative
 from wavetile.norms import INF, MixedNormSpec, mixed_norm
 from wavetile.operators import (
-    BHTModelSpec,
     LeibnizExponents,
     ParaproductSpec,
     bht_model,
@@ -121,7 +120,7 @@ VECTOR_TILES += VECTOR_TILES[5:9]
 
 VECTOR_OPS = {
     "discretized_paraproduct": lambda f, g: discretized_paraproduct(VECTOR_SPEC, f, g),
-    "bht_model": lambda f, g: bht_model(BHTModelSpec(GRID, VECTOR_TILES), f, g),
+    "bht_model": lambda f, g: bht_model(ParaproductSpec.constant(GRID, VECTOR_TILES), f, g),
     "shifted_paraproduct": lambda f, g: shifted_paraproduct(2, f, g),
 }
 
@@ -147,7 +146,7 @@ class TestVectorAxesOperators:
         f = band_limited(GRID, 42, 40, (2, 3))
         empty = ParaproductSpec(GRID, [], np.zeros(0))
         for out in (
-            bht_model(BHTModelSpec(GRID, []), f, f),
+            bht_model(ParaproductSpec.constant(GRID, []), f, f),
             discretized_paraproduct(empty, f, f),
             shifted_paraproduct(0, f, f, scales=range(0)),
         ):
