@@ -174,6 +174,12 @@ class TestModelOperator:
     GRID = SampleGrid(512, 1.0)
     TILES = build_rank_one_tiles(GRID, range(3, 6), range(0, 4))
 
+    def test_empty_collection(self):
+        g = SampleGrid(512, 1.0)
+        spec = ParaproductSpec.constant(g, [])
+        f = GridFunction(g, np.ones(512, dtype=complex))
+        assert bht_model(spec, f, f).norm2() == 0.0
+
     def test_non_dyadic_period_rejected(self):
         tiles = build_rank_one_tiles(SampleGrid(256, 1.0), range(2, 3), range(0, 1))
         g = SampleGrid(256, 3.0)
@@ -218,6 +224,17 @@ class TestModelOperator:
             denom = lp_norm(f, 2) * lp_norm(h, 2)
             worst = max(worst, lp_norm(bht_model(spec, f, h), 1) / denom)
         assert worst <= 2.0
+
+    def test_bilinearity(self):
+        g = SampleGrid(512, 1.0)
+        tiles = build_rank_one_tiles(g, range(3, 5), range(0, 2))
+        spec = ParaproductSpec.constant(g, tiles)
+        rng = np.random.default_rng(2)
+        f = GridFunction(g, rng.normal(size=512).astype(complex))
+        h = GridFunction(g, rng.normal(size=512).astype(complex))
+        assert np.array_equal(
+            bht_model(spec, 2.0 * f, h).samples, 2.0 * bht_model(spec, f, h).samples
+        )
 
     def test_trilinear_form_pairs_with_model_output(self):
         spec = ParaproductSpec.constant(self.GRID, self.TILES)
