@@ -9,9 +9,9 @@ Times the two packet layers the campaign targets are built from, on a
 unit-period grid at n = 512, 1024 and 4096:
 
 * ``sweep``: the coefficients of one input at every position of every
-  layer, ``WavePacketFamily.scale_coefficients`` over all packet scales
-  (lacunary and non-lacunary) and ``tile_scale_coefficients`` over
-  (scale, frequency index) layers, slot 1;
+  layer, ``WavePacketFamily.scale_coefficients`` over the packet budget
+  ``packet_scales(grid)`` (lacunary and non-lacunary) and
+  ``tile_scale_coefficients`` over (scale, frequency index) layers, slot 1;
 * ``synth``: the adjoint, ``WavePacketFamily.scale_synthesize`` on the
   same route, and on slot 3 for the tile layers, of weights with those
   shapes.
@@ -98,11 +98,11 @@ from wavetile.dyadic import (
     WavePacketFamily,
     build_rank_one_tiles,
     grid_dyadic_family,
-    min_packet_scale,
+    packet_scales,
     tile_scale_coefficients,
     torus_bump_samples,
 )
-from wavetile.grid import GridFunction, SampleGrid, low_pass_profile, max_scale
+from wavetile.grid import GridFunction, SampleGrid, low_pass_profile
 from wavetile.norms import dualize_superlevel_sets
 from wavetile.operators import (
     LeibnizExponents,
@@ -137,7 +137,7 @@ def _tile_layers(grid: SampleGrid) -> list[tuple[int, int]]:
 
 def _cases(grid: SampleGrid):
     """(packets, sweep(f), synth(weights)) per case."""
-    scales = range(min_packet_scale(grid), max_scale(grid) + 1)
+    scales = packet_scales(grid)
     fam = WavePacketFamily(grid, [])
     for flavor in ("lacunary", "non-lacunary"):
         yield (flavor,

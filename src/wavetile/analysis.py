@@ -25,10 +25,11 @@ from .dyadic import (
     WavePacketFamily,
     _stride,
     collection_plus,
+    packet_scales,
     torus_bump_samples,
 )
 from .errors import MajorSubsetError, ShapeError
-from .grid import GridFunction, SampleGrid, max_scale, scale_range
+from .grid import GridFunction, SampleGrid, scale_range
 from .norms import MeasurableSet, _weak_norms, lp_norm
 
 __all__ = [
@@ -212,8 +213,6 @@ def _greedy_disjoint(intervals: list[DyadicInterval]) -> list[DyadicInterval]:
 def _energy_report(family: list[DyadicInterval], cvals: np.ndarray) -> EnergyReport:
     """The energy given each interval's coefficient (see :func:`energy`)."""
     positive = cvals > 0
-    if not positive.any():
-        return EnergyReport(0.0, 0, ())
     # floor(log2 c) is the binary exponent; np.log2 rounds up just below 2**k
     levels = sorted(set((np.frexp(cvals[positive])[1] - 1).tolist()), reverse=True)
     best_value, best_level, best_family = 0.0, 0, ()
@@ -299,24 +298,15 @@ def maximal(f: GridFunction, shift_n: int = 0) -> GridFunction:
     return GridFunction(grid, out.astype(complex))
 
 
-def shifted_square(
-    f: GridFunction,
-    shift_n: int = 0,
-    scales: range | None = None,
-) -> GridFunction:
-    """(sum over I of |<f, psi(I_n)>|^2 / |I| * 1_I)^(1/2), over the budget.
-
-    Scales default to the packet budget (windows with interior frequencies).
-    """
-    from .dyadic import min_packet_scale
-
+def shifted_square(f: GridFunction, shift_n: int = 0) -> GridFunction:
+    """(sum over I of |<f, psi(I_n)>|^2 / |I| * 1_I)^(1/2) over the packet
+    budget, :func:`~wavetile.dyadic.packet_scales`."""
     _require_1d(f)
     grid = f.grid
-    if scales is None:
-        scales = range(min_packet_scale(grid), max_scale(grid) + 1)
     acc = np.zeros(grid.sample_count)
     fam = WavePacketFamily(grid, [])
-    for j, coefs in fam.scale_coefficients(f, scales, "lacunary", shift_n).items():
+    sweep = fam.scale_coefficients(f, packet_scales(grid), "lacunary", shift_n)
+    for j, coefs in sweep.items():
         acc += np.repeat(np.abs(coefs) ** 2 / 2.0 ** (-j), _stride(grid, j))
     return GridFunction(grid, np.sqrt(acc).astype(complex))
 

@@ -12,6 +12,7 @@ import zlib
 
 import numpy as np
 
+from ..dyadic import interval_indices
 from ..errors import InfeasibleMeasureError
 from ..grid import GridFunction, SampleGrid, low_pass_profile
 from ..norms import MeasurableSet
@@ -110,8 +111,6 @@ def _dyadic_union(grid, rng, params) -> MeasurableSet:
     if within is None:
         pool = np.arange(grid.sample_count)
     else:
-        from ..dyadic import interval_indices
-
         pool = interval_indices(grid, within)
     if cells > len(pool):
         raise InfeasibleMeasureError("measure exceeds the available window")

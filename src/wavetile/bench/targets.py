@@ -38,7 +38,7 @@ import numpy as np
 
 from .. import analysis, dyadic, norms, operators
 from ..errors import MajorSubsetError
-from ..grid import GridFunction, SampleGrid, max_scale
+from ..grid import GridFunction, SampleGrid, low_pass_profile, max_scale
 from ..norms import INF, MixedNormSpec, lp_norm, mixed_norm, weak_lp_norm
 from .generate import generate_trial, rng_for
 
@@ -191,7 +191,7 @@ def _random_stopping_config(seed: int, grid: SampleGrid, depth: int):
     rng = rng_for(seed, 77)
     family = _subfamily(rng, root, depth)
     cell = grid.spacing
-    quarter = grid.sample_count // int(grid.period_length) // 4
+    quarter = dyadic._stride(grid, 2)
 
     def random_set(role):
         count = int(rng.integers(max(1, quarter // 8), quarter))
@@ -401,8 +401,6 @@ def _run_bht_multiplier(cfg, seeds, cap):
     n = 2048
     grid = SampleGrid(n, 1.0)
     x = grid.points()
-    from ..grid import low_pass_profile
-
     window = low_pass_profile((x - 0.5) / 0.12)
     a, b = 5, 25
     fa = GridFunction(grid, window * np.exp(2j * np.pi * a * x))

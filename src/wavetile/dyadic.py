@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ScaleBudgetError, ShapeError
-from .grid import GridFunction, SampleGrid, max_scale, scale_range
+from .grid import GridFunction, SampleGrid, _check_scale, scale_range
 
 __all__ = [
     "DyadicInterval",
@@ -32,8 +32,8 @@ __all__ = [
     "build_rank_one_tiles",
     "grid_dyadic_family",
     "interval_indices",
-    "min_packet_scale",
     "packet_profile",
+    "packet_scales",
     "torus_bump_samples",
 ]
 
@@ -212,29 +212,28 @@ def packet_profile(u) -> np.ndarray:
     return np.cos(np.pi * u / 2.0) ** PACKET_SMOOTHNESS
 
 
-def min_packet_scale(grid: SampleGrid) -> int:
-    """Coarsest scale whose packet window holds an interior frequency.
+def packet_scales(grid: SampleGrid) -> range:
+    """The packet budget: ``scale_range(grid)`` less its coarsest scale.
 
-    The window has length 2**j * period in index units and the profile
-    vanishes at its endpoints, so 2**j * period >= 2 is required.
+    A window has length 2**j * period in index units and the profile
+    vanishes at its endpoints, so a window holding an interior frequency
+    needs 2**j * period >= 2.
     """
-    return 1 - grid.log2_period()
+    return scale_range(grid)[1:]
 
 
 def _block_window(grid: SampleGrid, scale: int, block: int) -> tuple[float, float]:
     """Frequency window [block, block + 1] * 2**scale * period (index units).
 
     The window is one position count wide with both ends on multiples of
-    it.  Windows spanning fewer than two frequencies (scales coarser than
-    :func:`min_packet_scale`), at scales finer than ``max_scale``, or
-    leaving the grid's frequencies, raise.
+    it.  Windows outside :func:`packet_scales` or leaving the grid's
+    frequencies raise.
     """
-    if scale < min_packet_scale(grid):
+    if scale < packet_scales(grid).start:
         raise ScaleBudgetError(
             f"window at scale {scale} spans fewer than two frequencies"
         )
-    if scale > max_scale(grid):
-        raise ScaleBudgetError(f"scale {scale} exceeds budget {max_scale(grid)}")
+    _check_scale(grid, scale)
     width = 2.0 ** scale * grid.period_length
     lo, hi = block * width, (block + 1) * width
     nyq = grid.sample_count // 2
@@ -540,14 +539,12 @@ def build_rank_one_tiles(
     """One tritile per (scale, frequency index, spatial position)."""
     if len(scales) == 0 or len(freq_range) == 0:
         raise ValueError("scales and freq_range must be nonempty")
-    kappa = grid.log2_period()
     tiles = []
     for j in scales:
         for l in freq_range:
             for slot in _TILE_SLOTS:
                 _block_window(grid, j, _slot_block(l, slot))
-            for m in range(2 ** (j + kappa)):
-                tiles.append(Tritile(DyadicInterval(j, m), l))
+            tiles += [Tritile(iv, l) for iv in grid_dyadic_family(grid, range(j, j + 1))]
     return tiles
 
 

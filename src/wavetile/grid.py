@@ -150,6 +150,11 @@ def _require_same_grid(f: GridFunction | SpectralMultiplier, g: GridFunction):
         raise ShapeError(f"operands on different grids: {f.grid} and {g.grid}")
 
 
+def _require_same_vector_axes(f: GridFunction, g: GridFunction):
+    if f.vector_shape != g.vector_shape:
+        raise ShapeError(f"vector axes differ: {f.vector_shape} vs {g.vector_shape}")
+
+
 # ---------------------------------------------------------------------------
 # Bump profiles
 # ---------------------------------------------------------------------------
@@ -211,8 +216,8 @@ def scales_reaching(grid: SampleGrid, scales: range, band: int) -> range:
 def _check_scale(grid: SampleGrid, k: int):
     if k > max_scale(grid):
         raise ScaleBudgetError(
-            f"scale {k} exceeds the grid budget (max {max_scale(grid)} "
-            f"for N={grid.sample_count}, period={grid.period_length})"
+            f"scale {k} exceeds budget {max_scale(grid)} "
+            f"(N={grid.sample_count}, period={grid.period_length})"
         )
 
 

@@ -52,7 +52,7 @@ class LeibnizExponents:
                     raise ValueError("factor exponents must exceed 1")
 
     @classmethod
-    def symmetric(cls, s1: Exponent = 2, s2: Exponent = 2) -> "LeibnizExponents":
+    def symmetric(cls, s1: Exponent, s2: Exponent) -> "LeibnizExponents":
         """The symmetric split: every factor norm at double the target."""
         px = 1 / (recip(s1) / 2) if recip(s1) > 0 else s1
         py = 1 / (recip(s2) / 2) if recip(s2) > 0 else s2

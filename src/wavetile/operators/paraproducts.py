@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from ..dyadic import (_TILE_SLOTS, DyadicInterval, Tritile, WavePacketFamily, _column,
-                      _spatial_intervals, min_packet_scale)
+                      _spatial_intervals, packet_scales)
 from ..errors import AliasingError, ShapeError
 from ..grid import (
     GridFunction,
@@ -31,9 +31,9 @@ from ..grid import (
     _band_blocks,
     _projection_values,
     _require_same_grid,
+    _require_same_vector_axes,
     band_limit,
     low_pass_profile,
-    max_scale,
     scale_range,
     scales_reaching,
 )
@@ -108,6 +108,7 @@ def _slot_weights(
     """Per-item weights c_P |I_P|^(-1/2) <f, phi1_P> <g, phi2_P> over the
     spec's family ``fam``, item axis first and the inputs' vector axes
     after it."""
+    _require_same_vector_axes(f, g)
     a = fam.coefficients(f, spec._routes[0])
     b = fam.coefficients(g, spec._routes[1])
     sqrt_lengths = np.sqrt(np.array([iv.length for iv in spec._spatial]))
@@ -131,6 +132,7 @@ def trilinear_form(
     The third pairing is anti-linear in h, so the form equals the hermitian
     pairing <T(f, g), h> whenever slot 3 produces the output packets.
     """
+    _require_same_vector_axes(f, h)
     fam = WavePacketFamily(spec.grid, spec.family)
     weights = _slot_weights(spec, fam, f, g)
     return complex(np.sum(weights * np.conj(fam.coefficients(h, spec._routes[2]))))
@@ -260,21 +262,13 @@ def telescoping_decomposition(f: GridFunction, g: GridFunction) -> list[GridFunc
 # Shifted paraproduct
 # ---------------------------------------------------------------------------
 
-def shifted_paraproduct(
-    n: int,
-    f: GridFunction,
-    g: GridFunction,
-    scales: range | None = None,
-) -> GridFunction:
-    """sum_I |I|^(-1) <f, psi(I_n)> <g, psi(I_n)> phi_I over the budget,
-    componentwise over matching trailing vector axes of f and g."""
-    grid = f.grid
-    if scales is None:
-        scales = range(min_packet_scale(grid), max_scale(grid) + 1)
+def shifted_paraproduct(n: int, f: GridFunction, g: GridFunction) -> GridFunction:
+    """sum_I |I|^(-1) <f, psi(I_n)> <g, psi(I_n)> phi_I over the packet
+    budget, componentwise over matching trailing vector axes of f and g."""
     _require_same_grid(f, g)
-    if not scales:
-        return GridFunction(grid, np.zeros(f.samples.shape, dtype=complex))
-    fam = WavePacketFamily(grid, [])
+    _require_same_vector_axes(f, g)
+    scales = packet_scales(f.grid)
+    fam = WavePacketFamily(f.grid, [])
     a = fam.scale_coefficients(f, scales, "lacunary", shift_n=n)
     b = fam.scale_coefficients(g, scales, "lacunary", shift_n=n)
     weights = {j: a[j] * b[j] / 2.0 ** (-j) for j in a}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..errors import ShapeError
-from ..grid import GridFunction
+from ..grid import GridFunction, _require_same_vector_axes
 from ..norms import MixedNormSpec, mixed_norm
 
 __all__ = ["vector_valued_apply"]
@@ -26,10 +26,7 @@ def vector_valued_apply(
     evaluated on the inputs and the output; returns
     ``(output, (norm_out, norm_f, norm_g))``.
     """
-    if fs.vector_shape != gs.vector_shape:
-        raise ShapeError(
-            f"vector axes differ: {fs.vector_shape} vs {gs.vector_shape}"
-        )
+    _require_same_vector_axes(fs, gs)
     out = op(fs, gs)
     if out.samples.shape != fs.samples.shape:
         raise ShapeError(

@@ -12,12 +12,12 @@ from wavetile.dyadic import (
     build_rank_one_tiles,
     collection_plus,
     grid_dyadic_family,
-    min_packet_scale,
+    packet_scales,
     tile_scale_coefficients,
     torus_bump_samples,
 )
 from wavetile.errors import ScaleBudgetError, ShapeError
-from wavetile.grid import GridFunction, SampleGrid
+from wavetile.grid import GridFunction, SampleGrid, max_scale, scale_range
 
 from oracles import disjoint, inner, packet, tile_packet, torus_bump_direct
 
@@ -181,7 +181,7 @@ class TestWavePackets:
 
     def test_too_coarse_scale_rejected(self):
         g = SampleGrid(256, 1.0)
-        assert min_packet_scale(g) == 1
+        assert packet_scales(g).start == 1
         with pytest.raises(ScaleBudgetError):
             packet(g, DyadicInterval(0, 0), "lacunary")
 
@@ -280,7 +280,7 @@ class TestSharedSpectrumPath:
         frequency index l takes block l + s - 1."""
         g = SampleGrid(256, period)
         n, nyq = g.sample_count, g.sample_count // 2
-        for j in range(min_packet_scale(g), dyadic.max_scale(g) + 1):
+        for j in packet_scales(g):
             positions = len(grid_dyadic_family(g, range(j, j + 1)))
             windows = {}
             for block in range(-3, 4):
@@ -306,7 +306,7 @@ class TestSharedSpectrumPath:
         g = SampleGrid(256, 1.0)
         f = GridFunction(g, np.ones(256, dtype=complex))
         fam = WavePacketFamily(g, [])
-        top = dyadic.max_scale(g)
+        top = max_scale(g)
         with pytest.raises(ScaleBudgetError, match="exceeds budget"):
             packet(g, DyadicInterval(top + 1, 0), "lacunary")
         with pytest.raises(ScaleBudgetError, match="exceeds budget"):
@@ -333,6 +333,24 @@ class TestSharedSpectrumPath:
         with pytest.raises(ScaleBudgetError, match="exceeds Nyquist"):
             tile_scale_coefficients(g, f, [(5, 4)], 3)
 
+    @pytest.mark.parametrize("n, period", [(64, 1.0), (512, 4.0), (256, 0.5)])
+    def test_packet_scales_are_the_scales_with_packet_windows(self, n, period):
+        """packet_scales is exactly where blocks 0 and 1 have windows: the
+        budget less its coarsest scale."""
+        g = SampleGrid(n, period)
+        budget = scale_range(g)
+
+        def accepted(j):
+            try:
+                for block in (0, 1):
+                    dyadic._block_window(g, j, block)
+            except ScaleBudgetError:
+                return False
+            return True
+
+        scales = [j for j in range(budget.start - 3, budget.stop + 3) if accepted(j)]
+        assert scales == list(packet_scales(g)) == list(budget[1:])
+
 
 def _random_function(grid, seed, vector_shape=()):
     rng = np.random.default_rng(seed)
@@ -349,10 +367,10 @@ class TestFoldedSweeps:
     @pytest.mark.parametrize("shift_n", [0, 3])
     def test_coefficients_match_inner_products(self, flavor, period, shift_n):
         g = SampleGrid(256, period)
-        lo_scale = min_packet_scale(g)
+        lo_scale = packet_scales(g).start
         family = [
             DyadicInterval(lo_scale, 0), DyadicInterval(lo_scale + 1, 1),
-            DyadicInterval(lo_scale + 2, 3), DyadicInterval(dyadic.max_scale(g), 5),
+            DyadicInterval(lo_scale + 2, 3), DyadicInterval(max_scale(g), 5),
         ]
         fam = WavePacketFamily(g, family)
         f = _random_function(g, 5)
@@ -438,7 +456,7 @@ class TestBatchedSweeps:
     @staticmethod
     def _sweep_case(n, period, flavor, vshape):
         g = SampleGrid(n, period)
-        scales = list(range(min_packet_scale(g), dyadic.max_scale(g) + 1))
+        scales = list(packet_scales(g))
         bands = {j: dyadic._base_packet(n, period, j, flavor) for j in scales}
         f = _random_function(g, n + len(vshape), vshape)
         return g, WavePacketFamily(g, []), scales, bands, f
@@ -728,6 +746,17 @@ class TestTritiles:
             windows = [slot_window(t, s) for s in (1, 2, 3)]
             for (a1, b1), (a2, b2) in itertools.combinations(windows, 2):
                 assert min(b1, b2) <= max(a1, a2)
+
+    @pytest.mark.parametrize("n, period, scales, freqs", [
+        (256, 1.0, range(3, 5), range(0, 3)),
+        (512, 4.0, range(-1, 2), range(1, 3)),
+    ])
+    def test_tiles_in_scale_frequency_position_order(self, n, period, scales, freqs):
+        g = SampleGrid(n, period)
+        kappa = g.log2_period()
+        want = [Tritile(DyadicInterval(j, m), l)
+                for j in scales for l in freqs for m in range(2 ** (j + kappa))]
+        assert build_rank_one_tiles(g, scales, freqs) == want
 
     def test_budget_violation(self):
         g = SampleGrid(256, 1.0)

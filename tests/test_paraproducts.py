@@ -9,6 +9,7 @@ from wavetile.dyadic import (
     WavePacketFamily,
     build_rank_one_tiles,
     grid_dyadic_family,
+    packet_scales,
 )
 from wavetile.errors import AliasingError, ShapeError
 from wavetile.grid import (
@@ -281,23 +282,24 @@ class TestShiftedParaproduct:
 
     def test_matches_direct_sum_when_shifted(self):
         # n = 0 is the unshifted paraproduct; n = 3 moves both pairings
-        scales = range(2, 5)
         f, g = band_limited(GRID, 22, 60), band_limited(GRID, 23, 60)
         for n in (0, 3):
-            got = shifted_paraproduct(n, f, g, scales=scales)
+            got = shifted_paraproduct(n, f, g)
             want = sum(
                 iv.length ** -1.0
                 * inner(f, packet(GRID, DyadicInterval(iv.scale, iv.position + n), "lacunary"))
                 * inner(g, packet(GRID, DyadicInterval(iv.scale, iv.position + n), "lacunary"))
                 * packet(GRID, iv, "non-lacunary").samples
-                for iv in grid_dyadic_family(GRID, scales)
+                for iv in grid_dyadic_family(GRID, packet_scales(GRID))
             )
             assert np.abs(got.samples - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_shift_wraps_on_torus(self):
         f, g = band_limited(GRID, 20, 60), band_limited(GRID, 21, 60)
-        big = shifted_paraproduct(7, f, g, scales=range(3, 4))
-        wrapped = shifted_paraproduct(7 + 8, f, g, scales=range(3, 4))
+        # 128 = 2**(max_scale + kappa) positions at the finest scale, a
+        # multiple of every coarser scale's count, so every scale wraps
+        big = shifted_paraproduct(7, f, g)
+        wrapped = shifted_paraproduct(7 + 128, f, g)
         assert (big - wrapped).norm2() <= 1e-12 * big.norm2()
 
 
@@ -353,12 +355,10 @@ class TestGridChecks(_ModelSumGridChecks):
             trilinear_form(self.EMPTY, f, f, f)
 
     def test_shifted_inputs_on_another_grid_raise(self):
-        # an empty scale range checks the grid too
         f = band_limited(SampleGrid(256, 1.0), 8, 20)
         g = band_limited(SampleGrid(256, 4.0), 9, 20)
-        for scales in (None, range(2, 4), range(0)):
-            with pytest.raises(ShapeError, match="different grids"):
-                shifted_paraproduct(0, f, g, scales=scales)
+        with pytest.raises(ShapeError, match="different grids"):
+            shifted_paraproduct(0, f, g)
 
 
 class TestGridChecksOnTiles(_ModelSumGridChecks):
@@ -387,6 +387,39 @@ def test_one_packet_family_per_call(op, inputs, make_spec, monkeypatch):
     spec = make_spec(2)
     op(spec, *(band_limited(GRID, 8 + k, 40) for k in range(inputs)))
     assert built == [(spec.grid, spec.family)]
+
+
+def _vector_input(seed, components):
+    rng = np.random.default_rng(seed)
+    return GridFunction(GRID, rng.normal(size=(512, components)).astype(complex))
+
+
+_ALL_OF_GRID = MeasurableSet(GridFunction(GRID, np.ones(512, dtype=complex)))
+
+# Each model sum as op(spec, f, g, h); the bilinear ones ignore h.
+MODEL_SUMS = {
+    "discretized_paraproduct": lambda spec, f, g, h: discretized_paraproduct(spec, f, g),
+    "localized_paraproduct": lambda spec, f, g, h: localized_paraproduct(
+        spec, LocalizationSpec(DyadicInterval(0, 0), *[_ALL_OF_GRID] * 3), f, g),
+    "bht_model": lambda spec, f, g, h: bht_model(spec, f, g),
+    "trilinear_form": trilinear_form,
+}
+
+
+@pytest.mark.parametrize("make_spec", [default_spec, tile_spec], ids=["intervals", "tiles"])
+@pytest.mark.parametrize("name", sorted(MODEL_SUMS))
+def test_mismatched_vector_axes_raise(name, make_spec):
+    spec = make_spec(3)
+    two, three = _vector_input(30, 2), _vector_input(31, 3)
+    cases = [(two, three, two)] + ([(two, two, three)] if name == "trilinear_form" else [])
+    for f, g, h in cases:
+        with pytest.raises(ShapeError, match=r"vector axes differ: \(2,\) vs \(3,\)"):
+            MODEL_SUMS[name](spec, f, g, h)
+
+
+def test_shifted_paraproduct_mismatched_vector_axes_raise():
+    with pytest.raises(ShapeError, match=r"vector axes differ: \(2,\) vs \(3,\)"):
+        shifted_paraproduct(0, _vector_input(30, 2), _vector_input(31, 3))
 
 
 class TestAlphaSymbolCoefficients:
@@ -552,7 +585,7 @@ class TestBilinearityAcrossOperators:
         assert np.array_equal(doubled.samples, (2.0 * apply(f1, h)).samples)
 
     def test_shifted_paraproduct(self):
-        self.check(lambda a, b: shifted_paraproduct(2, a, b, scales=range(2, 5)))
+        self.check(lambda a, b: shifted_paraproduct(2, a, b))
 
     def test_tensor_paraproduct(self):
         g = SampleGrid(64, 1.0, dimension=2)

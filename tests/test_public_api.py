@@ -14,6 +14,8 @@ A parameter with a default, of a public function or of a public method of a
 public class, must be passed by some call under ``src/wavetile`` whose
 callee has the same name (by keyword, or by position at its index), or be
 kept below with its reason: a default that nothing overrides is a constant.
+Nor may every call that passes it pass the default's own literal: that is a
+knob with one value in use.
 
 The tests' direct oracles live in ``tests/oracles.py``; none of their names
 may be defined in the package too, so a second copy cannot creep back.
@@ -46,8 +48,6 @@ KEEP = {
 # Defaulted parameters that no call in the package passes, each with the
 # reason it stays.
 UNPASSED = {
-    "shifted_square(scales)": "the tests' restriction to scales a translation preserves",
-    "shifted_paraproduct(scales)": "the tests' direct-sum oracle on a few scales",
     "exceptional_set(C)": "the tests reach MajorSubsetError through a vanishing constant",
     "major_subset_L1(C)": "the L^1 route of the weak dualization of operator outputs (ROADMAP)",
     "dualize_weak_via_Lr(C)": "the one-set oracle's threshold constant, which the tests vary",
@@ -149,56 +149,84 @@ def test_keep_table_holds_only_unread_public_names():
 
 
 def _defaulted(fn, offset):
-    """(parameter, positional index as a call sees it or None) per default."""
+    """(parameter, positional index as a call sees it or None, default node)
+    per default."""
     args = fn.args
     pos = args.posonlyargs + args.args
     first = len(pos) - len(args.defaults)
-    out = [(arg.arg, i - offset) for i, arg in enumerate(pos) if i >= first]
-    out += [(arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+    out = [(arg.arg, first + i - offset, d)
+           for i, (arg, d) in enumerate(zip(pos[first:], args.defaults))]
+    out += [(arg.arg, None, d) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d]
     return out
 
 
 def _defaulted_parameters(modules):
-    """{"name(param)" or "Class.method(param)": (callee name, param, index)}."""
+    """{"name(param)" or "Class.method(param)": (callee name, param, index,
+    default node)}."""
     out = {}
     for path, tree in modules.items():
         public = set(_public_names(path, tree))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name in public:
-                for param, index in _defaulted(node, 0):
-                    out[f"{node.name}({param})"] = (node.name, param, index)
+                for param, index, default in _defaulted(node, 0):
+                    out[f"{node.name}({param})"] = (node.name, param, index, default)
         for cls, method in _public_methods(path, tree):
             static = any(getattr(d, "id", None) == "staticmethod"
                          for d in method.decorator_list)
-            for param, index in _defaulted(method, 0 if static else 1):
-                out[f"{cls}.{method.name}({param})"] = (method.name, param, index)
+            for param, index, default in _defaulted(method, 0 if static else 1):
+                out[f"{cls}.{method.name}({param})"] = (method.name, param, index, default)
     return out
 
 
 def _calls(trees):
-    """{callee name: [(positional count, keyword names)]}; a starred argument
-    counts as every position and a ``**`` argument as every keyword."""
+    """{callee name: [call node]}."""
     out = {}
     for tree in trees:
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            count = float("inf") if starred else len(node.args)
-            out.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+_ANY = object()
+
+
+def _passed(call, param, index):
+    """The argument node ``call`` passes for ``param``, None if it passes
+    none, or ``_ANY`` behind a starred or ``**`` argument."""
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    if index is not None:
+        for i, a in enumerate(call.args):
+            if isinstance(a, ast.Starred):
+                return _ANY
+            if i == index:
+                return a
+    return _ANY if any(k.arg is None for k in call.keywords) else None
+
+
+def _passed_arguments(modules):
+    """{key: the argument node of each same-named call that passes it}."""
+    calls = _calls(modules.values())
+    out = {}
+    for key, (name, param, index, _) in _defaulted_parameters(modules).items():
+        passed = (_passed(call, param, index) for call in calls.get(name, []))
+        out[key] = [a for a in passed if a is not None]
     return out
 
 
 def _unpassed(modules):
-    calls = _calls(modules.values())
-    return sorted(
-        key for key, (name, param, index) in _defaulted_parameters(modules).items()
-        if not any(
-            param in kw or None in kw or (index is not None and count > index)
-            for count, kw in calls.get(name, [])
-        )
-    )
+    return sorted(key for key, passed in _passed_arguments(modules).items() if not passed)
+
+
+def _literal(node):
+    """The value of a literal argument node, else ``_ANY``."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _ANY
 
 
 def test_every_defaulted_parameter_is_passed_or_kept():
@@ -208,6 +236,17 @@ def test_every_defaulted_parameter_is_passed_or_kept():
 def test_unpassed_table_holds_only_unpassed_parameters():
     unpassed = set(_unpassed(_modules()))
     assert sorted(key for key in UNPASSED if key not in unpassed) == []
+
+
+def test_no_passed_default_has_one_value_in_use():
+    modules = _modules()
+    defaults = {key: _literal(entry[3]) for key, entry in _defaulted_parameters(modules).items()}
+    one_value = [
+        key for key, passed in _passed_arguments(modules).items()
+        if passed and defaults[key] is not _ANY
+        and all(_literal(a) == defaults[key] for a in passed)
+    ]
+    assert sorted(one_value) == []
 
 
 def _defined(tree, top_level):

@@ -148,7 +148,6 @@ class TestVectorAxesOperators:
         for out in (
             bht_model(ParaproductSpec.constant(GRID, []), f, f),
             discretized_paraproduct(empty, f, f),
-            shifted_paraproduct(0, f, f, scales=range(0)),
         ):
             assert out.samples.shape == f.samples.shape
             assert not out.samples.any()
